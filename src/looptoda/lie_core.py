@@ -15,6 +15,7 @@ matrix axes broadcast).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,11 +195,50 @@ def determinant(m) -> complex:
     return complex(np.linalg.det(as_complex(m)))
 
 
-def expm(a) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring on a Taylor series.
+#: Unit roundoff of IEEE double precision.
+_UNIT_ROUNDOFF = 2.0 ** -53
 
-    Accurate to machine precision after scaling the norm below 1/4; accepts
-    batched input.  1x1 input short-circuits to scalar exp.
+#: theta_m: the largest 1-norm at which the degree-m Taylor remainder
+#: bound theta^(m+1) / (m+1)! stays below unit roundoff, m = 1 .. 16.
+_TAYLOR_THETA = tuple(
+    (_UNIT_ROUNDOFF * math.factorial(m + 1)) ** (1.0 / (m + 1)) for m in range(1, 17)
+)
+
+#: Inverse scaling stops once ||a - I||_1 is below this; the Mercator
+#: series then takes the degree its remainder bound asks for.
+_LOG_THETA = 0.25
+_LOG_MAX_DOUBLINGS = 10
+_SQRTM_MAX_ITER = 20
+
+
+class ConvergenceError(ValueError):
+    """An iterative kernel reached its iteration cap without converging."""
+
+
+def _norm1(a) -> float:
+    """Largest 1-norm (max column abs sum) over a batch of matrices."""
+    if a.size == 0:
+        return 0.0
+    return float(np.abs(a).sum(axis=-2).max())
+
+
+def _add_identity(m: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """m + scale * I in place on every matrix of the batch."""
+    diagonal = np.einsum("...ii->...i", m)  # a writable view
+    diagonal += scale
+    return m
+
+
+def expm(a) -> np.ndarray:
+    """Matrix exponential by scaling and squaring on a Taylor polynomial.
+
+    The scaling is taken from the largest 1-norm in the batch: it is
+    halved until it is at most theta_16, the norm at which the degree-16
+    remainder bound theta^17 / 17! falls to unit roundoff.  The degree is
+    then the smallest m <= 16 whose bound theta^(m+1) / (m+1)! is below
+    unit roundoff at the scaled norm (m = 6 at norm 1e-2), and the
+    polynomial is evaluated by Horner's rule in m - 1 batched products.
+    1x1 input short-circuits to scalar exp.
     """
     a = as_complex(a)
     n = a.shape[-1]
@@ -206,14 +246,14 @@ def expm(a) -> np.ndarray:
         raise ShapeMismatchError("expm needs square matrices")
     if n == 1:
         return np.exp(a)
-    norm = max_abs(a)
-    squarings = max(0, int(np.ceil(np.log2(norm / 0.25))) if norm > 0.25 else 0)
+    norm = _norm1(a)
+    squarings = int(np.ceil(np.log2(norm / _TAYLOR_THETA[-1]))) if norm > _TAYLOR_THETA[-1] else 0
     b = a / (2.0 ** squarings)
-    result = np.broadcast_to(identity(n), b.shape).copy()
-    term = np.broadcast_to(identity(n), b.shape).copy()
-    for j in range(1, 17):
-        term = term @ b / j
-        result = result + term
+    norm /= 2.0 ** squarings
+    degree = next((m for m, theta in enumerate(_TAYLOR_THETA, start=1) if norm <= theta), 16)
+    result = _add_identity(b / degree)
+    for k in range(degree - 1, 0, -1):
+        result = _add_identity(b @ result / k)
     for _ in range(squarings):
         result = result @ result
     return result
@@ -222,40 +262,72 @@ def expm(a) -> np.ndarray:
 def sqrtm_near_identity(a) -> np.ndarray:
     """Principal square root for matrices near the identity.
 
-    Denman-Beavers iteration, quadratically convergent for spectra in the
-    right half plane; batched.  1x1 input short-circuits to np.sqrt.
+    Denman-Beavers iteration, Y <- (Y + inv(Z)) / 2, Z <- (Z + inv(Y)) / 2
+    from Y = a, Z = I; quadratically convergent for spectra in the right
+    half plane; batched.  It stops as soon as the batch's largest increment
+    of Y falls to round-off, max|dY| <= 4 n eps max|Y| (four iterations at
+    ||a - I||_1 ~ 5e-2), and raises :class:`ConvergenceError` if that has
+    not happened after 20 iterations.  Z_0 = I needs no inverse and the last
+    Z update is never used, so k iterations take 2k - 2 inverses.  1x1
+    input short-circuits to np.sqrt.
     """
     a = as_complex(a)
     n = a.shape[-1]
     if n == 1:
         return np.sqrt(a)
-    y = a.copy()
-    z = np.broadcast_to(identity(n), a.shape).copy()
-    for _ in range(10):
-        y_next = 0.5 * (y + np.linalg.inv(z))
+    tol = 4 * n * np.finfo(float).eps
+    y = a
+    z = z_inv = identity(n)
+    # max|Y_k| <= max|a| + the increments so far: the exact test runs only
+    # once this cheap bound lets it pass
+    bound = max_abs(a)
+    for _ in range(_SQRTM_MAX_ITER):
+        y_next = 0.5 * (y + z_inv)
+        step = max_abs(y_next - y)
+        bound += step
+        if step <= tol * bound and step <= tol * max_abs(y_next):
+            return y_next
         z = 0.5 * (z + np.linalg.inv(y))
+        z_inv = np.linalg.inv(z)
         y = y_next
-    return y
+    raise ConvergenceError(
+        f"Denman-Beavers square root did not converge in {_SQRTM_MAX_ITER} iterations "
+        f"(last relative increment {step / max_abs(y):.2e})"
+    )
 
 
 def logm_near_identity(a) -> np.ndarray:
     """Principal logarithm for matrices near the identity.
 
-    Inverse scaling by repeated square roots until ||a - I|| < 1/4, then a
-    16-term Mercator series; batched.  1x1 input short-circuits to np.log.
+    Inverse scaling and squaring: square roots are taken until the batch's
+    largest ||a - I||_1 is at most 1/4, then the Mercator series is summed
+    to the smallest degree m whose remainder bound theta^(m+1) / (m+1)
+    is below unit roundoff (m = 7 at theta = 1e-2, 24 at 1/4); batched.
+    Raises :class:`ConvergenceError` if 10 square roots do not bring the
+    input within 1/4 of I.  1x1 input short-circuits to np.log.
     """
     a = as_complex(a)
     n = a.shape[-1]
     if n == 1:
         return np.log(a)
+    e = _add_identity(a.copy(), -1.0)
+    theta = _norm1(e)
     doublings = 0
-    while max_abs(a - identity(n)) > 0.25 and doublings < 10:
+    while theta > _LOG_THETA:
+        if doublings == _LOG_MAX_DOUBLINGS:
+            raise ConvergenceError(
+                f"logarithm needs more than {_LOG_MAX_DOUBLINGS} square roots "
+                f"(||a - I||_1 still {theta:.2e})"
+            )
         a = sqrtm_near_identity(a)
+        e = _add_identity(a.copy(), -1.0)
+        theta = _norm1(e)
         doublings += 1
-    e = a - identity(n)
-    term = e.copy()
-    out = e.copy()
-    for k in range(2, 17):
-        term = -term @ e
-        out = out + term / k
-    return out * (2.0 ** doublings)
+    degree = 1
+    while theta ** (degree + 1) / (degree + 1) > _UNIT_ROUNDOFF:
+        degree += 1
+    # Horner: log(I + e) = e (c_1 I + e (c_2 I + ... + e c_m I)), c_k = (-1)^(k+1) / k
+    r = np.broadcast_to(identity(n) * ((-1) ** (degree + 1) / degree), e.shape).copy()
+    for k in range(degree - 1, 0, -1):
+        r = _add_identity(e @ r, (-1) ** (k + 1) / k)
+    return (e @ r) * (2.0 ** doublings)

@@ -11,9 +11,11 @@ row and is advanced by the cell-centered right-hand side,
 after which G is rebuilt along the row through multiplicative steps
 G[i+1] = G[i] expm(h_minus V[i+1/2]), which keeps G inside its group to
 scheme order.  The cell center couples the new row to the old one, so the
-row update is solved by a short fixed-point sweep (the coupling is O(h^2)
-and three sweeps reach it to well below truncation).  The scheme is
-second order in both steps and reproduces factorized free fields exactly.
+row update is solved by a fixed-point iteration of three sweeps.  The
+coupling is O(h^2): on the periodic-chain preset the third sweep still
+moves V by up to 5.0e-6 at 64x64 and 6.6e-7 at 128x128, each sweep
+shrinking the increment about 120x and 240x.  The scheme is second order
+in both steps and reproduces factorized free fields exactly.
 
 Scalar reductions: for the p = 2, r = 1 chain with C = I/sqrt(2) the
 unit-modulus real form G = exp(i F / 2) carries the field F with
@@ -163,34 +165,43 @@ def _sample_edge(data_fn, points, sizes):
     return blocks
 
 
-def _row_invertibility(blocks, tol) -> bool:
+def _row_invertibility(blocks, tol) -> list[np.ndarray] | None:
+    """Inverses of a row's blocks, or None when a block fails the blow-up test."""
+    invs = []
     for g in blocks:
         if not np.all(np.isfinite(g)):
-            return False
+            return None
         try:
             inv = np.linalg.inv(g)
         except np.linalg.LinAlgError:
-            return False
+            return None
         size = max(np.max(np.abs(g)), np.max(np.abs(inv)))
         if max(size, np.max(np.abs(g)) * np.max(np.abs(inv))) > tol:
-            return False
-    return True
+            return None
+        invs.append(inv)
+    return invs
 
 
-def _half_point_v(g_row, h_minus):
+def _half_point_v(g_row, g_inv, h_minus):
     """Discrete V on row half-points: logm(inv(G_i) G_{i+1}) / h_minus."""
     out = []
-    for g in g_row:
+    for g, gi in zip(g_row, g_inv):
         na = g.shape[-1]
         if na == 1:
             out.append((np.log(g[1:, 0, 0] / g[:-1, 0, 0]) / h_minus)[:, None, None])
         else:
-            out.append(logm_near_identity(np.linalg.inv(g[:-1]) @ g[1:]) / h_minus)
+            out.append(logm_near_identity(gi[:-1] @ g[1:]) / h_minus)
     return out
 
 
 def _row_rebuild(g_left, v_row, h_minus):
-    """Rebuild a row from its left value: G[i+1] = G[i] expm(h V[i+1/2])."""
+    """Rebuild a row from its left value: G[i+1] = G[i] expm(h V[i+1/2]).
+
+    Matrix blocks take the products by a Hillis-Steele inclusive scan in
+    place: after the pass of stride d every entry holds the product of up
+    to 2d consecutive factors, so ceil(log2(cells + 1)) batched products
+    build the whole row.
+    """
     out = []
     for g0, v in zip(g_left, v_row):
         ncells, na, _ = v.shape
@@ -199,26 +210,37 @@ def _row_rebuild(g_left, v_row, h_minus):
             row[0, 0, 0] = g0[0, 0]
             row[1:, 0, 0] = g0[0, 0] * np.cumprod(np.exp(h_minus * v[:, 0, 0]))
         else:
-            steps = expm(h_minus * v)
             row[0] = g0
-            for i in range(ncells):
-                row[i + 1] = row[i] @ steps[i]
+            row[1:] = expm(h_minus * v)
+            stride = 1
+            while stride <= ncells:
+                row[stride:] = row[:-stride] @ row[stride:]
+                stride *= 2
         out.append(row)
     return out
 
 
-def _cell_centers(g_new, g_old):
-    """Geometric means of the NW and SE corners of each cell of a row pair."""
-    out = []
-    for gn, go in zip(g_new, g_old):
+def _cell_centers(g_new, g_old, inv_old):
+    """Geometric means of the NW and SE corners of each cell of a row pair.
+
+    Returns the centres and their inverses.  The root r = sqrt(inv(nw) se)
+    commutes with inv(nw) se = r^2, so inv(nw r) = r inv(se), and inv(se)
+    is a slice of ``inv_old``, the inverses of the old row.  1x1 blocks
+    take the scalar root and leave their inverse (None) to the caller.
+    """
+    centers, invs = [], []
+    for gn, go, io in zip(g_new, g_old, inv_old):
         nw = gn[:-1]
         se = go[1:]
         na = nw.shape[-1]
         if na == 1:
-            out.append(nw * np.sqrt(se / nw))
+            centers.append(nw * np.sqrt(se / nw))
+            invs.append(None)
         else:
-            out.append(nw @ sqrtm_near_identity(np.linalg.inv(nw) @ se))
-    return out
+            r = sqrtm_near_identity(np.linalg.inv(nw) @ se)
+            centers.append(nw @ r)
+            invs.append(r @ io[1:])
+    return centers, invs
 
 
 def _node_w(v_row):
@@ -312,7 +334,8 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
                 history.w[b][j] = sign * w_blocks[b][::-1]
 
     g_row = [b.copy() for b in bottom]
-    v_row = _half_point_v(g_row, hm)
+    inv_row = [np.linalg.inv(g) if g.shape[-1] > 1 else None for g in g_row]
+    v_row = _half_point_v(g_row, inv_row, hm)
     store(0, g_row, v_row)
     history.completed_rows = 1
 
@@ -320,26 +343,27 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
     for j in range(npts_p - 1):
         left_next = [l[j + 1] for l in left]
         cp_vals = cp_mid_at(j)
+        inv_next = None
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 g_next = _row_rebuild(left_next, v_row, hm)
                 v_next = v_row
                 for _ in range(sweeps):
                     if config.scheme == "euler":
-                        centers = _cell_centers(g_row, g_row)
+                        centers, center_invs = _cell_centers(g_row, g_row, inv_row)
                     else:
-                        centers = _cell_centers(g_next, g_row)
-                    f = toda.rhs_dispatch(system, centers, cp_vals, cm_vals)
+                        centers, center_invs = _cell_centers(g_next, g_row, inv_row)
+                    f = toda.rhs_dispatch(system, centers, cp_vals, cm_vals, inv=center_invs)
                     v_next = [v + sign * hp * fb for v, fb in zip(v_row, f)]
                     g_next = _row_rebuild(left_next, v_next, hm)
-            ok = _row_invertibility(g_next, config.tol_invertibility)
+            inv_next = _row_invertibility(g_next, config.tol_invertibility)
         except (ValueError, np.linalg.LinAlgError):
-            ok = False
-        if not ok:
+            pass
+        if inv_next is None:
             history.halted = True
             history.halt_reason = f"invertibility lost at row {j + 1} (z^+ = {zp[j + 1]:g})"
             break
-        g_row, v_row = g_next, v_next
+        g_row, v_row, inv_row = g_next, v_next, inv_next
         store(j + 1, g_row, v_row)
         history.completed_rows = j + 2
 

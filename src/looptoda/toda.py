@@ -303,10 +303,19 @@ class TodaSystem:
 
 # ---------------------------------------------------------------------------
 # right-hand sides (batched: leading axes broadcast)
+#
+# ``inv`` optionally carries the inverses of ``gammas``; an entry that is
+# None (or no list at all) is computed here.
 
-def rhs_general_linear(gammas, cp, cm):
+def _inverses(gammas, inv):
+    if inv is None:
+        return [np.linalg.inv(g) for g in gammas]
+    return [np.linalg.inv(g) if gi is None else gi for g, gi in zip(gammas, inv)]
+
+
+def rhs_general_linear(gammas, cp, cm, inv=None):
     p = len(gammas)
-    inv = [np.linalg.inv(g) for g in gammas]
+    inv = _inverses(gammas, inv)
     out = []
     for i in range(p):
         ip = (i + 1) % p
@@ -316,9 +325,9 @@ def rhs_general_linear(gammas, cp, cm):
     return out
 
 
-def rhs_even_fold(gammas, cp, cm):
+def rhs_even_fold(gammas, cp, cm, inv=None):
     s = len(gammas)
-    inv = [np.linalg.inv(g) for g in gammas]
+    inv = _inverses(gammas, inv)
     out = []
     for i in range(s):
         if i == s - 1:
@@ -333,9 +342,9 @@ def rhs_even_fold(gammas, cp, cm):
     return out
 
 
-def rhs_odd_fold(gammas, cp, cm, b_kind: str, variant: str = VARIANT_ARC_FIRST):
+def rhs_odd_fold(gammas, cp, cm, b_kind: str, variant: str = VARIANT_ARC_FIRST, inv=None):
     s = len(gammas)
-    inv = [np.linalg.inv(g) for g in gammas]
+    inv = _inverses(gammas, inv)
     out = []
     if variant == VARIANT_ARC_FIRST:
         for i in range(s):
@@ -364,9 +373,9 @@ def rhs_odd_fold(gammas, cp, cm, b_kind: str, variant: str = VARIANT_ARC_FIRST):
     return out
 
 
-def rhs_double_fold(gammas, cp, cm, b1_kind: str, bs_kind: str):
+def rhs_double_fold(gammas, cp, cm, b1_kind: str, bs_kind: str, inv=None):
     s = len(gammas)
-    inv = [np.linalg.inv(g) for g in gammas]
+    inv = _inverses(gammas, inv)
     out = []
     for i in range(s):
         if i == 0:
@@ -382,8 +391,8 @@ def rhs_double_fold(gammas, cp, cm, b1_kind: str, bs_kind: str):
     return out
 
 
-def rhs_simplest(gamma, cp, cm):
-    x = np.linalg.inv(gamma) @ cp @ gamma
+def rhs_simplest(gamma, cp, cm, inv=None):
+    x = (np.linalg.inv(gamma) if inv is None else inv) @ cp @ gamma
     return [cm @ x - x @ cm]
 
 
@@ -711,22 +720,25 @@ def _check_state(system: TodaSystem, state: FieldState, tol: float) -> None:
         raise ConstraintViolationError(f"state violates constraints (residual {dev:.2e})")
 
 
-def rhs_dispatch(system: TodaSystem, gammas, cp, cm) -> list[np.ndarray]:
-    """Class dispatch over raw block lists; accepts batched arrays."""
+def rhs_dispatch(system: TodaSystem, gammas, cp, cm, inv=None) -> list[np.ndarray]:
+    """Class dispatch over raw block lists; accepts batched arrays.
+
+    ``inv`` optionally gives the blocks' inverses (None entries are computed).
+    """
     cls = system.equation_class
     if cls == EQ_GENERAL_LINEAR:
-        return rhs_general_linear(gammas, cp, cm)
+        return rhs_general_linear(gammas, cp, cm, inv)
     if cls == EQ_EVEN_FOLD:
-        return rhs_even_fold(gammas, cp, cm)
+        return rhs_even_fold(gammas, cp, cm, inv)
     if cls == EQ_ODD_FOLD:
         b_kind = system.constraints.gamma_constraints[0].b_kind
-        return rhs_odd_fold(gammas, cp, cm, b_kind, system.variant or VARIANT_ARC_FIRST)
+        return rhs_odd_fold(gammas, cp, cm, b_kind, system.variant or VARIANT_ARC_FIRST, inv)
     if cls == EQ_DOUBLE_FIXED_FOLD:
         b1 = system.constraints.gamma_constraints[0].b_kind
         bs = system.constraints.gamma_constraints[1].b_kind
-        return rhs_double_fold(gammas, cp, cm, b1, bs)
+        return rhs_double_fold(gammas, cp, cm, b1, bs, inv)
     if cls == EQ_SIMPLEST:
-        return rhs_simplest(gammas[0], cp[0], cm[0])
+        return rhs_simplest(gammas[0], cp[0], cm[0], None if inv is None else inv[0])
     raise BuildError(f"unknown equation class {cls!r}")
 
 

@@ -474,7 +474,7 @@ class TestHistoryResiduals:
         grid = solver.Grid(0, 0.5, 0, 0.5, 32, 32)
         hist = solver.integrate(system, solver.constant_data(state), grid)
         assert hist.constraint_residuals.shape == (33,)
-        assert np.max(hist.constraint_residuals) < 1e-8
+        assert np.max(hist.constraint_residuals) <= 1e-13
 
     def test_unconstrained_history_zero_residuals(self):
         chain = toda.build_periodic_chain(2, 1)
@@ -505,3 +505,85 @@ class TestCsv:
         solver.write_history_csv(solver.integrate(system, data, grid), str(p1))
         solver.write_history_csv(solver.integrate(system, data, grid), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestRowKernels:
+    """The log-depth row rebuild and the shared cell-centre inverses."""
+
+    @staticmethod
+    def _fixed_node_row(cells=257, seed=40):
+        spec = gr.make_spec("sp", gr.TYPE_SOSP_II, 2, (4, 4), (1,))
+        rng = np.random.default_rng(seed)
+        cp, cm = toda.random_c_blocks(spec, 1, rng)
+        system = toda.build_system(spec, 1, cp, cm)
+        gc = system.constraints.gamma_constraints[0]
+        g0 = toda.random_state(system, rng).gammas[gc.node]
+        na = g0.shape[-1]
+        x = rng.standard_normal((cells, na, na)) + 1j * rng.standard_normal((cells, na, na))
+        v = (x - lc.kind_transpose(x, gc.b_kind)) / 2.0
+        return system, gc, g0, v
+
+    def test_prefix_rebuild_matches_sequential_product(self):
+        _, _, g0, v = self._fixed_node_row()
+        h = 1.0 / len(v)
+        row = solver._row_rebuild([g0], [v], h)[0]
+        steps = lc.expm(h * v)
+        seq = [g0]
+        for step in steps:
+            seq.append(seq[-1] @ step)
+        seq = np.stack(seq)
+        assert row.shape == seq.shape == (258, 4, 4)
+        assert lc.max_abs(row - seq) <= 1e-13 * lc.max_abs(seq)
+
+    def test_prefix_rebuild_keeps_fold_constraint(self):
+        _, gc, g0, v = self._fixed_node_row()
+        row = solver._row_rebuild([g0], [v], 1.0 / len(v))[0]
+        defect = lc.kind_transpose(row, gc.b_kind) @ row - np.eye(row.shape[-1])
+        assert lc.max_abs(defect) <= 1e-13
+
+    @staticmethod
+    def _chain_run():
+        chain = toda.build_periodic_chain(3, 2)
+        rng = np.random.default_rng(7)
+        gens = []
+        for _ in range(3):
+            h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            gens.append((h + h.conj().T) / 2)
+
+        def edge(t):
+            return tuple(lc.expm(0.25j * np.sin(t + a) * gens[a]) for a in range(3))
+
+        grid = solver.Grid(0, 1, 0, 1, 24, 24)
+        return solver.integrate(chain, solver.CharacteristicData(edge, edge), grid)
+
+    def test_periodic_chain_runs_bit_identical(self):
+        first, second = self._chain_run(), self._chain_run()
+        assert not first.halted
+        for a, b in zip(first.gammas + first.w, second.gammas + second.w):
+            assert a.tobytes() == b.tobytes()
+
+    def test_shared_centre_inverse(self):
+        hist = self._chain_run()
+        g_old = [g[10] for g in hist.gammas]
+        g_new = [g[11] for g in hist.gammas]
+        centers, invs = solver._cell_centers(g_new, g_old, [np.linalg.inv(g) for g in g_old])
+        for c, ci in zip(centers, invs):
+            direct = np.linalg.inv(c)
+            assert lc.max_abs(ci - direct) <= 1e-13 * lc.max_abs(direct)
+
+    def test_shared_inverses_feed_rhs(self):
+        hist = self._chain_run()
+        g_old = [g[10] for g in hist.gammas]
+        g_new = [g[11] for g in hist.gammas]
+        centers, invs = solver._cell_centers(g_new, g_old, [np.linalg.inv(g) for g in g_old])
+        system = hist.system
+        shared = toda.rhs_dispatch(system, centers, system.c_plus, system.c_minus, inv=invs)
+        direct = toda.rhs_dispatch(system, centers, system.c_plus, system.c_minus)
+        for s, d in zip(shared, direct):
+            assert lc.max_abs(s - d) <= 1e-13 * lc.max_abs(d)
+
+    def test_scalar_blocks_keep_their_own_inverse(self):
+        g_old = [np.exp(0.1j * np.arange(5.0))[:, None, None]]
+        g_new = [np.exp(0.2j * np.arange(5.0))[:, None, None]]
+        _, invs = solver._cell_centers(g_new, g_old, [np.linalg.inv(g) for g in g_old])
+        assert invs == [None]
