@@ -66,6 +66,18 @@ class TestMakeFold:
         with pytest.raises(folding.FoldError):
             folding.make_fold(4, folding.PATTERN_EVEN_ARC_FIXED, "gl_outer_III")
 
+    @pytest.mark.parametrize("family,variant,nodes,arcs", [
+        ("so", toda.VARIANT_NODE_FIRST, ((0, "J"),), ((3, -1),)),
+        ("gl_outer_II", toda.VARIANT_NODE_FIRST, ((0, "K"),), ((3, -1),)),
+        ("gl_outer_III", toda.VARIANT_ARC_FIRST, ((2, "J"),), ((0, 1),)),
+    ])
+    def test_odd_mirrored_placements(self, family, variant, nodes, arcs):
+        fmap = folding.make_fold(5, folding.PATTERN_ODD_MIXED, family, variant=variant)
+        assert fmap.s == 3
+        assert fmap.variant == variant
+        assert fmap.fixed_nodes == nodes
+        assert fmap.fixed_arcs == arcs
+
 
 FOLD_CASES = [
     (folding.PATTERN_EVEN_ARC_FIXED, "so", gr.TYPE_SOSP_I, (2, 1, 1, 2)),

@@ -373,3 +373,57 @@ class TestSerialization:
         assert "\\partial_+" in tex and "aligned" in tex
         table_tex = toda.table_to_latex(gr.block_index_table(system.spec))
         assert "array" in table_tex
+
+
+def _eq(i, rhs):
+    return rf"\partial_+\left(\Gamma_{{{i}}}^{{-1}}\,\partial_-\Gamma_{{{i}}}\right) &= {rhs}"
+
+
+def _aligned(*lines):
+    return "\\begin{aligned}\n" + " \\\\\n".join(lines) + "\n\\end{aligned}"
+
+
+LATEX_GOLDEN = [
+    (("gl", gr.TYPE_GL_INNER, (1, 2, 1)), _aligned(
+        _eq(1, r"-\Gamma_{1}^{-1} C_{+1}\,\Gamma_{2}\,C_{-1} + C_{-0}\,\Gamma_{3}^{-1} C_{+0}\,\Gamma_{1}"),
+        _eq(2, r"-\Gamma_{2}^{-1} C_{+2}\,\Gamma_{3}\,C_{-2} + C_{-1}\,\Gamma_{1}^{-1} C_{+1}\,\Gamma_{2}"),
+        _eq(3, r"-\Gamma_{3}^{-1} C_{+0}\,\Gamma_{1}\,C_{-0} + C_{-2}\,\Gamma_{2}^{-1} C_{+2}\,\Gamma_{3}"),
+    )),
+    (("so", gr.TYPE_SOSP_I, (2, 1, 1, 2)), _aligned(
+        _eq(1, r"-\Gamma_{1}^{-1} C_{+1}\,\Gamma_{2}\,C_{-1} + C_{-0}\,{}^{J}\Gamma_{1}\,C_{+0}\,\Gamma_{1}"),
+        _eq(2, r"-\Gamma_{2}^{-1} C_{+2}\,{}^{J}(\Gamma_{2}^{-1})\,C_{-2} + C_{-1}\,\Gamma_{1}^{-1} C_{+1}\,\Gamma_{2}"),
+    )),
+    (("so", gr.TYPE_SOSP_I, (1, 1, 1, 1, 1)), _aligned(
+        _eq(1, r"-\Gamma_{1}^{-1} C_{+1}\,\Gamma_{2}\,C_{-1} + C_{-0}\,{}^{J}\Gamma_{1}\,C_{+0}\,\Gamma_{1}"),
+        _eq(2, r"-\Gamma_{2}^{-1} C_{+2}\,\Gamma_{3}\,C_{-2} + C_{-1}\,\Gamma_{1}^{-1} C_{+1}\,\Gamma_{2}"),
+        _eq(3, r"-{}^{J}\!\left(C_{-2}\,\Gamma_{2}^{-1} C_{+2}\,\Gamma_{3}\right)"
+               r" + C_{-2}\,\Gamma_{2}^{-1} C_{+2}\,\Gamma_{3}"),
+    )),
+    (("gl", gr.TYPE_GL_OUTER_III, (1, 1, 1, 1, 1)), _aligned(
+        _eq(1, r"-\Gamma_{1}^{-1} C_{+1}\,\Gamma_{2}\,C_{-1}"
+               r" + {}^{J}\!\left(\Gamma_{1}^{-1} C_{+1}\,\Gamma_{2}\,C_{-1}\right)"),
+        _eq(2, r"-\Gamma_{2}^{-1} C_{+2}\,\Gamma_{3}\,C_{-2} + C_{-1}\,\Gamma_{1}^{-1} C_{+1}\,\Gamma_{2}"),
+        _eq(3, r"-\Gamma_{3}^{-1} C_{+3}\,{}^{J}(\Gamma_{3}^{-1})\,C_{-3} + C_{-2}\,\Gamma_{2}^{-1} C_{+2}\,\Gamma_{3}"),
+    )),
+    (("gl", gr.TYPE_GL_OUTER_III, (1, 2, 2, 2)), _aligned(
+        _eq(1, r"-\Gamma_{1}^{-1} C_{+1}\,\Gamma_{2}\,C_{-1}"
+               r" + {}^{J}\!\left(\Gamma_{1}^{-1} C_{+1}\,\Gamma_{2}\,C_{-1}\right)"),
+        _eq(2, r"-\Gamma_{2}^{-1} C_{+2}\,\Gamma_{3}\,C_{-2} + C_{-1}\,\Gamma_{1}^{-1} C_{+1}\,\Gamma_{2}"),
+        _eq(3, r"-{}^{K}\!\left(C_{-2}\,\Gamma_{2}^{-1} C_{+2}\,\Gamma_{3}\right)"
+               r" + C_{-2}\,\Gamma_{2}^{-1} C_{+2}\,\Gamma_{3}"),
+    )),
+]
+
+
+class TestLatexGolden:
+    @pytest.mark.parametrize("case,expected", LATEX_GOLDEN,
+                             ids=["general_linear", "even_fold", "odd_arc_first",
+                                  "odd_node_first", "double_fixed"])
+    def test_chain_classes(self, case, expected):
+        system, _ = build_random(*case, seed=0)
+        assert toda.system_to_latex(system) == expected
+
+    def test_simplest(self):
+        system = toda.build_simplest("gl", np.eye(2), np.eye(2))
+        assert toda.system_to_latex(system) == (
+            r"\partial_+\left(\Gamma^{-1}\partial_-\Gamma\right) = [C_-,\,\Gamma^{-1} C_+ \Gamma]")
