@@ -23,9 +23,9 @@ def main():
     for eps in args.eps:
         hist = solver.integrate(system, solver.sinh_data(eps, 1.0, grid), grid)
         field = solver.sinh_gordon_reduce(hist)
-        lin_run = solver.integrate_scalar_custom(
-            lambda g: 2.0 * np.log(g), solver.sinh_data(eps, 1.0, grid), grid
-        )
+        lin_run = solver.integrate(
+            system, solver.sinh_data(eps, 1.0, grid), grid, law=lambda gs: [2.0 * np.log(gs[0])]
+        ).gammas[0][..., 0, 0]
         dev = float(np.max(np.abs(field - 2.0 * np.log(lin_run.real))))
         lin = solver.sinh_linear_field(zm, zp, eps, 1.0)
         rel = float(np.max(np.abs(field - lin)) / np.max(np.abs(lin)))

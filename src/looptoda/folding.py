@@ -1,19 +1,23 @@
-"""Circle diagrams and the folding reductions of the cyclic Toda chain.
+"""Folding the cyclic Toda chain into its capped halves.
 
 A chain with p nodes is drawn as a circle with the blocks Gamma_1..Gamma_p
 on small disks (anticlockwise) and the pair C_{+-a} on the arc entering
 node a.  Folding the circle across a diameter identifies nodes and arcs in
-mirror pairs; objects on the axis are identified with themselves and pick
-up a structure-matrix decoration.  Exactly three axis shapes exist:
+mirror pairs and keeps the half 0..s-1, a chain whose two ends lie on the
+axis.  Each end is a fixed arc (sign epsilon of ^J C = epsilon C) or a
+fixed node (B kind J or K), so exactly three axis shapes exist:
 
 * through two arcs        (even p = 2s)      -> ``even_arc_fixed``;
 * through two nodes       (even p = 2s - 2)  -> ``even_node_fixed``;
 * through a node and an arc (odd p = 2s - 1) -> ``odd_mixed`` (two
   equivalent placements).
 
-Folding an unrestricted chain produces the constrained equation classes;
-conversely the constrained systems built directly from a gradation spec
-coincide with folded chains, which this module verifies.
+:func:`looptoda.toda.fold_ends` derives the ends of every fold, both for
+the maps here and for the systems built from gradation specs, and the
+folded system's equations are the chain capped at those ends.  Folding an
+unrestricted chain produces the constrained equation classes; conversely
+the constrained systems built directly from a gradation spec coincide with
+folded chains, which this module verifies.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .toda import (
     VARIANT_NODE_FIRST,
     FieldState,
     TodaSystem,
-    rhs_odd_fold,
+    rhs_chain,
 )
 
 PATTERN_EVEN_ARC_FIXED = "even_arc_fixed"
@@ -49,29 +53,11 @@ PATTERN_ODD_MIXED = "odd_mixed"
 
 PATTERNS = (PATTERN_EVEN_ARC_FIXED, PATTERN_EVEN_NODE_FIXED, PATTERN_ODD_MIXED)
 
-FOLD_FAMILIES = ("so", "sp", "gl_outer_II", "gl_outer_III")
-
-# decorations per family read off the fixed objects of each figure
-_EVEN_ARC_EPS = {"so": (-1, -1), "sp": (1, 1), "gl_outer_II": (-1, 1)}
-_ODD_DECOR = {"so": ("J", -1), "sp": ("K", 1), "gl_outer_II": ("K", -1), "gl_outer_III": ("J", 1)}
-_EVEN_NODE_B = {"so": ("J", "J"), "sp": ("K", "K"), "gl_outer_III": ("J", "K")}
+FOLD_FAMILIES = tuple(toda.FOLD_ENDS)
 
 
 class FoldError(ValueError):
     """Fold request incompatible with the chain."""
-
-
-@dataclass(frozen=True)
-class CircleDiagram:
-    """Plain description of the labeled circle, mainly for export."""
-
-    p: int
-
-    def node_labels(self):
-        return [f"Gamma_{i + 1}" for i in range(self.p)]
-
-    def arc_labels(self):
-        return [f"C_{a}" for a in range(self.p)]
 
 
 @dataclass(frozen=True)
@@ -102,7 +88,7 @@ def make_fold(p: int, pattern: str, family: str, variant: str = VARIANT_ARC_FIRS
 
     ``family`` selects the decorations: signs epsilon on fixed arcs and
     J/K on fixed nodes, as carried by the orthogonal, symplectic and the
-    two outer general-linear reductions.
+    two outer general-linear reductions (:data:`looptoda.toda.FOLD_ENDS`).
     """
     if family not in FOLD_FAMILIES:
         raise FoldError(f"unknown fold family {family!r}")
@@ -111,43 +97,25 @@ def make_fold(p: int, pattern: str, family: str, variant: str = VARIANT_ARC_FIRS
             raise FoldError("even_arc_fixed requires even p >= 2")
         if family == "gl_outer_III":
             raise FoldError("gl_outer_III folds fix nodes, not two arcs")
-        s = p // 2
-        sigma = tuple((p - 1 - i) % p for i in range(p))
-        e0, es = _EVEN_ARC_EPS[family]
-        return FoldingMap(
-            pattern=pattern, family=family, p=p, s=s, sigma=sigma,
-            fixed_nodes=(), fixed_arcs=((0, e0), (s, es)),
-        )
-    if pattern == PATTERN_EVEN_NODE_FIXED:
+        node0 = False
+    elif pattern == PATTERN_EVEN_NODE_FIXED:
         if p % 2 or p < 2:
             raise FoldError("even_node_fixed requires even p >= 2")
         if family == "gl_outer_II":
             raise FoldError("gl_outer_II folds fix arcs, not two nodes")
-        s = p // 2 + 1
-        sigma = tuple((p - i) % p for i in range(p))
-        b1, bs = _EVEN_NODE_B[family]
-        return FoldingMap(
-            pattern=pattern, family=family, p=p, s=s, sigma=sigma,
-            fixed_nodes=((0, b1), (s - 1, bs)), fixed_arcs=(),
-        )
-    if pattern == PATTERN_ODD_MIXED:
+        node0 = True
+    elif pattern == PATTERN_ODD_MIXED:
         if p % 2 == 0 or p < 3:
             raise FoldError("odd_mixed requires odd p >= 3")
-        s = (p + 1) // 2
-        b_kind, eps = _ODD_DECOR[family]
-        if variant == VARIANT_NODE_FIRST:
-            sigma = tuple((p - i) % p for i in range(p))
-            return FoldingMap(
-                pattern=pattern, family=family, p=p, s=s, sigma=sigma,
-                fixed_nodes=((0, b_kind),), fixed_arcs=((s, eps),),
-                variant=VARIANT_NODE_FIRST,
-            )
-        sigma = tuple((p - 1 - i) % p for i in range(p))
-        return FoldingMap(
-            pattern=pattern, family=family, p=p, s=s, sigma=sigma,
-            fixed_nodes=((s - 1, b_kind),), fixed_arcs=((0, eps),),
-        )
-    raise FoldError(f"unknown pattern {pattern!r}")
+        node0 = variant == VARIANT_NODE_FIRST
+    else:
+        raise FoldError(f"unknown pattern {pattern!r}")
+    s, sigma, nodes, arcs = toda.fold_ends(family, p, node0)
+    return FoldingMap(
+        pattern=pattern, family=family, p=p, s=s, sigma=sigma,
+        fixed_nodes=nodes, fixed_arcs=arcs,
+        variant=VARIANT_NODE_FIRST if pattern == PATTERN_ODD_MIXED and node0 else VARIANT_ARC_FIRST,
+    )
 
 
 def _folded_spec(fmap: FoldingMap, spec: GradationSpec) -> GradationSpec:
@@ -239,25 +207,11 @@ def odd_fold_equivalence(gammas, c_plus, c_minus, b_kind: str = "J") -> float:
     s = len(gammas)
     if len(c_plus) != s or len(c_minus) != s:
         raise FoldError("arc-first data carries arcs 0..s-1")
-
-    def t_node(x):
-        return kind_transpose(x, b_kind)
-
-    def t_arc(x):
-        return anti_transpose(x) if b_kind == "J" else k_transpose(x)
-
-    left = rhs_odd_fold(gammas, c_plus, c_minus, b_kind, VARIANT_ARC_FIRST)
-    g2 = [t_node(np.linalg.inv(gammas[s - 1 - i])) for i in range(s)]
-    cp2: list = [None] * (s + 1)
-    cm2: list = [None] * (s + 1)
-    for a in range(1, s + 1):
-        cp2[a] = t_arc(c_plus[s - a])
-        cm2[a] = t_arc(c_minus[s - a])
-    right = rhs_odd_fold(g2, cp2, cm2, b_kind, VARIANT_NODE_FIRST)
-    dev = 0.0
-    for i in range(s):
-        dev = max(dev, max_abs(right[i] + t_node(left[s - 1 - i])))
-    return dev
+    left = rhs_chain(gammas, c_plus, c_minus, "arc", b_kind)
+    g2, cp2, cm2 = odd_fold_substitution(gammas, c_plus, c_minus, b_kind)
+    # the node-first data sits on arcs 1..s
+    right = rhs_chain(g2, [None] + cp2, [None] + cm2, b_kind, "arc")
+    return max(max_abs(right[i] + kind_transpose(left[s - 1 - i], b_kind)) for i in range(s))
 
 
 def odd_fold_substitution(gammas, c_plus, c_minus, b_kind: str = "J"):
@@ -308,13 +262,12 @@ def shape_to_pattern(shape: tuple[int, int]) -> str:
 
 def diagram_json(fmap: FoldingMap) -> dict:
     """Small JSON description of the folded circle for documentation."""
-    diagram = CircleDiagram(p=fmap.p)
     return {
         "p": fmap.p,
         "pattern": fmap.pattern,
         "family": fmap.family,
-        "nodes": diagram.node_labels(),
-        "arcs": diagram.arc_labels(),
+        "nodes": [f"Gamma_{i + 1}" for i in range(fmap.p)],
+        "arcs": [f"C_{a}" for a in range(fmap.p)],
         "node_pairs": [list(pair) for pair in fmap.node_pairs()],
         "arc_pairs": [list(pair) for pair in fmap.arc_pairs()],
         "fixed_nodes": [[i, kind] for i, kind in fmap.fixed_nodes],

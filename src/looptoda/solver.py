@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .lie_core import as_complex, expm, logm_near_identity, max_abs, sqrtm_near_identity
+from .lie_core import ConvergenceError, as_complex, expm, logm_near_identity, max_abs, sqrtm_near_identity
 from .gradation import TYPE_SOSP_I, make_spec
 from . import toda
 from .toda import FieldState, TodaSystem
@@ -165,21 +165,18 @@ def _sample_edge(data_fn, points, sizes):
     return blocks
 
 
-def _row_invertibility(blocks, tol) -> list[np.ndarray] | None:
-    """Inverses of a row's blocks, or None when a block fails the blow-up test."""
-    invs = []
-    for g in blocks:
-        if not np.all(np.isfinite(g)):
-            return None
-        try:
-            inv = np.linalg.inv(g)
-        except np.linalg.LinAlgError:
-            return None
-        size = max(np.max(np.abs(g)), np.max(np.abs(inv)))
-        if max(size, np.max(np.abs(g)) * np.max(np.abs(inv))) > tol:
-            return None
-        invs.append(inv)
-    return invs
+def _finite(blocks) -> bool:
+    return all(np.isfinite(b).all() for b in blocks)
+
+
+def _row_invertibility(blocks):
+    """Inverses of a row's blocks and the row's worst max(|G|, |inv G|, |G| |inv G|).
+
+    An exactly singular block raises ``np.linalg.LinAlgError``.
+    """
+    invs = [np.linalg.inv(g) for g in blocks]
+    sizes = [(np.max(np.abs(g)), np.max(np.abs(inv))) for g, inv in zip(blocks, invs)]
+    return invs, np.max([(a, b, a * b) for a, b in sizes])
 
 
 def _half_point_v(g_row, g_inv, h_minus):
@@ -257,17 +254,47 @@ def _node_w(v_row):
     return out
 
 
+def _solve_row(system, law, left_next, g_row, inv_row, v_row, cp_vals, cm_vals,
+               hm, dv_scale, sweeps, euler):
+    """The next row's (G, V) by fixed-point sweeps, or None once a value is non-finite."""
+    v_next = v_row
+    g_next = _row_rebuild(left_next, v_next, hm)
+    for _ in range(sweeps):
+        if not _finite(g_next):
+            return None
+        centers, center_invs = _cell_centers(g_row if euler else g_next, g_row, inv_row)
+        if law is None:
+            f = toda.rhs_dispatch(system, centers, cp_vals, cm_vals, inv=center_invs)
+        else:
+            f = law(centers)
+        v_next = [v + dv_scale * fb for v, fb in zip(v_row, f)]
+        if not _finite(v_next):
+            return None
+        g_next = _row_rebuild(left_next, v_next, hm)
+    return (g_next, v_next) if _finite(g_next) else None
+
+
 def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
               config: SolverConfig = SolverConfig(),
               c_plus_fn: Callable[[float], Sequence[np.ndarray]] | None = None,
               c_minus_fn: Callable[[float], Sequence[np.ndarray]] | None = None,
-              march_minus: int = +1) -> FieldHistory:
+              march_minus: int = +1,
+              law: Callable[[list], Sequence[np.ndarray]] | None = None) -> FieldHistory:
     """March the system over the light-cone lattice from characteristic data.
 
     ``c_minus_fn``/``c_plus_fn`` optionally override the system constants
     with functions of z^- and z^+ respectively, enforcing the chirality
-    conditions d_+ c_- = 0, d_- c_+ = 0 by construction.  On blow-up the
-    history is returned truncated with ``halted`` set.
+    conditions d_+ c_- = 0, d_- c_+ = 0 by construction.  ``law``, when
+    given, replaces the system's right-hand side: it maps the list of
+    cell-centre blocks of a row to the list of d_+ V blocks, so nearby laws
+    (an equation and its linearization) run through the same scheme.
+
+    On numerical loss the history is returned truncated, with ``halted``
+    set and ``halt_reason`` naming the row and the cause: a non-finite
+    value, a cell-centre square root that did not converge, a singular
+    block, or a row failing the blow-up test max(|G|, |inv G|,
+    |G| |inv G|) <= ``config.tol_invertibility``.  Any other error, such
+    as C blocks of the wrong shape, propagates.
 
     ``march_minus`` selects the Goursat corner: +1 takes data on the two
     minimum edges, -1 on the maximum z^- edge and minimum z^+ edge.  The
@@ -341,29 +368,29 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
 
     sweeps = 3 if config.scheme == "midpoint" else 1
     for j in range(npts_p - 1):
-        left_next = [l[j + 1] for l in left]
-        cp_vals = cp_mid_at(j)
-        inv_next = None
+        cause, detail = None, ""
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                g_next = _row_rebuild(left_next, v_row, hm)
-                v_next = v_row
-                for _ in range(sweeps):
-                    if config.scheme == "euler":
-                        centers, center_invs = _cell_centers(g_row, g_row, inv_row)
-                    else:
-                        centers, center_invs = _cell_centers(g_next, g_row, inv_row)
-                    f = toda.rhs_dispatch(system, centers, cp_vals, cm_vals, inv=center_invs)
-                    v_next = [v + sign * hp * fb for v, fb in zip(v_row, f)]
-                    g_next = _row_rebuild(left_next, v_next, hm)
-            inv_next = _row_invertibility(g_next, config.tol_invertibility)
-        except (ValueError, np.linalg.LinAlgError):
-            pass
-        if inv_next is None:
+                row = _solve_row(system, law, [l[j + 1] for l in left], g_row, inv_row, v_row,
+                                 cp_mid_at(j), cm_vals, hm, sign * hp, sweeps,
+                                 config.scheme == "euler")
+                if row is None:
+                    cause = "non-finite value"
+                else:
+                    inv_next, worst = _row_invertibility(row[0])
+                    if not worst <= config.tol_invertibility:
+                        cause = "invertibility lost"
+                        detail = (f": max(|G|, |inv G|, |G| |inv G|) = {worst:.3g}"
+                                  f" > {config.tol_invertibility:g}")
+        except ConvergenceError as exc:
+            cause, detail = "cell-centre square root failed", f": {exc}"
+        except np.linalg.LinAlgError:
+            cause = "singular block"
+        if cause is not None:
             history.halted = True
-            history.halt_reason = f"invertibility lost at row {j + 1} (z^+ = {zp[j + 1]:g})"
+            history.halt_reason = f"{cause} at row {j + 1} (z^+ = {zp[j + 1]:g}){detail}"
             break
-        g_row, v_row, inv_row = g_next, v_next, inv_next
+        (g_row, v_row), inv_row = row, inv_next
         store(j + 1, g_row, v_row)
         history.completed_rows = j + 2
 
@@ -593,36 +620,6 @@ def integrate_scalar_reference(g_fn, bottom_fn, left_fn, grid: Grid) -> np.ndarr
             mid = 0.5 * (u[j + 1, i] + u[j, i + 1])
             u[j + 1, i + 1] = u[j + 1, i] + u[j, i + 1] - u[j, i] + area * g_fn(mid)
     return u
-
-
-def integrate_scalar_custom(rhs_fn, data: CharacteristicData, grid: Grid,
-                            sweeps: int = 3) -> np.ndarray:
-    """Main marching scheme applied to a custom scalar law d_+ V = rhs(G).
-
-    Shares every discretization detail with :func:`integrate`, so runs of
-    nearby laws (a nonlinear equation and its linearization) differ only
-    through the laws themselves.
-    """
-    zm, zp = grid.zm_points(), grid.zp_points()
-    hm, hp = grid.h_minus, grid.h_plus
-    bottom = _sample_edge(data.gamma_minus, zm, (1,))[0][:, 0, 0]
-    left = _sample_edge(data.gamma_plus, zp, (1,))[0][:, 0, 0]
-    out = np.zeros((len(zp), len(zm)), dtype=complex)
-    g = bottom.copy()
-    v = np.log(g[1:] / g[:-1]) / hm
-    out[0] = g
-    for j in range(len(zp) - 1):
-        g_next = np.empty_like(g)
-        g_next[0] = left[j + 1]
-        g_next[1:] = g_next[0] * np.cumprod(np.exp(hm * v))
-        for _ in range(sweeps):
-            centers = g_next[:-1] * np.sqrt(g[1:] / g_next[:-1])
-            v_next = v + hp * rhs_fn(centers)
-            g_next[1:] = g_next[0] * np.cumprod(np.exp(hm * v_next))
-        v = v_next
-        g = g_next
-        out[j + 1] = g
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,26 +1,29 @@
-"""Loop-group Toda systems in block-matrix form.
+"""Loop-group Toda systems in block-matrix form: one chain with two end caps.
 
 A system stores the full cyclic block data: sizes (n_1..n_p), and for each
 arc ``a`` (= 0..p-1, with arc 0 the wrap-around) the pair of blocks
 ``C_{+a}`` of shape n_{a-1} x n_a and ``C_{-a}`` of shape n_a x n_{a-1}.
-The right-hand side for node ``i`` of the basic cyclic chain is
+The right-hand side for node ``i`` of the chain is
 
     - inv(G_i) C_{+(i+1)} G_{i+1} C_{-(i+1)} + C_{-i} inv(G_{i-1}) C_{+i} G_i
 
-with all indices mod p.  The constrained classes keep nodes 0..s-1 as
-independent variables; the remaining blocks are reconstructed from the
-group and algebra conditions through a :class:`FoldEngine`.
+and every equation class is this one chain on its s independent nodes
+0..s-1.  The cyclic chain closes on itself through arc 0 (indices mod p):
+``general_linear``, and ``simplest`` at p = 1.  The other classes fold the
+circle across an axis (see :func:`fold_ends`); the axis passes through an
+arc or a node at each end of the kept half, and caps the chain there:
 
-Equation classes:
+* an ``"arc"`` cap: the term across the fixed arc uses the anti-transpose
+  ^J of the end node (of its inverse at the node s-1 end);
+* a node cap, the node's B kind ``"J"`` or ``"K"``: the term across the
+  folded-away arc is minus the B-transpose of the node's other term.
 
-* ``general_linear``    -- the unrestricted cyclic chain;
-* ``even_fold``         -- p = 2s, two self-paired arcs, the wrap term uses
-                           the anti-transpose of G_1;
-* ``odd_fold``          -- p = 2s - 1, one self-paired node and one arc;
-                           two variants depending on which end is the node;
-* ``double_fixed_fold`` -- p = 2s - 2, two self-paired nodes, equations of
-                           the B-transpose-difference form at both ends;
-* ``simplest``          -- p = 1, the plain commutator equation.
+The classes name the caps: ``even_fold`` (p = 2s, two arcs),
+``double_fixed_fold`` (p = 2s - 2, two nodes) and ``odd_fold`` (p = 2s - 1,
+one of each; variant ``arc_first`` caps node 0's end with the arc,
+``node_first`` with the node).  The blocks beyond node s-1 are
+reconstructed from the group and algebra conditions through a
+:class:`FoldEngine`.
 
 Systems and states are immutable values and every operation here is a
 pure function; evaluation at independent grid points can run concurrently.
@@ -120,6 +123,31 @@ def _offsets(sizes):
     return offs
 
 
+def _embed_gamma(sizes, blocks) -> np.ndarray:
+    """The block-diagonal matrix of the node blocks."""
+    o = _offsets(sizes)
+    g = np.zeros((o[-1], o[-1]), dtype=complex)
+    for i, blk in enumerate(blocks):
+        g[o[i]:o[i + 1], o[i]:o[i + 1]] = blk
+    return g
+
+
+def _embed_c(sizes, c_blocks, direction: int) -> np.ndarray:
+    """The full c_+ (direction +1) or c_- (direction -1) matrix; None blocks stay zero."""
+    o = _offsets(sizes)
+    p = len(sizes)
+    c = np.zeros((o[-1], o[-1]), dtype=complex)
+    for a, blk in enumerate(c_blocks):
+        if blk is None:
+            continue
+        i = (a - 1) % p
+        if direction > 0:
+            c[o[i]:o[i + 1], o[a]:o[a + 1]] = blk
+        else:
+            c[o[a]:o[a + 1], o[i]:o[i + 1]] = blk
+    return c
+
+
 @dataclass(frozen=True)
 class FoldEngine:
     """Reconstruction machinery for the constrained classes.
@@ -149,11 +177,8 @@ class FoldEngine:
     def mirror_arc(self, a: int) -> int:
         return self.sigma[(a - 1) % self.p]
 
-    def _offs(self):
-        return _offsets(self.sizes)
-
     def _block(self, mat, i, j):
-        o = self._offs()
+        o = _offsets(self.sizes)
         return mat[o[i]:o[i + 1], o[j]:o[j + 1]]
 
     def apply_twist(self, x: np.ndarray) -> np.ndarray:
@@ -181,27 +206,6 @@ class FoldEngine:
             raise BuildError("independent blocks do not generate the full cycle")
         return tuple(full)
 
-    def embed_gamma(self, full_gammas) -> np.ndarray:
-        g = np.zeros((self.n, self.n), dtype=complex)
-        o = self._offs()
-        for i, blk in enumerate(full_gammas):
-            g[o[i]:o[i + 1], o[i]:o[i + 1]] = blk
-        return g
-
-    def embed_c(self, c_blocks, direction: int) -> np.ndarray:
-        """Assemble the full c_+ (direction +1) or c_- (direction -1) matrix."""
-        c = np.zeros((self.n, self.n), dtype=complex)
-        o = self._offs()
-        for a, blk in enumerate(c_blocks):
-            if blk is None:
-                continue
-            i = (a - 1) % self.p
-            if direction > 0:
-                c[o[i]:o[i + 1], o[a]:o[a + 1]] = blk
-            else:
-                c[o[a]:o[a + 1], o[i]:o[i + 1]] = blk
-        return c
-
     def extract_c(self, mat: np.ndarray, a: int, direction: int) -> np.ndarray:
         i = (a - 1) % self.p
         if direction > 0:
@@ -209,16 +213,16 @@ class FoldEngine:
         return self._block(mat, a, i)
 
     def gamma_residual(self, full_gammas) -> float:
-        g = self.embed_gamma(full_gammas)
+        g = _embed_gamma(self.sizes, full_gammas)
         if self.kind == "inner":
             return max_abs(b_transpose(g, self.b_matrix) @ g - identity(self.n))
-        ginv = self.embed_gamma([np.linalg.inv(b) for b in full_gammas])
+        ginv = _embed_gamma(self.sizes, [np.linalg.inv(b) for b in full_gammas])
         d = self.h_diag
         fixed = (d[:, None] / d[None, :]) * b_transpose(ginv, self.b_matrix)
         return max_abs(g - fixed)
 
     def c_residual(self, c_blocks, direction: int) -> float:
-        c = self.embed_c(c_blocks, direction)
+        c = _embed_c(self.sizes, c_blocks, direction)
         if self.kind == "inner":
             return max_abs(b_transpose(c, self.b_matrix) + c)
         phase = np.exp(2j * np.pi * direction * self.L / self.M)
@@ -238,7 +242,7 @@ class FoldEngine:
         for a in sorted(partial):
             ma = self.mirror_arc(a)
             single = [full[a] if t == a else None for t in range(self.p)]
-            embedded = self.embed_c(single, direction)
+            embedded = _embed_c(self.sizes, single, direction)
             if self.kind == "inner":
                 image = -b_transpose(embedded, self.b_matrix)
             else:
@@ -287,18 +291,28 @@ class TodaSystem:
         return self.block_sizes[: self.s]
 
     @property
+    def caps(self) -> tuple:
+        """(left, right): the caps of the chain at node 0 and at node s-1."""
+        return _chain_caps(self.s, self.constraints.gamma_constraints, self.engine is not None)
+
+    @property
     def independent_arcs(self) -> tuple[int, ...]:
-        if self.equation_class == EQ_GENERAL_LINEAR:
-            return tuple(range(self.p))
-        if self.equation_class == EQ_EVEN_FOLD:
-            return tuple(range(self.s + 1))
-        if self.equation_class == EQ_ODD_FOLD:
-            if self.variant == VARIANT_NODE_FIRST:
-                return tuple(range(1, self.s + 1))
-            return tuple(range(self.s))
-        if self.equation_class == EQ_DOUBLE_FIXED_FOLD:
-            return tuple(range(1, self.s))
-        return (0,)
+        return tuple(_independent_arcs(self.s, *self.caps))
+
+
+def _chain_caps(s: int, gamma_constraints, folded: bool) -> tuple:
+    """None at both ends of the cyclic chain; on a folded chain the B kind
+    of a fixed end node, or "arc" where the axis fixes the end arc."""
+    if not folded:
+        return None, None
+    kinds = {gc.node: gc.b_kind for gc in gamma_constraints}
+    return kinds.get(0, "arc"), kinds.get(s - 1, "arc")
+
+
+def _independent_arcs(s: int, left, right) -> range:
+    """Arcs with independent C blocks: 0..s-1 on the cyclic chain; a node
+    cap at node 0 drops arc 0, an arc cap at node s-1 adds arc s."""
+    return range(1 if left in ("J", "K") else 0, s + 1 if right == "arc" else s)
 
 
 # ---------------------------------------------------------------------------
@@ -313,87 +327,39 @@ def _inverses(gammas, inv):
     return [np.linalg.inv(g) if gi is None else gi for g, gi in zip(gammas, inv)]
 
 
-def rhs_general_linear(gammas, cp, cm, inv=None):
-    p = len(gammas)
-    inv = _inverses(gammas, inv)
-    out = []
-    for i in range(p):
-        ip = (i + 1) % p
-        t1 = -inv[i] @ cp[ip] @ gammas[ip] @ cm[ip]
-        t2 = cm[i] @ inv[(i - 1) % p] @ cp[i] @ gammas[i]
-        out.append(t1 + t2)
-    return out
+def rhs_chain(gammas, cp, cm, left=None, right=None, inv=None):
+    """Right-hand sides of the chain on nodes 0..s-1, s = len(gammas).
 
-
-def rhs_even_fold(gammas, cp, cm, inv=None):
+    With both caps None the chain is cyclic.  A cap replaces the term of
+    its end node that crosses the end: the second term of node 0 (left)
+    and the first term of node s-1 (right).  An "arc" cap puts ^J G_0
+    there on the left and ^J inv(G_{s-1}) on the right, with arc 0 and
+    arc s; a B-kind cap puts minus the B-transpose of the node's other
+    term.
+    """
     s = len(gammas)
     inv = _inverses(gammas, inv)
     out = []
     for i in range(s):
-        if i == s - 1:
+        if i == 0 and left in ("J", "K"):
+            x = inv[0] @ cp[1] @ gammas[1] @ cm[1]
+            out.append(-x + kind_transpose(x, left))
+            continue
+        if i == s - 1 and right in ("J", "K"):
+            y = cm[i] @ inv[i - 1] @ cp[i] @ gammas[i]
+            out.append(-kind_transpose(y, right) + y)
+            continue
+        if i == s - 1 and right == "arc":
             t1 = -inv[i] @ cp[s] @ anti_transpose(inv[i]) @ cm[s]
         else:
-            t1 = -inv[i] @ cp[i + 1] @ gammas[i + 1] @ cm[i + 1]
-        if i == 0:
+            j = (i + 1) % s
+            t1 = -inv[i] @ cp[j] @ gammas[j] @ cm[j]
+        if i == 0 and left == "arc":
             t2 = cm[0] @ anti_transpose(gammas[0]) @ cp[0] @ gammas[0]
         else:
             t2 = cm[i] @ inv[i - 1] @ cp[i] @ gammas[i]
         out.append(t1 + t2)
     return out
-
-
-def rhs_odd_fold(gammas, cp, cm, b_kind: str, variant: str = VARIANT_ARC_FIRST, inv=None):
-    s = len(gammas)
-    inv = _inverses(gammas, inv)
-    out = []
-    if variant == VARIANT_ARC_FIRST:
-        for i in range(s):
-            if i == s - 1:
-                y = cm[s - 1] @ inv[s - 2] @ cp[s - 1] @ gammas[s - 1]
-                out.append(-kind_transpose(y, b_kind) + y)
-                continue
-            t1 = -inv[i] @ cp[i + 1] @ gammas[i + 1] @ cm[i + 1]
-            if i == 0:
-                t2 = cm[0] @ anti_transpose(gammas[0]) @ cp[0] @ gammas[0]
-            else:
-                t2 = cm[i] @ inv[i - 1] @ cp[i] @ gammas[i]
-            out.append(t1 + t2)
-        return out
-    for i in range(s):
-        if i == 0:
-            x = inv[0] @ cp[1] @ gammas[1] @ cm[1]
-            out.append(-x + kind_transpose(x, b_kind))
-            continue
-        if i == s - 1:
-            t1 = -inv[i] @ cp[s] @ anti_transpose(inv[i]) @ cm[s]
-        else:
-            t1 = -inv[i] @ cp[i + 1] @ gammas[i + 1] @ cm[i + 1]
-        t2 = cm[i] @ inv[i - 1] @ cp[i] @ gammas[i]
-        out.append(t1 + t2)
-    return out
-
-
-def rhs_double_fold(gammas, cp, cm, b1_kind: str, bs_kind: str, inv=None):
-    s = len(gammas)
-    inv = _inverses(gammas, inv)
-    out = []
-    for i in range(s):
-        if i == 0:
-            x = inv[0] @ cp[1] @ gammas[1] @ cm[1]
-            out.append(-x + kind_transpose(x, b1_kind))
-        elif i == s - 1:
-            y = cm[s - 1] @ inv[s - 2] @ cp[s - 1] @ gammas[s - 1]
-            out.append(-kind_transpose(y, bs_kind) + y)
-        else:
-            t1 = -inv[i] @ cp[i + 1] @ gammas[i + 1] @ cm[i + 1]
-            t2 = cm[i] @ inv[i - 1] @ cp[i] @ gammas[i]
-            out.append(t1 + t2)
-    return out
-
-
-def rhs_simplest(gamma, cp, cm, inv=None):
-    x = (np.linalg.inv(gamma) if inv is None else inv) @ cp @ gamma
-    return [cm @ x - x @ cm]
 
 
 def rhs_full(gamma, c_minus, c_plus) -> np.ndarray:
@@ -419,64 +385,69 @@ def classify_spec(spec) -> tuple[str, str]:
 
 def _classify(spec: GradationSpec):
     """(equation_class, variant, s, gamma constraints, arc constraints)."""
+    if spec.gradation_type == TYPE_GL_INNER:
+        return EQ_GENERAL_LINEAR, "", spec.p, (), ()
+    s, _, nodes, arcs = _spec_fold_ends(spec)
+    eq_class = (EQ_EVEN_FOLD, EQ_ODD_FOLD, EQ_DOUBLE_FIXED_FOLD)[len(nodes)]
+    variant = ""
+    if eq_class == EQ_ODD_FOLD:
+        variant = VARIANT_NODE_FIRST if nodes[0][0] == 0 else VARIANT_ARC_FIRST
+    return (
+        eq_class,
+        variant,
+        s,
+        tuple(GammaConstraint(i, b_kind) for i, b_kind in nodes),
+        tuple(ArcConstraint(a, "J", eps) for a, eps in arcs),
+    )
+
+
+#: The decorations at the two ends of each fold family's folded chain: for
+#: the end through node 0 / arc 0, then the end through node s-1 / arc s,
+#: the B kind of a fixed node and the sign epsilon of ^J C = epsilon C on a
+#: fixed arc.  An outer family has one natural odd placement; its row
+#: leaves empty what the other, mirrored, placement would read at the
+#: first end, and the mirrored placement trades the two ends' decorations.
+FOLD_ENDS = {
+    "so": (("J", -1), ("J", -1)),
+    "sp": (("K", 1), ("K", 1)),
+    "gl_outer_II": ((None, -1), ("K", 1)),
+    "gl_outer_III": (("J", None), ("K", 1)),
+}
+
+
+def fold_ends(family: str, p: int, node0: bool):
+    """(s, sigma, fixed nodes, fixed arcs) of a fold of the p-node circle.
+
+    The axis passes through node 0 when ``node0`` is set, else through
+    arc 0, and opposite that through node s-1 or arc s.  sigma is the
+    involution on nodes; fixed nodes are (node, B kind) pairs and fixed
+    arcs (arc, epsilon) pairs, the node 0 / arc 0 end first.
+    """
+    near, far = FOLD_ENDS[family]
+    far_node = node0 != (p % 2 == 1)
+    if near[0 if node0 else 1] is None or far[0 if far_node else 1] is None:
+        near, far = far, near
+    s = p // 2 + 1 if node0 else (p + 1) // 2
+    sigma = tuple(((p if node0 else p - 1) - i) % p for i in range(p))
+    nodes, arcs = [], []
+    for is_node, node, arc, (b_kind, eps) in ((node0, 0, 0, near), (far_node, s - 1, s, far)):
+        if is_node:
+            nodes.append((node, b_kind))
+        else:
+            arcs.append((arc, eps))
+    return s, sigma, tuple(nodes), tuple(arcs)
+
+
+def _spec_fold_ends(spec: GradationSpec):
+    """fold_ends of a folded spec; sosp_II and gl_outer_III fix node 0."""
     t = spec.gradation_type
-    p = spec.p
-    if t == TYPE_GL_INNER:
-        return EQ_GENERAL_LINEAR, "", p, (), ()
-    if t == TYPE_SOSP_I:
-        eps = -1 if spec.family == "so" else 1
-        node_kind = "J" if spec.family == "so" else "K"
-        if p % 2 == 0:
-            s = p // 2
-            arcs = (ArcConstraint(0, "J", eps), ArcConstraint(s, "J", eps))
-            return EQ_EVEN_FOLD, "", s, (), arcs
-        s = (p + 1) // 2
-        return (
-            EQ_ODD_FOLD,
-            VARIANT_ARC_FIRST,
-            s,
-            (GammaConstraint(s - 1, node_kind),),
-            (ArcConstraint(0, "J", eps),),
-        )
-    if t == TYPE_SOSP_II:
-        kind = "J" if spec.family == "so" else "K"
-        s = p // 2 + 1
-        nodes = (GammaConstraint(0, kind), GammaConstraint(s - 1, kind))
-        return EQ_DOUBLE_FIXED_FOLD, "", s, nodes, ()
-    if t == TYPE_GL_OUTER_II:
-        if p % 2 == 0:
-            s = p // 2
-            arcs = (ArcConstraint(0, "J", -1), ArcConstraint(s, "J", 1))
-            return EQ_EVEN_FOLD, "", s, (), arcs
-        s = (p + 1) // 2
-        return (
-            EQ_ODD_FOLD,
-            VARIANT_ARC_FIRST,
-            s,
-            (GammaConstraint(s - 1, "K"),),
-            (ArcConstraint(0, "J", -1),),
-        )
-    if t == TYPE_GL_OUTER_III:
-        if p % 2 == 0:
-            s = p // 2 + 1
-            nodes = (GammaConstraint(0, "J"), GammaConstraint(s - 1, "K"))
-            return EQ_DOUBLE_FIXED_FOLD, "", s, nodes, ()
-        s = (p + 1) // 2
-        return (
-            EQ_ODD_FOLD,
-            VARIANT_NODE_FIRST,
-            s,
-            (GammaConstraint(0, "J"),),
-            (ArcConstraint(s, "J", 1),),
-        )
-    raise SpecError(f"cannot classify gradation type {t!r}")
-
-
-def _sigma_for_spec(spec: GradationSpec) -> tuple[int, ...]:
-    p = spec.p
-    if spec.gradation_type in (TYPE_SOSP_I, TYPE_GL_OUTER_II):
-        return tuple((p - 1 - i) % p for i in range(p))
-    return tuple((p - i) % p for i in range(p))
+    if t in (TYPE_SOSP_I, TYPE_SOSP_II):
+        family = spec.family
+    elif t in (TYPE_GL_OUTER_II, TYPE_GL_OUTER_III):
+        family = t
+    else:
+        raise SpecError(f"cannot classify gradation type {t!r}")
+    return fold_ends(family, spec.p, t in (TYPE_SOSP_II, TYPE_GL_OUTER_III))
 
 
 def engine_for_spec(spec: GradationSpec, L: int) -> FoldEngine | None:
@@ -488,7 +459,7 @@ def engine_for_spec(spec: GradationSpec, L: int) -> FoldEngine | None:
     return FoldEngine(
         kind="outer" if outer else "inner",
         sizes=spec.n_list,
-        sigma=_sigma_for_spec(spec),
+        sigma=_spec_fold_ends(spec)[1],
         b_matrix=b,
         h_diag=h_diag,
         L=L,
@@ -614,17 +585,6 @@ def _validate_c_constraints(system: TodaSystem, tol: float) -> None:
                 raise ConstraintViolationError(
                     f"{name} violates the fold symmetry (residual {dev:.2e})"
                 )
-    if system.simplest_outer:
-        for blocks, name in ((system.c_plus, "C_plus"), (system.c_minus, "C_minus")):
-            dev = max_abs(anti_transpose(blocks[0]) - blocks[0])
-            if dev > tol * max(1.0, max_abs(blocks[0])):
-                raise ConstraintViolationError(f"{name} must satisfy ^J C = C (dev {dev:.2e})")
-    if system.equation_class == EQ_SIMPLEST and system.family in ("so", "sp") and not system.simplest_outer:
-        kind = "J" if system.family == "so" else "K"
-        for blocks, name in ((system.c_plus, "C_plus"), (system.c_minus, "C_minus")):
-            dev = max_abs(kind_transpose(blocks[0], kind) + blocks[0])
-            if dev > tol * max(1.0, max_abs(blocks[0])):
-                raise ConstraintViolationError(f"{name} must lie in the {system.family} algebra")
     if system.constraints.det_product_one and system.equation_class == EQ_SIMPLEST:
         for blocks, name in ((system.c_plus, "C_plus"), (system.c_minus, "C_minus")):
             if abs(np.trace(blocks[0])) > tol * max(1.0, max_abs(blocks[0])):
@@ -721,25 +681,12 @@ def _check_state(system: TodaSystem, state: FieldState, tol: float) -> None:
 
 
 def rhs_dispatch(system: TodaSystem, gammas, cp, cm, inv=None) -> list[np.ndarray]:
-    """Class dispatch over raw block lists; accepts batched arrays.
+    """Right-hand sides of the system's capped chain over raw block lists.
 
-    ``inv`` optionally gives the blocks' inverses (None entries are computed).
+    Accepts batched arrays.  ``inv`` optionally gives the blocks' inverses
+    (None entries are computed).
     """
-    cls = system.equation_class
-    if cls == EQ_GENERAL_LINEAR:
-        return rhs_general_linear(gammas, cp, cm, inv)
-    if cls == EQ_EVEN_FOLD:
-        return rhs_even_fold(gammas, cp, cm, inv)
-    if cls == EQ_ODD_FOLD:
-        b_kind = system.constraints.gamma_constraints[0].b_kind
-        return rhs_odd_fold(gammas, cp, cm, b_kind, system.variant or VARIANT_ARC_FIRST, inv)
-    if cls == EQ_DOUBLE_FIXED_FOLD:
-        b1 = system.constraints.gamma_constraints[0].b_kind
-        bs = system.constraints.gamma_constraints[1].b_kind
-        return rhs_double_fold(gammas, cp, cm, b1, bs, inv)
-    if cls == EQ_SIMPLEST:
-        return rhs_simplest(gammas[0], cp[0], cm[0], None if inv is None else inv[0])
-    raise BuildError(f"unknown equation class {cls!r}")
+    return rhs_chain(gammas, cp, cm, *system.caps, inv=inv)
 
 
 def rhs_blocks(system: TodaSystem, state: FieldState, check: bool = True,
@@ -765,29 +712,16 @@ def rhs_blocks_vs_full(system: TodaSystem, state: FieldState, check: bool = True
     returns the max deviation of its diagonal blocks from rhs_blocks.
     """
     blocks = rhs_blocks(system, state, check=check)
-    if system.equation_class == EQ_SIMPLEST:
-        full = rhs_full(state.gammas[0], system.c_minus[0], system.c_plus[0])
-        return max_abs(full - blocks[0])
     sizes = system.block_sizes
     offs = _offsets(sizes)
-    gam = full_state(system, state)
-    n = sum(sizes)
-    gamma = np.zeros((n, n), dtype=complex)
-    for i, blk in enumerate(gam):
-        gamma[offs[i]:offs[i + 1], offs[i]:offs[i + 1]] = blk
-    cplus = np.zeros((n, n), dtype=complex)
-    cminus = np.zeros((n, n), dtype=complex)
-    p = system.p
-    for a in range(p):
-        i = (a - 1) % p
-        cplus[offs[i]:offs[i + 1], offs[a]:offs[a + 1]] = system.c_plus[a]
-        cminus[offs[a]:offs[a + 1], offs[i]:offs[i + 1]] = system.c_minus[a]
-    full = rhs_full(gamma, cminus, cplus)
-    dev = 0.0
-    for i in range(system.s):
-        diag = full[offs[i]:offs[i + 1], offs[i]:offs[i + 1]]
-        dev = max(dev, max_abs(diag - blocks[i]))
-    return dev
+    full = rhs_full(
+        _embed_gamma(sizes, full_state(system, state)),
+        _embed_c(sizes, system.c_minus, -1),
+        _embed_c(sizes, system.c_plus, +1),
+    )
+    return max(
+        max_abs(full[offs[i]:offs[i + 1], offs[i]:offs[i + 1]] - blocks[i]) for i in range(system.s)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -815,24 +749,14 @@ def random_c_blocks(spec: GradationSpec, L: int, rng: np.random.Generator,
                     scale: float = 1.0):
     """Random (c_plus, c_minus) full-cycle lists compatible with the spec."""
     check_valid(spec)
-    eq_class, variant, s, gnodes, garcs = _classify(spec)
+    _, _, s, gnodes, garcs = _classify(spec)
     engine = engine_for_spec(spec, L)
     allowed = arcs_allowed(spec, L)
     sizes = spec.n_list
     p = spec.p
     eps_by_arc = {ac.arc: ac.epsilon for ac in garcs}
-    if eq_class == EQ_GENERAL_LINEAR:
-        independent = range(p)
-    elif eq_class == EQ_EVEN_FOLD:
-        independent = range(s + 1)
-    elif eq_class == EQ_ODD_FOLD and variant == VARIANT_NODE_FIRST:
-        independent = range(1, s + 1)
-    elif eq_class == EQ_ODD_FOLD:
-        independent = range(s)
-    else:
-        independent = range(1, s)
     partial_p, partial_m = {}, {}
-    for a in independent:
+    for a in _independent_arcs(s, *_chain_caps(s, gnodes, engine is not None)):
         i = (a - 1) % p
         if not allowed[a]:
             continue
@@ -895,82 +819,36 @@ def system_from_json(data: dict) -> TodaSystem:
 
 def _eq_latex_lines(system: TodaSystem) -> list[str]:
     s = system.s
-    cls = system.equation_class
+    left, right = system.caps
 
     def gam(i):
         return rf"\Gamma_{{{i + 1}}}"
 
-    def lhs(i):
-        return rf"\partial_+\left({gam(i)}^{{-1}}\,\partial_-{gam(i)}\right)"
-
-    def chain_minus(i):
-        return rf"-{gam(i)}^{{-1}} C_{{+{i + 1}}}\,{gam(i + 1)}\,C_{{-{i + 1}}}"
-
-    def chain_plus(i):
-        return rf"+ C_{{-{i}}}\,{gam(i - 1)}^{{-1}} C_{{+{i}}}\,{gam(i)}"
+    def transposed(b_kind, term):
+        return rf"{{}}^{{{b_kind}}}\!\left({term}\right)"
 
     lines = []
-    if cls == EQ_SIMPLEST:
-        return [r"\partial_+\left(\Gamma^{-1}\partial_-\Gamma\right) = [C_-,\,\Gamma^{-1} C_+ \Gamma]"]
     for i in range(s):
-        if cls == EQ_GENERAL_LINEAR:
-            p = system.p
-            t1 = rf"-{gam(i)}^{{-1}} C_{{+{(i + 1) % p}}}\,{gam((i + 1) % p)}\,C_{{-{(i + 1) % p}}}"
-            t2 = rf"+ C_{{-{i}}}\,{gam((i - 1) % p)}^{{-1}} C_{{+{i}}}\,{gam(i)}"
-            lines.append(f"{lhs(i)} &= {t1} {t2}")
-            continue
-        if cls == EQ_EVEN_FOLD:
-            t1 = (
-                rf"-{gam(i)}^{{-1}} C_{{+{s}}}\,{{}}^{{J}}({gam(i)}^{{-1}})\,C_{{-{s}}}"
-                if i == s - 1 else chain_minus(i)
-            )
-            t2 = (
-                rf"+ C_{{-0}}\,{{}}^{{J}}{gam(0)}\,C_{{+0}}\,{gam(0)}"
-                if i == 0 else chain_plus(i)
-            )
-            lines.append(f"{lhs(i)} &= {t1} {t2}")
-            continue
-        if cls == EQ_ODD_FOLD and (system.variant or VARIANT_ARC_FIRST) == VARIANT_ARC_FIRST:
-            b = system.constraints.gamma_constraints[0].b_kind
-            if i == s - 1:
-                y = rf"C_{{-{s - 1}}}\,{gam(s - 2)}^{{-1}} C_{{+{s - 1}}}\,{gam(s - 1)}"
-                lines.append(f"{lhs(i)} &= -{{}}^{{{b}}}\\!\\left({y}\\right) + {y}")
-            else:
-                t2 = (
-                    rf"+ C_{{-0}}\,{{}}^{{J}}{gam(0)}\,C_{{+0}}\,{gam(0)}"
-                    if i == 0 else chain_plus(i)
-                )
-                lines.append(f"{lhs(i)} &= {chain_minus(i)} {t2}")
-            continue
-        if cls == EQ_ODD_FOLD:
-            b = system.constraints.gamma_constraints[0].b_kind
-            if i == 0:
-                x = rf"{gam(0)}^{{-1}} C_{{+1}}\,{gam(1)}\,C_{{-1}}"
-                lines.append(f"{lhs(i)} &= -{x} + {{}}^{{{b}}}\\!\\left({x}\\right)")
-            elif i == s - 1:
-                t1 = rf"-{gam(i)}^{{-1}} C_{{+{s}}}\,{{}}^{{J}}({gam(i)}^{{-1}})\,C_{{-{s}}}"
-                lines.append(f"{lhs(i)} &= {t1} {chain_plus(i)}")
-            else:
-                lines.append(f"{lhs(i)} &= {chain_minus(i)} {chain_plus(i)}")
-            continue
-        b1 = system.constraints.gamma_constraints[0].b_kind
-        bs = system.constraints.gamma_constraints[1].b_kind
-        if i == 0:
-            x = rf"{gam(0)}^{{-1}} C_{{+1}}\,{gam(1)}\,C_{{-1}}"
-            lines.append(f"{lhs(i)} &= -{x} + {{}}^{{{b1}}}\\!\\left({x}\\right)")
-        elif i == s - 1:
-            y = rf"C_{{-{s - 1}}}\,{gam(s - 2)}^{{-1}} C_{{+{s - 1}}}\,{gam(s - 1)}"
-            lines.append(f"{lhs(i)} &= -{{}}^{{{bs}}}\\!\\left({y}\\right) + {y}")
-        else:
-            lines.append(f"{lhs(i)} &= {chain_minus(i)} {chain_plus(i)}")
+        j = (i + 1) % s
+        minus = rf"{gam(i)}^{{-1}} C_{{+{j}}}\,{gam(j)}\,C_{{-{j}}}"
+        plus = rf"C_{{-{i}}}\,{gam((i - 1) % s)}^{{-1}} C_{{+{i}}}\,{gam(i)}"
+        if i == 0 and left == "arc":
+            plus = rf"C_{{-0}}\,{{}}^{{J}}{gam(0)}\,C_{{+0}}\,{gam(0)}"
+        elif i == 0 and left is not None:
+            plus = transposed(left, minus)
+        if i == s - 1 and right == "arc":
+            minus = rf"{gam(i)}^{{-1}} C_{{+{s}}}\,{{}}^{{J}}({gam(i)}^{{-1}})\,C_{{-{s}}}"
+        elif i == s - 1 and right is not None:
+            minus = transposed(right, plus)
+        lhs = rf"\partial_+\left({gam(i)}^{{-1}}\,\partial_-{gam(i)}\right)"
+        lines.append(f"{lhs} &= -{minus} + {plus}")
     return lines
 
 
 def system_to_latex(system: TodaSystem) -> str:
-    lines = _eq_latex_lines(system)
-    if len(lines) == 1 and system.equation_class == EQ_SIMPLEST:
-        return lines[0]
-    body = " \\\\\n".join(lines)
+    if system.equation_class == EQ_SIMPLEST:
+        return r"\partial_+\left(\Gamma^{-1}\partial_-\Gamma\right) = [C_-,\,\Gamma^{-1} C_+ \Gamma]"
+    body = " \\\\\n".join(_eq_latex_lines(system))
     return "\\begin{aligned}\n" + body + "\n\\end{aligned}"
 
 

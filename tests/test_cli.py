@@ -137,6 +137,7 @@ class TestSimulateCommand:
         assert rc == 4
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["halted"] is True
+        assert manifest["halt_reason"].startswith("non-finite value at row 1")
 
     def test_system_file_run(self, tmp_path):
         chain = toda.build_periodic_chain(2, 1)

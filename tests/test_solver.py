@@ -260,8 +260,8 @@ class TestReductions:
         for eps in (1e-3, 2e-3, 4e-3):
             hist = solver.integrate(system, solver.sinh_data(eps, 1.0, grid), grid)
             field = solver.sinh_gordon_reduce(hist)
-            lin_run = solver.integrate_scalar_custom(
-                lambda g: 2.0 * np.log(g), solver.sinh_data(eps, 1.0, grid), grid)
+            lin_run = solver.integrate(system, solver.sinh_data(eps, 1.0, grid), grid,
+                                       law=lambda gs: [2.0 * np.log(gs[0])]).gammas[0][..., 0, 0]
             devs.append(np.max(np.abs(field - 2.0 * np.log(lin_run.real))))
         for i in range(2):
             assert 6.5 <= devs[i + 1] / devs[i] <= 9.5  # cubic in the amplitude
@@ -353,9 +353,35 @@ class TestBlowUp:
         hist = solver.integrate(system, solver.sinh_data(1.0, 1.0, grid), grid,
                                 solver.SolverConfig(tol_invertibility=1e6))
         assert hist.halted
+        assert hist.halt_reason.startswith("invertibility lost at row")
         assert 0 < hist.completed_rows < len(grid.zp_points())
         assert hist.gammas[0].shape[0] == hist.completed_rows
         assert np.all(np.isfinite(hist.gammas[0]))
+
+    def test_square_root_failure_halts_with_its_reason(self):
+        # the cell-centre step has an eigenvalue near -3: Denman-Beavers
+        # stalls and raises ConvergenceError, which halts the march
+        chain = toda.build_periodic_chain(3, 2, c_value=6.0)
+        state = toda.random_state(chain, np.random.default_rng(3), scale=0.6)
+        hist = solver.integrate(chain, solver.constant_data(state), solver.Grid(0, 3, 0, 3, 32, 32))
+        assert hist.halted and hist.completed_rows == 1
+        assert hist.halt_reason.startswith("cell-centre square root failed at row 1")
+
+    def test_mis_shaped_c_plus_raises(self):
+        chain = toda.build_periodic_chain(3, 2)
+        state = toda.random_state(chain, np.random.default_rng(0), scale=0.2)
+        with pytest.raises(ValueError):
+            solver.integrate(chain, solver.constant_data(state), solver.Grid(0, 1, 0, 1, 8, 8),
+                             c_plus_fn=lambda w: [np.eye(3)] * 3)
+
+    def test_law_hook_runs_the_same_scheme(self):
+        system = solver.sine_gordon_system()
+        grid = solver.Grid(0, 1, 0, 1, 32, 32)
+        data = solver.sinh_data(0.1, 1.0, grid)
+        own = solver.integrate(system, data, grid)
+        hooked = solver.integrate(system, data, grid, law=lambda gs: toda.rhs_dispatch(
+            system, gs, list(system.c_plus), list(system.c_minus)))
+        assert np.array_equal(own.gammas[0], hooked.gammas[0])
 
     def test_corner_mismatch_rejected(self):
         system = solver.sine_gordon_system()
