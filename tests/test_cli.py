@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -186,6 +187,32 @@ class TestCheckCommand:
         path = write_json(tmp_path / "s.json", payload)
         assert cli.main(["check", "--spec", path]) == 0
         assert "PASS fold_invariance_drift" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("payload, values", [
+        ({"family": "gl", "n": 3, "type": "gl_inner", "M": 3,
+          "n_list": [1, 1, 1], "k_list": [1, 1], "phase_offset": 0.0},
+         ("2.343e+00", "1.207e+00", "6.000e+00")),
+        ({"family": "so", "n": 4, "type": "sosp_I", "M": 4,
+          "n_list": [2, 2], "k_list": [1], "phase_offset": 0.5},
+         ("4.615e+00", "3.055e+00", "4.000e+00")),
+    ])
+    def test_broken_automorphism_fails(self, tmp_path, capsys, monkeypatch, payload, values):
+        """An automorphism that is no longer of order M must fail the order,
+        closure and index-table lines."""
+        build = gr.build_automorphism
+
+        def broken(spec):
+            aut = build(spec)
+            n = aut.h.shape[0]
+            return dataclasses.replace(aut, h=np.diag(aut.h_diag * np.exp(0.3j * np.arange(n))))
+
+        monkeypatch.setattr(gr, "build_automorphism", broken)
+        path = write_json(tmp_path / "s.json", payload)
+        assert cli.main(["check", "--spec", path]) == 1
+        out = capsys.readouterr().out
+        for name, value in zip(("automorphism_order", "bracket_closure", "index_table_vs_projector"),
+                               values):
+            assert f"FAIL {name} ({value})" in out
 
     def test_invalid_spec_reported_before_invariants(self, tmp_path, capsys):
         payload = dict(SO4_JSON, k_list=[1, 2])
