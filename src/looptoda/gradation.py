@@ -20,6 +20,11 @@ Five types are supported:
 
 The A = id case (p = 1) is represented by the distinguished
 :class:`TrivialSpec`.
+
+The grade-k subspace is the exp(2 pi i k / M)-eigenspace of A, so
+:func:`grading_components` returns all M projections of a matrix at once,
+as one discrete Fourier transform over its orbit under A;
+:func:`grading_component` and :func:`grading_support` read that stack.
 """
 
 from __future__ import annotations
@@ -398,11 +403,16 @@ def build_automorphism(spec) -> Automorphism:
     return Automorphism(kind="inner", h=h, order=spec.M)
 
 
-def apply_automorphism(aut: Automorphism, x) -> np.ndarray:
+def _operand(aut: Automorphism, x) -> np.ndarray:
     x = as_complex(x)
     n = aut.h.shape[0]
     if x.shape[-2:] != (n, n):
         raise ShapeMismatchError(f"expected trailing shape {(n, n)}, got {x.shape}")
+    return x
+
+
+def apply_automorphism(aut: Automorphism, x) -> np.ndarray:
+    x = _operand(aut, x)
     d = aut.h_diag
     ratio = d[:, None] / d[None, :]
     if aut.kind == "inner":
@@ -410,22 +420,35 @@ def apply_automorphism(aut: Automorphism, x) -> np.ndarray:
     return -ratio * b_transpose(x, aut.B)
 
 
-def grading_component(x, k: int, aut: Automorphism) -> np.ndarray:
-    """Projection onto the residue-k subspace by the discrete Fourier sum
-    P_k(x) = (1/M) sum_j exp(-2 pi i j k / M) A^j(x)."""
-    x = as_complex(x)
+def grading_components(x, aut: Automorphism) -> np.ndarray:
+    """All M residue components of x, stacked on a new leading axis.
+
+    Component k is the discrete Fourier sum
+    P_k(x) = (1/M) sum_j exp(-2 pi i j k / M) A^j(x), computed for every k
+    by one contraction of the orbit x, A(x), ..., A^{M-1}(x) with the M x M
+    DFT matrix.  Leading axes of x broadcast: the result has shape
+    (M, *x.shape).
+    """
+    x = _operand(aut, x)
     M = aut.order
-    acc = np.zeros_like(x)
-    power = x
-    for j in range(M):
-        acc = acc + np.exp(-2j * np.pi * j * k / M) * power
-        power = apply_automorphism(aut, power)
-    return acc / M
+    orbit = np.empty((M,) + x.shape, dtype=complex)
+    orbit[0] = x
+    for j in range(1, M):
+        orbit[j] = apply_automorphism(aut, orbit[j - 1])
+    jk = np.outer(np.arange(M), np.arange(M)) % M
+    dft = np.exp(-2j * np.pi * jk / M) / M
+    return (dft @ orbit.reshape(M, -1)).reshape(orbit.shape)
+
+
+def grading_component(x, k: int, aut: Automorphism) -> np.ndarray:
+    """Projection onto the residue-k subspace (k taken mod M)."""
+    return grading_components(x, aut)[k % aut.order]
 
 
 def grading_support(x, aut: Automorphism, tol: float = DEFAULT_TOL) -> list[int]:
-    """Residues k with a nonzero component of x, by projector sweep."""
-    return [k for k in range(aut.order) if max_abs(grading_component(x, k, aut)) > tol]
+    """Residues k with a nonzero component of x."""
+    parts = grading_components(x, aut)
+    return [k for k in range(aut.order) if max_abs(parts[k]) > tol]
 
 
 @dataclass(frozen=True)

@@ -161,6 +161,13 @@ class TestSimulateCommand:
                        "--output", str(tmp_path)])
         assert rc == 2
 
+    @pytest.mark.parametrize("tol", ["0", "-1e-8"])
+    def test_non_positive_tol_is_a_parse_error(self, tmp_path, tol):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--preset", "free-field", "--tol", tol, "--output", str(tmp_path)])
+        assert exc.value.code == 2
+        assert not (tmp_path / "manifest.json").exists()
+
 
 class TestCheckCommand:
     def test_s1_all_pass(self, tmp_path, capsys):
@@ -213,6 +220,15 @@ class TestCheckCommand:
         for name, value in zip(("automorphism_order", "bracket_closure", "index_table_vs_projector"),
                                values):
             assert f"FAIL {name} ({value})" in out
+
+    def test_tol_is_read_as_given(self, tmp_path, capsys):
+        path = write_json(tmp_path / "s.json", S1_JSON)
+        assert cli.main(["check", "--spec", path, "--tol", "1e-300"]) == 1
+        assert "FAIL projector_completeness" in capsys.readouterr().out
+        for tol in ("0", "-1"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["check", "--spec", path, "--tol", tol])
+            assert exc.value.code == 2
 
     def test_invalid_spec_reported_before_invariants(self, tmp_path, capsys):
         payload = dict(SO4_JSON, k_list=[1, 2])

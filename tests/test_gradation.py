@@ -196,6 +196,42 @@ class TestGradingComponents:
             assert lc.max_abs(out - np.exp(2j * np.pi * k / 4) * pk) < 1e-12
 
 
+ORACLE_SPECS = (
+    gr.make_spec("gl", gr.TYPE_GL_INNER, 5, (1, 1, 2), (1, 2)),
+    gr.make_spec("sp", gr.TYPE_SOSP_I, 8, (1, 4, 1), (1, 1)),
+    gr.make_spec("so", gr.TYPE_SOSP_II, 6, (1, 1, 2, 1), (1, 2, 2)),
+    gr.make_spec("gl", gr.TYPE_GL_OUTER_II, 6, (1, 2, 1), (1, 1)),
+    gr.make_spec("gl", gr.TYPE_GL_OUTER_III, 8, (1, 2, 2), (1, 2)),
+    gr.TrivialSpec("gl", 3, M=4),
+)
+
+
+class TestGradingComponentsOracle:
+    """The stacked projector against the defining sum, written out."""
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.to_json()["type"])
+    def test_matches_fourier_sum(self, spec):
+        aut = gr.build_automorphism(spec)
+        M, n = aut.order, spec.n
+        rng = np.random.default_rng(M)
+        x = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+        parts = gr.grading_components(x, aut)
+        assert parts.shape == (M, 3, n, n)
+        for k in range(M):
+            expected = np.zeros_like(x)
+            power = x
+            for j in range(M):
+                expected = expected + np.exp(-2j * np.pi * j * k / M) * power
+                power = gr.apply_automorphism(aut, power)
+            assert lc.max_abs(parts[k] - expected / M) < 1e-13
+            assert np.array_equal(gr.grading_component(x, k, aut), parts[k])
+
+    def test_rejects_wrong_shape_at_order_one(self):
+        aut = gr.build_automorphism(gr.TrivialSpec("gl", 3, M=1))
+        with pytest.raises(lc.ShapeMismatchError):
+            gr.grading_components(np.zeros((2, 2)), aut)
+
+
 class TestIndexTable:
     def test_s1_table(self):
         t = gr.block_index_table(S1)
