@@ -435,6 +435,8 @@ def grading_components(x, aut: Automorphism) -> np.ndarray:
     orbit[0] = x
     for j in range(1, M):
         orbit[j] = apply_automorphism(aut, orbit[j - 1])
+    # jk reduced mod M keeps every phase angle below 2 pi, where exp is
+    # accurate to an ulp; the unreduced angle reaches 2 pi (M - 1)^2 / M
     jk = np.outer(np.arange(M), np.arange(M)) % M
     dft = np.exp(-2j * np.pi * jk / M) / M
     return (dft @ orbit.reshape(M, -1)).reshape(orbit.shape)

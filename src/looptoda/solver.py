@@ -425,6 +425,12 @@ def residual(history: FieldHistory, system: TodaSystem | None = None,
 
     Pass the same ``c_plus_fn``/``c_minus_fn`` that were given to
     :func:`integrate` when the C blocks vary along their characteristics.
+
+    The differences divide the round-off of G by ``h_minus * h_plus``, so
+    the defect has a round-off floor near 1e-12 absolute at 64².  Any
+    reassociation of the marcher's arithmetic shifts small residuals by
+    1e-8 to 2e-7 relative; compare residuals no tighter than ~1e-6
+    relative.
     """
     system = system or history.system
     grid = history.grid
