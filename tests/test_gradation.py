@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,6 +73,65 @@ class TestValidate:
     def test_trivial_spec_valid(self):
         assert gr.validate_spec(gr.TrivialSpec("gl", 3)) == []
         assert gr.validate_spec(gr.TrivialSpec("sp", 3)) != []
+
+    # the full violation list, byte for byte, for one or more invalid specs
+    # of each type; outer types name their bound over N = M/2 and stop at odd M
+    FULL_VIOLATIONS = [
+        (gr.make_spec("gl", gr.TYPE_GL_INNER, 2, (1, 1, 1), (1, 1)), [
+            "k_sum_bound: sum(k) < M is required",
+        ]),
+        (gr.make_spec("sp", gr.TYPE_SOSP_I, 3, (2, 1, 1), (1, 2)), [
+            "k_sum_bound: sum(k) < M is required",
+            "n_palindrome: n_{p-a+1} = n_a is required",
+            "k_palindrome: k_{p-a} = k_a is required",
+            "sp_middle_even: odd p requires even middle block for sp",
+        ]),
+        (gr.make_spec("sp", gr.TYPE_SOSP_II, 5, (1, 2, 3, 4), (1, 2, 3)), [
+            "M_even: type sosp_II requires even M",
+            "k_sum_exact: sum(k) + k_1 = M is required",
+            "n_palindrome_tail: n_{p-a+2} = n_a (a >= 2) is required",
+            "k_palindrome_tail: k_{p-a+1} = k_a (2 <= a <= p-1) is required",
+            "sp_fixed_even: blocks carrying the K form must be even for sp",
+        ]),
+        (gr.make_spec("so", gr.TYPE_SOSP_II, 3, (1, 1, 1), (1, 1)), [
+            "M_even: type sosp_II requires even M",
+            "p_even: type sosp_II requires even p",
+        ]),
+        (gr.make_spec("gl", gr.TYPE_GL_OUTER_II, 4, (1, 2), (2,)), [
+            "k_sum_bound: sum(k) < N = M/2 is required",
+            "n_palindrome: n_{p-a+1} = n_a is required",
+            "n_even: B = K_n requires even n",
+        ]),
+        (gr.make_spec("gl", gr.TYPE_GL_OUTER_II, 10, (2, 1, 1), (1, 2)), [
+            "n_palindrome: n_{p-a+1} = n_a is required",
+            "k_palindrome: k_{p-a} = k_a is required",
+        ]),
+        (gr.make_spec("gl", gr.TYPE_GL_OUTER_III, 6, (1, 2, 3), (1, 2)), [
+            "k_sum_exact: sum(k) + k_1 = N = M/2 is required",
+            "n_palindrome_tail: n_{p-a+2} = n_a (a >= 2) is required",
+            "k_block_even: n - n_1 must be even for B = diag(J, K)",
+        ]),
+        (gr.make_spec("gl", gr.TYPE_GL_OUTER_III, 8, (2, 1, 3, 2), (1, 1, 2)), [
+            "k_sum_exact: sum(k) + k_1 = N = M/2 is required",
+            "n_palindrome_tail: n_{p-a+2} = n_a (a >= 2) is required",
+            "k_palindrome_tail: k_{p-a+1} = k_a (2 <= a <= p-1) is required",
+            "middle_even: even p requires an even self-paired block",
+        ]),
+        (gr.make_spec("gl", gr.TYPE_GL_OUTER_II, 5, (1, 2), (3,)), [
+            "M_even: outer gradations require even M",
+        ]),
+        (gr.make_spec("gl", gr.TYPE_GL_OUTER_III, 5, (1, 2, 3), (1, 2)), [
+            "M_even: outer gradations require even M",
+        ]),
+        (gr.GradationSpec("sl", 3, gr.TYPE_GL_OUTER_II, 5, (1, 2), (3,)), [
+            "phase_offset_mismatch: offset inconsistent with type parity rule",
+            "M_even: outer gradations require even M",
+        ]),
+    ]
+
+    @pytest.mark.parametrize("spec, expected", FULL_VIOLATIONS)
+    def test_full_violation_list(self, spec, expected):
+        assert gr.validate_spec(spec) == expected
 
 
 class TestComputeM:
@@ -322,6 +383,38 @@ class TestEnumerate:
     def test_cap(self):
         with pytest.raises(gr.EnumerationCapError):
             gr.enumerate_specs("gl", 6, 6, cap=5)
+
+    @staticmethod
+    def _generate_and_filter(family, n, M):
+        """Reference enumeration: every composition and every k with
+        sum(k) <= M, for every type of the family, kept if valid."""
+        types = ((gr.TYPE_GL_INNER, gr.TYPE_GL_OUTER_II, gr.TYPE_GL_OUTER_III)
+                 if family in ("gl", "sl") else (gr.TYPE_SOSP_I, gr.TYPE_SOSP_II))
+        def compositions(total, parts):
+            for cuts in itertools.combinations(range(1, total), parts - 1):
+                edges = (0,) + cuts + (total,)
+                yield tuple(b - a for a, b in zip(edges, edges[1:]))
+
+        found = []
+        for t in types:
+            for p in range(2, n + 1):
+                for nl in compositions(n, p):
+                    for kl in (k for total in range(p - 1, M + 1) for k in compositions(total, p - 1)):
+                        cand = gr.make_spec(family, t, M, nl, kl)
+                        if not gr.validate_spec(cand):
+                            found.append(cand)
+        rank = {t: i for i, t in enumerate(gr.GRADATION_TYPES)}
+        found.sort(key=lambda s: (rank[s.gradation_type], s.p, s.n_list, s.k_list))
+        trivial = gr.TrivialSpec(family=family, n=n, M=M)
+        return ([] if gr.validate_spec(trivial) else [trivial]) + found
+
+    def test_matches_generate_and_filter(self):
+        for family in ("gl", "sl", "so", "sp"):
+            for n in range(1, 8):
+                for M in range(1, 9):
+                    got = [s.to_json() for s in gr.enumerate_specs(family, n, M)]
+                    want = [s.to_json() for s in self._generate_and_filter(family, n, M)]
+                    assert got == want, (family, n, M)
 
     def test_outer_sosp_bijection_even_p(self):
         # outer data coincides with the corresponding so/sp data mod N

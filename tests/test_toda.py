@@ -427,3 +427,24 @@ class TestLatexGolden:
         system = toda.build_simplest("gl", np.eye(2), np.eye(2))
         assert toda.system_to_latex(system) == (
             r"\partial_+\left(\Gamma^{-1}\partial_-\Gamma\right) = [C_-,\,\Gamma^{-1} C_+ \Gamma]")
+
+
+class TestFoldEndsMatchStructure:
+    def test_fixed_node_kind_is_diagonal_block_of_b(self):
+        # every fixed node's B kind, read from the fold ends, is the
+        # diagonal block of the spec's global structure matrix at that node
+        checked = 0
+        for family in ("gl", "so", "sp"):
+            for n in range(1, 9):
+                for M in range(1, 9):
+                    for spec in gr.enumerate_specs(family, n, M):
+                        if isinstance(spec, gr.TrivialSpec) or spec.gradation_type == gr.TYPE_GL_INNER:
+                            continue
+                        b = gr.structure_for_spec(spec)
+                        offs = np.cumsum((0,) + spec.n_list)
+                        for node, b_kind in toda._spec_fold_ends(spec)[2]:
+                            block = b[offs[node]:offs[node + 1], offs[node]:offs[node + 1]]
+                            expected = lc.structure_matrix(b_kind, spec.n_list[node])
+                            assert np.array_equal(block, expected), (spec, node, b_kind)
+                            checked += 1
+        assert checked == 1076
