@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import folding, gradation, solver, toda
-from .lie_core import b_transpose, max_abs
+from .lie_core import b_transpose, expm, max_abs
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -169,8 +169,6 @@ def _run_preset(name, grid, config):
             gens.append((h + h.conj().T) / 2)
 
         def edge(t):
-            from .lie_core import expm
-
             return tuple(expm(0.25j * np.sin(t + alpha) * gens[alpha]) for alpha in range(3))
 
         hist = solver.integrate(system, solver.CharacteristicData(edge, edge), grid, config)
@@ -337,8 +335,7 @@ def _check_lines(spec, tol: float):
 
         if system.equation_class != toda.EQ_GENERAL_LINEAR and all(k == L for k in spec.k_list):
             chain_spec = gradation.make_spec(
-                "gl", gradation.TYPE_GL_INNER,
-                spec.M if spec.gradation_type in ("sosp_I", "sosp_II") else spec.M // 2,
+                "gl", gradation.TYPE_GL_INNER, gradation.data_modulus(spec.gradation_type, spec.M),
                 spec.n_list, spec.k_list)
             if not gradation.validate_spec(chain_spec):
                 chain = toda.build_system(chain_spec, L, cp, cm)
@@ -347,8 +344,8 @@ def _check_lines(spec, tol: float):
                     toda.EQ_ODD_FOLD: folding.PATTERN_ODD_MIXED,
                     toda.EQ_DOUBLE_FIXED_FOLD: folding.PATTERN_EVEN_NODE_FIXED,
                 }[system.equation_class]
-                family = spec.family if spec.family in ("so", "sp") else spec.gradation_type
-                fmap = folding.make_fold(spec.p, pattern, family, variant=system.variant or "arc_first")
+                fmap = folding.make_fold(spec.p, pattern, toda.fold_family(spec),
+                                         variant=system.variant or "arc_first")
                 drift = folding.verify_fold_invariance(fmap, chain, state, steps=8, step=1e-3)
                 yield "fold_invariance_drift", drift <= 1e-8, drift
 

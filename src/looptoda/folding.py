@@ -28,16 +28,15 @@ import numpy as np
 
 from .lie_core import anti_transpose, as_complex, k_transpose, kind_transpose, max_abs
 from .gradation import (
+    OUTER_TYPES,
     TYPE_GL_INNER,
-    TYPE_GL_OUTER_II,
-    TYPE_GL_OUTER_III,
     TYPE_SOSP_I,
     TYPE_SOSP_II,
     GradationSpec,
     make_spec,
     validate_spec,
 )
-from . import toda
+from . import solver, toda
 from .toda import (
     EQ_GENERAL_LINEAR,
     VARIANT_ARC_FIRST,
@@ -121,13 +120,12 @@ def make_fold(p: int, pattern: str, family: str, variant: str = VARIANT_ARC_FIRS
 def _folded_spec(fmap: FoldingMap, spec: GradationSpec) -> GradationSpec:
     """Reinterpret the chain data (n, k, M) under the fold family."""
     nl, kl = spec.n_list, spec.k_list
-    if fmap.family in ("so", "sp"):
-        t = TYPE_SOSP_I if fmap.pattern in (PATTERN_EVEN_ARC_FIXED, PATTERN_ODD_MIXED) else TYPE_SOSP_II
-        folded = make_spec(fmap.family, t, spec.M, nl, kl)
-    elif fmap.family == "gl_outer_II":
-        folded = make_spec("gl", TYPE_GL_OUTER_II, 2 * spec.M, nl, kl)
+    if fmap.family in OUTER_TYPES:
+        # an outer type reads the chain's data mod N = M/2, so its order is 2N
+        folded = make_spec("gl", fmap.family, 2 * spec.M, nl, kl)
     else:
-        folded = make_spec("gl", TYPE_GL_OUTER_III, 2 * spec.M, nl, kl)
+        t = TYPE_SOSP_II if fmap.pattern == PATTERN_EVEN_NODE_FIXED else TYPE_SOSP_I
+        folded = make_spec(fmap.family, t, spec.M, nl, kl)
     violations = validate_spec(folded)
     if violations:
         raise FoldError(
@@ -176,8 +174,6 @@ def verify_fold_invariance(fmap: FoldingMap, system: TodaSystem, state: FieldSta
     violation is pure scheme error and must shrink at second order in the
     step.
     """
-    from . import solver
-
     folded = fold_constraints(fmap, system)
     full = toda.full_state(folded, state)
     engine = folded.engine

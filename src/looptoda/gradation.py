@@ -18,6 +18,15 @@ Five types are supported:
 * ``gl_outer_III`` -- outer gl gradations with +1 eigenvalues
                       (B = diag(J, K), same data as sosp_II mod N).
 
+Each outer type is its so/sp twin read modulo N = M/2: the two share one
+rule, with the modulus of :func:`data_modulus` (N for the outer types, M
+for the others).  The types fall into two shape groups: *palindromic*
+(sosp_I, gl_outer_II), where n_1..n_p and k_1..k_{p-1} read the same
+backwards and sum(k) < modulus, and *fixed-first* (sosp_II, gl_outer_III),
+palindromic after the first block, with sum(k) + k_1 = modulus.  B is block
+diagonal over the first block and the rest, with kinds (J, J) for so,
+(K, K) for sp and (J, K) for the outer types.
+
 The A = id case (p = 1) is represented by the distinguished
 :class:`TrivialSpec`.
 
@@ -29,7 +38,6 @@ as one discrete Fourier transform over its orbit under A;
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +49,7 @@ from .lie_core import (
     b_transpose,
     identity,
     max_abs,
-    skew_identity,
-    symplectic_identity,
+    structure_matrix,
 )
 
 TYPE_GL_INNER = "gl_inner"
@@ -55,7 +62,9 @@ GRADATION_TYPES = (TYPE_GL_INNER, TYPE_SOSP_I, TYPE_SOSP_II, TYPE_GL_OUTER_II, T
 
 _GL_TYPES = (TYPE_GL_INNER, TYPE_GL_OUTER_II, TYPE_GL_OUTER_III)
 _SOSP_TYPES = (TYPE_SOSP_I, TYPE_SOSP_II)
-_OUTER_TYPES = (TYPE_GL_OUTER_II, TYPE_GL_OUTER_III)
+OUTER_TYPES = (TYPE_GL_OUTER_II, TYPE_GL_OUTER_III)
+PALINDROMIC_TYPES = (TYPE_SOSP_I, TYPE_GL_OUTER_II)
+FIXED_FIRST_TYPES = (TYPE_SOSP_II, TYPE_GL_OUTER_III)
 
 DEFAULT_ENUM_CAP = 20000
 
@@ -87,11 +96,6 @@ class GradationSpec:
     @property
     def p(self) -> int:
         return len(self.n_list)
-
-    @property
-    def N(self) -> int:
-        """Half order, meaningful for the outer types (M = 2N)."""
-        return self.M // 2
 
     def to_json(self) -> dict:
         return {
@@ -139,18 +143,27 @@ def spec_from_json(data: dict) -> GradationSpec | TrivialSpec:
     )
 
 
-def spec_to_json_str(spec) -> str:
-    return json.dumps(spec.to_json(), sort_keys=True)
+def data_modulus(gradation_type: str, M: int) -> int:
+    """The modulus the block data is read under: N = M/2 for the outer
+    types, M for the others."""
+    return M // 2 if gradation_type in OUTER_TYPES else M
+
+
+def _mirrored(gradation_type: str, seq: tuple) -> bool:
+    """Whether seq reads the same backwards, past the first entry for the
+    fixed-first types; gl_inner imposes no shape."""
+    if gradation_type in FIXED_FIRST_TYPES:
+        seq = seq[1:]
+    elif gradation_type not in PALINDROMIC_TYPES:
+        return True
+    return seq == seq[::-1]
 
 
 def required_offset(gradation_type: str, M: int, k_list) -> float:
-    """Phase offset forced by the type: 1/2 whenever M - sum(k) is odd
-    (sosp_I over M, gl_outer_II over N = M/2), zero otherwise."""
-    sk = sum(k_list)
-    if gradation_type == TYPE_SOSP_I:
-        return 0.0 if (M - sk) % 2 == 0 else 0.5
-    if gradation_type == TYPE_GL_OUTER_II:
-        return 0.0 if (M // 2 - sk) % 2 == 0 else 0.5
+    """Phase offset forced by the type: 1/2 for a palindromic type whenever
+    its modulus minus sum(k) is odd, zero otherwise."""
+    if gradation_type in PALINDROMIC_TYPES and (data_modulus(gradation_type, M) - sum(k_list)) % 2:
+        return 0.5
     return 0.0
 
 
@@ -220,70 +233,44 @@ def validate_spec(spec) -> list[str]:
     elif spec.phase_offset != required_offset(t, spec.M, kl):
         v.append("phase_offset_mismatch: offset inconsistent with type parity rule")
 
-    n_palindrome_full = all(nl[p - 1 - a] == nl[a] for a in range(p))
-    k_palindrome_full = all(kl[p - 2 - a] == kl[a] for a in range(p - 1))
-    # palindromes through the fixed first block: n_{p-a+2} = n_a, k_{p-a+1} = k_a
-    n_palindrome_tail = all(nl[p - a] == nl[a] for a in range(1, p))
-    k_palindrome_tail = all(kl[p - 1 - a] == kl[a] for a in range(1, p - 1))
-
-    if t == TYPE_GL_INNER:
-        if sk >= spec.M:
-            v.append("k_sum_bound: sum(k) < M is required")
-
-    elif t == TYPE_SOSP_I:
-        if sk >= spec.M:
-            v.append("k_sum_bound: sum(k) < M is required")
-        if not n_palindrome_full:
-            v.append("n_palindrome: n_{p-a+1} = n_a is required")
-        if not k_palindrome_full:
-            v.append("k_palindrome: k_{p-a} = k_a is required")
-        if spec.family == "sp" and p % 2 == 1 and nl[(p - 1) // 2] % 2:
-            v.append("sp_middle_even: odd p requires even middle block for sp")
-
-    elif t == TYPE_SOSP_II:
+    if t in OUTER_TYPES and spec.M % 2:
+        v.append("M_even: outer gradations require even M")
+        return v
+    if t == TYPE_SOSP_II:
         if spec.M % 2:
             v.append("M_even: type sosp_II requires even M")
         if p % 2:
             v.append("p_even: type sosp_II requires even p")
-        if sk + kl[0] != spec.M:
-            v.append("k_sum_exact: sum(k) + k_1 = M is required")
-        if not n_palindrome_tail:
-            v.append("n_palindrome_tail: n_{p-a+2} = n_a (a >= 2) is required")
-        if not k_palindrome_tail:
-            v.append("k_palindrome_tail: k_{p-a+1} = k_a (2 <= a <= p-1) is required")
-        if spec.family == "sp" and p % 2 == 0:
-            s_mid = p // 2  # 0-based index of the -1 block
-            if nl[0] % 2 or nl[s_mid] % 2:
-                v.append("sp_fixed_even: blocks carrying the K form must be even for sp")
 
-    elif t == TYPE_GL_OUTER_II:
-        if spec.M % 2:
-            v.append("M_even: outer gradations require even M")
-            return v
-        if sk >= spec.N:
-            v.append("k_sum_bound: sum(k) < N = M/2 is required")
-        if not n_palindrome_full:
+    mod = data_modulus(t, spec.M)
+    mod_name = "N = M/2" if t in OUTER_TYPES else "M"
+    if t in FIXED_FIRST_TYPES:
+        if sk + kl[0] != mod:
+            v.append(f"k_sum_exact: sum(k) + k_1 = {mod_name} is required")
+        if not _mirrored(t, nl):
+            v.append("n_palindrome_tail: n_{p-a+2} = n_a (a >= 2) is required")
+        if not _mirrored(t, kl):
+            v.append("k_palindrome_tail: k_{p-a+1} = k_a (2 <= a <= p-1) is required")
+    else:
+        if sk >= mod:
+            v.append(f"k_sum_bound: sum(k) < {mod_name} is required")
+        if not _mirrored(t, nl):
             v.append("n_palindrome: n_{p-a+1} = n_a is required")
-        if not k_palindrome_full:
+        if not _mirrored(t, kl):
             v.append("k_palindrome: k_{p-a} = k_a is required")
-        if spec.n % 2:
-            v.append("n_even: B = K_n requires even n")
 
-    elif t == TYPE_GL_OUTER_III:
-        if spec.M % 2:
-            v.append("M_even: outer gradations require even M")
-            return v
-        if sk + kl[0] != spec.N:
-            v.append("k_sum_exact: sum(k) + k_1 = N = M/2 is required")
-        if not n_palindrome_tail:
-            v.append("n_palindrome_tail: n_{p-a+2} = n_a (a >= 2) is required")
-        if not k_palindrome_tail:
-            v.append("k_palindrome_tail: k_{p-a+1} = k_a (2 <= a <= p-1) is required")
+    # the parity each family's B form imposes on the blocks it covers
+    if t == TYPE_SOSP_I and spec.family == "sp" and p % 2 == 1 and nl[(p - 1) // 2] % 2:
+        v.append("sp_middle_even: odd p requires even middle block for sp")
+    if t == TYPE_SOSP_II and spec.family == "sp" and p % 2 == 0 and (nl[0] % 2 or nl[p // 2] % 2):
+        v.append("sp_fixed_even: blocks carrying the K form must be even for sp")
+    if t == TYPE_GL_OUTER_II and spec.n % 2:
+        v.append("n_even: B = K_n requires even n")
+    if t == TYPE_GL_OUTER_III:
         if (spec.n - nl[0]) % 2:
             v.append("k_block_even: n - n_1 must be even for B = diag(J, K)")
         if p % 2 == 0 and nl[p // 2] % 2:
             v.append("middle_even: even p requires an even self-paired block")
-
     return v
 
 
@@ -296,61 +283,45 @@ def check_valid(spec) -> None:
 def compute_m(spec: GradationSpec) -> tuple[int, ...]:
     """The decreasing exponent sequence m_1 > ... > m_p.
 
-    m_alpha = sum(k_alpha..k_{p-1}) + m_p with the base m_p fixed per type;
-    for gl_inner any base gives the same automorphism, so 1 is used.
+    m_alpha = sum(k_alpha..k_{p-1}) + m_p with the base m_p fixed per shape
+    group: ceil((modulus - sum(k)) / 2) for the palindromic types, k_1 for
+    the fixed-first types; for gl_inner any base gives the same
+    automorphism, so 1 is used.
     """
     check_valid(spec)
     t = spec.gradation_type
     kl = spec.k_list
-    sk = sum(kl)
-    if t == TYPE_GL_INNER:
+    if t in PALINDROMIC_TYPES:
+        mp = (data_modulus(t, spec.M) - sum(kl) + 1) // 2
+    elif t in FIXED_FIRST_TYPES:
+        mp = kl[0]
+    else:
         mp = 1
-    elif t == TYPE_SOSP_I:
-        base = spec.M - sk
-        mp = base // 2 if base % 2 == 0 else (base + 1) // 2
-    elif t == TYPE_SOSP_II:
-        mp = kl[0]
-    elif t == TYPE_GL_OUTER_II:
-        base = spec.N - sk
-        mp = base // 2 if base % 2 == 0 else (base + 1) // 2
-    else:  # TYPE_GL_OUTER_III
-        mp = kl[0]
     tails = [sum(kl[a:]) + mp for a in range(len(kl))]
     return tuple(tails + [mp])
 
 
-def outer_structure(spec: GradationSpec) -> np.ndarray:
-    """The B matrix of an outer type: K_n, or diag(J_{n_1}, K_{n-n_1})."""
-    if spec.gradation_type == TYPE_GL_OUTER_II:
-        return symplectic_identity(spec.n)
-    if spec.gradation_type == TYPE_GL_OUTER_III:
-        n1 = spec.n_list[0]
-        b = np.zeros((spec.n, spec.n), dtype=complex)
-        b[:n1, :n1] = skew_identity(n1)
-        b[n1:, n1:] = symplectic_identity(spec.n - n1)
-        return b
-    raise SpecError(f"{spec.gradation_type} is not an outer type")
-
-
 def structure_for_spec(spec: GradationSpec) -> np.ndarray | None:
-    """The global structure matrix tied to the spec's type (None for gl_inner)."""
+    """The global structure matrix B tied to the spec's type (None for gl_inner).
+
+    B is block diagonal over the first block and the rest, of kinds (J, J)
+    for so, (K, K) for sp and (J, K) for the outer types; a palindromic
+    type takes the second kind over the whole: J_n, K_n, or
+    diag(J_{n_1}, K_{n-n_1}) for gl_outer_III.
+    """
     t = spec.gradation_type
     if t == TYPE_GL_INNER:
         return None
-    if t in _OUTER_TYPES:
-        return outer_structure(spec)
-    kind = "J" if spec.family == "so" else "K"
-    if t == TYPE_SOSP_I:
-        return skew_identity(spec.n) if kind == "J" else symplectic_identity(spec.n)
-    # sosp_II: block diagonal with the fixed first block split off
+    if t in OUTER_TYPES:
+        first, rest = "J", "K"
+    else:
+        first = rest = "J" if spec.family == "so" else "K"
+    if t in PALINDROMIC_TYPES:
+        return structure_matrix(rest, spec.n)
     n1 = spec.n_list[0]
     b = np.zeros((spec.n, spec.n), dtype=complex)
-    if kind == "J":
-        b[:n1, :n1] = skew_identity(n1)
-        b[n1:, n1:] = skew_identity(spec.n - n1)
-    else:
-        b[:n1, :n1] = symplectic_identity(n1)
-        b[n1:, n1:] = symplectic_identity(spec.n - n1)
+    b[:n1, :n1] = structure_matrix(first, n1)
+    b[n1:, n1:] = structure_matrix(rest, spec.n - n1)
     return b
 
 
@@ -398,8 +369,8 @@ def build_automorphism(spec) -> Automorphism:
         return Automorphism(kind="inner", h=identity(spec.n), order=spec.M)
     check_valid(spec)
     h = build_h(spec)
-    if spec.gradation_type in _OUTER_TYPES:
-        return Automorphism(kind="outer", h=h, order=spec.M, B=outer_structure(spec))
+    if spec.gradation_type in OUTER_TYPES:
+        return Automorphism(kind="outer", h=h, order=spec.M, B=structure_for_spec(spec))
     return Automorphism(kind="inner", h=h, order=spec.M)
 
 
@@ -491,7 +462,7 @@ def block_index_table(spec: GradationSpec) -> GradingIndexTable:
     check_valid(spec)
     p = spec.p
     kl = spec.k_list
-    outer = spec.gradation_type in _OUTER_TYPES
+    outer = spec.gradation_type in OUTER_TYPES
     modulus = spec.M
 
     def base_index(a: int, b: int) -> int:
@@ -505,7 +476,7 @@ def block_index_table(spec: GradationSpec) -> GradingIndexTable:
         entries = tuple(tuple(base_index(a, b) for b in range(p)) for a in range(p))
         return GradingIndexTable(M=modulus, outer=False, entries=entries)
 
-    N = spec.N
+    N = data_modulus(spec.gradation_type, modulus)
     rows = []
     for a in range(p):
         row = []
@@ -551,16 +522,14 @@ def enumerate_specs(family: str, n: int, M: int, cap: int = DEFAULT_ENUM_CAP) ->
     found: list[GradationSpec] = []
     candidates = 0
     for t in types:
-        if t in _OUTER_TYPES and M % 2:
+        if t in OUTER_TYPES and M % 2:
             continue
-        if t in _OUTER_TYPES:
-            bound = M // 2
-        elif t == TYPE_SOSP_II:
-            bound = M
-        else:
-            bound = M - 1
+        # sum(k) < modulus, and sum(k) + k_1 = modulus implies the same
+        bound = data_modulus(t, M) - 1
         for p in range(2, n + 1):
             for nl in _compositions(n, p):
+                if not _mirrored(t, nl):
+                    continue
                 for klc in _k_candidates(p - 1, bound):
                     candidates += 1
                     if candidates > 200 * cap:

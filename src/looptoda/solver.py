@@ -38,7 +38,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .lie_core import ConvergenceError, as_complex, expm, logm_near_identity, max_abs, sqrtm_near_identity
+from .lie_core import (
+    ConvergenceError,
+    as_complex,
+    expm,
+    kind_transpose,
+    logm_near_identity,
+    max_abs,
+    sqrtm_near_identity,
+)
 from .gradation import TYPE_SOSP_I, make_spec
 from . import toda
 from .toda import FieldState, TodaSystem
@@ -408,8 +416,6 @@ def _constraint_residual_rows(history: FieldHistory) -> np.ndarray:
     out = np.zeros(rows)
     if not constraints:
         return out
-    from .lie_core import kind_transpose
-
     for gc in constraints:
         g = history.gammas[gc.node][:rows]
         na = g.shape[-1]

@@ -48,16 +48,17 @@ from .lie_core import (
     max_abs,
 )
 from .gradation import (
+    FIXED_FIRST_TYPES,
+    OUTER_TYPES,
+    PALINDROMIC_TYPES,
     TYPE_GL_INNER,
-    TYPE_GL_OUTER_II,
-    TYPE_GL_OUTER_III,
-    TYPE_SOSP_I,
-    TYPE_SOSP_II,
+    Automorphism,
     GradationSpec,
     SpecError,
     TrivialSpec,
+    apply_automorphism,
     block_index_table,
-    build_h,
+    build_automorphism,
     check_valid,
     minimal_grade,
     spec_from_json,
@@ -153,18 +154,17 @@ class FoldEngine:
     """Reconstruction machinery for the constrained classes.
 
     Holds the involution sigma on nodes and the global matrices realizing
-    the group/algebra conditions: inner classes use ^B c = -c and
-    ^B gamma = inv(gamma); outer classes use the twist
-    A(x) = -h (^B x) inv(h) with c in the grading eigenspace of index L.
+    the group/algebra conditions: inner classes (``aut`` None) use
+    ^B c = -c and ^B gamma = inv(gamma); outer classes use the spec's
+    twist A(x) = -h (^B x) inv(h) with c in the grading eigenspace of
+    index L.
     """
 
-    kind: str  # "inner" | "outer"
     sizes: tuple[int, ...]
     sigma: tuple[int, ...]
     b_matrix: np.ndarray
-    h_diag: np.ndarray | None
+    aut: Automorphism | None
     L: int
-    M: int
 
     @property
     def p(self) -> int:
@@ -180,14 +180,6 @@ class FoldEngine:
     def _block(self, mat, i, j):
         o = _offsets(self.sizes)
         return mat[o[i]:o[i + 1], o[j]:o[j + 1]]
-
-    def apply_twist(self, x: np.ndarray) -> np.ndarray:
-        """The outer automorphism A(x) = -h (^B x) inv(h); outer engines only."""
-        if self.kind == "inner":
-            raise RuntimeError("inner engines do not define the twist")
-        bx = b_transpose(x, self.b_matrix)
-        d = self.h_diag
-        return -(d[:, None] / d[None, :]) * bx
 
     def complete_gammas(self, independent) -> tuple[np.ndarray, ...]:
         """Fill the full node cycle from the independent blocks 0..s-1.
@@ -214,19 +206,19 @@ class FoldEngine:
 
     def gamma_residual(self, full_gammas) -> float:
         g = _embed_gamma(self.sizes, full_gammas)
-        if self.kind == "inner":
+        if self.aut is None:
             return max_abs(b_transpose(g, self.b_matrix) @ g - identity(self.n))
         ginv = _embed_gamma(self.sizes, [np.linalg.inv(b) for b in full_gammas])
-        d = self.h_diag
-        fixed = (d[:, None] / d[None, :]) * b_transpose(ginv, self.b_matrix)
-        return max_abs(g - fixed)
+        return max_abs(g + apply_automorphism(self.aut, ginv))
+
+    def _phase(self, direction: int) -> complex:
+        return np.exp(2j * np.pi * direction * self.L / self.aut.order)
 
     def c_residual(self, c_blocks, direction: int) -> float:
         c = _embed_c(self.sizes, c_blocks, direction)
-        if self.kind == "inner":
+        if self.aut is None:
             return max_abs(b_transpose(c, self.b_matrix) + c)
-        phase = np.exp(2j * np.pi * direction * self.L / self.M)
-        return max_abs(self.apply_twist(c) - phase * c)
+        return max_abs(apply_automorphism(self.aut, c) - self._phase(direction) * c)
 
     def complete_c(self, partial, direction: int) -> tuple[np.ndarray, ...]:
         """Fill the full arc cycle from values on the independent arcs.
@@ -236,17 +228,16 @@ class FoldEngine:
         (outer); self-paired arcs are consistency-checked.
         """
         full: list = [None] * self.p
-        phase = np.exp(2j * np.pi * direction * self.L / self.M)
         for a, blk in partial.items():
             full[a] = as_complex(blk)
         for a in sorted(partial):
             ma = self.mirror_arc(a)
             single = [full[a] if t == a else None for t in range(self.p)]
             embedded = _embed_c(self.sizes, single, direction)
-            if self.kind == "inner":
+            if self.aut is None:
                 image = -b_transpose(embedded, self.b_matrix)
             else:
-                image = self.apply_twist(embedded) / phase
+                image = apply_automorphism(self.aut, embedded) / self._phase(direction)
             mirrored = self.extract_c(image, ma, direction)
             if ma == a or ma in partial:
                 if max_abs(mirrored - full[ma]) > 1e-9 * max(1.0, max_abs(full[ma])):
@@ -438,32 +429,29 @@ def fold_ends(family: str, p: int, node0: bool):
     return s, sigma, tuple(nodes), tuple(arcs)
 
 
-def _spec_fold_ends(spec: GradationSpec):
-    """fold_ends of a folded spec; sosp_II and gl_outer_III fix node 0."""
+def fold_family(spec: GradationSpec) -> str:
+    """The :data:`FOLD_ENDS` row of a folded spec: its family for so/sp, its
+    type for the outer gl types."""
     t = spec.gradation_type
-    if t in (TYPE_SOSP_I, TYPE_SOSP_II):
-        family = spec.family
-    elif t in (TYPE_GL_OUTER_II, TYPE_GL_OUTER_III):
-        family = t
-    else:
+    if t not in PALINDROMIC_TYPES + FIXED_FIRST_TYPES:
         raise SpecError(f"cannot classify gradation type {t!r}")
-    return fold_ends(family, spec.p, t in (TYPE_SOSP_II, TYPE_GL_OUTER_III))
+    return t if t in OUTER_TYPES else spec.family
+
+
+def _spec_fold_ends(spec: GradationSpec):
+    """fold_ends of a folded spec; the fixed-first types fix node 0."""
+    return fold_ends(fold_family(spec), spec.p, spec.gradation_type in FIXED_FIRST_TYPES)
 
 
 def engine_for_spec(spec: GradationSpec, L: int) -> FoldEngine | None:
     if spec.gradation_type == TYPE_GL_INNER:
         return None
-    b = structure_for_spec(spec)
-    outer = spec.gradation_type in (TYPE_GL_OUTER_II, TYPE_GL_OUTER_III)
-    h_diag = np.diagonal(build_h(spec)).copy() if outer else None
     return FoldEngine(
-        kind="outer" if outer else "inner",
         sizes=spec.n_list,
         sigma=_spec_fold_ends(spec)[1],
-        b_matrix=b,
-        h_diag=h_diag,
+        b_matrix=structure_for_spec(spec),
+        aut=build_automorphism(spec) if spec.gradation_type in OUTER_TYPES else None,
         L=L,
-        M=spec.M,
     )
 
 

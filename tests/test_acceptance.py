@@ -93,7 +93,7 @@ def test_criterion_2_table_fidelity():
         table = gr.block_index_table(spec)
         offs = np.cumsum((0,) + spec.n_list)
         if table.outer:
-            B = gr.outer_structure(spec)
+            B = gr.structure_for_spec(spec)
             D = np.linalg.inv(B) @ B.T
         for a in range(spec.p):
             for b in range(spec.p):

@@ -175,7 +175,7 @@ class TestBuildH:
         spec = gr.make_spec("gl", gr.TYPE_GL_OUTER_II, 4, (1, 1), (1,))
         h = gr.build_h(spec)
         assert lc.max_abs(np.abs(np.diagonal(h)) - 1.0) < 1e-14
-        b = gr.outer_structure(spec)
+        b = gr.structure_for_spec(spec)
         assert lc.max_abs(lc.b_transpose(h, b) @ h - np.eye(2)) < 1e-12
 
     def test_h_power_m_is_sign(self):
@@ -337,7 +337,7 @@ class TestIndexTable:
         spec = gr.make_spec("gl", gr.TYPE_GL_OUTER_III, 6, (2, 1, 1), (1, 1))
         aut = gr.build_automorphism(spec)
         t = gr.block_index_table(spec)
-        B = gr.outer_structure(spec)
+        B = gr.structure_for_spec(spec)
         D = np.linalg.inv(B) @ B.T
         offs = np.cumsum((0,) + spec.n_list)
         for a in range(3):
