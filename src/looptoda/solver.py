@@ -11,10 +11,10 @@ row and is advanced by the cell-centered right-hand side,
 after which G is rebuilt along the row through multiplicative steps
 G[i+1] = G[i] expm(h_minus V[i+1/2]), which keeps G inside its group to
 scheme order.  The cell center couples the new row to the old one, so the
-row update is solved by a fixed-point iteration of three sweeps.  The
-coupling is O(h^2): on the periodic-chain preset the third sweep still
-moves V by up to 5.0e-6 at 64x64 and 6.6e-7 at 128x128, each sweep
-shrinking the increment about 120x and 240x.  The scheme is second order
+row update is solved by a fixed-point iteration of ``SWEEPS`` = 3
+sweeps.  The coupling is O(h^2): on the periodic-chain preset the third
+sweep still moves V by up to 5.0e-6 at 64x64 and 6.6e-7 at 128x128, each
+sweep shrinking the increment about 120x and 240x.  The scheme is second order
 in both steps and reproduces factorized free fields exactly.
 
 Scalar reductions: for the p = 2, r = 1 chain with C = I/sqrt(2) the
@@ -98,23 +98,17 @@ class Grid:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    scheme: str = "midpoint"          # "midpoint" (second order) or "euler"
     tol_constraint: float = 1e-8      # corner/constraint admission tolerance
     tol_invertibility: float = 1e12   # blow-up detector on |G| * |inv G|
-    checkpoint_stride: int = 1        # row thinning used when exporting CSV
 
     def __post_init__(self):
-        if self.scheme not in ("midpoint", "euler"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.tol_constraint <= 0 or self.tol_invertibility <= 0 or self.checkpoint_stride < 1:
-            raise ValueError("tolerances and stride must be positive")
+        if self.tol_constraint <= 0 or self.tol_invertibility <= 0:
+            raise ValueError("tolerances must be positive")
 
     def to_json(self) -> dict:
         return {
-            "scheme": self.scheme,
             "tol_constraint": self.tol_constraint,
             "tol_invertibility": self.tol_invertibility,
-            "checkpoint_stride": self.checkpoint_stride,
         }
 
 
@@ -141,36 +135,52 @@ def constant_data(state: FieldState) -> CharacteristicData:
 
 @dataclass
 class FieldHistory:
-    """Solution lattice: per independent block an array [j, i, :, :].
+    """Solution lattice: ``gammas[b][j, i]`` is independent block b at
+    (z^-_i, z^+_j), in ascending coordinates, for the ``completed_rows``
+    rows j the march reached.
 
     ``constraint_residuals[j]`` holds the max violation of the fixed-node
-    group constraints over row j (zero-length when the system carries
-    none).
+    group constraints over row j (all zero when the system carries none).
     """
 
     system: TodaSystem
     grid: Grid
     config: SolverConfig
     gammas: list[np.ndarray] = field(default_factory=list)
-    w: list[np.ndarray] = field(default_factory=list)
     constraint_residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
     completed_rows: int = 0
     halted: bool = False
     halt_reason: str | None = None
 
-    def state_at(self, j: int, i: int) -> FieldState:
-        return FieldState(gammas=tuple(g[j, i] for g in self.gammas))
+
+#: fixed-point sweeps per row of the midpoint scheme
+SWEEPS = 3
 
 
-def _sample_edge(data_fn, points, sizes):
-    blocks = [np.empty((len(points), na, na), dtype=complex) for na in sizes]
+def _sample(fn, points, shapes, name):
+    """Stack ``fn(z)`` over the points: one (len(points), *shape) array per block.
+
+    A wrong block count or block shape raises ValueError naming ``name``,
+    the point and the block.
+    """
+    out = [np.empty((len(points),) + shape, dtype=complex) for shape in shapes]
     for idx, z in enumerate(points):
-        values = data_fn(float(z))
-        if len(values) != len(sizes):
-            raise ValueError(f"edge data returned {len(values)} blocks, need {len(sizes)}")
+        values = fn(float(z))
+        if len(values) != len(shapes):
+            raise ValueError(f"{name}({z:g}) returned {len(values)} blocks, need {len(shapes)}")
         for b, v in enumerate(values):
-            blocks[b][idx] = as_complex(v)
-    return blocks
+            v = as_complex(v)
+            if v.shape != shapes[b]:
+                raise ValueError(f"{name}({z:g}) block {b} has shape {v.shape}, need {shapes[b]}")
+            out[b][idx] = v
+    return out
+
+
+def _c_blocks(constants, fn, points, name):
+    """The system's C blocks, or ``fn`` sampled on the points in their shapes."""
+    if fn is None:
+        return list(constants)
+    return _sample(fn, points, [c.shape for c in constants], name)
 
 
 def _finite(blocks) -> bool:
@@ -248,29 +258,14 @@ def _cell_centers(g_new, g_old, inv_old):
     return centers, invs
 
 
-def _node_w(v_row):
-    """Node values of W by averaging the adjacent half-point values."""
-    out = []
-    for v in v_row:
-        ncells, na, _ = v.shape
-        w = np.empty((ncells + 1, na, na), dtype=complex)
-        w[0] = v[0]
-        w[-1] = v[-1]
-        if ncells > 1:
-            w[1:-1] = 0.5 * (v[:-1] + v[1:])
-        out.append(w)
-    return out
-
-
-def _solve_row(system, law, left_next, g_row, inv_row, v_row, cp_vals, cm_vals,
-               hm, dv_scale, sweeps, euler):
+def _solve_row(system, law, left_next, g_row, inv_row, v_row, cp_vals, cm_vals, hm, dv_scale):
     """The next row's (G, V) by fixed-point sweeps, or None once a value is non-finite."""
     v_next = v_row
     g_next = _row_rebuild(left_next, v_next, hm)
-    for _ in range(sweeps):
+    for _ in range(SWEEPS):
         if not _finite(g_next):
             return None
-        centers, center_invs = _cell_centers(g_row if euler else g_next, g_row, inv_row)
+        centers, center_invs = _cell_centers(g_next, g_row, inv_row)
         if law is None:
             f = toda.rhs_dispatch(system, centers, cp_vals, cm_vals, inv=center_invs)
         else:
@@ -297,12 +292,16 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
     cell-centre blocks of a row to the list of d_+ V blocks, so nearby laws
     (an equation and its linearization) run through the same scheme.
 
-    On numerical loss the history is returned truncated, with ``halted``
-    set and ``halt_reason`` naming the row and the cause: a non-finite
-    value, a cell-centre square root that did not converge, a singular
-    block, or a row failing the blow-up test max(|G|, |inv G|,
-    |G| |inv G|) <= ``config.tol_invertibility``.  Any other error, such
-    as C blocks of the wrong shape, propagates.
+    The edge data and the C functions are sampled once, before the march:
+    the edges on the lattice points, c_- and c_+ on the cell midpoints.
+    A sample with the wrong block count or block shape raises ValueError.
+
+    Returns the :class:`FieldHistory` of G.  On numerical loss it is
+    truncated to the completed rows, with ``halted`` set and
+    ``halt_reason`` naming the row and the cause: a non-finite value, a
+    cell-centre square root that did not converge, a singular block, or a
+    row failing the blow-up test max(|G|, |inv G|, |G| |inv G|) <=
+    ``config.tol_invertibility``.  Any other error propagates.
 
     ``march_minus`` selects the Goursat corner: +1 takes data on the two
     minimum edges, -1 on the maximum z^- edge and minimum z^+ edge.  The
@@ -320,10 +319,10 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
     zm_march = zm if march_minus > 0 else zm[::-1]
     zm_mid = 0.5 * (zm_march[:-1] + zm_march[1:])
     zp_mid = 0.5 * (zp[:-1] + zp[1:])
-    sign = float(march_minus)
+    shapes = [(na, na) for na in sizes]
 
-    bottom = _sample_edge(data.gamma_minus, zm_march, sizes)
-    left = _sample_edge(data.gamma_plus, zp, sizes)
+    bottom = _sample(data.gamma_minus, zm_march, shapes, "gamma_minus")
+    left = _sample(data.gamma_plus, zp, shapes, "gamma_plus")
     corner_dev = max(max_abs(b[0] - l[0]) for b, l in zip(bottom, left))
     if corner_dev > max(config.tol_constraint, 1e-7):
         raise ValueError(f"characteristic data disagrees at the corner (dev {corner_dev:.2e})")
@@ -335,53 +334,29 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
             f"initial data violates the system constraints (residual {dev0:.2e})"
         )
 
-    if c_minus_fn is None:
-        cm_vals = [np.asarray(c, dtype=complex) for c in system.c_minus]
-    else:
-        p = system.p
-        cm_stacks = None
-        for idx, z in enumerate(zm_mid):
-            vals = [as_complex(v) for v in c_minus_fn(float(z))]
-            if cm_stacks is None:
-                cm_stacks = [np.empty((len(zm_mid),) + v.shape, dtype=complex) for v in vals]
-            for a in range(p):
-                cm_stacks[a][idx] = vals[a]
-        cm_vals = cm_stacks
-
-    def cp_mid_at(j: int):
-        if c_plus_fn is None:
-            return [np.asarray(c, dtype=complex) for c in system.c_plus]
-        return [as_complex(v) for v in c_plus_fn(float(zp_mid[j]))]
+    cm_vals = _c_blocks(system.c_minus, c_minus_fn, zm_mid, "c_minus_fn")
+    cp_vals = _c_blocks(system.c_plus, c_plus_fn, zp_mid, "c_plus_fn")
 
     history = FieldHistory(system=system, grid=grid, config=config)
-    npts_m, npts_p = len(zm), len(zp)
-    history.gammas = [np.zeros((npts_p, npts_m, na, na), dtype=complex) for na in sizes]
-    history.w = [np.zeros((npts_p, npts_m, na, na), dtype=complex) for na in sizes]
+    history.gammas = [np.zeros((len(zp), len(zm), na, na), dtype=complex) for na in sizes]
 
-    def store(j, g_blocks, v_blocks):
-        w_blocks = _node_w(v_blocks)
-        for b in range(len(sizes)):
-            if march_minus > 0:
-                history.gammas[b][j] = g_blocks[b]
-                history.w[b][j] = w_blocks[b]
-            else:
-                history.gammas[b][j] = g_blocks[b][::-1]
-                history.w[b][j] = sign * w_blocks[b][::-1]
+    def store(j, g_blocks):
+        for hg, g in zip(history.gammas, g_blocks):
+            hg[j] = g if march_minus > 0 else g[::-1]
 
     g_row = [b.copy() for b in bottom]
     inv_row = [np.linalg.inv(g) if g.shape[-1] > 1 else None for g in g_row]
     v_row = _half_point_v(g_row, inv_row, hm)
-    store(0, g_row, v_row)
+    store(0, g_row)
     history.completed_rows = 1
 
-    sweeps = 3 if config.scheme == "midpoint" else 1
-    for j in range(npts_p - 1):
+    for j in range(len(zp) - 1):
         cause, detail = None, ""
+        cp_row = cp_vals if c_plus_fn is None else [c[j] for c in cp_vals]
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 row = _solve_row(system, law, [l[j + 1] for l in left], g_row, inv_row, v_row,
-                                 cp_mid_at(j), cm_vals, hm, sign * hp, sweeps,
-                                 config.scheme == "euler")
+                                 cp_row, cm_vals, hm, march_minus * hp)
                 if row is None:
                     cause = "non-finite value"
                 else:
@@ -399,13 +374,11 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
             history.halt_reason = f"{cause} at row {j + 1} (z^+ = {zp[j + 1]:g}){detail}"
             break
         (g_row, v_row), inv_row = row, inv_next
-        store(j + 1, g_row, v_row)
+        store(j + 1, g_row)
         history.completed_rows = j + 2
 
     if history.halted:
-        for b in range(len(sizes)):
-            history.gammas[b] = history.gammas[b][: history.completed_rows]
-            history.w[b] = history.w[b][: history.completed_rows]
+        history.gammas = [g[: history.completed_rows] for g in history.gammas]
     history.constraint_residuals = _constraint_residual_rows(history)
     return history
 
@@ -450,24 +423,13 @@ def residual(history: FieldHistory, system: TodaSystem | None = None,
         d_minus = (g[:, 2:] - g[:, :-2]) / (2.0 * hm)
         wc.append(np.linalg.inv(g[:, 1:-1]) @ d_minus)
     interior = [g[1:rows - 1, 1:-1] for g in history.gammas]
-    p = system.p
-    if c_plus_fn is None:
-        cp = [np.asarray(c, dtype=complex) for c in system.c_plus]
-    else:
-        # one value per interior row, broadcast over the z^- axis
-        stacks = [[] for _ in range(p)]
-        for w in grid.zp_points()[1:rows - 1]:
-            for a, v in enumerate(c_plus_fn(float(w))):
-                stacks[a].append(as_complex(v))
-        cp = [np.asarray(s)[:, None] for s in stacks]
-    if c_minus_fn is None:
-        cm = [np.asarray(c, dtype=complex) for c in system.c_minus]
-    else:
-        stacks = [[] for _ in range(p)]
-        for z in grid.zm_points()[1:-1]:
-            for a, v in enumerate(c_minus_fn(float(z))):
-                stacks[a].append(as_complex(v))
-        cm = [np.asarray(s)[None, :] for s in stacks]
+    # one c_+ value per interior row and one c_- per interior column
+    cp = _c_blocks(system.c_plus, c_plus_fn, grid.zp_points()[1:rows - 1], "c_plus_fn")
+    cm = _c_blocks(system.c_minus, c_minus_fn, grid.zm_points()[1:-1], "c_minus_fn")
+    if c_plus_fn is not None:
+        cp = [c[:, None] for c in cp]
+    if c_minus_fn is not None:
+        cm = [c[None, :] for c in cm]
     rhs = toda.rhs_dispatch(system, interior, cp, cm)
     worst = 0.0
     for b in range(len(wc)):
@@ -607,13 +569,10 @@ def reality_preservation(history: FieldHistory, tag: str) -> float:
 def det_product_drift(history: FieldHistory) -> float:
     """Max |prod_alpha det Gamma_alpha - 1| over the run (sl systems)."""
     rows = history.completed_rows
-    worst = 0.0
-    for j in range(rows):
-        prod = np.ones(history.gammas[0].shape[1], dtype=complex)
-        for g in history.gammas:
-            prod = prod * np.linalg.det(g[j])
-        worst = max(worst, float(np.max(np.abs(prod - 1.0))))
-    return worst
+    prod = 1.0
+    for g in history.gammas:
+        prod = prod * np.linalg.det(g[:rows])
+    return float(np.max(np.abs(prod - 1.0)))
 
 
 def integrate_scalar_reference(g_fn, bottom_fn, left_fn, grid: Grid) -> np.ndarray:
@@ -644,12 +603,11 @@ def write_history_csv(history: FieldHistory, path: str) -> int:
     """Field output, one line per matrix entry; returns the line count."""
     zm = history.grid.zm_points()
     zp = history.grid.zp_points()
-    stride = history.config.checkpoint_stride
     count = 0
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for j in range(0, history.completed_rows, stride):
+        for j in range(history.completed_rows):
             for i in range(len(zm)):
                 for alpha, g in enumerate(history.gammas):
                     block = g[j, i]
