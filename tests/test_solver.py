@@ -367,6 +367,17 @@ class TestBlowUp:
         assert hist.halted and hist.completed_rows == 1
         assert hist.halt_reason.startswith("cell-centre square root failed at row 1")
 
+    def test_singular_edge_block_halts_with_its_reason(self):
+        # an exactly singular left-edge block makes the cell-centre inverse
+        # of the next row raise LinAlgError, which halts the march
+        system = toda.build_simplest("gl", np.eye(2) / 2, np.eye(2) / 2)
+        singular = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+        data = solver.CharacteristicData(lambda z: (np.eye(2, dtype=complex),),
+                                         lambda w: (singular if w > 0 else np.eye(2, dtype=complex),))
+        hist = solver.integrate(system, data, solver.Grid(0, 1, 0, 1, 8, 8))
+        assert hist.halted and hist.completed_rows == 1
+        assert hist.halt_reason.startswith("singular block at row 1")
+
     @staticmethod
     def _chain_and_data():
         chain = toda.build_periodic_chain(3, 2)
@@ -616,3 +627,83 @@ class TestRowKernels:
         g_new = [np.exp(0.2j * np.arange(5.0))[:, None, None]]
         _, invs = solver._cell_centers(g_new, g_old, [np.linalg.inv(g) for g in g_old])
         assert invs == [None]
+
+
+def _spectral_normalised(blocks, norm):
+    top = max(np.linalg.norm(b, 2) for b in blocks if b.size)
+    return tuple(b * (norm / top) for b in blocks)
+
+
+def _edge_generator(system, node, rng):
+    """A random element of the node's algebra, of unit spectral norm."""
+    na = system.block_sizes[node]
+    x = rng.standard_normal((na, na)) + 1j * rng.standard_normal((na, na))
+    fixed = {gc.node: gc.b_kind for gc in system.constraints.gamma_constraints}
+    if node in fixed:
+        x = (x - lc.kind_transpose(x, fixed[node])) / 2.0
+    elif system.constraints.det_product_one:
+        x = x - np.trace(x) / na * np.eye(na)
+    return x / np.linalg.norm(x, 2)
+
+
+#: one system with 2x2 blocks per equation class (and both odd variants):
+#: name, family, type, M, n_list, k_list; None marks the simplest gl(2)
+RICHARDSON_SYSTEMS = (
+    ("general_linear", "gl", gr.TYPE_GL_INNER, 2, (2, 2), (1,)),
+    ("even_fold", "sp", gr.TYPE_SOSP_I, 2, (2, 2), (1,)),
+    ("odd_fold_arc_first", "so", gr.TYPE_SOSP_I, 3, (2, 2, 2), (1, 1)),
+    ("odd_fold_node_first", "gl", gr.TYPE_GL_OUTER_III, 6, (2, 2, 2), (1, 1)),
+    ("double_fixed_fold", "sp", gr.TYPE_SOSP_II, 2, (2, 2), (1,)),
+    ("simplest", None, None, None, None, None),
+)
+
+
+class TestRichardson:
+    """Self-convergence of the matrix marcher on every equation class.
+
+    Non-constant Goursat data G_0 expm(a sin(3t) X) on both edges, with C
+    lists rescaled to spectral norm 0.5 and a state of scale 0.1 (the
+    matrix-march data).  For a second-order scheme the differences of
+    the solutions on 16^2, 32^2 and 64^2, compared at the 16^2 points,
+    shrink 4x per halving of the step.
+    """
+
+    C_NORM = 0.5
+    STATE_SCALE = 0.1
+    EDGE_SCALE = 0.5
+
+    @classmethod
+    def _case(cls, name, family, gtype, M, n_list, k_list):
+        rng = np.random.default_rng(list(name.encode()))
+        if family is None:
+            cp, cm = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(2))
+            system = toda.build_simplest("gl", *_spectral_normalised((cp,), cls.C_NORM),
+                                         *_spectral_normalised((cm,), cls.C_NORM))
+        else:
+            spec = gr.make_spec(family, gtype, M, n_list, k_list)
+            L = gr.minimal_grade(spec)
+            cp, cm = toda.random_c_blocks(spec, L, rng)
+            system = toda.build_system(spec, L, _spectral_normalised(cp, cls.C_NORM),
+                                       _spectral_normalised(cm, cls.C_NORM))
+        assert system.equation_class == name.split("_arc")[0].split("_node")[0]
+        g0 = toda.random_state(system, rng, scale=cls.STATE_SCALE).gammas
+        xs = [_edge_generator(system, i, rng) for i in range(system.s)]
+        ys = [_edge_generator(system, i, rng) for i in range(system.s)]
+
+        def edge(gens):
+            return lambda t: tuple(g @ lc.expm(cls.EDGE_SCALE * np.sin(3 * t) * x)
+                                   for g, x in zip(g0, gens))
+
+        return system, solver.CharacteristicData(edge(xs), edge(ys))
+
+    @pytest.mark.parametrize("case", RICHARDSON_SYSTEMS, ids=[c[0] for c in RICHARDSON_SYSTEMS])
+    def test_second_order_ratio(self, case):
+        system, data = self._case(*case)
+        coarse = []
+        for cells, stride in ((16, 1), (32, 2), (64, 4)):
+            hist = solver.integrate(system, data, solver.Grid(0, 1, 0, 1, cells, cells))
+            assert not hist.halted
+            coarse.append([g[::stride, ::stride] for g in hist.gammas])
+        d1 = max(lc.max_abs(a - b) for a, b in zip(coarse[0], coarse[1]))
+        d2 = max(lc.max_abs(a - b) for a, b in zip(coarse[1], coarse[2]))
+        assert 3.5 <= d1 / d2 <= 4.5, (d1, d2)
