@@ -11,6 +11,24 @@ Conventions used throughout the package:
 
 All operations are pure and accept batched arrays (leading axes before the
 matrix axes broadcast).
+
+The marcher's kernels (``expm``, ``sqrtm_near_identity``, ``mul``, ``inv``)
+work on stacks of small blocks, mostly 2x2, where numpy spends one BLAS or
+LAPACK call per matrix.  So 2x2 stacks take closed forms on the
+``[..., i, j]`` entry slices (Higham, *Functions of Matrices*, SIAM 2008,
+ch. 5-6 and 10):
+
+* product: two broadcast outer products, column of a times row of b;
+* inverse: adjugate over det, raising ``np.linalg.LinAlgError`` when a det
+  is exactly 0;
+* exponential: Cayley-Hamilton, e^tau (cosh mu I + sinh(mu)/mu (A - tau I))
+  with tau = tr A / 2 and mu^2 = ((a00 - a11)/2)^2 + a01 a10, for batches
+  with ||A||_1 <= 1/2;
+* square root: (A + delta I) / sqrt(tr A + 2 delta) with delta = sqrt(det A),
+  for batches with ||A - I||_1 <= 1/2.
+
+Other sizes, and 2x2 batches outside a region, take the general kernels.
+The regions are checked against scipy.linalg in test_kernel_oracles.py.
 """
 
 from __future__ import annotations
@@ -204,6 +222,19 @@ _TAYLOR_THETA = tuple(
     (_UNIT_ROUNDOFF * math.factorial(m + 1)) ** (1.0 / (m + 1)) for m in range(1, 17)
 )
 
+#: Degree K of the cosh and sinh(mu)/mu series in m = mu^2: the smallest K
+#: whose remainder bound |m|^(K+1) / (2K+2)! stays below unit roundoff
+#: while |m| <= _COSH_THETA[K], K = 1 .. 16.
+_COSH_THETA = tuple(
+    (_UNIT_ROUNDOFF * math.factorial(2 * k + 2)) ** (1.0 / (k + 1)) for k in range(1, 17)
+)
+#: Taylor coefficients 1/(2k)! of cosh mu and 1/(2k+1)! of sinh(mu)/mu, k = 0 .. 16
+_COSH_SINHC = np.array([[1.0 / math.factorial(2 * k), 1.0 / math.factorial(2 * k + 1)] for k in range(17)])
+#: Validity regions of the 2x2 closed forms, in the 1-norm of the batch:
+#: ||A||_1 for expm, ||A - I||_1 for sqrtm_near_identity.
+_EXPM_2X2_NORM = 0.5
+_SQRTM_2X2_DIST = 0.5
+
 #: Inverse scaling stops once ||a - I||_1 is below this; the Mercator
 #: series then takes the degree its remainder bound asks for.
 _LOG_THETA = 0.25
@@ -213,6 +244,47 @@ _SQRTM_MAX_ITER = 20
 
 class ConvergenceError(ValueError):
     """An iterative kernel reached its iteration cap without converging."""
+
+
+def _check_square(a: np.ndarray, name: str) -> None:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ShapeMismatchError(f"{name} needs square matrices, got shape {a.shape}")
+
+
+def mul(a, b) -> np.ndarray:
+    """Batched matrix product a @ b; 2x2 by 2x2 takes two broadcast outer products."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
+        raise ShapeMismatchError(f"cannot multiply shapes {a.shape} and {b.shape}")
+    if a.shape[-2:] != (2, 2) or b.shape[-1] != 2:
+        return a @ b
+    out = a[..., :, :1] * b[..., :1, :]
+    out += a[..., :, 1:] * b[..., 1:, :]
+    return out
+
+
+def inv(a) -> np.ndarray:
+    """Batched inverse; 2x2 by adjugate over det.
+
+    Raises ``np.linalg.LinAlgError`` when a matrix is singular: for 2x2
+    when a det is exactly 0, otherwise when LAPACK finds a zero pivot.
+    """
+    a = np.asarray(a)
+    _check_square(a, "inv")
+    if a.shape[-1] != 2:
+        return np.linalg.inv(a)
+    det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    if not det.all():
+        raise np.linalg.LinAlgError("Singular matrix")
+    r = 1.0 / det
+    out = np.empty(a.shape, dtype=r.dtype)
+    np.multiply(a[..., 1, 1], r, out=out[..., 0, 0])
+    np.multiply(a[..., 0, 0], r, out=out[..., 1, 1])
+    r = -r
+    np.multiply(a[..., 0, 1], r, out=out[..., 0, 1])
+    np.multiply(a[..., 1, 0], r, out=out[..., 1, 0])
+    return out
 
 
 def _norm1(a) -> float:
@@ -229,9 +301,44 @@ def _add_identity(m: np.ndarray, scale: float = 1.0) -> np.ndarray:
     return m
 
 
-def expm(a) -> np.ndarray:
-    """Matrix exponential by scaling and squaring on a Taylor polynomial.
+def _expm_2x2(a: np.ndarray) -> np.ndarray:
+    """e^tau (cosh mu I + sinh(mu)/mu (a - tau I)) on a batch of 2x2 matrices.
 
+    tau = tr a / 2 and mu^2 = ((a00 - a11)/2)^2 + a01 a10, which does not
+    cancel as tau^2 - det a would.  cosh mu and sinh(mu)/mu are summed
+    together as series in mu^2 by Horner's rule, to the degree
+    ``_COSH_THETA`` gives for max|mu^2|.
+    """
+    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    tau = 0.5 * (a00 + a11)
+    half_diff = 0.5 * (a00 - a11)
+    mu2 = half_diff * half_diff + a01 * a10
+    bound = float(np.abs(mu2).max()) if mu2.size else 0.0
+    degree = next((k for k, theta in enumerate(_COSH_THETA, start=1) if bound <= theta), 16)
+    coef = _COSH_SINHC.reshape(_COSH_SINHC.shape + (1,) * mu2.ndim)
+    series = coef[degree] * mu2
+    for k in range(degree - 1, 0, -1):
+        series += coef[k]
+        series *= mu2
+    series += coef[0]
+    series *= np.exp(tau)
+    cosh, sinhc = series
+    off = sinhc * half_diff
+    out = np.empty(a.shape, dtype=complex)
+    np.add(cosh, off, out=out[..., 0, 0])
+    np.subtract(cosh, off, out=out[..., 1, 1])
+    np.multiply(sinhc, a01, out=out[..., 0, 1])
+    np.multiply(sinhc, a10, out=out[..., 1, 0])
+    return out
+
+
+def expm(a) -> np.ndarray:
+    """Matrix exponential: a closed form for 2x2, else scaling and squaring.
+
+    A 2x2 batch whose largest 1-norm is at most 1/2 takes the
+    Cayley-Hamilton form e^tau (cosh mu I + sinh(mu)/mu (A - tau I)),
+    tau = tr A / 2, mu^2 = ((a00 - a11)/2)^2 + a01 a10 (``_expm_2x2``).
+    Every other batch takes a Taylor polynomial with scaling and squaring.
     The scaling is taken from the largest 1-norm in the batch: it is
     halved until it is at most theta_16, the norm at which the degree-16
     remainder bound theta^17 / 17! falls to unit roundoff.  The degree is
@@ -241,12 +348,13 @@ def expm(a) -> np.ndarray:
     1x1 input short-circuits to scalar exp.
     """
     a = as_complex(a)
+    _check_square(a, "expm")
     n = a.shape[-1]
-    if a.shape[-2] != n:
-        raise ShapeMismatchError("expm needs square matrices")
     if n == 1:
         return np.exp(a)
     norm = _norm1(a)
+    if n == 2 and norm <= _EXPM_2X2_NORM:
+        return _expm_2x2(a)
     squarings = int(np.ceil(np.log2(norm / _TAYLOR_THETA[-1]))) if norm > _TAYLOR_THETA[-1] else 0
     b = a / (2.0 ** squarings)
     norm /= 2.0 ** squarings
@@ -259,12 +367,30 @@ def expm(a) -> np.ndarray:
     return result
 
 
+def _sqrtm_2x2(a: np.ndarray) -> np.ndarray:
+    """(a + delta I) / sqrt(tr a + 2 delta), delta = sqrt(det a), on a batch of 2x2 matrices."""
+    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    delta = np.sqrt(a00 * a11 - a01 * a10)
+    scale = 1.0 / np.sqrt(a00 + a11 + 2.0 * delta)
+    root = np.empty(a.shape, dtype=complex)
+    np.multiply(a00 + delta, scale, out=root[..., 0, 0])
+    np.multiply(a11 + delta, scale, out=root[..., 1, 1])
+    np.multiply(a01, scale, out=root[..., 0, 1])
+    np.multiply(a10, scale, out=root[..., 1, 0])
+    return root
+
+
 def sqrtm_near_identity(a) -> np.ndarray:
     """Principal square root for matrices near the identity.
 
-    Denman-Beavers iteration, Y <- (Y + inv(Z)) / 2, Z <- (Z + inv(Y)) / 2
-    from Y = a, Z = I; quadratically convergent for spectra in the right
-    half plane; batched.  It stops as soon as the batch's largest increment
+    A 2x2 batch whose largest ||a - I||_1 is at most 1/2 takes the closed
+    form (a + delta I) / sqrt(tr a + 2 delta), delta = sqrt(det a): there
+    both eigenvalues lie within 1/2 of 1, so the principal roots of det a
+    and of tr a + 2 delta = (sqrt(l1) + sqrt(l2))^2 are the right ones.
+    Every other batch takes the Denman-Beavers iteration,
+    Y <- (Y + inv(Z)) / 2, Z <- (Z + inv(Y)) / 2 from Y = a, Z = I;
+    quadratically convergent for spectra in the right half plane;
+    batched.  It stops as soon as the batch's largest increment
     of Y falls to round-off, max|dY| <= 4 n eps max|Y| (four iterations at
     ||a - I||_1 ~ 5e-2), and raises :class:`ConvergenceError` if that has
     not happened after 20 iterations.  Z_0 = I needs no inverse and the last
@@ -272,9 +398,12 @@ def sqrtm_near_identity(a) -> np.ndarray:
     input short-circuits to np.sqrt.
     """
     a = as_complex(a)
+    _check_square(a, "sqrtm_near_identity")
     n = a.shape[-1]
     if n == 1:
         return np.sqrt(a)
+    if n == 2 and _norm1(a - identity(2)) <= _SQRTM_2X2_DIST:
+        return _sqrtm_2x2(a)
     tol = 4 * n * np.finfo(float).eps
     y = a
     z = z_inv = identity(n)
@@ -307,6 +436,7 @@ def logm_near_identity(a) -> np.ndarray:
     input within 1/4 of I.  1x1 input short-circuits to np.log.
     """
     a = as_complex(a)
+    _check_square(a, "logm_near_identity")
     n = a.shape[-1]
     if n == 1:
         return np.log(a)

@@ -42,9 +42,11 @@ from .lie_core import (
     ConvergenceError,
     as_complex,
     expm,
+    inv,
     kind_transpose,
     logm_near_identity,
     max_abs,
+    mul,
     sqrtm_near_identity,
 )
 from .gradation import TYPE_SOSP_I, make_spec
@@ -192,8 +194,8 @@ def _row_invertibility(blocks):
 
     An exactly singular block raises ``np.linalg.LinAlgError``.
     """
-    invs = [np.linalg.inv(g) for g in blocks]
-    sizes = [(np.max(np.abs(g)), np.max(np.abs(inv))) for g, inv in zip(blocks, invs)]
+    invs = [inv(g) for g in blocks]
+    sizes = [(np.max(np.abs(g)), np.max(np.abs(gi))) for g, gi in zip(blocks, invs)]
     return invs, np.max([(a, b, a * b) for a, b in sizes])
 
 
@@ -205,7 +207,7 @@ def _half_point_v(g_row, g_inv, h_minus):
         if na == 1:
             out.append((np.log(g[1:, 0, 0] / g[:-1, 0, 0]) / h_minus)[:, None, None])
         else:
-            out.append(logm_near_identity(gi[:-1] @ g[1:]) / h_minus)
+            out.append(logm_near_identity(mul(gi[:-1], g[1:])) / h_minus)
     return out
 
 
@@ -229,7 +231,7 @@ def _row_rebuild(g_left, v_row, h_minus):
             row[1:] = expm(h_minus * v)
             stride = 1
             while stride <= ncells:
-                row[stride:] = row[:-stride] @ row[stride:]
+                row[stride:] = mul(row[:-stride], row[stride:])
                 stride *= 2
         out.append(row)
     return out
@@ -252,9 +254,9 @@ def _cell_centers(g_new, g_old, inv_old):
             centers.append(nw * np.sqrt(se / nw))
             invs.append(None)
         else:
-            r = sqrtm_near_identity(np.linalg.inv(nw) @ se)
-            centers.append(nw @ r)
-            invs.append(r @ io[1:])
+            r = sqrtm_near_identity(mul(inv(nw), se))
+            centers.append(mul(nw, r))
+            invs.append(mul(r, io[1:]))
     return centers, invs
 
 
@@ -345,7 +347,7 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
             hg[j] = g if march_minus > 0 else g[::-1]
 
     g_row = [b.copy() for b in bottom]
-    inv_row = [np.linalg.inv(g) if g.shape[-1] > 1 else None for g in g_row]
+    inv_row = [inv(g) if g.shape[-1] > 1 else None for g in g_row]
     v_row = _half_point_v(g_row, inv_row, hm)
     store(0, g_row)
     history.completed_rows = 1
@@ -392,7 +394,7 @@ def _constraint_residual_rows(history: FieldHistory) -> np.ndarray:
     for gc in constraints:
         g = history.gammas[gc.node][:rows]
         na = g.shape[-1]
-        defect = kind_transpose(g, gc.b_kind) @ g - np.eye(na)
+        defect = mul(kind_transpose(g, gc.b_kind), g) - np.eye(na)
         out = np.maximum(out, np.max(np.abs(defect), axis=(1, 2, 3)))
     return out
 
@@ -421,7 +423,7 @@ def residual(history: FieldHistory, system: TodaSystem | None = None,
     for g in history.gammas:
         g = g[:rows]
         d_minus = (g[:, 2:] - g[:, :-2]) / (2.0 * hm)
-        wc.append(np.linalg.inv(g[:, 1:-1]) @ d_minus)
+        wc.append(mul(inv(g[:, 1:-1]), d_minus))
     interior = [g[1:rows - 1, 1:-1] for g in history.gammas]
     # one c_+ value per interior row and one c_- per interior column
     cp = _c_blocks(system.c_plus, c_plus_fn, grid.zp_points()[1:rows - 1], "c_plus_fn")

@@ -31,6 +31,7 @@ pure function; evaluation at independent grid points can run concurrently.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +45,10 @@ from .lie_core import (
     b_transpose,
     expm,
     identity,
+    inv,
     kind_transpose,
     max_abs,
+    mul,
 )
 from .gradation import (
     FIXED_FIRST_TYPES,
@@ -312,10 +315,14 @@ def _independent_arcs(s: int, left, right) -> range:
 # ``inv`` optionally carries the inverses of ``gammas``; an entry that is
 # None (or no list at all) is computed here.
 
-def _inverses(gammas, inv):
-    if inv is None:
-        return [np.linalg.inv(g) for g in gammas]
-    return [np.linalg.inv(g) if gi is None else gi for g, gi in zip(gammas, inv)]
+def _inverses(gammas, invs):
+    if invs is None:
+        return [inv(g) for g in gammas]
+    return [inv(g) if gi is None else gi for g, gi in zip(gammas, invs)]
+
+
+def _product(*factors):
+    return functools.reduce(mul, factors)
 
 
 def rhs_chain(gammas, cp, cm, left=None, right=None, inv=None):
@@ -329,27 +336,28 @@ def rhs_chain(gammas, cp, cm, left=None, right=None, inv=None):
     term.
     """
     s = len(gammas)
-    inv = _inverses(gammas, inv)
+    ginv = _inverses(gammas, inv)
     out = []
     for i in range(s):
         if i == 0 and left in ("J", "K"):
-            x = inv[0] @ cp[1] @ gammas[1] @ cm[1]
-            out.append(-x + kind_transpose(x, left))
+            x = _product(ginv[0], cp[1], gammas[1], cm[1])
+            out.append(kind_transpose(x, left) - x)
             continue
         if i == s - 1 and right in ("J", "K"):
-            y = cm[i] @ inv[i - 1] @ cp[i] @ gammas[i]
-            out.append(-kind_transpose(y, right) + y)
+            y = _product(cm[i], ginv[i - 1], cp[i], gammas[i])
+            out.append(y - kind_transpose(y, right))
             continue
+        # the node's first term t1 enters with a minus sign
         if i == s - 1 and right == "arc":
-            t1 = -inv[i] @ cp[s] @ anti_transpose(inv[i]) @ cm[s]
+            t1 = _product(ginv[i], cp[s], anti_transpose(ginv[i]), cm[s])
         else:
             j = (i + 1) % s
-            t1 = -inv[i] @ cp[j] @ gammas[j] @ cm[j]
+            t1 = _product(ginv[i], cp[j], gammas[j], cm[j])
         if i == 0 and left == "arc":
-            t2 = cm[0] @ anti_transpose(gammas[0]) @ cp[0] @ gammas[0]
+            t2 = _product(cm[0], anti_transpose(gammas[0]), cp[0], gammas[0])
         else:
-            t2 = cm[i] @ inv[i - 1] @ cp[i] @ gammas[i]
-        out.append(t1 + t2)
+            t2 = _product(cm[i], ginv[i - 1], cp[i], gammas[i])
+        out.append(t2 - t1)
     return out
 
 

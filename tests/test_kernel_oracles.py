@@ -95,3 +95,132 @@ def test_far_input_raises_convergence_error():
 def test_convergence_error_is_exported_value_error():
     assert looptoda.ConvergenceError is lc.ConvergenceError
     assert issubclass(lc.ConvergenceError, ValueError)
+
+
+# ---------------------------------------------------------------------------
+# closed-form 2x2 paths and their validity regions
+
+
+def test_expm_2x2_exact_at_mu_zero():
+    # mu = 0 exactly: a scalar matrix and the nilpotent E_12 (and a shift of it)
+    for a, ref in ((np.diag([0.3 - 0.2j] * 2), np.exp(0.3 - 0.2j) * np.eye(2)),
+                   (np.array([[0.0, 0.4], [0.0, 0.0]]), np.array([[1.0, 0.4], [0.0, 1.0]])),
+                   (np.array([[0.1, 0.4], [0.0, 0.1]]), np.exp(0.1) * np.array([[1.0, 0.4], [0.0, 1.0]]))):
+        assert rel_err(lc.expm(a), ref) <= 2 ** -52
+        assert rel_err(lc.expm(a), sla.expm(a)) <= 1e-15
+
+
+def test_expm_2x2_mu_to_zero():
+    # [[t + e, 1], [e^2, t - e]] has mu^2 = 2 e^2 -> 0 while the matrix stays away from 0
+    for eps in (1e-2, 1e-5, 1e-8, 1e-12, 1e-17):
+        a = np.array([[0.2 + eps, 0.25], [eps ** 2, 0.2 - eps]], dtype=complex)
+        assert rel_err(lc.expm(a), sla.expm(a)) < 1e-15
+
+
+@pytest.mark.parametrize("norm", [1e-8, 1e-4, 1e-2, 0.1, 0.5, 1.0, 2.0])
+def test_expm_2x2_closed_form_region(norm):
+    # the closed form holds unit round-off to ||A||_1 = 2 (it loses digits past
+    # 5, 6e-15 there and 8e-11 at 10): the region ||A||_1 <= 1/2 keeps a 4x margin
+    x = stack(2, 64, norm, 11)
+    assert rel_err(lc._expm_2x2(x), oracle(sla.expm, x)) < 2e-15
+    if norm <= lc._EXPM_2X2_NORM:
+        assert np.array_equal(lc.expm(x), lc._expm_2x2(x))
+
+
+@pytest.mark.parametrize("norm", [0.51, 1.0, 3.0, 10.0])
+def test_expm_2x2_fallback_side(norm):
+    x = stack(2, 64, norm, 12)
+    assert not np.array_equal(lc.expm(x), lc._expm_2x2(x))
+    assert rel_err(lc.expm(x), oracle(sla.expm, x)) < 1e-12
+
+
+def test_sqrtm_2x2_exact_at_mu_zero():
+    for a, ref in ((np.diag([1.21 + 0.0j] * 2), 1.1 * np.eye(2)),
+                   (np.array([[1.0, 0.4], [0.0, 1.0]]), np.array([[1.0, 0.2], [0.0, 1.0]]))):
+        assert rel_err(lc.sqrtm_near_identity(a), ref) <= 2 ** -52
+        assert rel_err(lc.sqrtm_near_identity(a), sla.sqrtm(a)) <= 1e-15
+
+
+@pytest.mark.parametrize("dist", [1e-8, 1e-4, 1e-2, 0.1, 0.5, 1.0])
+def test_sqrtm_2x2_closed_form_region(dist):
+    # the closed form holds round-off to ||A - I||_1 = 1: the region
+    # ||A - I||_1 <= 1/2 keeps a 2x margin
+    a = np.eye(2) + stack(2, 64, dist, 13)
+    root = lc._sqrtm_2x2(a)
+    assert rel_err(root, oracle(sla.sqrtm, a)) < 4e-15
+    assert rel_err(root @ root, a) < 4e-15
+    if dist <= lc._SQRTM_2X2_DIST:
+        assert np.array_equal(lc.sqrtm_near_identity(a), root)
+
+
+def test_sqrtm_2x2_closed_form_breaks_past_the_region():
+    # eigenvalues -0.8 + 0.3i and -0.7 + 0.4i, both in the upper half plane:
+    # the principal root of their product is minus the product of their
+    # principal roots, so delta = sqrt(det a) takes the wrong sign
+    a = np.array([[-0.8 + 0.3j, 0.2], [0.0, -0.7 + 0.4j]])
+    assert rel_err(lc._sqrtm_2x2(a), sla.sqrtm(a)) > 0.1
+    assert rel_err(lc.sqrtm_near_identity(a), sla.sqrtm(a)) < 1e-12
+
+
+@pytest.mark.parametrize("dist", [0.6, 0.9])
+def test_sqrtm_2x2_fallback_side(dist):
+    # outside the region Denman-Beavers takes the batch
+    a = np.eye(2) + stack(2, 16, dist, 14)
+    assert lc._norm1(a - np.eye(2)) > lc._SQRTM_2X2_DIST
+    assert rel_err(lc.sqrtm_near_identity(a), oracle(sla.sqrtm, a)) < 1e-12
+
+
+def test_sqrtm_2x2_far_input_still_raises():
+    # an eigenvalue near -3 lies outside the region: Denman-Beavers raises
+    with pytest.raises(lc.ConvergenceError):
+        lc.sqrtm_near_identity(np.diag([-3.0 + 1e-9j, 1.0]))
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-6, 1e-10, 1e-14])
+def test_inv_2x2_det_to_zero(eps):
+    # cond ~ 4 / eps: the adjugate loses what LU loses, about cond * eps_machine
+    a = np.array([[[1.0, 1.0], [1.0, 1.0 + eps]], [[2.0j, 1.0], [4.0, -2.0j + eps]]])
+    ref = oracle(sla.inv, a)
+    assert rel_err(lc.inv(a), ref) < 1e-15 * 4 / eps
+    assert rel_err(lc.inv(a) @ a, np.eye(2)) < 1e-15 * 4 / eps
+
+
+def test_inv_2x2_matches_scipy():
+    a = np.eye(2) + stack(2, 256, 1.0, 15)
+    assert rel_err(lc.inv(a), oracle(sla.inv, a)) < 1e-14
+
+
+def test_inv_raises_at_det_zero():
+    singular = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
+    batch = np.stack([np.eye(2, dtype=complex), singular])
+    for a in (singular, batch, np.zeros((2, 2)), np.zeros((3, 3))):
+        with pytest.raises(np.linalg.LinAlgError):
+            lc.inv(a)
+
+
+@pytest.mark.parametrize("shapes", [((64, 2, 2), (64, 2, 2)), ((64, 2, 2), (2, 2)),
+                                    ((2, 2), (64, 2, 2)), ((9, 1, 2, 2), (9, 11, 2, 2)),
+                                    ((5, 2, 2), (5, 2, 3)), ((5, 4, 4), (4, 4)), ((1, 1), (7, 1, 1))])
+def test_mul_matches_matmul(shapes):
+    # every broadcast pattern the marcher and residual use; the 2 x 3 and 4 x 4
+    # shapes take numpy's product
+    rng = np.random.default_rng(16)
+    a, b = (rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes)
+    ref = a @ b
+    got = lc.mul(a, b)
+    assert got.shape == ref.shape
+    assert rel_err(got, ref) <= 1e-15
+
+
+def test_kernels_check_shapes_before_dispatch():
+    # a (3, 2) stack of 2-column rows is not a stack of 2x2 matrices
+    bad = np.ones((3, 2), dtype=complex)
+    for kernel in (lc.expm, lc.sqrtm_near_identity, lc.logm_near_identity, lc.inv):
+        with pytest.raises(lc.ShapeMismatchError):
+            kernel(bad)
+        with pytest.raises(lc.ShapeMismatchError):
+            kernel(np.ones(2, dtype=complex))
+    with pytest.raises(lc.ShapeMismatchError):
+        lc.mul(np.ones((2, 3)), np.ones((2, 3)))
+    with pytest.raises(lc.ShapeMismatchError):
+        lc.mul(np.ones((3, 2)), np.ones(2))
