@@ -419,11 +419,6 @@ def residual(history: FieldHistory, system: TodaSystem | None = None,
     rows = history.completed_rows
     if rows < 3 or grid.n_minus < 2:
         raise ValueError("residual needs at least a 3x3 block of completed points")
-    wc = []
-    for g in history.gammas:
-        g = g[:rows]
-        d_minus = (g[:, 2:] - g[:, :-2]) / (2.0 * hm)
-        wc.append(mul(inv(g[:, 1:-1]), d_minus))
     interior = [g[1:rows - 1, 1:-1] for g in history.gammas]
     # one c_+ value per interior row and one c_- per interior column
     cp = _c_blocks(system.c_plus, c_plus_fn, grid.zp_points()[1:rows - 1], "c_plus_fn")
@@ -434,9 +429,13 @@ def residual(history: FieldHistory, system: TodaSystem | None = None,
         cm = [c[None, :] for c in cm]
     rhs = toda.rhs_dispatch(system, interior, cp, cm)
     worst = 0.0
-    for b in range(len(wc)):
-        d_plus = (wc[b][2:] - wc[b][:-2]) / (2.0 * hp)
-        worst = max(worst, max_abs(d_plus - rhs[b]))
+    # one block's W = inv(G) d_- G at a time
+    for g, f in zip(history.gammas, rhs):
+        g = g[:rows]
+        d_minus = (g[:, 2:] - g[:, :-2]) / (2.0 * hm)
+        w = mul(inv(g[:, 1:-1]), d_minus)
+        d_plus = (w[2:] - w[:-2]) / (2.0 * hp)
+        worst = max(worst, max_abs(d_plus - f))
     return worst
 
 

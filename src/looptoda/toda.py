@@ -31,7 +31,6 @@ pure function; evaluation at independent grid points can run concurrently.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -321,10 +320,6 @@ def _inverses(gammas, invs):
     return [inv(g) if gi is None else gi for g, gi in zip(gammas, invs)]
 
 
-def _product(*factors):
-    return functools.reduce(mul, factors)
-
-
 def rhs_chain(gammas, cp, cm, left=None, right=None, inv=None):
     """Right-hand sides of the chain on nodes 0..s-1, s = len(gammas).
 
@@ -340,23 +335,23 @@ def rhs_chain(gammas, cp, cm, left=None, right=None, inv=None):
     out = []
     for i in range(s):
         if i == 0 and left in ("J", "K"):
-            x = _product(ginv[0], cp[1], gammas[1], cm[1])
+            x = mul(mul(mul(ginv[0], cp[1]), gammas[1]), cm[1])
             out.append(kind_transpose(x, left) - x)
             continue
         if i == s - 1 and right in ("J", "K"):
-            y = _product(cm[i], ginv[i - 1], cp[i], gammas[i])
+            y = mul(mul(mul(cm[i], ginv[i - 1]), cp[i]), gammas[i])
             out.append(y - kind_transpose(y, right))
             continue
         # the node's first term t1 enters with a minus sign
         if i == s - 1 and right == "arc":
-            t1 = _product(ginv[i], cp[s], anti_transpose(ginv[i]), cm[s])
+            t1 = mul(mul(mul(ginv[i], cp[s]), anti_transpose(ginv[i])), cm[s])
         else:
             j = (i + 1) % s
-            t1 = _product(ginv[i], cp[j], gammas[j], cm[j])
+            t1 = mul(mul(mul(ginv[i], cp[j]), gammas[j]), cm[j])
         if i == 0 and left == "arc":
-            t2 = _product(cm[0], anti_transpose(gammas[0]), cp[0], gammas[0])
+            t2 = mul(mul(mul(cm[0], anti_transpose(gammas[0])), cp[0]), gammas[0])
         else:
-            t2 = _product(cm[i], ginv[i - 1], cp[i], gammas[i])
+            t2 = mul(mul(mul(cm[i], ginv[i - 1]), cp[i]), gammas[i])
         out.append(t2 - t1)
     return out
 
