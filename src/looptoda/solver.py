@@ -429,7 +429,7 @@ def residual(history: FieldHistory, system: TodaSystem | None = None,
         cm = [c[None, :] for c in cm]
     rhs = toda.rhs_dispatch(system, interior, cp, cm)
     worst = 0.0
-    # one block's W = inv(G) d_- G at a time
+    # W = inv(G) d_- G one block at a time: only one block's W is held
     for g, f in zip(history.gammas, rhs):
         g = g[:rows]
         d_minus = (g[:, 2:] - g[:, :-2]) / (2.0 * hm)
