@@ -1,86 +1,10 @@
 """Block-matrix gradations of the classical Lie algebras and the Toda field
 equations of their loop groups: construction, folding reductions, and
-light-cone integration."""
+light-cone integration.
 
-from .lie_core import (
-    DEFAULT_TOL,
-    AlgebraFamily,
-    ConvergenceError,
-    anti_transpose,
-    b_transpose,
-    commutator,
-    determinant,
-    expm,
-    identity,
-    is_in_algebra,
-    is_in_group,
-    k_transpose,
-    kind_transpose,
-    max_abs,
-    skew_identity,
-    structure_matrix,
-    symplectic_identity,
-)
-from .gradation import (
-    GRADATION_TYPES,
-    Automorphism,
-    GradationSpec,
-    GradingIndexTable,
-    SpecError,
-    TrivialSpec,
-    apply_automorphism,
-    block_index_table,
-    build_automorphism,
-    build_h,
-    compute_m,
-    enumerate_specs,
-    grading_component,
-    grading_components,
-    make_spec,
-    minimal_grade,
-    spec_from_json,
-    validate_spec,
-)
-from .toda import (
-    ConstraintSet,
-    FieldState,
-    TodaSystem,
-    build_periodic_chain,
-    build_simplest,
-    build_system,
-    classify_spec,
-    random_c_blocks,
-    random_state,
-    rhs_blocks,
-    rhs_blocks_vs_full,
-    rhs_full,
-    system_from_json,
-    system_to_json,
-    system_to_latex,
-)
-from .folding import (
-    FoldingMap,
-    diagram_json,
-    enumerate_axis_shapes,
-    fold_constraints,
-    make_fold,
-    odd_fold_equivalence,
-    verify_fold_invariance,
-)
-from .solver import (
-    CharacteristicData,
-    FieldHistory,
-    Grid,
-    SolverConfig,
-    analytic_kink,
-    integrate,
-    kink_data,
-    reality_preservation,
-    residual,
-    sine_gordon_reduce,
-    sine_gordon_system,
-    sinh_gordon_reduce,
-    write_history_csv,
-)
+The API lives in the submodules ``lie_core``, ``gradation``, ``toda``,
+``folding``, ``solver`` and ``cli``; import them directly."""
+
+from .lie_core import ConvergenceError
 
 __version__ = "0.1.0"

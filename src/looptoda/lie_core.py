@@ -13,10 +13,13 @@ All operations are pure and accept batched arrays (leading axes before the
 matrix axes broadcast).
 
 The marcher's kernels (``expm``, ``sqrtm_near_identity``, ``mul``, ``inv``)
-work on stacks of small blocks, mostly 2x2, where numpy spends one BLAS or
-LAPACK call per matrix.  So 2x2 stacks take closed forms on the
-``[..., i, j]`` entry slices (Higham, *Functions of Matrices*, SIAM 2008,
-ch. 5-6 and 10):
+work on stacks of small blocks, mostly 2x2 or 1x1, where numpy spends one
+BLAS or LAPACK call per matrix.  They are the only code that looks at the
+block size: the marcher runs one path for every size.  1x1 stacks take the
+scalar functions, elementwise: the product a * b, the inverse 1 / a
+(raising ``np.linalg.LinAlgError`` at an exact 0), exp, sqrt and log.  2x2
+stacks take closed forms on the ``[..., i, j]`` entry slices (Higham,
+*Functions of Matrices*, SIAM 2008, ch. 5-6 and 10):
 
 * product: two broadcast outer products, column of a times row of b;
 * inverse: adjugate over det, raising ``np.linalg.LinAlgError`` when a det
@@ -53,10 +56,14 @@ class SingularMatrixError(ValueError):
     """A matrix required to be invertible is numerically singular."""
 
 
+class NonFiniteError(ValueError):
+    """A matrix entry is infinite or NaN."""
+
+
 def as_complex(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
+        raise NonFiniteError("matrix entries must be finite")
     return a
 
 
@@ -252,11 +259,17 @@ def _check_square(a: np.ndarray, name: str) -> None:
 
 
 def mul(a, b) -> np.ndarray:
-    """Batched matrix product a @ b; 2x2 by 2x2 takes two broadcast outer products."""
+    """Batched matrix product a @ b.
+
+    An inner dimension of 1 (1x1 blocks among them) is the broadcast
+    product a * b; 2x2 by 2x2 takes two broadcast outer products.
+    """
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeMismatchError(f"cannot multiply shapes {a.shape} and {b.shape}")
+    if a.shape[-1] == 1:
+        return a * b
     if a.shape[-2:] != (2, 2) or b.shape[-1] != 2:
         return a @ b
     out = a[..., :, :1] * b[..., :1, :]
@@ -265,14 +278,20 @@ def mul(a, b) -> np.ndarray:
 
 
 def inv(a) -> np.ndarray:
-    """Batched inverse; 2x2 by adjugate over det.
+    """Batched inverse; 1x1 by 1 / a, 2x2 by adjugate over det.
 
-    Raises ``np.linalg.LinAlgError`` when a matrix is singular: for 2x2
-    when a det is exactly 0, otherwise when LAPACK finds a zero pivot.
+    Raises ``np.linalg.LinAlgError`` when a matrix is singular: for 1x1
+    and 2x2 when an entry or a det is exactly 0, otherwise when LAPACK
+    finds a zero pivot.
     """
     a = np.asarray(a)
     _check_square(a, "inv")
-    if a.shape[-1] != 2:
+    n = a.shape[-1]
+    if n == 1:
+        if not a.all():
+            raise np.linalg.LinAlgError("Singular matrix")
+        return 1.0 / a
+    if n != 2:
         return np.linalg.inv(a)
     det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
     if not det.all():

@@ -15,7 +15,11 @@ row update is solved by a fixed-point iteration of ``SWEEPS`` = 3
 sweeps.  The coupling is O(h^2): on the periodic-chain preset the third
 sweep still moves V by up to 5.0e-6 at 64x64 and 6.6e-7 at 128x128, each
 sweep shrinking the increment about 120x and 240x.  The scheme is second order
-in both steps and reproduces factorized free fields exactly.
+in both steps and reproduces factorized free fields exactly.  Blocks of every
+size take this one path: the products, inverses, exponentials and square
+roots come from ``lie_core``, the only module that looks at the block size,
+so the 1x1 blocks of the sine- and sinh-Gordon reductions march like any
+matrix block.
 
 Scalar reductions: for the p = 2, r = 1 chain with C = I/sqrt(2) the
 unit-modulus real form G = exp(i F / 2) carries the field F with
@@ -40,6 +44,7 @@ import numpy as np
 
 from .lie_core import (
     ConvergenceError,
+    NonFiniteError,
     as_complex,
     expm,
     inv,
@@ -190,86 +195,58 @@ def _finite(blocks) -> bool:
 
 
 def _row_invertibility(blocks):
-    """Inverses of a row's blocks and the row's worst max(|G|, |inv G|, |G| |inv G|).
+    """The row's worst max(|G|, |inv G|, |G| |inv G|).
 
     An exactly singular block raises ``np.linalg.LinAlgError``.
     """
-    invs = [inv(g) for g in blocks]
-    sizes = [(np.max(np.abs(g)), np.max(np.abs(gi))) for g, gi in zip(blocks, invs)]
-    return invs, np.max([(a, b, a * b) for a, b in sizes])
+    sizes = [(np.max(np.abs(g)), np.max(np.abs(inv(g)))) for g in blocks]
+    return np.max([(a, b, a * b) for a, b in sizes])
 
 
-def _half_point_v(g_row, g_inv, h_minus):
+def _half_point_v(g_row, h_minus):
     """Discrete V on row half-points: logm(inv(G_i) G_{i+1}) / h_minus."""
-    out = []
-    for g, gi in zip(g_row, g_inv):
-        na = g.shape[-1]
-        if na == 1:
-            out.append((np.log(g[1:, 0, 0] / g[:-1, 0, 0]) / h_minus)[:, None, None])
-        else:
-            out.append(logm_near_identity(mul(gi[:-1], g[1:])) / h_minus)
-    return out
+    return [logm_near_identity(mul(inv(g[:-1]), g[1:])) / h_minus for g in g_row]
 
 
 def _row_rebuild(g_left, v_row, h_minus):
     """Rebuild a row from its left value: G[i+1] = G[i] expm(h V[i+1/2]).
 
-    Matrix blocks take the products by a Hillis-Steele inclusive scan in
-    place: after the pass of stride d every entry holds the product of up
-    to 2d consecutive factors, so ceil(log2(cells + 1)) batched products
-    build the whole row.
+    The products run as a Hillis-Steele inclusive scan in place: after the
+    pass of stride d every entry holds the product of up to 2d consecutive
+    factors, so ceil(log2(cells + 1)) batched products build the whole row,
+    for blocks of every size.
     """
     out = []
     for g0, v in zip(g_left, v_row):
         ncells, na, _ = v.shape
         row = np.empty((ncells + 1, na, na), dtype=complex)
-        if na == 1:
-            row[0, 0, 0] = g0[0, 0]
-            row[1:, 0, 0] = g0[0, 0] * np.cumprod(np.exp(h_minus * v[:, 0, 0]))
-        else:
-            row[0] = g0
-            row[1:] = expm(h_minus * v)
-            stride = 1
-            while stride <= ncells:
-                row[stride:] = mul(row[:-stride], row[stride:])
-                stride *= 2
+        row[0] = g0
+        row[1:] = expm(h_minus * v)
+        stride = 1
+        while stride <= ncells:
+            row[stride:] = mul(row[:-stride], row[stride:])
+            stride *= 2
         out.append(row)
     return out
 
 
-def _cell_centers(g_new, g_old, inv_old):
-    """Geometric means of the NW and SE corners of each cell of a row pair.
-
-    Returns the centres and their inverses.  The root r = sqrt(inv(nw) se)
-    commutes with inv(nw) se = r^2, so inv(nw r) = r inv(se), and inv(se)
-    is a slice of ``inv_old``, the inverses of the old row.  1x1 blocks
-    take the scalar root and leave their inverse (None) to the caller.
-    """
-    centers, invs = [], []
-    for gn, go, io in zip(g_new, g_old, inv_old):
-        nw = gn[:-1]
-        se = go[1:]
-        na = nw.shape[-1]
-        if na == 1:
-            centers.append(nw * np.sqrt(se / nw))
-            invs.append(None)
-        else:
-            r = sqrtm_near_identity(mul(inv(nw), se))
-            centers.append(mul(nw, r))
-            invs.append(mul(r, io[1:]))
-    return centers, invs
+def _cell_centers(g_new, g_old):
+    """Geometric means nw sqrt(inv(nw) se) of the NW and SE corners of each
+    cell of a row pair, for blocks of every size."""
+    return [mul(gn[:-1], sqrtm_near_identity(mul(inv(gn[:-1]), go[1:])))
+            for gn, go in zip(g_new, g_old)]
 
 
-def _solve_row(system, law, left_next, g_row, inv_row, v_row, cp_vals, cm_vals, hm, dv_scale):
+def _solve_row(system, law, left_next, g_row, v_row, cp_vals, cm_vals, hm, dv_scale):
     """The next row's (G, V) by fixed-point sweeps, or None once a value is non-finite."""
     v_next = v_row
     g_next = _row_rebuild(left_next, v_next, hm)
     for _ in range(SWEEPS):
         if not _finite(g_next):
             return None
-        centers, center_invs = _cell_centers(g_next, g_row, inv_row)
+        centers = _cell_centers(g_next, g_row)
         if law is None:
-            f = toda.rhs_dispatch(system, centers, cp_vals, cm_vals, inv=center_invs)
+            f = toda.rhs_dispatch(system, centers, cp_vals, cm_vals)
         else:
             f = law(centers)
         v_next = [v + dv_scale * fb for v, fb in zip(v_row, f)]
@@ -347,8 +324,7 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
             hg[j] = g if march_minus > 0 else g[::-1]
 
     g_row = [b.copy() for b in bottom]
-    inv_row = [inv(g) if g.shape[-1] > 1 else None for g in g_row]
-    v_row = _half_point_v(g_row, inv_row, hm)
+    v_row = _half_point_v(g_row, hm)
     store(0, g_row)
     history.completed_rows = 1
 
@@ -357,16 +333,19 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
         cp_row = cp_vals if c_plus_fn is None else [c[j] for c in cp_vals]
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                row = _solve_row(system, law, [l[j + 1] for l in left], g_row, inv_row, v_row,
+                row = _solve_row(system, law, [l[j + 1] for l in left], g_row, v_row,
                                  cp_row, cm_vals, hm, march_minus * hp)
                 if row is None:
                     cause = "non-finite value"
                 else:
-                    inv_next, worst = _row_invertibility(row[0])
+                    worst = _row_invertibility(row[0])
                     if not worst <= config.tol_invertibility:
                         cause = "invertibility lost"
                         detail = (f": max(|G|, |inv G|, |G| |inv G|) = {worst:.3g}"
                                   f" > {config.tol_invertibility:g}")
+        except NonFiniteError:
+            # a kernel's input overflowed, such as inv(nw) se in a cell centre
+            cause = "non-finite value"
         except ConvergenceError as exc:
             cause, detail = "cell-centre square root failed", f": {exc}"
         except np.linalg.LinAlgError:
@@ -375,7 +354,7 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
             history.halted = True
             history.halt_reason = f"{cause} at row {j + 1} (z^+ = {zp[j + 1]:g}){detail}"
             break
-        (g_row, v_row), inv_row = row, inv_next
+        g_row, v_row = row
         store(j + 1, g_row)
         history.completed_rows = j + 2
 

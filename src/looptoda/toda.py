@@ -288,10 +288,6 @@ class TodaSystem:
         """(left, right): the caps of the chain at node 0 and at node s-1."""
         return _chain_caps(self.s, self.constraints.gamma_constraints, self.engine is not None)
 
-    @property
-    def independent_arcs(self) -> tuple[int, ...]:
-        return tuple(_independent_arcs(self.s, *self.caps))
-
 
 def _chain_caps(s: int, gamma_constraints, folded: bool) -> tuple:
     """None at both ends of the cyclic chain; on a folded chain the B kind
@@ -310,17 +306,8 @@ def _independent_arcs(s: int, left, right) -> range:
 
 # ---------------------------------------------------------------------------
 # right-hand sides (batched: leading axes broadcast)
-#
-# ``inv`` optionally carries the inverses of ``gammas``; an entry that is
-# None (or no list at all) is computed here.
 
-def _inverses(gammas, invs):
-    if invs is None:
-        return [inv(g) for g in gammas]
-    return [inv(g) if gi is None else gi for g, gi in zip(gammas, invs)]
-
-
-def rhs_chain(gammas, cp, cm, left=None, right=None, inv=None):
+def rhs_chain(gammas, cp, cm, left=None, right=None):
     """Right-hand sides of the chain on nodes 0..s-1, s = len(gammas).
 
     With both caps None the chain is cyclic.  A cap replaces the term of
@@ -331,7 +318,7 @@ def rhs_chain(gammas, cp, cm, left=None, right=None, inv=None):
     term.
     """
     s = len(gammas)
-    ginv = _inverses(gammas, inv)
+    ginv = [inv(g) for g in gammas]
     out = []
     for i in range(s):
         if i == 0 and left in ("J", "K"):
@@ -671,13 +658,12 @@ def _check_state(system: TodaSystem, state: FieldState, tol: float) -> None:
         raise ConstraintViolationError(f"state violates constraints (residual {dev:.2e})")
 
 
-def rhs_dispatch(system: TodaSystem, gammas, cp, cm, inv=None) -> list[np.ndarray]:
+def rhs_dispatch(system: TodaSystem, gammas, cp, cm) -> list[np.ndarray]:
     """Right-hand sides of the system's capped chain over raw block lists.
 
-    Accepts batched arrays.  ``inv`` optionally gives the blocks' inverses
-    (None entries are computed).
+    Accepts batched arrays.
     """
-    return rhs_chain(gammas, cp, cm, *system.caps, inv=inv)
+    return rhs_chain(gammas, cp, cm, *system.caps)
 
 
 def rhs_blocks(system: TodaSystem, state: FieldState, check: bool = True,

@@ -188,22 +188,27 @@ def test_inv_2x2_det_to_zero(eps):
 def test_inv_2x2_matches_scipy():
     a = np.eye(2) + stack(2, 256, 1.0, 15)
     assert rel_err(lc.inv(a), oracle(sla.inv, a)) < 1e-14
+    # and the 1x1 path, 1 / a, on the same kind of stack
+    a = np.eye(1) + stack(1, 256, 0.5, 15)
+    assert rel_err(lc.inv(a), oracle(sla.inv, a)) < 1e-15
 
 
 def test_inv_raises_at_det_zero():
     singular = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
     batch = np.stack([np.eye(2, dtype=complex), singular])
-    for a in (singular, batch, np.zeros((2, 2)), np.zeros((3, 3))):
+    scalars = np.array([[[2.0 + 1.0j]], [[0.0]], [[-1.0]]])
+    for a in (singular, batch, np.zeros((2, 2)), np.zeros((3, 3)), np.zeros((1, 1)), scalars):
         with pytest.raises(np.linalg.LinAlgError):
             lc.inv(a)
 
 
 @pytest.mark.parametrize("shapes", [((64, 2, 2), (64, 2, 2)), ((64, 2, 2), (2, 2)),
                                     ((2, 2), (64, 2, 2)), ((9, 1, 2, 2), (9, 11, 2, 2)),
-                                    ((5, 2, 2), (5, 2, 3)), ((5, 4, 4), (4, 4)), ((1, 1), (7, 1, 1))])
+                                    ((5, 2, 2), (5, 2, 3)), ((5, 4, 4), (4, 4)), ((1, 1), (7, 1, 1)),
+                                    ((64, 1, 1), (64, 1, 1)), ((64, 1, 1), (1, 1))])
 def test_mul_matches_matmul(shapes):
     # every broadcast pattern the marcher and residual use; the 2 x 3 and 4 x 4
-    # shapes take numpy's product
+    # shapes take numpy's product, the 1 x 1 ones the elementwise a * b
     rng = np.random.default_rng(16)
     a, b = (rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes)
     ref = a @ b

@@ -346,6 +346,15 @@ class TestReality:
             solver.reality_preservation(hist, "quaternionic")
 
 
+#: a 2x2-block system, and the free-field preset's gl inner (1, 1) system
+#: with two 1x1 blocks
+EDGE_CASE_SYSTEMS = pytest.mark.parametrize("system", [
+    toda.build_simplest("gl", np.eye(2) / 2, np.eye(2) / 2),
+    toda.build_system(gr.make_spec("gl", gr.TYPE_GL_INNER, 2, (1, 1), (1,)), 1,
+                      (np.zeros((1, 1)),) * 2, (np.eye(1),) * 2),
+], ids=["gl2", "scalar"])
+
+
 class TestBlowUp:
     def test_sinh_runaway_halts(self):
         system = solver.sine_gordon_system()
@@ -367,16 +376,34 @@ class TestBlowUp:
         assert hist.halted and hist.completed_rows == 1
         assert hist.halt_reason.startswith("cell-centre square root failed at row 1")
 
-    def test_singular_edge_block_halts_with_its_reason(self):
+    @staticmethod
+    def _unit_edge(system, corner):
+        """Edge data of unit blocks, with entry [-1, -1] of block 0 set to corner(t)."""
+        def blocks(t):
+            out = [np.eye(na, dtype=complex) for na in system.independent_sizes]
+            out[0][-1, -1] = corner(t)
+            return tuple(out)
+        return blocks
+
+    @EDGE_CASE_SYSTEMS
+    def test_singular_edge_block_halts_with_its_reason(self, system):
         # an exactly singular left-edge block makes the cell-centre inverse
         # of the next row raise LinAlgError, which halts the march
-        system = toda.build_simplest("gl", np.eye(2) / 2, np.eye(2) / 2)
-        singular = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-        data = solver.CharacteristicData(lambda z: (np.eye(2, dtype=complex),),
-                                         lambda w: (singular if w > 0 else np.eye(2, dtype=complex),))
+        data = solver.CharacteristicData(self._unit_edge(system, lambda z: 1.0),
+                                         self._unit_edge(system, lambda w: 0.0 if w > 0 else 1.0))
         hist = solver.integrate(system, data, solver.Grid(0, 1, 0, 1, 8, 8))
         assert hist.halted and hist.completed_rows == 1
         assert hist.halt_reason.startswith("singular block at row 1")
+
+    @EDGE_CASE_SYSTEMS
+    def test_overflowing_cell_centre_halts_as_non_finite(self, system):
+        # 1e-307 on the left edge at row 1 against 1e2 on the bottom edge at
+        # column 1: inv(nw) se overflows in the first cell centre
+        data = solver.CharacteristicData(self._unit_edge(system, lambda z: 10.0 ** (16 * z)),
+                                         self._unit_edge(system, lambda w: 1e-307 if w > 0 else 1.0))
+        hist = solver.integrate(system, data, solver.Grid(0, 1, 0, 1, 8, 8))
+        assert hist.halted and hist.completed_rows == 1
+        assert hist.halt_reason.startswith("non-finite value at row 1")
 
     @staticmethod
     def _chain_and_data():
@@ -548,7 +575,7 @@ class TestCsv:
 
 
 class TestRowKernels:
-    """The log-depth row rebuild and the shared cell-centre inverses."""
+    """The log-depth row rebuild and the run-to-run determinism of the march."""
 
     @staticmethod
     def _fixed_node_row(cells=257, seed=40):
@@ -601,32 +628,6 @@ class TestRowKernels:
         assert not first.halted
         for a, b in zip(first.gammas, second.gammas):
             assert a.tobytes() == b.tobytes()
-
-    def test_shared_centre_inverse(self):
-        hist = self._chain_run()
-        g_old = [g[10] for g in hist.gammas]
-        g_new = [g[11] for g in hist.gammas]
-        centers, invs = solver._cell_centers(g_new, g_old, [np.linalg.inv(g) for g in g_old])
-        for c, ci in zip(centers, invs):
-            direct = np.linalg.inv(c)
-            assert lc.max_abs(ci - direct) <= 1e-13 * lc.max_abs(direct)
-
-    def test_shared_inverses_feed_rhs(self):
-        hist = self._chain_run()
-        g_old = [g[10] for g in hist.gammas]
-        g_new = [g[11] for g in hist.gammas]
-        centers, invs = solver._cell_centers(g_new, g_old, [np.linalg.inv(g) for g in g_old])
-        system = hist.system
-        shared = toda.rhs_dispatch(system, centers, system.c_plus, system.c_minus, inv=invs)
-        direct = toda.rhs_dispatch(system, centers, system.c_plus, system.c_minus)
-        for s, d in zip(shared, direct):
-            assert lc.max_abs(s - d) <= 1e-13 * lc.max_abs(d)
-
-    def test_scalar_blocks_keep_their_own_inverse(self):
-        g_old = [np.exp(0.1j * np.arange(5.0))[:, None, None]]
-        g_new = [np.exp(0.2j * np.arange(5.0))[:, None, None]]
-        _, invs = solver._cell_centers(g_new, g_old, [np.linalg.inv(g) for g in g_old])
-        assert invs == [None]
 
 
 def _spectral_normalised(blocks, norm):
