@@ -142,7 +142,8 @@ def kind_transpose(m, kind: str) -> np.ndarray:
 
 
 def b_transpose(m, b) -> np.ndarray:
-    """^B m = B^-1 @ m.T @ B for square m and invertible B."""
+    """^B m = B^-1 @ m.T @ B for square m and invertible B (B built from J
+    and K is a signed permutation: only an exactly singular B is rejected)."""
     m = as_complex(m)
     b = as_complex(b)
     n = b.shape[-1]
@@ -150,9 +151,10 @@ def b_transpose(m, b) -> np.ndarray:
         raise ShapeMismatchError("B must be square")
     if m.shape[-1] != n or m.shape[-2] != n:
         raise ShapeMismatchError(f"matrix shape {m.shape} incompatible with B shape {b.shape}")
-    if np.linalg.cond(b) > 1e14:
-        raise SingularMatrixError("structure matrix B is singular")
-    return np.linalg.solve(b, np.swapaxes(m, -1, -2) @ b)
+    try:
+        return np.linalg.solve(b, np.swapaxes(m, -1, -2) @ b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError("structure matrix B is singular") from exc
 
 
 @dataclass(frozen=True)

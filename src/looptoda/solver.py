@@ -48,7 +48,6 @@ from .lie_core import (
     as_complex,
     expm,
     inv,
-    kind_transpose,
     logm_near_identity,
     max_abs,
     mul,
@@ -278,8 +277,9 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
     Returns the :class:`FieldHistory` of G.  On numerical loss it is
     truncated to the completed rows, with ``halted`` set and
     ``halt_reason`` naming the row and the cause: a non-finite value, a
-    cell-centre square root that did not converge, a singular block, or a
-    row failing the blow-up test max(|G|, |inv G|, |G| |inv G|) <=
+    cell-centre square root (or, on row 0, a logarithm of a bottom-edge
+    step) that did not converge, a singular block, or a row failing the
+    blow-up test max(|G|, |inv G|, |G| |inv G|) <=
     ``config.tol_invertibility``.  Any other error propagates.
 
     ``march_minus`` selects the Goursat corner: +1 takes data on the two
@@ -323,12 +323,24 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
         for hg, g in zip(history.gammas, g_blocks):
             hg[j] = g if march_minus > 0 else g[::-1]
 
+    def halt(row, cause, detail=""):
+        history.halted = True
+        history.halt_reason = f"{cause} at row {row} (z^+ = {zp[row]:g}){detail}"
+
     g_row = [b.copy() for b in bottom]
-    v_row = _half_point_v(g_row, hm)
     store(0, g_row)
     history.completed_rows = 1
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            v_row = _half_point_v(g_row, hm)
+    except NonFiniteError:
+        halt(0, "non-finite value")
+    except ConvergenceError:
+        halt(0, "edge logarithm failed")
+    except np.linalg.LinAlgError:
+        halt(0, "singular block")
 
-    for j in range(len(zp) - 1):
+    for j in range(0 if history.halted else len(zp) - 1):
         cause, detail = None, ""
         cp_row = cp_vals if c_plus_fn is None else [c[j] for c in cp_vals]
         try:
@@ -351,8 +363,7 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
         except np.linalg.LinAlgError:
             cause = "singular block"
         if cause is not None:
-            history.halted = True
-            history.halt_reason = f"{cause} at row {j + 1} (z^+ = {zp[j + 1]:g}){detail}"
+            halt(j + 1, cause, detail)
             break
         g_row, v_row = row
         store(j + 1, g_row)
@@ -360,22 +371,8 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
 
     if history.halted:
         history.gammas = [g[: history.completed_rows] for g in history.gammas]
-    history.constraint_residuals = _constraint_residual_rows(history)
+    history.constraint_residuals = toda.fixed_node_defect(system, history.gammas).max(axis=1)
     return history
-
-
-def _constraint_residual_rows(history: FieldHistory) -> np.ndarray:
-    constraints = history.system.constraints.gamma_constraints
-    rows = history.completed_rows
-    out = np.zeros(rows)
-    if not constraints:
-        return out
-    for gc in constraints:
-        g = history.gammas[gc.node][:rows]
-        na = g.shape[-1]
-        defect = mul(kind_transpose(g, gc.b_kind), g) - np.eye(na)
-        out = np.maximum(out, np.max(np.abs(defect), axis=(1, 2, 3)))
-    return out
 
 
 def residual(history: FieldHistory, system: TodaSystem | None = None,

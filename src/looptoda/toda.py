@@ -54,13 +54,11 @@ from .gradation import (
     OUTER_TYPES,
     PALINDROMIC_TYPES,
     TYPE_GL_INNER,
-    Automorphism,
     GradationSpec,
     SpecError,
     TrivialSpec,
-    apply_automorphism,
     block_index_table,
-    build_automorphism,
+    build_h,
     check_valid,
     minimal_grade,
     spec_from_json,
@@ -127,11 +125,11 @@ def _offsets(sizes):
 
 
 def _embed_gamma(sizes, blocks) -> np.ndarray:
-    """The block-diagonal matrix of the node blocks."""
+    """The block-diagonal matrix of the node blocks; leading axes broadcast."""
     o = _offsets(sizes)
-    g = np.zeros((o[-1], o[-1]), dtype=complex)
+    g = np.zeros(np.shape(blocks[0])[:-2] + (o[-1], o[-1]), dtype=complex)
     for i, blk in enumerate(blocks):
-        g[o[i]:o[i + 1], o[i]:o[i + 1]] = blk
+        g[..., o[i]:o[i + 1], o[i]:o[i + 1]] = blk
     return g
 
 
@@ -153,20 +151,23 @@ def _embed_c(sizes, c_blocks, direction: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FoldEngine:
-    """Reconstruction machinery for the constrained classes.
+    """Reconstruction machinery for the folded classes.
 
-    Holds the involution sigma on nodes and the global matrices realizing
-    the group/algebra conditions: inner classes (``aut`` None) use
-    ^B c = -c and ^B gamma = inv(gamma); outer classes use the spec's
-    twist A(x) = -h (^B x) inv(h) with c in the grading eigenspace of
-    index L.
+    Holds the involution sigma on nodes and the one twist of every fold,
+
+        tau(x) = -h (^B x) inv(h) / e^{2 pi i direction turn},
+
+    with h diagonal: the outer gl folds take h from the spec's automorphism
+    and turn = L/M, the so/sp folds h = I and turn = 0.  The C blocks of
+    each direction are tau-fixed (for so/sp this reads ^B c = -c), and the
+    node blocks satisfy ^B gamma inv(h) gamma h = I.
     """
 
     sizes: tuple[int, ...]
     sigma: tuple[int, ...]
     b_matrix: np.ndarray
-    aut: Automorphism | None
-    L: int
+    ratio: np.ndarray   # h_i / h_j
+    turn: float         # L / M
 
     @property
     def p(self) -> int:
@@ -206,56 +207,43 @@ class FoldEngine:
             return self._block(mat, i, a)
         return self._block(mat, a, i)
 
-    def gamma_residual(self, full_gammas) -> float:
-        g = _embed_gamma(self.sizes, full_gammas)
-        if self.aut is None:
-            return max_abs(b_transpose(g, self.b_matrix) @ g - identity(self.n))
-        ginv = _embed_gamma(self.sizes, [np.linalg.inv(b) for b in full_gammas])
-        return max_abs(g + apply_automorphism(self.aut, ginv))
+    def twist(self, x, direction: int) -> np.ndarray:
+        """tau(x) on full n x n matrices, for c_+ (direction +1) or c_- (-1)."""
+        phase = np.exp(2j * np.pi * direction * self.turn)
+        return -self.ratio * b_transpose(x, self.b_matrix) / phase
 
-    def _phase(self, direction: int) -> complex:
-        return np.exp(2j * np.pi * direction * self.L / self.aut.order)
+    def gamma_residual(self, full_gammas) -> float:
+        """max |^B gamma inv(h) gamma h - I| over the embedded node blocks;
+        leading axes of the blocks (a grid of points) are maximised over."""
+        g = _embed_gamma(self.sizes, full_gammas)
+        return max_abs(b_transpose(g, self.b_matrix) @ (g / self.ratio) - identity(self.n))
 
     def c_residual(self, c_blocks, direction: int) -> float:
         c = _embed_c(self.sizes, c_blocks, direction)
-        if self.aut is None:
-            return max_abs(b_transpose(c, self.b_matrix) + c)
-        return max_abs(apply_automorphism(self.aut, c) - self._phase(direction) * c)
+        return max_abs(self.twist(c, direction) - c)
 
     def complete_c(self, partial, direction: int) -> tuple[np.ndarray, ...]:
         """Fill the full arc cycle from values on the independent arcs.
 
-        ``partial`` maps arc index -> block.  Mirror arcs are produced by
-        the algebra condition (inner) or the grading eigenspace condition
-        (outer); self-paired arcs are consistency-checked.
+        ``partial`` maps arc index -> block.  The twist of the embedded
+        partial cycle holds each arc's mirror image: it fills the arcs
+        outside ``partial`` (with zeros where no given arc mirrors onto
+        them) and is checked against the given arcs whose mirror is given
+        too, self-paired arcs among them.
         """
-        full: list = [None] * self.p
+        given: list = [None] * self.p
         for a, blk in partial.items():
-            full[a] = as_complex(blk)
-        for a in sorted(partial):
-            ma = self.mirror_arc(a)
-            single = [full[a] if t == a else None for t in range(self.p)]
-            embedded = _embed_c(self.sizes, single, direction)
-            if self.aut is None:
-                image = -b_transpose(embedded, self.b_matrix)
-            else:
-                image = apply_automorphism(self.aut, embedded) / self._phase(direction)
-            mirrored = self.extract_c(image, ma, direction)
-            if ma == a or ma in partial:
-                if max_abs(mirrored - full[ma]) > 1e-9 * max(1.0, max_abs(full[ma])):
-                    raise ConstraintViolationError(
-                        f"arc {a} violates the fold symmetry on its mirror {ma}"
-                    )
-            else:
-                full[ma] = mirrored
-        for a in range(self.p):
-            if full[a] is None:
-                i = (a - 1) % self.p
-                full[a] = np.zeros(
-                    (self.sizes[i], self.sizes[a]) if direction > 0 else (self.sizes[a], self.sizes[i]),
-                    dtype=complex,
+            given[a] = as_complex(blk)
+        # + 0.0 turns the -0 that the twist leaves in the zero fill into +0
+        image = self.twist(_embed_c(self.sizes, given, direction), direction) + 0.0
+        mirrored = [self.extract_c(image, a, direction) for a in range(self.p)]
+        for a in partial:
+            if self.mirror_arc(a) in partial and (
+                    max_abs(mirrored[a] - given[a]) > 1e-9 * max(1.0, max_abs(given[a]))):
+                raise ConstraintViolationError(
+                    f"arc {self.mirror_arc(a)} violates the fold symmetry on its mirror {a}"
                 )
-        return tuple(full)
+        return tuple(m if g is None else g for g, m in zip(given, mirrored))
 
 
 @dataclass(frozen=True)
@@ -436,13 +424,13 @@ def _spec_fold_ends(spec: GradationSpec):
 def engine_for_spec(spec: GradationSpec, L: int) -> FoldEngine | None:
     if spec.gradation_type == TYPE_GL_INNER:
         return None
-    return FoldEngine(
-        sizes=spec.n_list,
-        sigma=_spec_fold_ends(spec)[1],
-        b_matrix=structure_for_spec(spec),
-        aut=build_automorphism(spec) if spec.gradation_type in OUTER_TYPES else None,
-        L=L,
-    )
+    n = spec.n
+    ratio, turn = np.ones((n, n)), 0.0
+    if spec.gradation_type in OUTER_TYPES:
+        d = np.diagonal(build_h(spec))
+        ratio, turn = d[:, None] / d[None, :], L / spec.M
+    return FoldEngine(sizes=spec.n_list, sigma=_spec_fold_ends(spec)[1],
+                      b_matrix=structure_for_spec(spec), ratio=ratio, turn=turn)
 
 
 def arc_gradings(spec: GradationSpec) -> list:
@@ -628,12 +616,20 @@ def build_periodic_chain(p: int, r: int, c_value: complex = 1.0) -> TodaSystem:
 # ---------------------------------------------------------------------------
 # evaluation
 
+def fixed_node_defect(system: TodaSystem, gammas) -> np.ndarray:
+    """max |^B G G - I| over the fixed nodes at every point: the leading axes
+    of the independent blocks are kept (zeros when no node is fixed)."""
+    out = np.zeros(np.shape(gammas[0])[:-2])
+    for gc in system.constraints.gamma_constraints:
+        g = gammas[gc.node]
+        defect = mul(kind_transpose(g, gc.b_kind), g) - np.eye(g.shape[-1])
+        out = np.maximum(out, np.max(np.abs(defect), axis=(-2, -1)))
+    return out
+
+
 def state_residual(system: TodaSystem, state: FieldState) -> float:
     """Max violation of the fixed-node group constraints by the state."""
-    dev = 0.0
-    for gc in system.constraints.gamma_constraints:
-        g = state.gammas[gc.node]
-        dev = max(dev, max_abs(kind_transpose(g, gc.b_kind) @ g - identity(g.shape[-1])))
+    dev = float(fixed_node_defect(system, state.gammas))
     if system.constraints.det_product_one:
         prod = 1.0
         for g in state.gammas:

@@ -150,6 +150,28 @@ class TestFoldConstraints:
         assert direct.engine.gamma_residual(full) < 1e-12
 
 
+class TestFoldEngine:
+    @pytest.mark.parametrize("family, gtype, n_list", [
+        ("so", gr.TYPE_SOSP_I, (2, 1, 2)),
+        ("gl_outer_II", gr.TYPE_GL_OUTER_II, (1, 2, 1)),
+    ], ids=["inner", "outer"])
+    def test_gamma_residual_of_a_stack_is_its_worst_point(self, family, gtype, n_list):
+        _, direct = folded_chain(family, gtype, n_list, seed=12)
+        engine = direct.engine
+        rng = np.random.default_rng(13)
+        # twelve points whose constraints break by 1e-7 to 1e-2
+        points = []
+        for k in range(12):
+            state = toda.random_state(direct, rng)
+            bad = [g + 10.0 ** -(2 + k % 6) * rng.standard_normal(g.shape) for g in state.gammas]
+            points.append(engine.complete_gammas(bad))
+        stack = [np.stack([pt[b] for pt in points]).reshape((3, 4) + points[0][b].shape)
+                 for b in range(direct.p)]
+        per_point = [engine.gamma_residual(pt) for pt in points]
+        assert engine.gamma_residual(stack) == pytest.approx(max(per_point), rel=1e-12)
+        assert max(per_point) > 10 * min(per_point)
+
+
 class TestFoldInvariance:
     def test_zero_steps_zero_drift(self):
         chain, direct = folded_chain("sp", gr.TYPE_SOSP_I, (1, 1), seed=4)
@@ -165,9 +187,15 @@ class TestFoldInvariance:
         drift = folding.verify_fold_invariance(fmap, chain, state, steps=10, step=1e-3)
         assert drift <= 1e-8
 
-    def test_detector_sees_broken_constraint(self):
-        chain, direct = folded_chain("so", gr.TYPE_SOSP_I, (2, 2, 2), seed=8)
-        fmap = folding.make_fold(3, folding.PATTERN_ODD_MIXED, "so")
+    @pytest.mark.parametrize("family, gtype, n_list, pattern", [
+        ("so", gr.TYPE_SOSP_I, (2, 2, 2), folding.PATTERN_ODD_MIXED),
+        ("gl_outer_II", gr.TYPE_GL_OUTER_II, (1, 2, 1), folding.PATTERN_ODD_MIXED),
+        ("gl_outer_III", gr.TYPE_GL_OUTER_III, (1, 2, 2, 2), folding.PATTERN_EVEN_NODE_FIXED),
+    ], ids=["so", "gl_outer_II", "gl_outer_III"])
+    def test_detector_sees_broken_constraint(self, family, gtype, n_list, pattern):
+        # the last independent node is a fixed one in all three folds
+        chain, direct = folded_chain(family, gtype, n_list, seed=8)
+        fmap = folding.make_fold(len(n_list), pattern, family)
         state = toda.random_state(direct, np.random.default_rng(9))
         bad = list(state.gammas)
         bad[-1] = bad[-1] + 1e-2

@@ -405,6 +405,23 @@ class TestBlowUp:
         assert hist.halted and hist.completed_rows == 1
         assert hist.halt_reason.startswith("non-finite value at row 1")
 
+    @pytest.mark.parametrize("bottom, cause", [
+        (lambda z: (np.diag([10.0 ** (72 * z), 1.0]),), "edge logarithm failed"),
+        (lambda z: (np.zeros((2, 2)) if z == 0.5 else np.eye(2),), "singular block"),
+        (lambda z: (np.diag([1e300 if z > 0 else 1.0, 1.0]),), "edge logarithm failed"),
+        (lambda z: (np.diag([{0.125: 1e-200, 0.25: 1e200}.get(z, 1.0), 1.0]),), "non-finite value"),
+    ], ids=["log_stall", "singular", "log_overflow", "step_overflow"])
+    def test_bottom_edge_failure_halts_at_row_0(self, bottom, cause):
+        # row 0's V takes the logarithm of every bottom-edge step before the
+        # march: a Denman-Beavers stall, a singular block, a step of 1e300 and
+        # a step of 1e400 (inf) halt there
+        system = toda.build_simplest("gl", np.eye(2) / 2, np.eye(2) / 2)
+        data = solver.CharacteristicData(bottom, lambda w: (np.eye(2, dtype=complex),))
+        hist = solver.integrate(system, data, solver.Grid(0, 1, 0, 1, 8, 8))
+        assert hist.halted and hist.completed_rows == 1
+        assert hist.gammas[0].shape[0] == 1
+        assert hist.halt_reason == f"{cause} at row 0 (z^+ = 0)"
+
     @staticmethod
     def _chain_and_data():
         chain = toda.build_periodic_chain(3, 2)
@@ -708,3 +725,25 @@ class TestRichardson:
         d1 = max(lc.max_abs(a - b) for a, b in zip(coarse[0], coarse[1]))
         d2 = max(lc.max_abs(a - b) for a, b in zip(coarse[1], coarse[2]))
         assert 3.5 <= d1 / d2 <= 4.5, (d1, d2)
+
+    @pytest.mark.parametrize("case", RICHARDSON_SYSTEMS[1:5], ids=[c[0] for c in RICHARDSON_SYSTEMS[1:5]])
+    def test_fold_commutes_with_integration(self, case):
+        # the unfolded gl chain, with the full C cycle, integrated from the
+        # completion of the folded system's edges keeps its s independent
+        # blocks equal to the folded run's
+        system, data = self._case(*case)
+        _, _, gtype, M, n_list, k_list = case
+        chain_spec = gr.make_spec("gl", gr.TYPE_GL_INNER, gr.data_modulus(gtype, M), n_list, k_list)
+        chain = toda.build_system(chain_spec, system.L, system.c_plus, system.c_minus)
+
+        def full(edge):
+            return lambda t: toda.full_state(system, FieldState(gammas=edge(t)))
+
+        grid = solver.Grid(0, 1, 0, 1, 16, 16)
+        folded = solver.integrate(system, data, grid)
+        unfolded = solver.integrate(chain, solver.CharacteristicData(full(data.gamma_minus),
+                                                                     full(data.gamma_plus)), grid)
+        assert not folded.halted and not unfolded.halted
+        scale = max(lc.max_abs(g) for g in folded.gammas)
+        gap = max(lc.max_abs(a - b) for a, b in zip(folded.gammas, unfolded.gammas))
+        assert gap <= 1e-12 * scale, gap / scale
