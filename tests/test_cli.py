@@ -230,6 +230,34 @@ class TestCheckCommand:
                 cli.main(["check", "--spec", path, "--tol", tol])
             assert exc.value.code == 2
 
+    @pytest.mark.parametrize("family, n, M, shapes", [
+        ("so", 5, 6, "tfffffffffmmmm"),
+        ("so", 6, 4, "tffmfffffffffffff"),
+        ("sp", 4, 4, "tffmfff"),
+        ("gl", 4, 4, "tgggggggggggggggggggoo"),
+    ])
+    def test_battery_lines_per_spec(self, tmp_path, capsys, family, n, M, shapes):
+        """Exit code and ordered line names of every enumerated spec: one
+        letter per spec, in enumeration order, names its battery."""
+        base = ("validation", "automorphism_order", "projector_completeness", "bracket_closure")
+        block = ("index_table_vs_projector", "block_vs_full")
+        member = ("algebra_membership_preserved",) + block
+        batteries = {
+            "t": base,
+            "g": base + block,
+            "o": base + block + ("fold_invariance_drift",),
+            "m": base + member,
+            "f": base + member + ("fold_invariance_drift",),
+        }
+        specs = gr.enumerate_specs(family, n, M)
+        assert len(specs) == len(shapes)
+        path = tmp_path / "s.json"
+        for spec, shape in zip(specs, shapes):
+            write_json(path, spec.to_json())
+            assert cli.main(["check", "--spec", str(path)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert tuple(line.split()[1] for line in lines) == batteries[shape], spec
+
     def test_invalid_spec_reported_before_invariants(self, tmp_path, capsys):
         payload = dict(SO4_JSON, k_list=[1, 2])
         path = write_json(tmp_path / "s.json", payload)
