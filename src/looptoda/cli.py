@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -120,6 +121,8 @@ def _parse_grid(text: str) -> solver.Grid:
     if len(parts) != 6:
         raise ValueError("grid spec needs zmin,zmax,wmin,wmax,h_minus,h_plus")
     zmin, zmax, wmin, wmax, hm, hp = parts
+    if not all(math.isfinite(v) for v in parts) or hm <= 0 or hp <= 0:
+        raise ValueError("grid values must be finite and the steps h_minus, h_plus positive")
     n_minus = round((zmax - zmin) / hm)
     n_plus = round((wmax - wmin) / hp)
     if abs(n_minus * hm - (zmax - zmin)) > 1e-9 or abs(n_plus * hp - (wmax - wmin)) > 1e-9:
@@ -333,21 +336,9 @@ def _check_lines(spec, tol: float):
         dev = toda.rhs_blocks_vs_full(system, state)
         yield "block_vs_full", dev <= 1e-11, dev
 
-        if system.equation_class != toda.EQ_GENERAL_LINEAR and all(k == L for k in spec.k_list):
-            chain_spec = gradation.make_spec(
-                "gl", gradation.TYPE_GL_INNER, gradation.data_modulus(spec.gradation_type, spec.M),
-                spec.n_list, spec.k_list)
-            if not gradation.validate_spec(chain_spec):
-                chain = toda.build_system(chain_spec, L, cp, cm)
-                pattern = {
-                    toda.EQ_EVEN_FOLD: folding.PATTERN_EVEN_ARC_FIXED,
-                    toda.EQ_ODD_FOLD: folding.PATTERN_ODD_MIXED,
-                    toda.EQ_DOUBLE_FIXED_FOLD: folding.PATTERN_EVEN_NODE_FIXED,
-                }[system.equation_class]
-                fmap = folding.make_fold(spec.p, pattern, toda.fold_family(spec),
-                                         variant=system.variant or "arc_first")
-                drift = folding.verify_fold_invariance(fmap, chain, state, steps=8, step=1e-3)
-                yield "fold_invariance_drift", drift <= 1e-8, drift
+        if system.engine is not None and all(k == L for k in spec.k_list):
+            drift = folding.verify_fold_invariance(system, state, steps=8, step=1e-3)
+            yield "fold_invariance_drift", drift <= 1e-8, drift
 
 
 def cmd_check(args) -> int:

@@ -130,6 +130,8 @@ class TrivialSpec:
 
 
 def spec_from_json(data: dict) -> GradationSpec | TrivialSpec:
+    if not isinstance(data, dict):
+        raise TypeError(f"a spec is a JSON object, got {type(data).__name__}")
     if data.get("type") == "trivial":
         return TrivialSpec(family=data["family"], n=int(data["n"]), M=int(data.get("M", 1)))
     return GradationSpec(

@@ -248,7 +248,7 @@ _SQRTM_2X2_DIST = 0.5
 #: series then takes the degree its remainder bound asks for.
 _LOG_THETA = 0.25
 _LOG_MAX_DOUBLINGS = 10
-_SQRTM_MAX_ITER = 20
+_SQRTM_MAX_ITER = 32
 
 
 class ConvergenceError(ValueError):
@@ -414,7 +414,7 @@ def sqrtm_near_identity(a) -> np.ndarray:
     batched.  It stops as soon as the batch's largest increment
     of Y falls to round-off, max|dY| <= 4 n eps max|Y| (four iterations at
     ||a - I||_1 ~ 5e-2), and raises :class:`ConvergenceError` if that has
-    not happened after 20 iterations.  Z_0 = I needs no inverse and the last
+    not happened after 32 iterations.  Z_0 = I needs no inverse and the last
     Z update is never used, so k iterations take 2k - 2 inverses.  1x1
     input short-circuits to np.sqrt.
     """

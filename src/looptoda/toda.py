@@ -70,6 +70,8 @@ EQ_EVEN_FOLD = "even_fold"
 EQ_ODD_FOLD = "odd_fold"
 EQ_DOUBLE_FIXED_FOLD = "double_fixed_fold"
 EQ_SIMPLEST = "simplest"
+#: The folded class of each fixed-node count (0, 1, 2) of the fold's axis.
+FOLD_CLASSES = (EQ_EVEN_FOLD, EQ_ODD_FOLD, EQ_DOUBLE_FIXED_FOLD)
 
 VARIANT_ARC_FIRST = "arc_first"
 VARIANT_NODE_FIRST = "node_first"
@@ -357,7 +359,7 @@ def _classify(spec: GradationSpec):
     if spec.gradation_type == TYPE_GL_INNER:
         return EQ_GENERAL_LINEAR, "", spec.p, (), ()
     s, _, nodes, arcs = _spec_fold_ends(spec)
-    eq_class = (EQ_EVEN_FOLD, EQ_ODD_FOLD, EQ_DOUBLE_FIXED_FOLD)[len(nodes)]
+    eq_class = FOLD_CLASSES[len(nodes)]
     variant = ""
     if eq_class == EQ_ODD_FOLD:
         variant = VARIANT_NODE_FIRST if nodes[0][0] == 0 else VARIANT_ARC_FIRST

@@ -45,6 +45,12 @@ class TestValidateCommand:
         path = write_json(tmp_path / "s.json", {"family": "gl"})
         assert cli.main(["validate", "--spec", path]) == 2
 
+    @pytest.mark.parametrize("command", ["validate", "check"])
+    def test_spec_not_an_object(self, tmp_path, capsys, command):
+        path = write_json(tmp_path / "s.json", [1, 2])
+        assert cli.main([command, "--spec", path]) == 2
+        assert "parse error: a spec is a JSON object, got list" in capsys.readouterr().err
+
     def test_json_output(self, tmp_path, capsys):
         path = write_json(tmp_path / "s.json", S1_JSON)
         assert cli.main(["validate", "--spec", path, "--json"]) == 0
@@ -157,9 +163,12 @@ class TestSimulateCommand:
         assert cli.main(["simulate"]) == 2
 
     def test_bad_grid(self, tmp_path):
-        rc = cli.main(["simulate", "--preset", "free-field", "--grid", "0,1,0,1,0.3,0.3",
-                       "--output", str(tmp_path)])
-        assert rc == 2
+        # steps that do not divide the ranges, a zero step, an infinite range
+        for grid in ("0,1,0,1,0.3,0.3", "0,1,0,1,0,0.1", "0,inf,0,1,0.1,0.1"):
+            rc = cli.main(["simulate", "--preset", "free-field", "--grid", grid,
+                           "--output", str(tmp_path)])
+            assert rc == 2, grid
+        assert not (tmp_path / "manifest.json").exists()
 
     @pytest.mark.parametrize("tol", ["0", "-1e-8"])
     def test_non_positive_tol_is_a_parse_error(self, tmp_path, tol):

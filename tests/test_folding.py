@@ -7,15 +7,6 @@ from looptoda import lie_core as lc
 from looptoda import toda
 
 
-def uniform_chain(n_list, seed=0, scale=0.6):
-    """A general linear chain with random C blocks on every arc."""
-    rng = np.random.default_rng(seed)
-    p = len(n_list)
-    spec = gr.make_spec("gl", gr.TYPE_GL_INNER, p, n_list, (1,) * (p - 1))
-    cp, cm = toda.random_c_blocks(spec, 1, rng, scale=scale)
-    return toda.build_system(spec, 1, cp, cm)
-
-
 def folded_chain(family, gtype, n_list, seed=0):
     """A chain whose C blocks already satisfy the fold symmetry, plus the
     directly-built folded system with the same blocks."""
@@ -32,39 +23,32 @@ def folded_chain(family, gtype, n_list, seed=0):
 
 
 class TestMakeFold:
+    """The folds of the p-node circle, as toda.fold_ends derives them:
+    (s, sigma, fixed nodes, fixed arcs); node0 puts node 0 on the axis."""
+
     def test_p2_even_arc(self):
-        fmap = folding.make_fold(2, folding.PATTERN_EVEN_ARC_FIXED, "sp")
-        assert fmap.sigma == (1, 0)
-        assert fmap.fixed_nodes == ()
-        assert dict(fmap.fixed_arcs) == {0: 1, 1: 1}
+        _, sigma, nodes, arcs = toda.fold_ends("sp", 2, False)
+        assert sigma == (1, 0)
+        assert nodes == ()
+        assert dict(arcs) == {0: 1, 1: 1}
 
     def test_p3_odd_mixed(self):
-        fmap = folding.make_fold(3, folding.PATTERN_ODD_MIXED, "so")
-        assert fmap.sigma == (2, 1, 0)
-        assert fmap.fixed_nodes == ((1, "J"),)
-        assert fmap.fixed_arcs == ((0, -1),)
+        _, sigma, nodes, arcs = toda.fold_ends("so", 3, False)
+        assert sigma == (2, 1, 0)
+        assert nodes == ((1, "J"),)
+        assert arcs == ((0, -1),)
 
     def test_p2_even_node(self):
-        fmap = folding.make_fold(2, folding.PATTERN_EVEN_NODE_FIXED, "so")
-        assert fmap.sigma == (0, 1)
-        assert fmap.fixed_nodes == ((0, "J"), (1, "J"))
-        assert fmap.fixed_arcs == ()
+        _, sigma, nodes, arcs = toda.fold_ends("so", 2, True)
+        assert sigma == (0, 1)
+        assert nodes == ((0, "J"), (1, "J"))
+        assert arcs == ()
 
     def test_decorations_by_family(self):
-        assert dict(folding.make_fold(4, folding.PATTERN_EVEN_ARC_FIXED, "so").fixed_arcs) == {0: -1, 2: -1}
-        assert dict(folding.make_fold(4, folding.PATTERN_EVEN_ARC_FIXED, "gl_outer_II").fixed_arcs) == {0: -1, 2: 1}
-        assert folding.make_fold(3, folding.PATTERN_ODD_MIXED, "sp").fixed_nodes == ((1, "K"),)
-        assert folding.make_fold(4, folding.PATTERN_EVEN_NODE_FIXED, "gl_outer_III").fixed_nodes == ((0, "J"), (2, "K"))
-
-    def test_parity_mismatch(self):
-        with pytest.raises(folding.FoldError):
-            folding.make_fold(3, folding.PATTERN_EVEN_ARC_FIXED, "so")
-        with pytest.raises(folding.FoldError):
-            folding.make_fold(4, folding.PATTERN_ODD_MIXED, "so")
-
-    def test_family_pattern_mismatch(self):
-        with pytest.raises(folding.FoldError):
-            folding.make_fold(4, folding.PATTERN_EVEN_ARC_FIXED, "gl_outer_III")
+        assert dict(toda.fold_ends("so", 4, False)[3]) == {0: -1, 2: -1}
+        assert dict(toda.fold_ends("gl_outer_II", 4, False)[3]) == {0: -1, 2: 1}
+        assert toda.fold_ends("sp", 3, False)[2] == ((1, "K"),)
+        assert toda.fold_ends("gl_outer_III", 4, True)[2] == ((0, "J"), (2, "K"))
 
     @pytest.mark.parametrize("family,variant,nodes,arcs", [
         ("so", toda.VARIANT_NODE_FIRST, ((0, "J"),), ((3, -1),)),
@@ -72,50 +56,63 @@ class TestMakeFold:
         ("gl_outer_III", toda.VARIANT_ARC_FIRST, ((2, "J"),), ((0, 1),)),
     ])
     def test_odd_mirrored_placements(self, family, variant, nodes, arcs):
-        fmap = folding.make_fold(5, folding.PATTERN_ODD_MIXED, family, variant=variant)
-        assert fmap.s == 3
-        assert fmap.variant == variant
-        assert fmap.fixed_nodes == nodes
-        assert fmap.fixed_arcs == arcs
+        s, _, fixed_nodes, fixed_arcs = toda.fold_ends(family, 5, variant == toda.VARIANT_NODE_FIRST)
+        assert s == 3
+        assert fixed_nodes == nodes
+        assert fixed_arcs == arcs
 
+
+#: The folded class each axis shape gives, by the shape's name.
+AXIS_CLASSES = {
+    "even_arc_fixed": toda.EQ_EVEN_FOLD,
+    "odd_mixed": toda.EQ_ODD_FOLD,
+    "even_node_fixed": toda.EQ_DOUBLE_FIXED_FOLD,
+}
 
 FOLD_CASES = [
-    (folding.PATTERN_EVEN_ARC_FIXED, "so", gr.TYPE_SOSP_I, (2, 1, 1, 2)),
-    (folding.PATTERN_EVEN_ARC_FIXED, "sp", gr.TYPE_SOSP_I, (1, 2, 2, 1)),
-    (folding.PATTERN_EVEN_ARC_FIXED, "sp", gr.TYPE_SOSP_I, (1, 1)),
-    (folding.PATTERN_ODD_MIXED, "so", gr.TYPE_SOSP_I, (2, 1, 2)),
-    (folding.PATTERN_ODD_MIXED, "sp", gr.TYPE_SOSP_I, (1, 2, 1)),
-    (folding.PATTERN_EVEN_NODE_FIXED, "so", gr.TYPE_SOSP_II, (1, 2, 1, 2)),
-    (folding.PATTERN_EVEN_NODE_FIXED, "sp", gr.TYPE_SOSP_II, (2, 2)),
-    (folding.PATTERN_EVEN_ARC_FIXED, "gl_outer_II", gr.TYPE_GL_OUTER_II, (2, 1, 1, 2)),
-    (folding.PATTERN_ODD_MIXED, "gl_outer_II", gr.TYPE_GL_OUTER_II, (1, 2, 1)),
-    (folding.PATTERN_EVEN_NODE_FIXED, "gl_outer_III", gr.TYPE_GL_OUTER_III, (1, 2, 2, 2)),
+    ("even_arc_fixed", "so", gr.TYPE_SOSP_I, (2, 1, 1, 2)),
+    ("even_arc_fixed", "sp", gr.TYPE_SOSP_I, (1, 2, 2, 1)),
+    ("even_arc_fixed", "sp", gr.TYPE_SOSP_I, (1, 1)),
+    ("odd_mixed", "so", gr.TYPE_SOSP_I, (2, 1, 2)),
+    ("odd_mixed", "sp", gr.TYPE_SOSP_I, (1, 2, 1)),
+    ("even_node_fixed", "so", gr.TYPE_SOSP_II, (1, 2, 1, 2)),
+    ("even_node_fixed", "sp", gr.TYPE_SOSP_II, (2, 2)),
+    ("even_arc_fixed", "gl_outer_II", gr.TYPE_GL_OUTER_II, (2, 1, 1, 2)),
+    ("odd_mixed", "gl_outer_II", gr.TYPE_GL_OUTER_II, (1, 2, 1)),
+    ("even_node_fixed", "gl_outer_III", gr.TYPE_GL_OUTER_III, (1, 2, 2, 2)),
 ]
+
+
+def sp_sine_gordon():
+    """The sp sosp_I M = 2 (2, 2) system with C = I: the p = 2 periodic
+    chain folded under epsilon = +1."""
+    spec = gr.make_spec("sp", gr.TYPE_SOSP_I, 2, (2, 2), (1,))
+    eye = (np.eye(2), np.eye(2))
+    return toda.build_system(spec, 1, eye, eye)
 
 
 class TestFoldConstraints:
     @pytest.mark.parametrize("pattern,family,gtype,n_list", FOLD_CASES)
     def test_fold_equals_direct_build(self, pattern, family, gtype, n_list):
+        """The unfolded chain is the inner gl system on the same data, and its
+        equations restricted to the independent nodes are the folded ones."""
         chain, direct = folded_chain(family, gtype, n_list, seed=hash((pattern, family)) % 997)
-        variant = direct.variant or folding.VARIANT_ARC_FIRST
-        fmap = folding.make_fold(len(n_list), pattern, family, variant=variant)
-        folded = folding.fold_constraints(fmap, chain)
-        assert folded.equation_class == direct.equation_class
-        assert folded.variant == direct.variant
-        assert folded.constraints == direct.constraints
-        assert folded.block_sizes == direct.block_sizes
-        assert folded.s == direct.s
-        for a, b in zip(folded.c_plus, direct.c_plus):
-            assert lc.max_abs(a - b) < 1e-12
-        for a, b in zip(folded.c_minus, direct.c_minus):
+        assert direct.equation_class == AXIS_CLASSES[pattern]
+        unfolded = folding.unfolded_chain(direct)
+        assert unfolded.spec == chain.spec
+        assert unfolded.equation_class == toda.EQ_GENERAL_LINEAR
+        for a, b in zip(unfolded.c_plus + unfolded.c_minus, chain.c_plus + chain.c_minus):
+            assert np.array_equal(a, b)
+        state = toda.random_state(direct, np.random.default_rng(len(n_list)))
+        lifted = toda.rhs_blocks(unfolded, toda.FieldState(gammas=toda.full_state(direct, state)))
+        for a, b in zip(lifted[:direct.s], toda.rhs_blocks(direct, state)):
             assert lc.max_abs(a - b) < 1e-12
 
     def test_sine_gordon_fold_matches_er9(self):
         # p = 2 chain with C = I folds under epsilon = +1 to the
         # anti-transpose-square equation
-        chain = toda.build_periodic_chain(2, 2)
-        fmap = folding.make_fold(2, folding.PATTERN_EVEN_ARC_FIXED, "sp")
-        folded = folding.fold_constraints(fmap, chain)
+        folded = sp_sine_gordon()
+        assert folding.unfolded_chain(folded).spec == toda.build_periodic_chain(2, 2).spec
         rng = np.random.default_rng(0)
         g = np.eye(2) + 0.3 * rng.standard_normal((2, 2))
         r = toda.rhs_blocks(folded, toda.FieldState(gammas=(g,)))[0]
@@ -124,22 +121,26 @@ class TestFoldConstraints:
 
     def test_incompatible_c_rejected(self):
         # identity C blocks break the orthogonal fold signs
-        chain = toda.build_periodic_chain(2, 2)
-        fmap = folding.make_fold(2, folding.PATTERN_EVEN_ARC_FIXED, "so")
-        with pytest.raises(folding.FoldError):
-            folding.fold_constraints(fmap, chain)
-
-    def test_p_mismatch(self):
-        chain = toda.build_periodic_chain(3, 1)
-        fmap = folding.make_fold(2, folding.PATTERN_EVEN_ARC_FIXED, "sp")
-        with pytest.raises(folding.FoldError):
-            folding.fold_constraints(fmap, chain)
+        spec = gr.make_spec("so", gr.TYPE_SOSP_I, 2, (2, 2), (1,))
+        eye = (np.eye(2), np.eye(2))
+        with pytest.raises(toda.ConstraintViolationError):
+            toda.build_system(spec, 1, eye, eye)
 
     def test_size_palindrome_required(self):
-        chain = uniform_chain((1, 2, 2), seed=3)
-        fmap = folding.make_fold(3, folding.PATTERN_ODD_MIXED, "so")
-        with pytest.raises(folding.FoldError):
-            folding.fold_constraints(fmap, chain)
+        # the odd so fold of the chain (1, 2, 2) has no system to be built
+        spec = gr.make_spec("so", gr.TYPE_SOSP_I, 3, (1, 2, 2), (1, 1))
+        with pytest.raises(gr.SpecError, match="n_palindrome"):
+            gr.check_valid(spec)
+
+    def test_unfolded_chain_needs_a_uniform_fold(self):
+        with pytest.raises(folding.FoldError, match="not folded"):
+            folding.unfolded_chain(toda.build_periodic_chain(3, 1))
+        spec = gr.make_spec("so", gr.TYPE_SOSP_I, 4, (2, 2), (3,))
+        assert gr.minimal_grade(spec) == 1
+        cp, cm = toda.random_c_blocks(spec, 1, np.random.default_rng(1))
+        system = toda.build_system(spec, 1, cp, cm)
+        with pytest.raises(folding.FoldError, match="uniform"):
+            folding.unfolded_chain(system)
 
     def test_folded_state_lift_consistency(self):
         chain, direct = folded_chain("so", gr.TYPE_SOSP_I, (2, 1, 2), seed=21)
@@ -174,40 +175,35 @@ class TestFoldEngine:
 
 class TestFoldInvariance:
     def test_zero_steps_zero_drift(self):
-        chain, direct = folded_chain("sp", gr.TYPE_SOSP_I, (1, 1), seed=4)
-        fmap = folding.make_fold(2, folding.PATTERN_EVEN_ARC_FIXED, "sp")
+        _, direct = folded_chain("sp", gr.TYPE_SOSP_I, (1, 1), seed=4)
         state = toda.random_state(direct, np.random.default_rng(5))
-        drift = folding.verify_fold_invariance(fmap, chain, state, steps=1, step=1e-6)
+        drift = folding.verify_fold_invariance(direct, state, steps=1, step=1e-6)
         assert drift < 1e-10
 
     def test_drift_small_at_small_step(self):
-        chain, direct = folded_chain("sp", gr.TYPE_SOSP_I, (1, 1), seed=6)
-        fmap = folding.make_fold(2, folding.PATTERN_EVEN_ARC_FIXED, "sp")
+        _, direct = folded_chain("sp", gr.TYPE_SOSP_I, (1, 1), seed=6)
         state = toda.random_state(direct, np.random.default_rng(7))
-        drift = folding.verify_fold_invariance(fmap, chain, state, steps=10, step=1e-3)
+        drift = folding.verify_fold_invariance(direct, state, steps=10, step=1e-3)
         assert drift <= 1e-8
 
-    @pytest.mark.parametrize("family, gtype, n_list, pattern", [
-        ("so", gr.TYPE_SOSP_I, (2, 2, 2), folding.PATTERN_ODD_MIXED),
-        ("gl_outer_II", gr.TYPE_GL_OUTER_II, (1, 2, 1), folding.PATTERN_ODD_MIXED),
-        ("gl_outer_III", gr.TYPE_GL_OUTER_III, (1, 2, 2, 2), folding.PATTERN_EVEN_NODE_FIXED),
+    @pytest.mark.parametrize("family, gtype, n_list", [
+        ("so", gr.TYPE_SOSP_I, (2, 2, 2)),
+        ("gl_outer_II", gr.TYPE_GL_OUTER_II, (1, 2, 1)),
+        ("gl_outer_III", gr.TYPE_GL_OUTER_III, (1, 2, 2, 2)),
     ], ids=["so", "gl_outer_II", "gl_outer_III"])
-    def test_detector_sees_broken_constraint(self, family, gtype, n_list, pattern):
+    def test_detector_sees_broken_constraint(self, family, gtype, n_list):
         # the last independent node is a fixed one in all three folds
-        chain, direct = folded_chain(family, gtype, n_list, seed=8)
-        fmap = folding.make_fold(len(n_list), pattern, family)
+        _, direct = folded_chain(family, gtype, n_list, seed=8)
         state = toda.random_state(direct, np.random.default_rng(9))
         bad = list(state.gammas)
         bad[-1] = bad[-1] + 1e-2
-        folded = folding.fold_constraints(fmap, chain)
-        full = folded.engine.complete_gammas(tuple(bad))
-        assert folded.engine.gamma_residual(full) >= 1e-2
+        full = direct.engine.complete_gammas(tuple(bad))
+        assert direct.engine.gamma_residual(full) >= 1e-2
 
     def test_matrix_fold_drift(self):
-        chain, direct = folded_chain("so", gr.TYPE_SOSP_II, (2, 2), seed=10)
-        fmap = folding.make_fold(2, folding.PATTERN_EVEN_NODE_FIXED, "so")
+        _, direct = folded_chain("so", gr.TYPE_SOSP_II, (2, 2), seed=10)
         state = toda.random_state(direct, np.random.default_rng(11))
-        drift = folding.verify_fold_invariance(fmap, chain, state, steps=8, step=2e-3)
+        drift = folding.verify_fold_invariance(direct, state, steps=8, step=2e-3)
         assert drift <= 1e-8
 
 
@@ -258,18 +254,10 @@ class TestAxisEnumeration:
             assert shapes[(1, 1)] == p
 
     def test_exactly_three_patterns_up_to_eight(self):
+        # an axis through 0, 1 or 2 nodes gives one folded class each
         seen = set()
         for p in range(2, 9):
-            for shape in folding.enumerate_axis_shapes(p):
-                seen.add(folding.shape_to_pattern(shape))
-        assert seen == set(folding.PATTERNS)
-
-
-class TestDiagramExport:
-    def test_json_description(self):
-        fmap = folding.make_fold(4, folding.PATTERN_EVEN_ARC_FIXED, "so")
-        desc = folding.diagram_json(fmap)
-        assert desc["p"] == 4
-        assert desc["nodes"] == ["Gamma_1", "Gamma_2", "Gamma_3", "Gamma_4"]
-        assert [0, 3] in desc["node_pairs"] or [3, 0] in desc["node_pairs"]
-        assert desc["fixed_arcs"] == [[0, -1], [2, -1]]
+            for nodes, arcs in folding.enumerate_axis_shapes(p):
+                assert nodes + arcs == 2
+                seen.add(toda.FOLD_CLASSES[nodes])
+        assert seen == {toda.EQ_EVEN_FOLD, toda.EQ_ODD_FOLD, toda.EQ_DOUBLE_FIXED_FOLD}

@@ -170,6 +170,13 @@ def test_sqrtm_2x2_fallback_side(dist):
     assert rel_err(lc.sqrtm_near_identity(a), oracle(sla.sqrtm, a)) < 1e-12
 
 
+@pytest.mark.parametrize("big", [1e9, 1e12])
+def test_sqrtm_wide_diagonal_matches_scipy(big):
+    # Denman-Beavers needs 21 and 26 iterations here
+    a = np.diag([big, 1.0])
+    assert rel_err(lc.sqrtm_near_identity(a), sla.sqrtm(a)) <= 1e-15
+
+
 def test_sqrtm_2x2_far_input_still_raises():
     # an eigenvalue near -3 lies outside the region: Denman-Beavers raises
     with pytest.raises(lc.ConvergenceError):

@@ -406,15 +406,16 @@ class TestBlowUp:
         assert hist.halt_reason.startswith("non-finite value at row 1")
 
     @pytest.mark.parametrize("bottom, cause", [
-        (lambda z: (np.diag([10.0 ** (72 * z), 1.0]),), "edge logarithm failed"),
+        (lambda z: (np.diag([-3.0 + 1e-9j if z > 0 else 1.0, 1.0]),), "edge logarithm failed"),
         (lambda z: (np.zeros((2, 2)) if z == 0.5 else np.eye(2),), "singular block"),
         (lambda z: (np.diag([1e300 if z > 0 else 1.0, 1.0]),), "edge logarithm failed"),
         (lambda z: (np.diag([{0.125: 1e-200, 0.25: 1e200}.get(z, 1.0), 1.0]),), "non-finite value"),
     ], ids=["log_stall", "singular", "log_overflow", "step_overflow"])
     def test_bottom_edge_failure_halts_at_row_0(self, bottom, cause):
         # row 0's V takes the logarithm of every bottom-edge step before the
-        # march: a Denman-Beavers stall, a singular block, a step of 1e300 and
-        # a step of 1e400 (inf) halt there
+        # march: a step with an eigenvalue near -3 (Denman-Beavers does not
+        # converge), a singular block, a step of 1e300 and a step of 1e400
+        # (inf) halt there
         system = toda.build_simplest("gl", np.eye(2) / 2, np.eye(2) / 2)
         data = solver.CharacteristicData(bottom, lambda w: (np.eye(2, dtype=complex),))
         hist = solver.integrate(system, data, solver.Grid(0, 1, 0, 1, 8, 8))
