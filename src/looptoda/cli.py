@@ -176,7 +176,7 @@ def _run_preset(name, grid, config):
 
         hist = solver.integrate(system, solver.CharacteristicData(edge, edge), grid, config)
         if not hist.halted:
-            meta["unitarity_drift"] = float(solver.reality_preservation(hist, "compact"))
+            meta["det_factorization_defect"] = solver.det_factorization_defect(hist)
         return hist, meta
     if name == "free-field":
         spec = gradation.make_spec("gl", gradation.TYPE_GL_INNER, 2, (1, 1), (1,))

@@ -32,6 +32,15 @@ stacks take closed forms on the ``[..., i, j]`` entry slices (Higham,
 
 Other sizes, and 2x2 batches outside a region, take the general kernels.
 The regions are checked against scipy.linalg in test_kernel_oracles.py.
+
+The marcher stacks the blocks of each size of a row into one array and
+allocates it with ``empty_stack``, which stores 1x1 and 2x2 stacks
+batch-last: the matrix axes are outermost in memory, so numpy's inner
+loops run along the cells and not along a length-2 axis.  The 2x2 closed
+forms allocate with ``np.empty_like`` and so keep their input's layout;
+``mul`` spreads a broadcast operand to the full stack in the other's
+layout first.  Larger blocks stay in C order for BLAS and LAPACK.  The
+layout changes no value: every kernel gives the same bits in either.
 """
 
 from __future__ import annotations
@@ -62,7 +71,7 @@ class NonFiniteError(ValueError):
 
 def as_complex(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NonFiniteError("matrix entries must be finite")
     return a
 
@@ -260,11 +269,43 @@ def _check_square(a: np.ndarray, name: str) -> None:
         raise ShapeMismatchError(f"{name} needs square matrices, got shape {a.shape}")
 
 
+def empty_stack(shape) -> np.ndarray:
+    """An uninitialised complex stack of matrices of the given shape (..., n, n).
+
+    Stacks of 1x1 and 2x2 blocks are stored batch-last: the matrix axes
+    are outermost in memory, so the elementwise loops of the closed forms
+    run along the batch and not along a length-2 axis.  Larger blocks keep
+    C order, where each matrix is contiguous for BLAS and LAPACK.  Only
+    the strides differ: the shape is the one asked for.
+    """
+    shape = tuple(shape)
+    if shape[-1] > 2:
+        return np.empty(shape, dtype=complex)
+    return np.empty(shape[-2:] + shape[:-2], dtype=complex).transpose(*range(2, len(shape)), 0, 1)
+
+
+def _spread(x: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """x broadcast to the shape of the larger ``other``, in other's layout.
+
+    numpy can lay out the product of a full stack and a broadcast one with
+    a length-2 matrix axis innermost, which slows every later loop over
+    it.  x is returned as it is when it is the larger one or does not
+    broadcast to other's shape.
+    """
+    if x.size >= other.size or x.ndim > other.ndim or any(
+            d not in (1, e) for d, e in zip(x.shape[::-1], other.shape[::-1])):
+        return x
+    full = np.empty_like(other, dtype=np.result_type(x))
+    full[...] = x
+    return full
+
+
 def mul(a, b) -> np.ndarray:
     """Batched matrix product a @ b.
 
     An inner dimension of 1 (1x1 blocks among them) is the broadcast
-    product a * b; 2x2 by 2x2 takes two broadcast outer products.
+    product a * b; 2x2 by 2x2 takes two broadcast outer products, after
+    spreading a broadcast operand to the other's stack (``_spread``).
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -274,6 +315,8 @@ def mul(a, b) -> np.ndarray:
         return a * b
     if a.shape[-2:] != (2, 2) or b.shape[-1] != 2:
         return a @ b
+    if a.shape != b.shape:
+        a, b = _spread(a, b), _spread(b, a)
     out = a[..., :, :1] * b[..., :1, :]
     out += a[..., :, 1:] * b[..., 1:, :]
     return out
@@ -299,7 +342,7 @@ def inv(a) -> np.ndarray:
     if not det.all():
         raise np.linalg.LinAlgError("Singular matrix")
     r = 1.0 / det
-    out = np.empty(a.shape, dtype=r.dtype)
+    out = np.empty_like(a, dtype=r.dtype)
     np.multiply(a[..., 1, 1], r, out=out[..., 0, 0])
     np.multiply(a[..., 0, 0], r, out=out[..., 1, 1])
     r = -r
@@ -309,10 +352,17 @@ def inv(a) -> np.ndarray:
 
 
 def _norm1(a) -> float:
-    """Largest 1-norm (max column abs sum) over a batch of matrices."""
+    """Largest 1-norm (max column abs sum) over a batch of matrices.
+
+    A 2x2 batch adds its two column entries explicitly: a reduction over
+    a length-2 axis costs numpy's loop set-up on every pair.
+    """
     if a.size == 0:
         return 0.0
-    return float(np.abs(a).sum(axis=-2).max())
+    m = np.abs(a)
+    if a.shape[-2:] == (2, 2):
+        return float(max((m[..., 0, 0] + m[..., 1, 0]).max(), (m[..., 0, 1] + m[..., 1, 1]).max()))
+    return float(m.sum(axis=-2).max())
 
 
 def _add_identity(m: np.ndarray, scale: float = 1.0) -> np.ndarray:
@@ -345,7 +395,7 @@ def _expm_2x2(a: np.ndarray) -> np.ndarray:
     series *= np.exp(tau)
     cosh, sinhc = series
     off = sinhc * half_diff
-    out = np.empty(a.shape, dtype=complex)
+    out = np.empty_like(a, dtype=complex)
     np.add(cosh, off, out=out[..., 0, 0])
     np.subtract(cosh, off, out=out[..., 1, 1])
     np.multiply(sinhc, a01, out=out[..., 0, 1])
@@ -382,9 +432,9 @@ def expm(a) -> np.ndarray:
     degree = next((m for m, theta in enumerate(_TAYLOR_THETA, start=1) if norm <= theta), 16)
     result = _add_identity(b / degree)
     for k in range(degree - 1, 0, -1):
-        result = _add_identity(b @ result / k)
+        result = _add_identity(mul(b, result) / k)
     for _ in range(squarings):
-        result = result @ result
+        result = mul(result, result)
     return result
 
 
@@ -393,7 +443,7 @@ def _sqrtm_2x2(a: np.ndarray) -> np.ndarray:
     a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
     delta = np.sqrt(a00 * a11 - a01 * a10)
     scale = 1.0 / np.sqrt(a00 + a11 + 2.0 * delta)
-    root = np.empty(a.shape, dtype=complex)
+    root = np.empty_like(a, dtype=complex)
     np.multiply(a00 + delta, scale, out=root[..., 0, 0])
     np.multiply(a11 + delta, scale, out=root[..., 1, 1])
     np.multiply(a01, scale, out=root[..., 0, 1])
@@ -461,7 +511,7 @@ def logm_near_identity(a) -> np.ndarray:
     n = a.shape[-1]
     if n == 1:
         return np.log(a)
-    e = _add_identity(a.copy(), -1.0)
+    e = _add_identity(a.copy(order="K"), -1.0)
     theta = _norm1(e)
     doublings = 0
     while theta > _LOG_THETA:
@@ -471,14 +521,15 @@ def logm_near_identity(a) -> np.ndarray:
                 f"(||a - I||_1 still {theta:.2e})"
             )
         a = sqrtm_near_identity(a)
-        e = _add_identity(a.copy(), -1.0)
+        e = _add_identity(a.copy(order="K"), -1.0)
         theta = _norm1(e)
         doublings += 1
     degree = 1
     while theta ** (degree + 1) / (degree + 1) > _UNIT_ROUNDOFF:
         degree += 1
     # Horner: log(I + e) = e (c_1 I + e (c_2 I + ... + e c_m I)), c_k = (-1)^(k+1) / k
-    r = np.broadcast_to(identity(n) * ((-1) ** (degree + 1) / degree), e.shape).copy()
+    r = np.empty_like(e)
+    r[...] = identity(n) * ((-1) ** (degree + 1) / degree)
     for k in range(degree - 1, 0, -1):
-        r = _add_identity(e @ r, (-1) ** (k + 1) / k)
-    return (e @ r) * (2.0 ** doublings)
+        r = _add_identity(mul(e, r), (-1) ** (k + 1) / k)
+    return mul(e, r) * (2.0 ** doublings)

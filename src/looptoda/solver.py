@@ -21,6 +21,15 @@ roots come from ``lie_core``, the only module that looks at the block size,
 so the 1x1 blocks of the sine- and sinh-Gordon reductions march like any
 matrix block.
 
+The marcher holds a row as one stacked array per block size, of shape
+(blocks of that size, lattice points, n, n), so a sweep makes one
+exponential, one scan, one square root and one inverse call per size and
+not per block, and the right-hand side runs every node of a chain of
+equal blocks at once.  The arrays come from ``lie_core.empty_stack``,
+which stores 1x1 and 2x2 stacks batch-last (matrix axes outermost in
+memory), and the 2x2 kernels keep that layout; only strides differ, no
+shape.  The history's ``gammas`` stay C-ordered, one array per block.
+
 Scalar reductions: for the p = 2, r = 1 chain with C = I/sqrt(2) the
 unit-modulus real form G = exp(i F / 2) carries the field F with
 d_+ d_- F = 2 sin F, and the real-positive form G = exp(F / 2) carries
@@ -46,6 +55,7 @@ from .lie_core import (
     ConvergenceError,
     NonFiniteError,
     as_complex,
+    empty_stack,
     expm,
     inv,
     logm_near_identity,
@@ -189,41 +199,76 @@ def _c_blocks(constants, fn, points, name):
     return _sample(fn, points, [c.shape for c in constants], name)
 
 
-def _finite(blocks) -> bool:
-    return all(np.isfinite(b).all() for b in blocks)
+def _size_groups(sizes) -> tuple[tuple[int, ...], ...]:
+    """The indices of the blocks of each size, sizes in order of first appearance."""
+    groups: dict[int, list[int]] = {}
+    for b, na in enumerate(sizes):
+        groups.setdefault(na, []).append(b)
+    return tuple(tuple(group) for group in groups.values())
 
 
-def _row_invertibility(blocks):
-    """The row's worst max(|G|, |inv G|, |G| |inv G|).
+def _pack(blocks, groups) -> list[np.ndarray]:
+    """One stacked (len(group), ..., n, n) array per size group, laid out by
+    ``lie_core.empty_stack``."""
+    packs = []
+    for group in groups:
+        stack = empty_stack((len(group),) + blocks[group[0]].shape)
+        for k, b in enumerate(group):
+            stack[k] = blocks[b]
+        packs.append(stack)
+    return packs
+
+
+def _unpack(packs, groups) -> list[np.ndarray]:
+    """The blocks of the stacked arrays, as views in block order."""
+    blocks = [None] * sum(map(len, groups))
+    for stack, group in zip(packs, groups):
+        for k, b in enumerate(group):
+            blocks[b] = stack[k]
+    return blocks
+
+
+def _finite(packs) -> bool:
+    return all(np.isfinite(g).all() for g in packs)
+
+
+def _row_invertibility(packs):
+    """The row's worst max(|G|, |inv G|, |G| |inv G|), each taken per block.
 
     An exactly singular block raises ``np.linalg.LinAlgError``.
     """
-    sizes = [(np.max(np.abs(g)), np.max(np.abs(inv(g)))) for g in blocks]
-    return np.max([(a, b, a * b) for a, b in sizes])
+    worst = 0.0
+    for g in packs:
+        axes = tuple(range(1, g.ndim))
+        size, inv_size = np.abs(g).max(axis=axes), np.abs(inv(g)).max(axis=axes)
+        worst = max(worst, size.max(), inv_size.max(), (size * inv_size).max())
+    return worst
 
 
 def _half_point_v(g_row, h_minus):
     """Discrete V on row half-points: logm(inv(G_i) G_{i+1}) / h_minus."""
-    return [logm_near_identity(mul(inv(g[:-1]), g[1:])) / h_minus for g in g_row]
+    return [logm_near_identity(mul(inv(g[:, :-1]), g[:, 1:])) / h_minus for g in g_row]
 
 
 def _row_rebuild(g_left, v_row, h_minus):
     """Rebuild a row from its left value: G[i+1] = G[i] expm(h V[i+1/2]).
 
-    The products run as a Hillis-Steele inclusive scan in place: after the
-    pass of stride d every entry holds the product of up to 2d consecutive
-    factors, so ceil(log2(cells + 1)) batched products build the whole row,
-    for blocks of every size.
+    Each stacked array of ``v_row`` holds the blocks of one size, with the
+    cells on axis 1, and ``g_left`` their left values.  The products run
+    as a Hillis-Steele inclusive scan in place: after the pass of stride d
+    every entry holds the product of up to 2d consecutive factors, so
+    ceil(log2(cells + 1)) batched products build the row of every block
+    of that size.
     """
     out = []
     for g0, v in zip(g_left, v_row):
-        ncells, na, _ = v.shape
-        row = np.empty((ncells + 1, na, na), dtype=complex)
-        row[0] = g0
-        row[1:] = expm(h_minus * v)
+        nblocks, ncells = v.shape[:2]
+        row = empty_stack((nblocks, ncells + 1) + v.shape[2:])
+        row[:, 0] = g0
+        row[:, 1:] = expm(h_minus * v)
         stride = 1
         while stride <= ncells:
-            row[stride:] = mul(row[:-stride], row[stride:])
+            row[:, stride:] = mul(row[:, :-stride], row[:, stride:])
             stride *= 2
         out.append(row)
     return out
@@ -231,24 +276,24 @@ def _row_rebuild(g_left, v_row, h_minus):
 
 def _cell_centers(g_new, g_old):
     """Geometric means nw sqrt(inv(nw) se) of the NW and SE corners of each
-    cell of a row pair, for blocks of every size."""
-    return [mul(gn[:-1], sqrtm_near_identity(mul(inv(gn[:-1]), go[1:])))
+    cell of a row pair, for the stacked blocks of every size."""
+    return [mul(gn[:, :-1], sqrtm_near_identity(mul(inv(gn[:, :-1]), go[:, 1:])))
             for gn, go in zip(g_new, g_old)]
 
 
-def _solve_row(system, law, left_next, g_row, v_row, cp_vals, cm_vals, hm, dv_scale):
+def _solve_row(system, law, groups, left_next, g_row, v_row, cp_vals, cm_vals, hm, dv_scale):
     """The next row's (G, V) by fixed-point sweeps, or None once a value is non-finite."""
     v_next = v_row
     g_next = _row_rebuild(left_next, v_next, hm)
     for _ in range(SWEEPS):
         if not _finite(g_next):
             return None
-        centers = _cell_centers(g_next, g_row)
+        centers = _unpack(_cell_centers(g_next, g_row), groups)
         if law is None:
             f = toda.rhs_dispatch(system, centers, cp_vals, cm_vals)
         else:
             f = law(centers)
-        v_next = [v + dv_scale * fb for v, fb in zip(v_row, f)]
+        v_next = [v + dv_scale * fb for v, fb in zip(v_row, _pack(f, groups))]
         if not _finite(v_next):
             return None
         g_next = _row_rebuild(left_next, v_next, hm)
@@ -318,16 +363,18 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
 
     history = FieldHistory(system=system, grid=grid, config=config)
     history.gammas = [np.zeros((len(zp), len(zm), na, na), dtype=complex) for na in sizes]
+    groups = _size_groups(sizes)
+    left_packs = _pack(left, groups)
 
-    def store(j, g_blocks):
-        for hg, g in zip(history.gammas, g_blocks):
+    def store(j, g_packs):
+        for hg, g in zip(history.gammas, _unpack(g_packs, groups)):
             hg[j] = g if march_minus > 0 else g[::-1]
 
     def halt(row, cause, detail=""):
         history.halted = True
         history.halt_reason = f"{cause} at row {row} (z^+ = {zp[row]:g}){detail}"
 
-    g_row = [b.copy() for b in bottom]
+    g_row = _pack(bottom, groups)
     store(0, g_row)
     history.completed_rows = 1
     try:
@@ -345,7 +392,7 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
         cp_row = cp_vals if c_plus_fn is None else [c[j] for c in cp_vals]
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                row = _solve_row(system, law, [l[j + 1] for l in left], g_row, v_row,
+                row = _solve_row(system, law, groups, [l[:, j + 1] for l in left_packs], g_row, v_row,
                                  cp_row, cm_vals, hm, march_minus * hp)
                 if row is None:
                     cause = "non-finite value"
@@ -375,6 +422,10 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
     return history
 
 
+#: interior cells per band of rows in which :func:`residual` takes the right-hand side
+RESIDUAL_BAND_CELLS = 1024
+
+
 def residual(history: FieldHistory, system: TodaSystem | None = None,
              c_plus_fn: Callable[[float], Sequence[np.ndarray]] | None = None,
              c_minus_fn: Callable[[float], Sequence[np.ndarray]] | None = None) -> float:
@@ -399,11 +450,16 @@ def residual(history: FieldHistory, system: TodaSystem | None = None,
     # one c_+ value per interior row and one c_- per interior column
     cp = _c_blocks(system.c_plus, c_plus_fn, grid.zp_points()[1:rows - 1], "c_plus_fn")
     cm = _c_blocks(system.c_minus, c_minus_fn, grid.zm_points()[1:-1], "c_minus_fn")
-    if c_plus_fn is not None:
-        cp = [c[:, None] for c in cp]
-    if c_minus_fn is not None:
-        cm = [c[None, :] for c in cm]
-    rhs = toda.rhs_dispatch(system, interior, cp, cm)
+    # the right-hand side in bands of rows of about RESIDUAL_BAND_CELLS
+    # cells: the bands' blocks run as one stack, in memory of a few rows
+    rhs = [np.empty_like(g) for g in interior]
+    band = max(1, RESIDUAL_BAND_CELLS // (grid.n_minus - 1))
+    for j in range(0, rows - 2, band):
+        rows_j = slice(j, j + band)
+        cp_j = cp if c_plus_fn is None else [c[rows_j, None] for c in cp]
+        f_j = toda.rhs_dispatch(system, [g[rows_j] for g in interior], cp_j, cm)
+        for f, f_band in zip(rhs, f_j):
+            f[rows_j] = f_band
     worst = 0.0
     # W = inv(G) d_- G one block at a time: only one block's W is held
     for g, f in zip(history.gammas, rhs):
@@ -543,13 +599,28 @@ def reality_preservation(history: FieldHistory, tag: str) -> float:
     return worst
 
 
-def det_product_drift(history: FieldHistory) -> float:
-    """Max |prod_alpha det Gamma_alpha - 1| over the run (sl systems)."""
+def det_factorization_defect(history: FieldHistory) -> float:
+    """Max |P(i, j) P(0, 0) / (P(i, 0) P(0, j)) - 1| over the run, with
+    P = prod_alpha det Gamma_alpha at lattice point (z^-_i, z^+_j).
+
+    On a gl or sl inner system sum_alpha tr rhs_alpha = 0, so log P solves
+    d_+ d_- log P = 0 and P factorizes into a function of z^- times one of
+    z^+.  The marcher keeps this exactly: G is rebuilt by products of
+    expm(h V), and sum_alpha tr V does not change from row to row, so the
+    defect is round-off.  On sl systems with unit-det edge data it is the
+    drift of P from 1.  Folded systems, where the mirrored nodes cancel
+    from the product, and systems with fixed nodes raise ValueError.
+    """
+    system = history.system
+    if (system.family not in ("gl", "sl") or system.engine is not None
+            or system.constraints.gamma_constraints):
+        raise ValueError("the det factorization holds on gl and sl inner systems only")
     rows = history.completed_rows
     prod = 1.0
     for g in history.gammas:
         prod = prod * np.linalg.det(g[:rows])
-    return float(np.max(np.abs(prod - 1.0)))
+    ratio = prod * prod[0, 0] / (prod[:, :1] * prod[:1, :])
+    return float(np.max(np.abs(ratio - 1.0)))
 
 
 def integrate_scalar_reference(g_fn, bottom_fn, left_fn, grid: Grid) -> np.ndarray:

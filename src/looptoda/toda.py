@@ -42,6 +42,7 @@ from .lie_core import (
     anti_transpose,
     as_complex,
     b_transpose,
+    empty_stack,
     expm,
     identity,
     inv,
@@ -297,40 +298,62 @@ def _independent_arcs(s: int, left, right) -> range:
 # ---------------------------------------------------------------------------
 # right-hand sides (batched: leading axes broadcast)
 
+def _stacked(blocks, ndim) -> np.ndarray:
+    """The blocks stacked on a new first axis, with unit axes after it up to ndim axes."""
+    shape = blocks[0].shape
+    out = empty_stack((len(blocks),) + (1,) * (ndim - 1 - len(shape)) + shape)
+    for k, block in enumerate(blocks):
+        out[k] = block
+    return out
+
+
+def _nodewise(fn, *lists) -> list:
+    """[fn(*entries) for entries in zip(*lists)] over lists of node blocks.
+
+    When each list holds several blocks of one shape, as on a chain of
+    equal blocks, the lists are stacked and fn runs once for all the nodes.
+    """
+    if len(lists[0]) > 1 and all(len({x.shape for x in blocks}) == 1 for blocks in lists):
+        ndim = 1 + max(blocks[0].ndim for blocks in lists)
+        return list(fn(*(_stacked(blocks, ndim) for blocks in lists)))
+    return [fn(*entries) for entries in zip(*lists)]
+
+
+def _product(a, b, c, d):
+    return mul(mul(mul(a, b), c), d)
+
+
 def rhs_chain(gammas, cp, cm, left=None, right=None):
     """Right-hand sides of the chain on nodes 0..s-1, s = len(gammas).
 
-    With both caps None the chain is cyclic.  A cap replaces the term of
-    its end node that crosses the end: the second term of node 0 (left)
-    and the first term of node s-1 (right).  An "arc" cap puts ^J G_0
-    there on the left and ^J inv(G_{s-1}) on the right, with arc 0 and
-    arc s; a B-kind cap puts minus the B-transpose of the node's other
-    term.
+    Node i's first term t1 (minus sign) pairs it with its successor
+    through arc i+1, its second term t2 with its predecessor through arc
+    i.  With both caps None the chain is cyclic.  A cap replaces the
+    term of its end node that crosses the end: t2 of node 0 (left) and
+    t1 of node s-1 (right).  An "arc" cap puts ^J G_0 in place of the
+    predecessor's inverse on the left and ^J inv(G_{s-1}) in place of the
+    successor on the right, with arc 0 and arc s; a B-kind cap puts minus
+    the B-transpose of the node's other term.  Every term of a chain of
+    equal blocks runs as one batched product over the nodes.
     """
     s = len(gammas)
-    ginv = [inv(g) for g in gammas]
-    out = []
-    for i in range(s):
-        if i == 0 and left in ("J", "K"):
-            x = mul(mul(mul(ginv[0], cp[1]), gammas[1]), cm[1])
-            out.append(kind_transpose(x, left) - x)
-            continue
-        if i == s - 1 and right in ("J", "K"):
-            y = mul(mul(mul(cm[i], ginv[i - 1]), cp[i]), gammas[i])
-            out.append(y - kind_transpose(y, right))
-            continue
-        # the node's first term t1 enters with a minus sign
-        if i == s - 1 and right == "arc":
-            t1 = mul(mul(mul(ginv[i], cp[s]), anti_transpose(ginv[i])), cm[s])
-        else:
-            j = (i + 1) % s
-            t1 = mul(mul(mul(ginv[i], cp[j]), gammas[j]), cm[j])
-        if i == 0 and left == "arc":
-            t2 = mul(mul(mul(cm[0], anti_transpose(gammas[0])), cp[0]), gammas[0])
-        else:
-            t2 = mul(mul(mul(cm[i], ginv[i - 1]), cp[i]), gammas[i])
-        out.append(t2 - t1)
-    return out
+    ginv = _nodewise(inv, gammas)
+    node_caps = ("J", "K")
+    first = range(s - 1 if right in node_caps else s)
+    second = range(1 if left in node_caps else 0, s)
+    arcs = [(i + 1) % len(cp) for i in first]
+    succ = [anti_transpose(ginv[i]) if i == s - 1 and right == "arc" else gammas[(i + 1) % s]
+            for i in first]
+    pred = [anti_transpose(gammas[0]) if i == 0 and left == "arc" else ginv[i - 1] for i in second]
+    t1 = _nodewise(_product, [ginv[i] for i in first], [cp[a] for a in arcs], succ,
+                   [cm[a] for a in arcs])
+    t2 = _nodewise(_product, [cm[i] for i in second], pred, [cp[i] for i in second],
+                   [gammas[i] for i in second])
+    if left in node_caps:
+        t2.insert(0, kind_transpose(t1[0], left))
+    if right in node_caps:
+        t1.append(kind_transpose(t2[-1], right))
+    return [b - a for a, b in zip(t1, t2)]
 
 
 def rhs_full(gamma, c_minus, c_plus) -> np.ndarray:

@@ -302,7 +302,7 @@ def test_criterion_7_reality_and_group_constraints():
         return (lc.expm(0.3 * np.sin(t) * t1), lc.expm(0.3 * np.cos(t) * t2))
 
     hist = solver.integrate(system_sl, solver.CharacteristicData(sl_edge, sl_edge), grid)
-    det_drift = solver.det_product_drift(hist)
+    det_drift = solver.det_factorization_defect(hist)
 
     bad_c = (1 + 0.4j) * c
     bad_system = toda.build_system(spec, 1, (bad_c, bad_c), (bad_c, bad_c))

@@ -128,6 +128,8 @@ class TestSimulateCommand:
         assert rc == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["max_residual"] < 1e-2
+        assert manifest["det_factorization_defect"] <= 1e-12
+        assert "unitarity_drift" not in manifest
 
     def test_near_singular_initial_blowup_status(self, tmp_path):
         cp = np.array([[0.0, 1.0], [0.0, 0.0]])

@@ -237,3 +237,57 @@ def test_mul_checks_shapes_before_dispatch():
     for a, b in (((2, 3), (2, 3)), ((3, 2), (2,)), ((2,), (2, 2))):
         with pytest.raises(lc.ShapeMismatchError):
             lc.mul(np.ones(a), np.ones(b))
+
+
+def batch_last(x):
+    """A copy of the stack x with its matrix axes outermost in memory."""
+    lead = x.ndim - 2
+    out = np.empty(x.shape[-2:] + x.shape[:-2], dtype=x.dtype).transpose(*range(2, lead + 2), 0, 1)
+    out[...] = x
+    return out
+
+
+def is_batch_last(x):
+    return min(x.strides[-2:]) > max(x.strides[:-2])
+
+
+#: each kernel on a small stack x (and a second stack y for mul); the
+#: ``far`` ones leave the 2x2 closed forms for the general kernels
+LAYOUT_KERNELS = {
+    "mul": lambda x, y: lc.mul(x, y),
+    "inv": lambda x, y: lc.inv(y),
+    "expm": lambda x, y: lc.expm(x),
+    "expm_far": lambda x, y: lc.expm(30.0 * x),
+    "sqrtm_near_identity": lambda x, y: lc.sqrtm_near_identity(np.eye(x.shape[-1]) + x),
+    "sqrtm_near_identity_far": lambda x, y: lc.sqrtm_near_identity(np.eye(x.shape[-1]) + 8.0 * x),
+    "logm_near_identity": lambda x, y: lc.logm_near_identity(np.eye(x.shape[-1]) + x),
+    "logm_near_identity_far": lambda x, y: lc.logm_near_identity(np.eye(x.shape[-1]) + 6.0 * x),
+}
+#: kernels whose 2x2 case runs the Denman-Beavers iteration, which returns C order
+DENMAN_BEAVERS = {"sqrtm_near_identity_far", "logm_near_identity_far"}
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("kernel", sorted(LAYOUT_KERNELS))
+def test_kernels_give_the_same_bits_in_either_layout(kernel, n):
+    # the marcher stores 1x1 and 2x2 stacks batch-last (lie_core.empty_stack);
+    # the layout must change no value, and a 2x2 closed form keeps its input's
+    rng = np.random.default_rng(n)
+    x, y = (rng.standard_normal((3, 5, n, n)) + 1j * rng.standard_normal((3, 5, n, n)) for _ in range(2))
+    x *= 0.1
+    fn = LAYOUT_KERNELS[kernel]
+    c_order, last = fn(x, y), fn(batch_last(x), batch_last(y))
+    assert np.array_equal(c_order, last)
+    if n == 2 and kernel not in DENMAN_BEAVERS:
+        assert c_order.flags.c_contiguous
+        assert is_batch_last(last)
+
+
+@pytest.mark.parametrize("shape", [(3, 5, 1, 1), (3, 5, 2, 2), (2, 4, 4)])
+def test_empty_stack_layout(shape):
+    stack = lc.empty_stack(shape)
+    assert stack.shape == shape and stack.dtype == complex
+    if shape[-1] > 2:
+        assert stack.flags.c_contiguous
+    else:
+        assert is_batch_last(stack) or shape[-1] == 1

@@ -335,7 +335,14 @@ class TestReality:
 
         grid = solver.Grid(0, 1, 0, 1, 100, 100)
         hist = solver.integrate(system, solver.CharacteristicData(edge, edge), grid)
-        assert solver.det_product_drift(hist) <= 1e-8
+        assert solver.det_factorization_defect(hist) <= 1e-8
+
+    def test_det_factorization_defect_needs_an_inner_system(self):
+        grid = solver.Grid(0, 1, 0, 1, 4, 4)
+        hist = solver.integrate(solver.sine_gordon_system(), solver.constant_data(
+            FieldState(gammas=(np.eye(1, dtype=complex),))), grid)
+        with pytest.raises(ValueError):
+            solver.det_factorization_defect(hist)
 
     def test_unknown_tag(self):
         system = solver.sine_gordon_system()
@@ -611,7 +618,8 @@ class TestRowKernels:
     def test_prefix_rebuild_matches_sequential_product(self):
         _, _, g0, v = self._fixed_node_row()
         h = 1.0 / len(v)
-        row = solver._row_rebuild([g0], [v], h)[0]
+        # one stack of one block: the (1, cells, n, n) array of its size
+        row = solver._row_rebuild([g0[None]], [v[None]], h)[0][0]
         steps = lc.expm(h * v)
         seq = [g0]
         for step in steps:
@@ -622,9 +630,43 @@ class TestRowKernels:
 
     def test_prefix_rebuild_keeps_fold_constraint(self):
         _, gc, g0, v = self._fixed_node_row()
-        row = solver._row_rebuild([g0], [v], 1.0 / len(v))[0]
+        row = solver._row_rebuild([g0[None]], [v[None]], 1.0 / len(v))[0][0]
         defect = lc.kind_transpose(row, gc.b_kind) @ row - np.eye(row.shape[-1])
         assert lc.max_abs(defect) <= 1e-13
+
+    #: G of the gl (1, 2) run below at (row, column), as the marcher gave it
+    #: when it took every block separately: the 1x1 block, then the 2x2 one
+    MIXED_REFERENCE = {
+        (8, 8): (1.3204730508537128 + 0.1309130061169669j,
+                 [[0.9619880331369911 - 0.19882995414548862j, -0.04358782611871556 - 0.0459537683233989j],
+                  [-0.00825271079149537 - 0.2038438129260615j, 0.885266992616417 + 0.12523107677577916j]]),
+        (16, 16): (1.7568133012576377 - 0.2953263876475287j,
+                   [[1.0276859126421498 - 0.2943470549416617j, -0.5510810928390342 - 0.2178008044643599j],
+                    [-0.5069118438722365 - 0.45704223267090427j, 0.5752169003803455 + 1.0087024600945493j]]),
+        (16, 3): (1.3248290446986017 + 0.21565646025666707j,
+                  [[0.9782172634038022 - 0.14113284549808428j, -0.0412369645650522 - 0.03961949945768112j],
+                   [-0.0064945444378827 - 0.14532036530402465j, 0.9189211565565091 + 0.10153224289500498j]]),
+    }
+
+    def test_mixed_block_sizes_march_as_one_stack_per_size(self):
+        spec = gr.make_spec("gl", gr.TYPE_GL_INNER, 2, (1, 2), (1,))
+        rng = np.random.default_rng(12)
+        cp, cm = toda.random_c_blocks(spec, gr.minimal_grade(spec), rng, scale=0.5)
+        system = toda.build_system(spec, gr.minimal_grade(spec), cp, cm)
+        a = 0.3 * (rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1)))
+        b = 0.3 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+
+        def edge(t):
+            return (lc.expm(np.sin(t) * a), lc.expm(np.cos(t) * b))
+
+        assert solver._size_groups(system.independent_sizes) == ((0,), (1,))
+        hist = solver.integrate(system, solver.CharacteristicData(edge, edge), solver.Grid(0, 1, 0, 1, 16, 16))
+        assert not hist.halted
+        for (j, i), (g0, g1) in self.MIXED_REFERENCE.items():
+            assert abs(hist.gammas[0][j, i, 0, 0] - g0) <= 1e-13
+            assert lc.max_abs(hist.gammas[1][j, i] - np.array(g1)) <= 1e-13
+        assert solver.residual(hist) < 1e-2
+        assert solver.det_factorization_defect(hist) <= 1e-12
 
     @staticmethod
     def _chain_run():
