@@ -29,8 +29,8 @@ PRESETS = ("sine-gordon-kink", "sinh-gordon", "periodic-chain", "free-field")
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lie_core import anti_transpose, as_complex, k_transpose, kind_transpose, max_abs
+from .lie_core import as_complex, b_transpose, max_abs
 from .gradation import TYPE_GL_INNER, data_modulus, make_spec, validate_spec
 from . import solver, toda
 from .toda import FieldState, TodaSystem, rhs_chain
@@ -91,22 +91,15 @@ def odd_fold_equivalence(gammas, c_plus, c_minus, b_kind: str = "J") -> float:
     g2, cp2, cm2 = odd_fold_substitution(gammas, c_plus, c_minus, b_kind)
     # the node-first data sits on arcs 1..s
     right = rhs_chain(g2, [None] + cp2, [None] + cm2, b_kind, "arc")
-    return max(max_abs(right[i] + kind_transpose(left[s - 1 - i], b_kind)) for i in range(s))
+    return max(max_abs(right[i] + b_transpose(left[s - 1 - i], b_kind)) for i in range(s))
 
 
 def odd_fold_substitution(gammas, c_plus, c_minus, b_kind: str = "J"):
     """The substitution itself; applying it twice returns the input."""
     s = len(gammas)
-
-    def t_node(x):
-        return kind_transpose(x, b_kind)
-
-    def t_arc(x):
-        return anti_transpose(x) if b_kind == "J" else k_transpose(x)
-
-    g2 = [t_node(np.linalg.inv(as_complex(gammas[s - 1 - i]))) for i in range(s)]
-    cp2 = [t_arc(as_complex(c_plus[s - 1 - a])) for a in range(s)]
-    cm2 = [t_arc(as_complex(c_minus[s - 1 - a])) for a in range(s)]
+    g2 = [b_transpose(np.linalg.inv(as_complex(gammas[s - 1 - i])), b_kind) for i in range(s)]
+    cp2 = [b_transpose(as_complex(c_plus[s - 1 - a]), b_kind) for a in range(s)]
+    cm2 = [b_transpose(as_complex(c_minus[s - 1 - a]), b_kind) for a in range(s)]
     return g2, cp2, cm2
 
 

@@ -4,8 +4,11 @@ Conventions used throughout the package:
 
 * ``J_n`` is the symmetric skew-diagonal unit matrix, ``K_n`` (even ``n``)
   the skew-symmetric one with ``K_n @ K_n = -I``.
-* ``b_transpose(m, B) = B^-1 @ m.T @ B``; with ``B = J`` this is
-  transposition across the anti-diagonal.
+* ``b_transpose(m, B)`` is the B-transpose ^B m = B^-1 m^T B, for B a
+  kind letter ("J", "K") or a block-diagonal matrix of J and K blocks.
+  Each such B is a signed permutation, so ^B m is an index gather and a
+  sign pattern; with ``B = J`` it is transposition across the
+  anti-diagonal.
 * The orthogonal/symplectic groups are cut out by ``b_transpose(g, B) ==
   inv(g)`` and their algebras by ``b_transpose(x, B) == -x``.
 
@@ -45,16 +48,15 @@ layout changes no value: every kernel gives the same bits in either.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-#: Default tolerance for membership tests: double precision leaves ample
-#: headroom over 1e-16 machine epsilon through O(n^3) arithmetic.
+#: Default tolerance of the grading support and of the C-block constraint
+#: checks: double precision leaves ample headroom over 1e-16 machine
+#: epsilon through O(n^3) arithmetic.
 DEFAULT_TOL = 1e-10
-
-FAMILIES = ("gl", "sl", "so", "sp")
 
 
 class ShapeMismatchError(ValueError):
@@ -115,120 +117,57 @@ def max_abs(m) -> float:
     return float(np.max(np.abs(m)))
 
 
-def commutator(x, y) -> np.ndarray:
-    x = as_complex(x)
-    y = as_complex(y)
-    if x.shape != y.shape or x.shape[-1] != x.shape[-2]:
-        raise ShapeMismatchError(f"commutator needs equal square shapes, got {x.shape} and {y.shape}")
-    return x @ y - y @ x
-
-
-def anti_transpose(m) -> np.ndarray:
-    """^J m: transposition across the anti-diagonal, valid for rectangles.
-
-    For an r x c matrix this is J_c^-1 @ m.T @ J_r, returning c x r.
-    """
-    m = np.asarray(m)
-    return np.swapaxes(m[..., ::-1, ::-1], -1, -2).copy()
-
-
-def k_transpose(m) -> np.ndarray:
-    """^K m with K-matrices on both sides (all dimensions even)."""
-    m = as_complex(m)
-    r, c = m.shape[-2], m.shape[-1]
-    kr = symplectic_identity(r)
-    kc = symplectic_identity(c)
-    return (-kc) @ np.swapaxes(m, -1, -2) @ kr
-
-
-def kind_transpose(m, kind: str) -> np.ndarray:
-    """^B m with B = J (any size) or K (even sizes) on both slots."""
-    if kind == "J":
-        return anti_transpose(m)
-    if kind == "K":
-        return k_transpose(m)
-    raise ValueError(f"unknown transpose kind {kind!r}")
+@functools.lru_cache(maxsize=64)
+def _signed_permutation(data: bytes, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(q, flip) for the n x n complex B held in ``data``: column i of B
+    holds its one entry, +1 or -1, in row q[i], and flip marks the entries
+    of ^B m whose sign those entries change.  Cached on B's bytes, so the
+    check runs once for each B."""
+    b = np.frombuffer(data, dtype=complex).reshape(n, n)
+    nonzero = b != 0
+    if not (nonzero.any(axis=0).all() and nonzero.any(axis=1).all()):
+        raise SingularMatrixError("structure matrix B is singular")
+    rows, cols = np.nonzero(nonzero)
+    signs = b[rows, cols]
+    if rows.size != n or not ((signs == 1) | (signs == -1)).all():
+        raise ValueError("structure matrix B is not a signed permutation")
+    q = np.argsort(cols)
+    negative = signs[q] < 0
+    flip = negative[:, None] != negative[None, :]
+    q.flags.writeable = flip.flags.writeable = False
+    return q, flip
 
 
 def b_transpose(m, b) -> np.ndarray:
-    """^B m = B^-1 @ m.T @ B for square m and invertible B (B built from J
-    and K is a signed permutation: only an exactly singular B is rejected)."""
-    m = as_complex(m)
-    b = as_complex(b)
-    n = b.shape[-1]
-    if b.shape[-2] != n:
-        raise ShapeMismatchError("B must be square")
-    if m.shape[-1] != n or m.shape[-2] != n:
+    """^B m = B^-1 @ m.T @ B, batched over the leading axes of m.
+
+    ``b`` is a kind letter, "J" or "K", which sizes B from each side of m
+    (an r x c block gives c x r, with K on even sizes only), or a square
+    signed-permutation matrix such as diag(J_{n_1}, K_{n - n_1}).  Every B
+    here is a signed permutation, so ^B m is an index gather and a sign
+    pattern: ^J m reverses both axes and transposes, ^K m is ^J m with its
+    off-diagonal half blocks negated.  A B with a zero row or column raises
+    :class:`SingularMatrixError`, any other B that is not a signed
+    permutation ``ValueError``.
+    """
+    m = np.asarray(m)
+    if isinstance(b, str):
+        if b not in ("J", "K"):
+            raise ValueError(f"unknown transpose kind {b!r}")
+        out = np.swapaxes(m[..., ::-1, ::-1], -1, -2).copy()
+        if b == "K":
+            c, r = out.shape[-2:]
+            if c % 2 or r % 2:
+                raise ValueError(f"K needs even sizes, got a {r} x {c} block")
+            for block in (out[..., : c // 2, r // 2:], out[..., c // 2:, : r // 2]):
+                np.negative(block, out=block)
+        return out
+    b = np.asarray(b, dtype=complex)
+    if b.ndim != 2 or b.shape[0] != b.shape[1] or m.shape[-2:] != b.shape:
         raise ShapeMismatchError(f"matrix shape {m.shape} incompatible with B shape {b.shape}")
-    try:
-        return np.linalg.solve(b, np.swapaxes(m, -1, -2) @ b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("structure matrix B is singular") from exc
-
-
-@dataclass(frozen=True)
-class AlgebraFamily:
-    """One of the classical matrix families gl_n, sl_n, so_n, sp_n over C."""
-
-    kind: str
-    n: int
-
-    def __post_init__(self):
-        if self.kind not in FAMILIES:
-            raise ValueError(f"unknown family {self.kind!r}")
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if self.kind == "sp" and self.n % 2:
-            raise ValueError("sp_n requires even n")
-
-    def structure(self) -> np.ndarray | None:
-        """B matrix defining the family (J for so, K for sp, none for gl/sl)."""
-        if self.kind == "so":
-            return skew_identity(self.n)
-        if self.kind == "sp":
-            return symplectic_identity(self.n)
-        return None
-
-
-def is_in_algebra(x, fam: AlgebraFamily, tol: float = DEFAULT_TOL) -> bool:
-    """Membership test: ^B x = -x for so/sp, tr x = 0 for sl, always for gl."""
-    x = as_complex(x)
-    if x.shape != (fam.n, fam.n):
-        raise ShapeMismatchError(f"expected {(fam.n, fam.n)}, got {x.shape}")
-    if fam.kind == "gl":
-        return True
-    if fam.kind == "sl":
-        return abs(np.trace(x)) <= tol
-    return max_abs(b_transpose(x, fam.structure()) + x) <= tol
-
-
-def is_in_group(g, fam: AlgebraFamily, tol: float = DEFAULT_TOL) -> bool:
-    """Membership test: ^B g . g = I for so/sp, det g = 1 for sl."""
-    g = as_complex(g)
-    if g.shape != (fam.n, fam.n):
-        raise ShapeMismatchError(f"expected {(fam.n, fam.n)}, got {g.shape}")
-    if np.linalg.cond(g) > 1e14:
-        raise SingularMatrixError("group element is singular")
-    if fam.kind == "gl":
-        return True
-    if fam.kind == "sl":
-        return abs(determinant(g) - 1.0) <= tol
-    return max_abs(b_transpose(g, fam.structure()) @ g - identity(fam.n)) <= tol
-
-
-def algebra_project(x, fam: AlgebraFamily) -> np.ndarray:
-    """Project onto the family algebra: (x - ^B x)/2 for so/sp, traceless part for sl."""
-    x = as_complex(x)
-    if fam.kind == "gl":
-        return x
-    if fam.kind == "sl":
-        return x - np.trace(x) / fam.n * identity(fam.n)
-    return (x - b_transpose(x, fam.structure())) / 2.0
-
-
-def determinant(m) -> complex:
-    """Determinant through LU with partial pivoting (LAPACK getrf)."""
-    return complex(np.linalg.det(as_complex(m)))
+    q, flip = _signed_permutation(b.tobytes(), len(b))
+    out = np.swapaxes(m, -1, -2)[..., q[:, None], q]
+    return np.negative(out, out=out, where=flip)
 
 
 #: Unit roundoff of IEEE double precision.

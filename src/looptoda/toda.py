@@ -39,14 +39,12 @@ from .lie_core import (
     DEFAULT_TOL,
     ShapeMismatchError,
     SingularMatrixError,
-    anti_transpose,
     as_complex,
     b_transpose,
     empty_stack,
     expm,
     identity,
     inv,
-    kind_transpose,
     max_abs,
     mul,
 )
@@ -199,7 +197,7 @@ class FoldEngine:
             j = self.sigma[i]
             if j != i:
                 if full[j] is None:
-                    full[j] = anti_transpose(np.linalg.inv(full[i]))
+                    full[j] = b_transpose(np.linalg.inv(full[i]), "J")
         if any(g is None for g in full):
             raise BuildError("independent blocks do not generate the full cycle")
         return tuple(full)
@@ -342,17 +340,17 @@ def rhs_chain(gammas, cp, cm, left=None, right=None):
     first = range(s - 1 if right in node_caps else s)
     second = range(1 if left in node_caps else 0, s)
     arcs = [(i + 1) % len(cp) for i in first]
-    succ = [anti_transpose(ginv[i]) if i == s - 1 and right == "arc" else gammas[(i + 1) % s]
+    succ = [b_transpose(ginv[i], "J") if i == s - 1 and right == "arc" else gammas[(i + 1) % s]
             for i in first]
-    pred = [anti_transpose(gammas[0]) if i == 0 and left == "arc" else ginv[i - 1] for i in second]
+    pred = [b_transpose(gammas[0], "J") if i == 0 and left == "arc" else ginv[i - 1] for i in second]
     t1 = _nodewise(_product, [ginv[i] for i in first], [cp[a] for a in arcs], succ,
                    [cm[a] for a in arcs])
     t2 = _nodewise(_product, [cm[i] for i in second], pred, [cp[i] for i in second],
                    [gammas[i] for i in second])
     if left in node_caps:
-        t2.insert(0, kind_transpose(t1[0], left))
+        t2.insert(0, b_transpose(t1[0], left))
     if right in node_caps:
-        t1.append(kind_transpose(t2[-1], right))
+        t1.append(b_transpose(t2[-1], right))
     return [b - a for a, b in zip(t1, t2)]
 
 
@@ -560,7 +558,7 @@ def _validate_c_constraints(system: TodaSystem, tol: float) -> None:
     for ac in system.constraints.c_constraints:
         for blocks, name in ((system.c_plus, "C_plus"), (system.c_minus, "C_minus")):
             blk = blocks[ac.arc]
-            dev = max_abs(kind_transpose(blk, ac.b_kind) - ac.epsilon * blk)
+            dev = max_abs(b_transpose(blk, ac.b_kind) - ac.epsilon * blk)
             if dev > tol * max(1.0, max_abs(blk)):
                 raise ConstraintViolationError(
                     f"{name}[{ac.arc}] violates ^{ac.b_kind} C = {ac.epsilon:+d} C (dev {dev:.2e})"
@@ -647,7 +645,7 @@ def fixed_node_defect(system: TodaSystem, gammas) -> np.ndarray:
     out = np.zeros(np.shape(gammas[0])[:-2])
     for gc in system.constraints.gamma_constraints:
         g = gammas[gc.node]
-        defect = mul(kind_transpose(g, gc.b_kind), g) - np.eye(g.shape[-1])
+        defect = mul(b_transpose(g, gc.b_kind), g) - np.eye(g.shape[-1])
         out = np.maximum(out, np.max(np.abs(defect), axis=(-2, -1)))
     return out
 
@@ -733,7 +731,7 @@ def random_state(system: TodaSystem, rng: np.random.Generator, scale: float = 0.
         na = system.block_sizes[i]
         x = scale * (rng.standard_normal((na, na)) + 1j * rng.standard_normal((na, na)))
         if i in fixed:
-            x = (x - kind_transpose(x, fixed[i])) / 2.0
+            x = (x - b_transpose(x, fixed[i])) / 2.0
             gammas.append(expm(x))
         elif system.constraints.det_product_one:
             x = x - np.trace(x) / na * identity(na)
@@ -761,8 +759,8 @@ def random_c_blocks(spec: GradationSpec, L: int, rng: np.random.Generator,
         bp = scale * (rng.standard_normal((sizes[i], sizes[a])) + 1j * rng.standard_normal((sizes[i], sizes[a])))
         bm = scale * (rng.standard_normal((sizes[a], sizes[i])) + 1j * rng.standard_normal((sizes[a], sizes[i])))
         if a in eps_by_arc:
-            bp = (bp + eps_by_arc[a] * anti_transpose(bp)) / 2.0
-            bm = (bm + eps_by_arc[a] * anti_transpose(bm)) / 2.0
+            bp = (bp + eps_by_arc[a] * b_transpose(bp, "J")) / 2.0
+            bm = (bm + eps_by_arc[a] * b_transpose(bm, "J")) / 2.0
         partial_p[a] = bp
         partial_m[a] = bm
     if engine is None:
@@ -802,16 +800,23 @@ def system_to_json(system: TodaSystem) -> dict:
     }
 
 
+def _single_blocks(cp, cm) -> tuple:
+    """The one (c_plus, c_minus) pair of a p = 1 system's JSON."""
+    if len(cp) != 1 or len(cm) != 1:
+        raise ShapeMismatchError(f"need 1 arc block, got {len(cp)}/{len(cm)}")
+    return cp[0], cm[0]
+
+
 def system_from_json(data: dict) -> TodaSystem:
     cp = [_array_from_json(c) for c in data["c_plus"]]
     cm = [_array_from_json(c) for c in data["c_minus"]]
     if data.get("simplest_outer"):
-        return build_simplest(data.get("family", "gl"), cp[0], cm[0], outer=True)
+        return build_simplest(data.get("family", "gl"), *_single_blocks(cp, cm), outer=True)
     if data.get("spec") is None:
         raise BuildError("system JSON without a spec is not reconstructible")
     spec = spec_from_json(data["spec"])
     if isinstance(spec, TrivialSpec):
-        return build_simplest(spec.family, cp[0], cm[0])
+        return build_simplest(spec.family, *_single_blocks(cp, cm))
     return build_system(spec, int(data["L"]), cp, cm)
 
 

@@ -154,6 +154,18 @@ class TestSimulateCommand:
         rc = cli.main(["simulate", "--system", sys_path, "--output", str(tmp_path)])
         assert rc == 0
 
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_trivial_system_needs_one_block_each(self, tmp_path, capsys, count):
+        """A p = 1 system file with no or extra C blocks is a domain error."""
+        c = np.array([[0.0, 1.0], [1.0, 0.0]])
+        payload = toda.system_to_json(toda.build_simplest("gl", c, c))
+        payload["c_plus"] = payload["c_plus"][:1] * count
+        sys_path = write_json(tmp_path / "sys.json", payload)
+        rc = cli.main(["simulate", "--system", sys_path, "--output", str(tmp_path)])
+        assert rc == 1
+        assert "domain error: need 1 arc block" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_manifest_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
@@ -172,7 +184,7 @@ class TestSimulateCommand:
             assert rc == 2, grid
         assert not (tmp_path / "manifest.json").exists()
 
-    @pytest.mark.parametrize("tol", ["0", "-1e-8"])
+    @pytest.mark.parametrize("tol", ["0", "-1e-8", "inf"])
     def test_non_positive_tol_is_a_parse_error(self, tmp_path, tol):
         with pytest.raises(SystemExit) as exc:
             cli.main(["simulate", "--preset", "free-field", "--tol", tol, "--output", str(tmp_path)])
@@ -236,7 +248,7 @@ class TestCheckCommand:
         path = write_json(tmp_path / "s.json", S1_JSON)
         assert cli.main(["check", "--spec", path, "--tol", "1e-300"]) == 1
         assert "FAIL projector_completeness" in capsys.readouterr().out
-        for tol in ("0", "-1"):
+        for tol in ("0", "-1", "inf"):
             with pytest.raises(SystemExit) as exc:
                 cli.main(["check", "--spec", path, "--tol", tol])
             assert exc.value.code == 2

@@ -123,7 +123,7 @@ class TestFoldConstraints:
         rng = np.random.default_rng(0)
         g = np.eye(2) + 0.3 * rng.standard_normal((2, 2))
         r = toda.rhs_blocks(folded, toda.FieldState(gammas=(g,)))[0]
-        s = lc.anti_transpose(g) @ g
+        s = lc.b_transpose(g, "J") @ g
         assert lc.max_abs(r - (-np.linalg.inv(s) + s)) < 1e-13
 
     def test_incompatible_c_rejected(self):

@@ -612,7 +612,7 @@ class TestRowKernels:
         g0 = toda.random_state(system, rng).gammas[gc.node]
         na = g0.shape[-1]
         x = rng.standard_normal((cells, na, na)) + 1j * rng.standard_normal((cells, na, na))
-        v = (x - lc.kind_transpose(x, gc.b_kind)) / 2.0
+        v = (x - lc.b_transpose(x, gc.b_kind)) / 2.0
         return system, gc, g0, v
 
     def test_prefix_rebuild_matches_sequential_product(self):
@@ -631,7 +631,7 @@ class TestRowKernels:
     def test_prefix_rebuild_keeps_fold_constraint(self):
         _, gc, g0, v = self._fixed_node_row()
         row = solver._row_rebuild([g0[None]], [v[None]], 1.0 / len(v))[0][0]
-        defect = lc.kind_transpose(row, gc.b_kind) @ row - np.eye(row.shape[-1])
+        defect = lc.b_transpose(row, gc.b_kind) @ row - np.eye(row.shape[-1])
         assert lc.max_abs(defect) <= 1e-13
 
     #: G of the gl (1, 2) run below at (row, column), as the marcher gave it
@@ -701,7 +701,7 @@ def _edge_generator(system, node, rng):
     x = rng.standard_normal((na, na)) + 1j * rng.standard_normal((na, na))
     fixed = {gc.node: gc.b_kind for gc in system.constraints.gamma_constraints}
     if node in fixed:
-        x = (x - lc.kind_transpose(x, fixed[node])) / 2.0
+        x = (x - lc.b_transpose(x, fixed[node])) / 2.0
     elif system.constraints.det_product_one:
         x = x - np.trace(x) / na * np.eye(na)
     return x / np.linalg.norm(x, 2)

@@ -178,7 +178,7 @@ class TestSimplest:
     def test_outer_antisymmetric_rejected(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((4, 4))
-        x = (x - lc.anti_transpose(x)) / 2
+        x = (x - lc.b_transpose(x, "J")) / 2
         with pytest.raises(toda.ConstraintViolationError):
             toda.build_simplest("gl", x, x, outer=True)
 
@@ -353,7 +353,7 @@ class TestEvenFoldEr9:
         rng = np.random.default_rng(11)
         g = np.eye(2) + 0.3 * rng.standard_normal((2, 2))
         r = toda.rhs_blocks(system, toda.FieldState(gammas=(g,)))[0]
-        s = lc.anti_transpose(g) @ g
+        s = lc.b_transpose(g, "J") @ g
         assert lc.max_abs(r - (-np.linalg.inv(s) + s)) < 1e-13
 
 
