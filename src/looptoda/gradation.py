@@ -444,20 +444,13 @@ class GradingIndexTable:
 
     def residue(self, a: int, b: int) -> int:
         if self.outer:
-            raise ValueError("outer tables carry index pairs; use pair()/selected()")
+            raise ValueError("outer tables carry index pairs; use pair()")
         return self.entries[a][b]
 
     def pair(self, a: int, b: int) -> tuple[int, int]:
         if not self.outer:
             raise ValueError("inner tables carry single residues; use residue()")
         return self.entries[a][b]
-
-    def selected(self, a: int, b: int, sign: int) -> int:
-        """Index selected by the block symmetry x = sign * (^B x)."""
-        low, high = self.pair(a, b)
-        if a <= b:
-            return low if sign == -1 else high
-        return high if sign == -1 else low
 
 
 def block_index_table(spec: GradationSpec) -> GradingIndexTable:
@@ -520,6 +513,8 @@ def enumerate_specs(family: str, n: int, M: int, cap: int = DEFAULT_ENUM_CAP) ->
     """
     if family not in ("gl", "sl", "so", "sp"):
         raise ValueError(f"unknown family {family!r}")
+    if n < 1 or M < 1:
+        raise ValueError(f"need n >= 1 and M >= 1, got n = {n}, M = {M}")
     types = _GL_TYPES if family in ("gl", "sl") else _SOSP_TYPES
     found: list[GradationSpec] = []
     candidates = 0

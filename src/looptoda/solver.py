@@ -80,6 +80,9 @@ class Grid:
     n_plus: int
 
     def __post_init__(self):
+        if not np.all(np.isfinite((self.z_minus_min, self.z_minus_max,
+                                   self.z_plus_min, self.z_plus_max))):
+            raise ValueError("grid bounds must be finite")
         if self.z_minus_max <= self.z_minus_min or self.z_plus_max <= self.z_plus_min:
             raise ValueError("grid ranges must be increasing")
         if self.n_minus < 1 or self.n_plus < 1:
@@ -118,8 +121,8 @@ class SolverConfig:
     tol_invertibility: float = 1e12   # blow-up detector on |G| * |inv G|
 
     def __post_init__(self):
-        if self.tol_constraint <= 0 or self.tol_invertibility <= 0:
-            raise ValueError("tolerances must be positive")
+        if not all(0 < t < np.inf for t in (self.tol_constraint, self.tol_invertibility)):
+            raise ValueError("tolerances must be finite and positive")
 
     def to_json(self) -> dict:
         return {
@@ -613,7 +616,7 @@ def det_factorization_defect(history: FieldHistory) -> float:
     """
     system = history.system
     if (system.family not in ("gl", "sl") or system.engine is not None
-            or system.constraints.gamma_constraints):
+            or system.fixed_nodes):
         raise ValueError("the det factorization holds on gl and sl inner systems only")
     rows = history.completed_rows
     prod = 1.0

@@ -85,30 +85,6 @@ class ConstraintViolationError(ValueError):
 
 
 @dataclass(frozen=True)
-class GammaConstraint:
-    """^B Gamma = inv(Gamma) on one independent node, B of kind J or K."""
-
-    node: int
-    b_kind: str
-
-
-@dataclass(frozen=True)
-class ArcConstraint:
-    """^B C_{+-a} = epsilon * C_{+-a} on one independent arc."""
-
-    arc: int
-    b_kind: str
-    epsilon: int
-
-
-@dataclass(frozen=True)
-class ConstraintSet:
-    gamma_constraints: tuple[GammaConstraint, ...] = ()
-    c_constraints: tuple[ArcConstraint, ...] = ()
-    det_product_one: bool = False
-
-
-@dataclass(frozen=True)
 class FieldState:
     """The tuple of independent invertible blocks at one grid point."""
 
@@ -249,7 +225,11 @@ class FoldEngine:
 
 @dataclass(frozen=True)
 class TodaSystem:
-    """A fully assembled Toda system over the block cycle."""
+    """A fully assembled Toda system over the block cycle.
+
+    ``fixed_nodes`` holds the (node, B kind) pairs with ^B Gamma = inv(Gamma);
+    the C blocks of a folded system are fixed by its engine's twist.
+    """
 
     equation_class: str
     block_sizes: tuple[int, ...]
@@ -257,7 +237,7 @@ class TodaSystem:
     L: int
     c_plus: tuple[np.ndarray, ...]
     c_minus: tuple[np.ndarray, ...]
-    constraints: ConstraintSet
+    fixed_nodes: tuple[tuple[int, str], ...] = ()
     spec: object = None
     variant: str = ""
     engine: FoldEngine | None = None
@@ -275,15 +255,15 @@ class TodaSystem:
     @property
     def caps(self) -> tuple:
         """(left, right): the caps of the chain at node 0 and at node s-1."""
-        return _chain_caps(self.s, self.constraints.gamma_constraints, self.engine is not None)
+        return _chain_caps(self.s, self.fixed_nodes, self.engine is not None)
 
 
-def _chain_caps(s: int, gamma_constraints, folded: bool) -> tuple:
+def _chain_caps(s: int, fixed_nodes, folded: bool) -> tuple:
     """None at both ends of the cyclic chain; on a folded chain the B kind
     of a fixed end node, or "arc" where the axis fixes the end arc."""
     if not folded:
         return None, None
-    kinds = {gc.node: gc.b_kind for gc in gamma_constraints}
+    kinds = dict(fixed_nodes)
     return kinds.get(0, "arc"), kinds.get(s - 1, "arc")
 
 
@@ -376,7 +356,8 @@ def classify_spec(spec) -> tuple[str, str]:
 
 
 def _classify(spec: GradationSpec):
-    """(equation_class, variant, s, gamma constraints, arc constraints)."""
+    """(equation_class, variant, s, fixed nodes, fixed arcs), the last two
+    as :func:`fold_ends` gives them."""
     if spec.gradation_type == TYPE_GL_INNER:
         return EQ_GENERAL_LINEAR, "", spec.p, (), ()
     s, _, nodes, arcs = _spec_fold_ends(spec)
@@ -384,13 +365,7 @@ def _classify(spec: GradationSpec):
     variant = ""
     if eq_class == EQ_ODD_FOLD:
         variant = VARIANT_NODE_FIRST if nodes[0][0] == 0 else VARIANT_ARC_FIRST
-    return (
-        eq_class,
-        variant,
-        s,
-        tuple(GammaConstraint(i, b_kind) for i, b_kind in nodes),
-        tuple(ArcConstraint(a, "J", eps) for a, eps in arcs),
-    )
+    return eq_class, variant, s, nodes, arcs
 
 
 #: The decorations at the two ends of each fold family's folded chain: for
@@ -508,8 +483,8 @@ def build_system(spec, L: int, c_plus, c_minus, tol: float = DEFAULT_TOL) -> Tod
 
     ``c_plus``/``c_minus`` give one block per arc of the full cycle, index 0
     being the wrap-around pair.  Blocks on arcs whose grading index differs
-    from +-L must be zero; constrained classes additionally require the
-    supplied blocks to satisfy the fold symmetries.
+    from +-L must be zero; a folded class also requires both directions'
+    blocks to be fixed by its engine's twist.
     """
     if isinstance(spec, TrivialSpec):
         if len(c_plus) != 1 or len(c_minus) != 1:
@@ -530,54 +505,28 @@ def build_system(spec, L: int, c_plus, c_minus, tol: float = DEFAULT_TOL) -> Tod
             raise BuildError(
                 f"arc {a} has grading index incompatible with L = {L}; its blocks must vanish"
             )
-    eq_class, variant, s, gnodes, garcs = _classify(spec)
-    constraints = ConstraintSet(
-        gamma_constraints=gnodes,
-        c_constraints=garcs,
-        det_product_one=(spec.family == "sl"),
-    )
+    eq_class, variant, s, nodes, _ = _classify(spec)
     engine = engine_for_spec(spec, L)
-    system = TodaSystem(
+    if engine is not None:
+        for blocks, direction, name in ((cp, +1, "c_plus"), (cm, -1, "c_minus")):
+            dev = engine.c_residual(blocks, direction)
+            if dev > tol * max(1.0, max(max_abs(b) for b in blocks)):
+                raise ConstraintViolationError(
+                    f"{name} violates the fold symmetry (residual {dev:.2e})"
+                )
+    return TodaSystem(
         equation_class=eq_class,
         block_sizes=spec.n_list,
         s=s,
         L=L,
         c_plus=cp,
         c_minus=cm,
-        constraints=constraints,
+        fixed_nodes=nodes,
         spec=spec,
         variant=variant,
         engine=engine,
         family=spec.family,
     )
-    _validate_c_constraints(system, tol)
-    return system
-
-
-def _validate_c_constraints(system: TodaSystem, tol: float) -> None:
-    for ac in system.constraints.c_constraints:
-        for blocks, name in ((system.c_plus, "C_plus"), (system.c_minus, "C_minus")):
-            blk = blocks[ac.arc]
-            dev = max_abs(b_transpose(blk, ac.b_kind) - ac.epsilon * blk)
-            if dev > tol * max(1.0, max_abs(blk)):
-                raise ConstraintViolationError(
-                    f"{name}[{ac.arc}] violates ^{ac.b_kind} C = {ac.epsilon:+d} C (dev {dev:.2e})"
-                )
-    if system.engine is not None:
-        for blocks, direction, name in (
-            (system.c_plus, +1, "c_plus"),
-            (system.c_minus, -1, "c_minus"),
-        ):
-            dev = system.engine.c_residual(blocks, direction)
-            scale = max(1.0, max(max_abs(b) for b in blocks))
-            if dev > max(tol, 1e-9) * scale:
-                raise ConstraintViolationError(
-                    f"{name} violates the fold symmetry (residual {dev:.2e})"
-                )
-    if system.constraints.det_product_one and system.equation_class == EQ_SIMPLEST:
-        for blocks, name in ((system.c_plus, "C_plus"), (system.c_minus, "C_minus")):
-            if abs(np.trace(blocks[0])) > tol * max(1.0, max_abs(blocks[0])):
-                raise ConstraintViolationError(f"{name} must be traceless for sl")
 
 
 def build_simplest(family: str, c_plus, c_minus, outer: bool = False) -> TodaSystem:
@@ -589,35 +538,32 @@ def build_simplest(family: str, c_plus, c_minus, outer: bool = False) -> TodaSys
     if cp.shape != cm.shape or cp.shape[0] != cp.shape[1]:
         raise ShapeMismatchError("C blocks must be square and of equal size")
     n = cp.shape[0]
-    gamma_constraints = ()
-    c_constraints = ()
+    kind, eps = None, 0   # ^kind C = eps C on the one C pair
     if outer:
         if family not in ("gl", "sl"):
             raise BuildError("the outer simplest case lives in gl/sl")
-        gamma_constraints = (GammaConstraint(0, "J"),)
-        c_constraints = (ArcConstraint(0, "J", 1),)
+        kind, eps = "J", 1
     elif family in ("so", "sp"):
-        kind = "J" if family == "so" else "K"
-        gamma_constraints = (GammaConstraint(0, kind),)
-        c_constraints = (ArcConstraint(0, kind, -1),)
-    system = TodaSystem(
+        kind, eps = ("J" if family == "so" else "K"), -1
+    for blk, name in ((cp, "C_plus"), (cm, "C_minus")):
+        bound = DEFAULT_TOL * max(1.0, max_abs(blk))
+        dev = 0.0 if kind is None else max_abs(b_transpose(blk, kind) - eps * blk)
+        if dev > bound:
+            raise ConstraintViolationError(f"{name}[0] violates ^{kind} C = {eps:+d} C (dev {dev:.2e})")
+        if family == "sl" and abs(np.trace(blk)) > bound:
+            raise ConstraintViolationError(f"{name} must be traceless for sl")
+    return TodaSystem(
         equation_class=EQ_SIMPLEST,
         block_sizes=(n,),
         s=1,
         L=1,
         c_plus=(cp,),
         c_minus=(cm,),
-        constraints=ConstraintSet(
-            gamma_constraints=gamma_constraints,
-            c_constraints=c_constraints,
-            det_product_one=(family == "sl"),
-        ),
+        fixed_nodes=() if kind is None else ((0, kind),),
         spec=TrivialSpec(family=family, n=n) if not outer else None,
         simplest_outer=outer,
         family=family,
     )
-    _validate_c_constraints(system, DEFAULT_TOL)
-    return system
 
 
 def build_periodic_chain(p: int, r: int, c_value: complex = 1.0) -> TodaSystem:
@@ -643,9 +589,9 @@ def fixed_node_defect(system: TodaSystem, gammas) -> np.ndarray:
     """max |^B G G - I| over the fixed nodes at every point: the leading axes
     of the independent blocks are kept (zeros when no node is fixed)."""
     out = np.zeros(np.shape(gammas[0])[:-2])
-    for gc in system.constraints.gamma_constraints:
-        g = gammas[gc.node]
-        defect = mul(b_transpose(g, gc.b_kind), g) - np.eye(g.shape[-1])
+    for node, kind in system.fixed_nodes:
+        g = gammas[node]
+        defect = mul(b_transpose(g, kind), g) - np.eye(g.shape[-1])
         out = np.maximum(out, np.max(np.abs(defect), axis=(-2, -1)))
     return out
 
@@ -653,7 +599,7 @@ def fixed_node_defect(system: TodaSystem, gammas) -> np.ndarray:
 def state_residual(system: TodaSystem, state: FieldState) -> float:
     """Max violation of the fixed-node group constraints by the state."""
     dev = float(fixed_node_defect(system, state.gammas))
-    if system.constraints.det_product_one:
+    if system.family == "sl":
         prod = 1.0
         for g in state.gammas:
             prod = prod * np.linalg.det(g)
@@ -725,7 +671,7 @@ def rhs_blocks_vs_full(system: TodaSystem, state: FieldState, check: bool = True
 
 def random_state(system: TodaSystem, rng: np.random.Generator, scale: float = 0.4) -> FieldState:
     """Random invertible state satisfying the fixed-node constraints."""
-    fixed = {gc.node: gc.b_kind for gc in system.constraints.gamma_constraints}
+    fixed = dict(system.fixed_nodes)
     gammas = []
     for i in range(system.s):
         na = system.block_sizes[i]
@@ -733,7 +679,7 @@ def random_state(system: TodaSystem, rng: np.random.Generator, scale: float = 0.
         if i in fixed:
             x = (x - b_transpose(x, fixed[i])) / 2.0
             gammas.append(expm(x))
-        elif system.constraints.det_product_one:
+        elif system.family == "sl":
             x = x - np.trace(x) / na * identity(na)
             gammas.append(expm(x))
         else:
@@ -745,14 +691,14 @@ def random_c_blocks(spec: GradationSpec, L: int, rng: np.random.Generator,
                     scale: float = 1.0):
     """Random (c_plus, c_minus) full-cycle lists compatible with the spec."""
     check_valid(spec)
-    _, _, s, gnodes, garcs = _classify(spec)
+    _, _, s, nodes, arcs = _classify(spec)
     engine = engine_for_spec(spec, L)
     allowed = arcs_allowed(spec, L)
     sizes = spec.n_list
     p = spec.p
-    eps_by_arc = {ac.arc: ac.epsilon for ac in garcs}
+    eps_by_arc = dict(arcs)
     partial_p, partial_m = {}, {}
-    for a in _independent_arcs(s, *_chain_caps(s, gnodes, engine is not None)):
+    for a in _independent_arcs(s, *_chain_caps(s, nodes, engine is not None)):
         i = (a - 1) % p
         if not allowed[a]:
             continue
@@ -790,11 +736,6 @@ def system_to_json(system: TodaSystem) -> dict:
         "block_sizes": list(system.block_sizes),
         "spec": system.spec.to_json() if system.spec is not None else None,
         "simplest_outer": system.simplest_outer,
-        "constraints": {
-            "gamma": [[gc.node, gc.b_kind] for gc in system.constraints.gamma_constraints],
-            "c": [[ac.arc, ac.b_kind, ac.epsilon] for ac in system.constraints.c_constraints],
-            "det_product_one": system.constraints.det_product_one,
-        },
         "c_plus": [_array_to_json(c) for c in system.c_plus],
         "c_minus": [_array_to_json(c) for c in system.c_minus],
     }

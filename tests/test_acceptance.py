@@ -105,11 +105,14 @@ def test_criterion_2_table_fidelity():
                         mismatches += 1
                     continue
                 factor = (D[offs[a], offs[a]] * D[offs[b], offs[b]]).real
+                low, high = table.pair(a, b)
                 for sigma in (-1, 1):
                     xs = z + sigma * factor * lc.b_transpose(z, B)
                     if lc.max_abs(xs) < 1e-12:
                         continue
-                    if gr.grading_support(xs, aut, tol=1e-9) != [table.selected(a, b, sigma)]:
+                    # x = -(^B x) selects the low index for a <= b, the high one for a > b
+                    want = low if (sigma == -1) == (a <= b) else high
+                    if gr.grading_support(xs, aut, tol=1e-9) != [want]:
                         mismatches += 1
     passed = mismatches == 0
     assert report("criterion-2 table fidelity",

@@ -98,6 +98,12 @@ class TestEnumerateCommand:
         monkeypatch.setenv("TODA_MAX_ENUM", "3")
         assert cli.main(["enumerate", "--family", "gl", "--n", "6", "--M", "6"]) == 3
 
+    @pytest.mark.parametrize("n,M", [("0", "4"), ("4", "-2"), ("4", "0")])
+    def test_non_positive_size_is_a_parse_error(self, capsys, n, M):
+        assert cli.main(["enumerate", "--family", "gl", "--n", n, "--M", M]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "parse error" in captured.err
+
 
 class TestSimulateCommand:
     def test_free_field_preset(self, tmp_path, capsys):

@@ -348,11 +348,14 @@ class TestIndexTable:
                 z = np.zeros((4, 4), dtype=complex)
                 z[offs[a]:offs[a + 1], offs[b]:offs[b + 1]] = rng.standard_normal(
                     (spec.n_list[a], spec.n_list[b]))
+                low, high = t.pair(a, b)
                 for sigma in (-1, 1):
                     xs = z + sigma * factor * lc.b_transpose(z, B)
                     if lc.max_abs(xs) < 1e-12:
                         continue
-                    assert gr.grading_support(xs, aut, tol=1e-9) == [t.selected(a, b, sigma)]
+                    # x = -(^B x) selects the low index for a <= b, the high one for a > b
+                    want = low if (sigma == -1) == (a <= b) else high
+                    assert gr.grading_support(xs, aut, tol=1e-9) == [want]
 
 
 class TestEnumerate:

@@ -29,10 +29,16 @@ class TestGrid:
             solver.Grid(1, 0, 0, 1, 4, 4)
         with pytest.raises(ValueError):
             solver.Grid(0, 1, 0, 1, 0, 4)
+        for bounds in ((0, np.nan, 0, 1), (0, np.inf, 0, 1), (-np.inf, 1, 0, 1),
+                       (0, 1, np.nan, 1), (0, 1, 0, np.inf)):
+            with pytest.raises(ValueError):
+                solver.Grid(*bounds, 4, 4)
 
     def test_config_validation(self):
         for kwargs in ({"tol_constraint": 0.0}, {"tol_constraint": -1e-8},
-                       {"tol_invertibility": 0.0}, {"tol_invertibility": -1.0}):
+                       {"tol_constraint": np.nan}, {"tol_constraint": np.inf},
+                       {"tol_invertibility": 0.0}, {"tol_invertibility": -1.0},
+                       {"tol_invertibility": np.nan}, {"tol_invertibility": np.inf}):
             with pytest.raises(ValueError):
                 solver.SolverConfig(**kwargs)
 
@@ -608,12 +614,12 @@ class TestRowKernels:
         rng = np.random.default_rng(seed)
         cp, cm = toda.random_c_blocks(spec, 1, rng)
         system = toda.build_system(spec, 1, cp, cm)
-        gc = system.constraints.gamma_constraints[0]
-        g0 = toda.random_state(system, rng).gammas[gc.node]
+        node, kind = system.fixed_nodes[0]
+        g0 = toda.random_state(system, rng).gammas[node]
         na = g0.shape[-1]
         x = rng.standard_normal((cells, na, na)) + 1j * rng.standard_normal((cells, na, na))
-        v = (x - lc.b_transpose(x, gc.b_kind)) / 2.0
-        return system, gc, g0, v
+        v = (x - lc.b_transpose(x, kind)) / 2.0
+        return system, kind, g0, v
 
     def test_prefix_rebuild_matches_sequential_product(self):
         _, _, g0, v = self._fixed_node_row()
@@ -629,9 +635,9 @@ class TestRowKernels:
         assert lc.max_abs(row - seq) <= 1e-13 * lc.max_abs(seq)
 
     def test_prefix_rebuild_keeps_fold_constraint(self):
-        _, gc, g0, v = self._fixed_node_row()
+        _, kind, g0, v = self._fixed_node_row()
         row = solver._row_rebuild([g0[None]], [v[None]], 1.0 / len(v))[0][0]
-        defect = lc.b_transpose(row, gc.b_kind) @ row - np.eye(row.shape[-1])
+        defect = lc.b_transpose(row, kind) @ row - np.eye(row.shape[-1])
         assert lc.max_abs(defect) <= 1e-13
 
     #: G of the gl (1, 2) run below at (row, column), as the marcher gave it
@@ -699,10 +705,10 @@ def _edge_generator(system, node, rng):
     """A random element of the node's algebra, of unit spectral norm."""
     na = system.block_sizes[node]
     x = rng.standard_normal((na, na)) + 1j * rng.standard_normal((na, na))
-    fixed = {gc.node: gc.b_kind for gc in system.constraints.gamma_constraints}
+    fixed = dict(system.fixed_nodes)
     if node in fixed:
         x = (x - lc.b_transpose(x, fixed[node])) / 2.0
-    elif system.constraints.det_product_one:
+    elif system.family == "sl":
         x = x - np.trace(x) / na * np.eye(na)
     return x / np.linalg.norm(x, 2)
 

@@ -166,14 +166,13 @@ class TestSimplest:
         cm = rng.standard_normal((2, 2))
         system = toda.build_simplest("gl", cp, cm)
         assert system.equation_class == toda.EQ_SIMPLEST
-        assert system.constraints.gamma_constraints == ()
+        assert system.fixed_nodes == ()
 
     def test_outer_symmetric_c(self):
         j3 = lc.skew_identity(3)
         system = toda.build_simplest("gl", j3, j3, outer=True)
         assert system.simplest_outer
-        gc = system.constraints.gamma_constraints[0]
-        assert gc.b_kind == "J"
+        assert system.fixed_nodes == ((0, "J"),)
 
     def test_outer_antisymmetric_rejected(self):
         rng = np.random.default_rng(5)
@@ -208,7 +207,7 @@ class TestPeriodicChain:
         assert chain.equation_class == toda.EQ_GENERAL_LINEAR
         assert chain.block_sizes == (1, 1)
         assert all(lc.max_abs(c - np.eye(1)) == 0 for c in chain.c_plus)
-        assert chain.constraints == toda.ConstraintSet()
+        assert chain.fixed_nodes == () and chain.engine is None
 
     def test_p3_r2(self):
         chain = toda.build_periodic_chain(3, 2)
@@ -286,43 +285,78 @@ class TestClassification:
     def test_so_even_fold_constraint_signs(self):
         system, _ = build_random("so", gr.TYPE_SOSP_I, (2, 2), seed=20)
         assert system.equation_class == toda.EQ_EVEN_FOLD
-        assert system.constraints.c_constraints == (
-            toda.ArcConstraint(0, "J", -1), toda.ArcConstraint(1, "J", -1))
+        assert toda._classify(system.spec)[4] == ((0, -1), (1, -1))
 
     def test_sp_even_fold_constraint_signs(self):
         system, _ = build_random("sp", gr.TYPE_SOSP_I, (1, 1), seed=21)
-        assert system.constraints.c_constraints == (
-            toda.ArcConstraint(0, "J", 1), toda.ArcConstraint(1, "J", 1))
+        assert toda._classify(system.spec)[4] == ((0, 1), (1, 1))
 
     def test_outer_even_fold_mixed_signs(self):
         system, _ = build_random("gl", gr.TYPE_GL_OUTER_II, (2, 1, 1, 2), seed=22)
-        assert system.constraints.c_constraints == (
-            toda.ArcConstraint(0, "J", -1), toda.ArcConstraint(2, "J", 1))
+        assert toda._classify(system.spec)[4] == ((0, -1), (2, 1))
 
     def test_odd_fold_node_kinds(self):
         so_sys, _ = build_random("so", gr.TYPE_SOSP_I, (2, 1, 2), seed=23)
         sp_sys, _ = build_random("sp", gr.TYPE_SOSP_I, (1, 2, 1), seed=24)
         outer2, _ = build_random("gl", gr.TYPE_GL_OUTER_II, (1, 2, 1), seed=25)
         outer3, _ = build_random("gl", gr.TYPE_GL_OUTER_III, (1, 1, 1), seed=26)
-        assert so_sys.constraints.gamma_constraints == (toda.GammaConstraint(1, "J"),)
-        assert sp_sys.constraints.gamma_constraints == (toda.GammaConstraint(1, "K"),)
-        assert outer2.constraints.gamma_constraints == (toda.GammaConstraint(1, "K"),)
-        assert outer2.constraints.c_constraints == (toda.ArcConstraint(0, "J", -1),)
-        assert outer3.constraints.gamma_constraints == (toda.GammaConstraint(0, "J"),)
-        assert outer3.constraints.c_constraints == (toda.ArcConstraint(2, "J", 1),)
+        assert so_sys.fixed_nodes == ((1, "J"),)
+        assert sp_sys.fixed_nodes == ((1, "K"),)
+        assert outer2.fixed_nodes == ((1, "K"),)
+        assert toda._classify(outer2.spec)[4] == ((0, -1),)
+        assert outer3.fixed_nodes == ((0, "J"),)
+        assert toda._classify(outer3.spec)[4] == ((2, 1),)
         assert outer3.variant == toda.VARIANT_NODE_FIRST
 
     def test_double_fold_node_kinds(self):
         so_sys, _ = build_random("so", gr.TYPE_SOSP_II, (2, 2), seed=27)
         outer3, _ = build_random("gl", gr.TYPE_GL_OUTER_III, (1, 2, 2, 2), seed=28)
-        assert so_sys.constraints.gamma_constraints == (
-            toda.GammaConstraint(0, "J"), toda.GammaConstraint(1, "J"))
-        assert outer3.constraints.gamma_constraints == (
-            toda.GammaConstraint(0, "J"), toda.GammaConstraint(2, "K"))
+        assert so_sys.fixed_nodes == ((0, "J"), (1, "J"))
+        assert outer3.fixed_nodes == ((0, "J"), (2, "K"))
 
-    def test_sl_flag(self):
-        system, _ = build_random("sl", gr.TYPE_GL_INNER, (1, 1, 1), seed=29)
-        assert system.constraints.det_product_one
+    def test_sl_state_residual_reads_det_product(self):
+        state = toda.FieldState(gammas=(np.array([[2.0]]), np.eye(1), np.eye(1)))
+        sl_sys, _ = build_random("sl", gr.TYPE_GL_INNER, (1, 1, 1), seed=29)
+        gl_sys, _ = build_random("gl", gr.TYPE_GL_INNER, (1, 1, 1), seed=29)
+        assert toda.state_residual(sl_sys, state) >= 1.0
+        assert toda.state_residual(gl_sys, state) == 0.0
+
+
+#: one folded spec with fixed arcs per FOLD_ENDS row and fold shape, sized
+#: so that no fixed arc is a 1x1 block with eps = +1 (which ^J leaves free);
+#: the odd node-first placement occurs only for the outer type III
+FIXED_ARC_CASES = [
+    ("so", gr.TYPE_SOSP_I, (2, 1, 1, 2)),       # even fold
+    ("so", gr.TYPE_SOSP_I, (2, 1, 2)),          # odd fold, arc first
+    ("sp", gr.TYPE_SOSP_I, (2, 2)),
+    ("sp", gr.TYPE_SOSP_I, (2, 2, 2)),
+    ("gl", gr.TYPE_GL_OUTER_II, (1, 2, 2, 1)),
+    ("gl", gr.TYPE_GL_OUTER_II, (1, 2, 1)),     # odd fold, arc first
+    ("gl", gr.TYPE_GL_OUTER_III, (1, 2, 2)),    # odd fold, node first
+]
+
+
+class TestFixedArcGuard:
+    """The fold twist alone rejects C blocks that break ^J C = eps C on a fixed arc."""
+
+    @pytest.mark.parametrize("family,gtype,n_list", FIXED_ARC_CASES)
+    def test_twist_rejects_fixed_arc_violation(self, family, gtype, n_list):
+        spec = chain_spec(family, gtype, n_list)
+        rng = np.random.default_rng(case_seed((family, gtype, n_list)))
+        cp, cm = toda.random_c_blocks(spec, 1, rng)
+        toda.build_system(spec, 1, cp, cm)
+        arcs = toda._classify(spec)[4]
+        assert arcs and all(toda.arcs_allowed(spec, 1))
+        for a, eps in arcs:
+            for direction in (+1, -1):
+                blocks = [list(cp), list(cm)]
+                blk = blocks[direction < 0][a]
+                x = rng.standard_normal(blk.shape) + 1j * rng.standard_normal(blk.shape)
+                bad = (x - eps * lc.b_transpose(x, "J")) / 2.0
+                assert lc.max_abs(lc.b_transpose(bad, "J") - eps * bad) > 0.5
+                blocks[direction < 0][a] = blk + bad
+                with pytest.raises(toda.ConstraintViolationError, match="fold symmetry"):
+                    toda.build_system(spec, 1, *blocks)
 
 
 class TestRhsFull:
@@ -367,6 +401,20 @@ class TestSerialization:
         assert again.block_sizes == system.block_sizes
         for a, b in zip(again.c_plus, system.c_plus):
             assert lc.max_abs(a - b) < 1e-12
+
+    def test_json_without_constraints_block(self):
+        system, _ = build_random("so", gr.TYPE_SOSP_I, (2, 1, 2), seed=15)
+        assert "constraints" not in toda.system_to_json(system)
+
+    def test_json_with_old_constraints_block_loads(self):
+        system, _ = build_random("gl", gr.TYPE_GL_OUTER_II, (1, 2, 1), seed=16)
+        payload = json.loads(json.dumps(toda.system_to_json(system)))
+        payload["constraints"] = {"gamma": [[1, "K"]], "c": [[0, "J", -1]],
+                                  "det_product_one": False}
+        again = toda.system_from_json(payload)
+        assert again.fixed_nodes == system.fixed_nodes == ((1, "K"),)
+        for a, b in zip(again.c_plus + again.c_minus, system.c_plus + system.c_minus):
+            assert lc.max_abs(a - b) == 0.0
 
     def test_simplest_outer_round_trip(self):
         system = toda.build_simplest("gl", lc.skew_identity(3), lc.skew_identity(3), outer=True)
