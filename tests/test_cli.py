@@ -94,6 +94,24 @@ class TestEnumerateCommand:
         )
         assert golden in out
 
+    def test_outer_pair_golden(self, capsys):
+        cli.main(["enumerate", "--family", "gl", "--n", "2", "--M", "4"])
+        text = capsys.readouterr().out
+        assert (
+            "gl_outer_II family=gl n_list=[1, 1] k_list=[1] M=4 offset=0.5 class=even_fold\n"
+            "    [(0, 2), (1, 3)]\n"
+            "    [(1, 3), (0, 2)]\n"
+        ) in text
+        cli.main(["enumerate", "--family", "gl", "--n", "2", "--M", "4", "--latex"])
+        latex = capsys.readouterr().out
+        assert (
+            '"phase_offset": 0.5, "type": "gl_outer_II"}\n'
+            "\\left(\\begin{array}{c|c}\n"
+            "\\{[0]_{4},\\,[2]_{4}\\} & \\{[1]_{4},\\,[3]_{4}\\} \\\\\n"
+            "\\{[1]_{4},\\,[3]_{4}\\} & \\{[0]_{4},\\,[2]_{4}\\}\n"
+            "\\end{array}\\right)"
+        ) in latex
+
     def test_cap_exceeded(self, monkeypatch):
         monkeypatch.setenv("TODA_MAX_ENUM", "3")
         assert cli.main(["enumerate", "--family", "gl", "--n", "6", "--M", "6"]) == 3

@@ -322,6 +322,32 @@ class TestClassification:
         assert toda.state_residual(gl_sys, state) == 0.0
 
 
+class TestIndexTableReaders:
+    """minimal_grade and arcs_allowed against the raw block index table."""
+
+    @pytest.mark.parametrize("family,count", [("gl", 911), ("so", 174), ("sp", 99)])
+    def test_pinned_on_census(self, family, count):
+        checked = 0
+        for n in range(1, 7):
+            for M in range(1, 7):
+                for spec in gr.enumerate_specs(family, n, M):
+                    if isinstance(spec, gr.TrivialSpec):
+                        assert gr.minimal_grade(spec) == M
+                        continue
+                    p = spec.p
+                    # each entry is one residue (inner) or a (low, high) pair (outer)
+                    cells = [[set(np.ravel(e).tolist()) for e in row]
+                             for row in gr.block_index_table(spec).entries]
+                    positive = [r for row in cells for c in row for r in c if r > 0]
+                    grade = min(positive) if positive else M
+                    assert gr.minimal_grade(spec) == grade
+                    for L in range(1, grade + 1):
+                        want = [L % M in cells[(a - 1) % p][a] for a in range(p)]
+                        assert toda.arcs_allowed(spec, L) == want
+                    checked += 1
+        assert checked == count
+
+
 #: one folded spec with fixed arcs per FOLD_ENDS row and fold shape, sized
 #: so that no fixed arc is a 1x1 block with eps = +1 (which ^J leaves free);
 #: the odd node-first placement occurs only for the outer type III
