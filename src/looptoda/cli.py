@@ -215,9 +215,11 @@ def _run_preset(name, grid, config):
 
 def cmd_simulate(args) -> int:
     config = solver.SolverConfig() if args.tol is None else solver.SolverConfig(tol_constraint=args.tol)
+    outdir = args.output or "."
     try:
         grid = _parse_grid(args.grid) if args.grid else None
-    except ValueError as exc:
+        os.makedirs(outdir, exist_ok=True)
+    except (OSError, ValueError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
@@ -244,8 +246,6 @@ def cmd_simulate(args) -> int:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 
-    outdir = args.output or "."
-    os.makedirs(outdir, exist_ok=True)
     csv_path = os.path.join(outdir, "field.csv")
     lines = solver.write_history_csv(hist, csv_path)
     status = EXIT_BLOWUP if hist.halted else EXIT_OK

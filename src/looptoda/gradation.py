@@ -129,18 +129,26 @@ class TrivialSpec:
         return {"family": self.family, "n": self.n, "type": "trivial", "M": self.M}
 
 
+def _json_int(value, name: str) -> int:
+    """A JSON integer; a bool or a non-integral number raises TypeError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be a JSON integer, got {value!r}")
+    return value
+
+
 def spec_from_json(data: dict) -> GradationSpec | TrivialSpec:
     if not isinstance(data, dict):
         raise TypeError(f"a spec is a JSON object, got {type(data).__name__}")
     if data.get("type") == "trivial":
-        return TrivialSpec(family=data["family"], n=int(data["n"]), M=int(data.get("M", 1)))
+        return TrivialSpec(family=data["family"], n=_json_int(data["n"], "n"),
+                           M=_json_int(data.get("M", 1), "M"))
     return GradationSpec(
         family=data["family"],
-        n=int(data["n"]),
+        n=_json_int(data["n"], "n"),
         gradation_type=data["type"],
-        M=int(data["M"]),
-        n_list=tuple(data["n_list"]),
-        k_list=tuple(data["k_list"]),
+        M=_json_int(data["M"], "M"),
+        n_list=tuple(_json_int(v, "n_list entry") for v in data["n_list"]),
+        k_list=tuple(_json_int(v, "k_list entry") for v in data["k_list"]),
         phase_offset=float(data.get("phase_offset", 0.0)),
     )
 

@@ -51,6 +51,26 @@ class TestValidateCommand:
         assert cli.main([command, "--spec", path]) == 2
         assert "parse error: a spec is a JSON object, got list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "check", "simulate"])
+    @pytest.mark.parametrize("payload", [
+        {"family": "gl", "n": 3.7, "type": "gl_inner", "M": 3.9, "n_list": [1.5, 2.2], "k_list": [1.9]},
+        {"family": "gl", "n": 2, "type": "gl_inner", "M": 2, "n_list": [1, True], "k_list": [1]},
+        {"family": "gl", "n": True, "type": "trivial"},
+    ])
+    def test_non_integer_numbers_are_parse_errors(self, tmp_path, capsys, command, payload):
+        """n, M, n_list and k_list must be JSON integers: no truncation, no bools."""
+        if command == "simulate":
+            one = [[[1.0, 0.0]]]
+            sys_payload = {"c_plus": [one], "c_minus": [one], "L": 1, "spec": payload}
+            argv = ["simulate", "--system", write_json(tmp_path / "sys.json", sys_payload),
+                    "--output", str(tmp_path)]
+        else:
+            argv = [command, "--spec", write_json(tmp_path / "s.json", payload)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "parse error:" in captured.err and "must be a JSON integer" in captured.err
+
     def test_json_output(self, tmp_path, capsys):
         path = write_json(tmp_path / "s.json", S1_JSON)
         assert cli.main(["validate", "--spec", path, "--json"]) == 0
@@ -207,6 +227,21 @@ class TestSimulateCommand:
                            "--output", str(tmp_path)])
             assert rc == 2, grid
         assert not (tmp_path / "manifest.json").exists()
+
+    def test_output_below_a_file_is_a_parse_error(self, tmp_path, capsys, monkeypatch):
+        """The output directory is made before the run, and a failure to make
+        it is a parse error, not a traceback after the integration."""
+        def no_run(*args, **kwargs):
+            raise AssertionError("integrated before the output directory was made")
+
+        monkeypatch.setattr(cli.solver, "integrate", no_run)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rc = cli.main(["simulate", "--preset", "free-field", "--output", str(blocker / "out")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("parse error:")
+        assert len(captured.err.splitlines()) == 1
 
     @pytest.mark.parametrize("tol", ["0", "-1e-8", "inf"])
     def test_non_positive_tol_is_a_parse_error(self, tmp_path, tol):
