@@ -43,7 +43,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lie_core import (
-    DEFAULT_TOL,
     ShapeMismatchError,
     as_complex,
     b_transpose,
@@ -361,10 +360,9 @@ def build_h(spec: GradationSpec) -> np.ndarray:
 class Automorphism:
     """Finite-order automorphism generating a gradation.
 
-    Inner: x -> h x h^-1.  Outer: x -> -h (^B x) h^-1.
+    Inner (no B): x -> h x h^-1.  Outer: x -> -h (^B x) h^-1.
     """
 
-    kind: str  # "inner" | "outer"
     h: np.ndarray
     order: int
     B: np.ndarray | None = None
@@ -376,12 +374,12 @@ class Automorphism:
 
 def build_automorphism(spec) -> Automorphism:
     if isinstance(spec, TrivialSpec):
-        return Automorphism(kind="inner", h=identity(spec.n), order=spec.M)
+        return Automorphism(h=identity(spec.n), order=spec.M)
     check_valid(spec)
     h = build_h(spec)
     if spec.gradation_type in OUTER_TYPES:
-        return Automorphism(kind="outer", h=h, order=spec.M, B=structure_for_spec(spec))
-    return Automorphism(kind="inner", h=h, order=spec.M)
+        return Automorphism(h=h, order=spec.M, B=structure_for_spec(spec))
+    return Automorphism(h=h, order=spec.M)
 
 
 def _operand(aut: Automorphism, x) -> np.ndarray:
@@ -396,7 +394,7 @@ def apply_automorphism(aut: Automorphism, x) -> np.ndarray:
     x = _operand(aut, x)
     d = aut.h_diag
     ratio = d[:, None] / d[None, :]
-    if aut.kind == "inner":
+    if aut.B is None:
         return ratio * x
     return -ratio * b_transpose(x, aut.B)
 
@@ -428,10 +426,10 @@ def grading_component(x, k: int, aut: Automorphism) -> np.ndarray:
     return grading_components(x, aut)[k % aut.order]
 
 
-def grading_support(x, aut: Automorphism, tol: float = DEFAULT_TOL) -> list[int]:
-    """Residues k with a nonzero component of x."""
+def grading_support(x, aut: Automorphism) -> list[int]:
+    """Residues k whose component of x exceeds 1e-9."""
     parts = grading_components(x, aut)
-    return [k for k in range(aut.order) if max_abs(parts[k]) > tol]
+    return [k for k in range(aut.order) if max_abs(parts[k]) > 1e-9]
 
 
 @dataclass(frozen=True)
@@ -439,26 +437,22 @@ class GradingIndexTable:
     """Block grading indices.
 
     Inner types carry a single residue per block; outer types carry the
-    pair (low, high) with low in [0, N) and high = low + N in [N, 2N), the
-    two being distinguished by the symmetry of the block under ^B: for
-    alpha <= beta the condition x = -(^B x) selects the low index and
-    x = +(^B x) the high one, with the roles swapped for alpha > beta.
+    pair (low, high) with low in [0, N) and high = low + N in [N, 2N),
+    N = M/2, the two being distinguished by the symmetry of the block
+    under ^B: for alpha <= beta the condition x = -(^B x) selects the low
+    index and x = +(^B x) the high one, with the roles swapped for
+    alpha > beta.
     """
 
     M: int
     outer: bool
     entries: tuple  # [p][p] ints (inner) or (low, high) pairs (outer)
-    N: int | None = None
 
-    def residue(self, a: int, b: int) -> int:
-        if self.outer:
-            raise ValueError("outer tables carry index pairs; use pair()")
-        return self.entries[a][b]
-
-    def pair(self, a: int, b: int) -> tuple[int, int]:
-        if not self.outer:
-            raise ValueError("inner tables carry single residues; use residue()")
-        return self.entries[a][b]
+    def residues(self, a: int, b: int) -> tuple[int, ...]:
+        """The residues block (a, b) carries: one for an inner type, the
+        (low, high) pair for an outer type."""
+        entry = self.entries[a][b]
+        return entry if self.outer else (entry,)
 
 
 def block_index_table(spec: GradationSpec) -> GradingIndexTable:
@@ -488,7 +482,7 @@ def block_index_table(spec: GradationSpec) -> GradingIndexTable:
             member = base if base < N else (base + N) % modulus
             row.append((member, member + N))
         rows.append(tuple(row))
-    return GradingIndexTable(M=modulus, outer=True, entries=tuple(rows), N=N)
+    return GradingIndexTable(M=modulus, outer=True, entries=tuple(rows))
 
 
 def _compositions(total: int, parts: int):
@@ -564,12 +558,5 @@ def minimal_grade(spec) -> int:
     if isinstance(spec, TrivialSpec):
         return spec.M
     table = block_index_table(spec)
-    values = []
-    for a in range(spec.p):
-        for b in range(spec.p):
-            if table.outer:
-                values.extend(table.pair(a, b))
-            else:
-                values.append(table.residue(a, b))
-    positive = [v % spec.M for v in values if v % spec.M > 0]
+    positive = [r for a in range(spec.p) for b in range(spec.p) for r in table.residues(a, b) if r > 0]
     return min(positive) if positive else spec.M

@@ -46,7 +46,7 @@ refinement studies) parallelize trivially across processes.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -155,21 +155,29 @@ def constant_data(state: FieldState) -> CharacteristicData:
 @dataclass
 class FieldHistory:
     """Solution lattice: ``gammas[b][j, i]`` is independent block b at
-    (z^-_i, z^+_j), in ascending coordinates, for the ``completed_rows``
-    rows j the march reached.
+    (z^-_i, z^+_j), in ascending coordinates, for the rows j the march
+    completed; their count is ``completed_rows``.
 
     ``constraint_residuals[j]`` holds the max violation of the fixed-node
     group constraints over row j (all zero when the system carries none).
+    ``halt_reason`` says why the march stopped early, and is None when it
+    completed every row.
     """
 
     system: TodaSystem
     grid: Grid
     config: SolverConfig
-    gammas: list[np.ndarray] = field(default_factory=list)
-    constraint_residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    completed_rows: int = 0
-    halted: bool = False
+    gammas: list[np.ndarray]
+    constraint_residuals: np.ndarray
     halt_reason: str | None = None
+
+    @property
+    def completed_rows(self) -> int:
+        return self.gammas[0].shape[0]
+
+    @property
+    def halted(self) -> bool:
+        return self.halt_reason is not None
 
 
 #: fixed-point sweeps per row of the midpoint scheme
@@ -323,12 +331,12 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
     A sample with the wrong block count or block shape raises ValueError.
 
     Returns the :class:`FieldHistory` of G.  On numerical loss it is
-    truncated to the completed rows, with ``halted`` set and
-    ``halt_reason`` naming the row and the cause: a non-finite value, a
-    cell-centre square root (or, on row 0, a logarithm of a bottom-edge
-    step) that did not converge, a singular block, or a row failing the
-    blow-up test max(|G|, |inv G|, |G| |inv G|) <=
-    ``config.tol_invertibility``.  Any other error propagates.
+    truncated to the completed rows, with ``halt_reason`` naming the row
+    and the cause: a non-finite value, a cell-centre square root (or, on
+    row 0, a logarithm of a bottom-edge step) that did not converge, a
+    singular block, or a row failing the blow-up test
+    max(|G|, |inv G|, |G| |inv G|) <= ``config.tol_invertibility``.  Any
+    other error propagates.
 
     ``march_minus`` selects the Goursat corner: +1 takes data on the two
     minimum edges, -1 on the maximum z^- edge and minimum z^+ edge.  The
@@ -364,33 +372,31 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
     cm_vals = _c_blocks(system.c_minus, c_minus_fn, zm_mid, "c_minus_fn")
     cp_vals = _c_blocks(system.c_plus, c_plus_fn, zp_mid, "c_plus_fn")
 
-    history = FieldHistory(system=system, grid=grid, config=config)
-    history.gammas = [np.zeros((len(zp), len(zm), na, na), dtype=complex) for na in sizes]
+    gammas = [np.zeros((len(zp), len(zm), na, na), dtype=complex) for na in sizes]
     groups = _size_groups(sizes)
     left_packs = _pack(left, groups)
 
     def store(j, g_packs):
-        for hg, g in zip(history.gammas, _unpack(g_packs, groups)):
+        for hg, g in zip(gammas, _unpack(g_packs, groups)):
             hg[j] = g if march_minus > 0 else g[::-1]
 
     def halt(row, cause, detail=""):
-        history.halted = True
-        history.halt_reason = f"{cause} at row {row} (z^+ = {zp[row]:g}){detail}"
+        return f"{cause} at row {row} (z^+ = {zp[row]:g}){detail}"
 
     g_row = _pack(bottom, groups)
     store(0, g_row)
-    history.completed_rows = 1
+    rows, halt_reason = 1, None
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             v_row = _half_point_v(g_row, hm)
     except NonFiniteError:
-        halt(0, "non-finite value")
+        halt_reason = halt(0, "non-finite value")
     except ConvergenceError:
-        halt(0, "edge logarithm failed")
+        halt_reason = halt(0, "edge logarithm failed")
     except np.linalg.LinAlgError:
-        halt(0, "singular block")
+        halt_reason = halt(0, "singular block")
 
-    for j in range(0 if history.halted else len(zp) - 1):
+    for j in range(0 if halt_reason else len(zp) - 1):
         cause, detail = None, ""
         cp_row = cp_vals if c_plus_fn is None else [c[j] for c in cp_vals]
         try:
@@ -413,23 +419,23 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
         except np.linalg.LinAlgError:
             cause = "singular block"
         if cause is not None:
-            halt(j + 1, cause, detail)
+            halt_reason = halt(j + 1, cause, detail)
             break
         g_row, v_row = row
         store(j + 1, g_row)
-        history.completed_rows = j + 2
+        rows = j + 2
 
-    if history.halted:
-        history.gammas = [g[: history.completed_rows] for g in history.gammas]
-    history.constraint_residuals = toda.fixed_node_defect(system, history.gammas).max(axis=1)
-    return history
+    gammas = [g[:rows] for g in gammas]
+    return FieldHistory(system=system, grid=grid, config=config, gammas=gammas,
+                        constraint_residuals=toda.fixed_node_defect(system, gammas).max(axis=1),
+                        halt_reason=halt_reason)
 
 
 #: interior cells per band of rows in which :func:`residual` takes the right-hand side
 RESIDUAL_BAND_CELLS = 1024
 
 
-def residual(history: FieldHistory, system: TodaSystem | None = None,
+def residual(history: FieldHistory,
              c_plus_fn: Callable[[float], Sequence[np.ndarray]] | None = None,
              c_minus_fn: Callable[[float], Sequence[np.ndarray]] | None = None) -> float:
     """Max central-difference defect |d_+(inv(G) d_- G) - rhs| over the interior.
@@ -443,13 +449,13 @@ def residual(history: FieldHistory, system: TodaSystem | None = None,
     1e-8 to 2e-7 relative; compare residuals no tighter than ~1e-6
     relative.
     """
-    system = system or history.system
+    system = history.system
     grid = history.grid
     hm, hp = grid.h_minus, grid.h_plus
     rows = history.completed_rows
     if rows < 3 or grid.n_minus < 2:
         raise ValueError("residual needs at least a 3x3 block of completed points")
-    interior = [g[1:rows - 1, 1:-1] for g in history.gammas]
+    interior = [g[1:-1, 1:-1] for g in history.gammas]
     # one c_+ value per interior row and one c_- per interior column
     cp = _c_blocks(system.c_plus, c_plus_fn, grid.zp_points()[1:rows - 1], "c_plus_fn")
     cm = _c_blocks(system.c_minus, c_minus_fn, grid.zm_points()[1:-1], "c_minus_fn")
@@ -466,7 +472,6 @@ def residual(history: FieldHistory, system: TodaSystem | None = None,
     worst = 0.0
     # W = inv(G) d_- G one block at a time: only one block's W is held
     for g, f in zip(history.gammas, rhs):
-        g = g[:rows]
         d_minus = (g[:, 2:] - g[:, :-2]) / (2.0 * hm)
         w = mul(inv(g[:, 1:-1]), d_minus)
         d_plus = (w[2:] - w[:-2]) / (2.0 * hp)
@@ -550,17 +555,18 @@ def sinh_data(eps: float, a: float, grid: Grid) -> CharacteristicData:
     return CharacteristicData(gamma_minus=bottom, gamma_plus=left)
 
 
-def sine_gordon_reduce(history: FieldHistory, tol: float = 1e-6) -> np.ndarray:
+def sine_gordon_reduce(history: FieldHistory) -> np.ndarray:
     """Recover F with G = exp(i F/2) from a unit-modulus scalar history.
 
     The phase is unwrapped along each z^- row and the offsets fixed along
-    the z^+ seam, giving one continuous branch.
+    the z^+ seam, giving one continuous branch.  A history whose |G|
+    leaves 1 by more than 1e-6 raises ValueError.
     """
     if history.system.s != 1 or history.system.independent_sizes != (1,):
         raise ValueError("sine-Gordon reduction needs a single scalar block")
-    g = history.gammas[0][: history.completed_rows, :, 0, 0]
+    g = history.gammas[0][..., 0, 0]
     drift = float(np.max(np.abs(np.abs(g) - 1.0)))
-    if drift > tol:
+    if drift > 1e-6:
         raise ValueError(f"history leaves the unit circle (drift {drift:.2e})")
     phi = np.angle(g)
     rows = np.unwrap(phi, axis=1)
@@ -568,12 +574,15 @@ def sine_gordon_reduce(history: FieldHistory, tol: float = 1e-6) -> np.ndarray:
     return 2.0 * (rows - rows[:, :1] + seam[:, None])
 
 
-def sinh_gordon_reduce(history: FieldHistory, tol: float = 1e-6) -> np.ndarray:
-    """Recover F with G = exp(F/2) from a real positive scalar history."""
+def sinh_gordon_reduce(history: FieldHistory) -> np.ndarray:
+    """Recover F with G = exp(F/2) from a real positive scalar history.
+
+    A history with |Im G| above 1e-6 or a non-positive G raises ValueError.
+    """
     if history.system.s != 1 or history.system.independent_sizes != (1,):
         raise ValueError("sinh-Gordon reduction needs a single scalar block")
-    g = history.gammas[0][: history.completed_rows, :, 0, 0]
-    if float(np.max(np.abs(g.imag))) > tol:
+    g = history.gammas[0][..., 0, 0]
+    if float(np.max(np.abs(g.imag))) > 1e-6:
         raise ValueError("history is not real")
     if np.min(g.real) <= 0:
         raise ValueError("history is not positive")
@@ -587,10 +596,8 @@ def reality_preservation(history: FieldHistory, tag: str) -> float:
     ``compact``: sigma(G) = inv(adjoint(G)) = G, measured by the unitarity
     defect max |adjoint(G) G - I|.
     """
-    rows = history.completed_rows
     worst = 0.0
     for g in history.gammas:
-        g = g[:rows]
         if tag == "real_split":
             worst = max(worst, float(np.max(np.abs(g.imag))))
         elif tag == "compact":
@@ -618,10 +625,9 @@ def det_factorization_defect(history: FieldHistory) -> float:
     if (system.family not in ("gl", "sl") or system.engine is not None
             or system.fixed_nodes):
         raise ValueError("the det factorization holds on gl and sl inner systems only")
-    rows = history.completed_rows
     prod = 1.0
     for g in history.gammas:
-        prod = prod * np.linalg.det(g[:rows])
+        prod = prod * np.linalg.det(g)
     ratio = prod * prod[0, 0] / (prod[:, :1] * prod[:1, :])
     return float(np.max(np.abs(ratio - 1.0)))
 

@@ -431,29 +431,10 @@ def engine_for_spec(spec: GradationSpec, L: int) -> FoldEngine | None:
                       b_matrix=structure_for_spec(spec), ratio=ratio, turn=turn)
 
 
-def arc_gradings(spec: GradationSpec) -> list:
-    """Grading index of each arc's c_+ block: an int (inner) or pair (outer)."""
-    table = block_index_table(spec)
-    out = []
-    for a in range(spec.p):
-        i = (a - 1) % spec.p
-        if table.outer:
-            out.append(table.pair(i, a))
-        else:
-            out.append(table.residue(i, a))
-    return out
-
-
 def arcs_allowed(spec: GradationSpec, L: int) -> list[bool]:
-    gradings = arc_gradings(spec)
-    want = L % spec.M
-    out = []
-    for g in gradings:
-        if isinstance(g, tuple):
-            out.append(want in g)
-        else:
-            out.append(g == want)
-    return out
+    """Whether each arc's c_+ block carries the residue L (mod M)."""
+    table = block_index_table(spec)
+    return [L % spec.M in table.residues((a - 1) % spec.p, a) for a in range(spec.p)]
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +459,7 @@ def _check_c_shapes(sizes, cp, cm):
     return cp, cm
 
 
-def build_system(spec, L: int, c_plus, c_minus, tol: float = DEFAULT_TOL) -> TodaSystem:
+def build_system(spec, L: int, c_plus, c_minus) -> TodaSystem:
     """Assemble and validate the Toda system for a gradation spec.
 
     ``c_plus``/``c_minus`` give one block per arc of the full cycle, index 0
@@ -510,7 +491,7 @@ def build_system(spec, L: int, c_plus, c_minus, tol: float = DEFAULT_TOL) -> Tod
     if engine is not None:
         for blocks, direction, name in ((cp, +1, "c_plus"), (cm, -1, "c_minus")):
             dev = engine.c_residual(blocks, direction)
-            if dev > tol * max(1.0, max(max_abs(b) for b in blocks)):
+            if dev > DEFAULT_TOL * max(1.0, max(max_abs(b) for b in blocks)):
                 raise ConstraintViolationError(
                     f"{name} violates the fold symmetry (residual {dev:.2e})"
                 )
@@ -607,7 +588,7 @@ def state_residual(system: TodaSystem, state: FieldState) -> float:
     return dev
 
 
-def _check_state(system: TodaSystem, state: FieldState, tol: float) -> None:
+def _check_state(system: TodaSystem, state: FieldState) -> None:
     if len(state.gammas) != system.s:
         raise ShapeMismatchError(
             f"state needs {system.s} independent blocks, got {len(state.gammas)}"
@@ -619,7 +600,7 @@ def _check_state(system: TodaSystem, state: FieldState, tol: float) -> None:
         if np.linalg.cond(g) > 1e14:
             raise SingularMatrixError(f"state block {i} is singular")
     dev = state_residual(system, state)
-    if dev > tol:
+    if dev > 1e-8:
         raise ConstraintViolationError(f"state violates constraints (residual {dev:.2e})")
 
 
@@ -631,11 +612,13 @@ def rhs_dispatch(system: TodaSystem, gammas, cp, cm) -> list[np.ndarray]:
     return rhs_chain(gammas, cp, cm, *system.caps)
 
 
-def rhs_blocks(system: TodaSystem, state: FieldState, check: bool = True,
-               tol: float = 1e-8) -> list[np.ndarray]:
-    """Right-hand sides of the s independent equations of the system."""
-    if check:
-        _check_state(system, state, tol)
+def rhs_blocks(system: TodaSystem, state: FieldState) -> list[np.ndarray]:
+    """Right-hand sides of the s independent equations of the system.
+
+    The state must have the system's block shapes, no singular block, and
+    satisfy the system's constraints to 1e-8.
+    """
+    _check_state(system, state)
     return rhs_dispatch(system, list(state.gammas), list(system.c_plus), list(system.c_minus))
 
 
@@ -646,14 +629,14 @@ def full_state(system: TodaSystem, state: FieldState) -> tuple[np.ndarray, ...]:
     return system.engine.complete_gammas(state.gammas)
 
 
-def rhs_blocks_vs_full(system: TodaSystem, state: FieldState, check: bool = True) -> float:
+def rhs_blocks_vs_full(system: TodaSystem, state: FieldState) -> float:
     """Cross-validate the block equations against the full matrix form.
 
     Embeds the state into the block-diagonal gamma and the C blocks into
     the skeleton c matrices, evaluates [c_-, inv(gamma) c_+ gamma], and
     returns the max deviation of its diagonal blocks from rhs_blocks.
     """
-    blocks = rhs_blocks(system, state, check=check)
+    blocks = rhs_blocks(system, state)
     sizes = system.block_sizes
     offs = _offsets(sizes)
     full = rhs_full(

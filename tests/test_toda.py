@@ -150,7 +150,7 @@ class TestBuildValidation:
         bad = list(state.gammas)
         bad[-1] = bad[-1] + 0.3  # breaks ^B Gamma = inv(Gamma) on the fixed node
         with pytest.raises(toda.ConstraintViolationError):
-            toda.rhs_blocks(system, toda.FieldState(gammas=tuple(bad)), check=True, tol=1e-8)
+            toda.rhs_blocks(system, toda.FieldState(gammas=tuple(bad)))
 
     def test_singular_state_rejected(self):
         chain = toda.build_periodic_chain(2, 1)
