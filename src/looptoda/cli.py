@@ -246,8 +246,6 @@ def cmd_simulate(args) -> int:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 
-    csv_path = os.path.join(outdir, "field.csv")
-    lines = solver.write_history_csv(hist, csv_path)
     status = EXIT_BLOWUP if hist.halted else EXIT_OK
     manifest = {
         "command": "simulate",
@@ -260,7 +258,6 @@ def cmd_simulate(args) -> int:
         },
         "grid": hist.grid.to_json(),
         "config": hist.config.to_json(),
-        "outputs": {"csv": "field.csv", "csv_lines": lines},
         "halted": hist.halted,
         "halt_reason": hist.halt_reason,
         "completed_rows": hist.completed_rows,
@@ -271,8 +268,14 @@ def cmd_simulate(args) -> int:
     manifest.update(meta)
     if not hist.halted and hist.completed_rows >= 3 and hist.grid.n_minus >= 2:
         manifest["max_residual"] = float(solver.residual(hist))
-    with open(os.path.join(outdir, "manifest.json"), "w") as fh:
-        fh.write(_dump_json(manifest))
+    try:
+        lines = solver.write_history_csv(hist, os.path.join(outdir, "field.csv"))
+        manifest["outputs"] = {"csv": "field.csv", "csv_lines": lines}
+        with open(os.path.join(outdir, "manifest.json"), "w") as fh:
+            fh.write(_dump_json(manifest))
+    except OSError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     print(_dump_json(manifest), end="")
     return status
 

@@ -115,19 +115,23 @@ class Grid:
         }
 
 
+#: blow-up bound of the march: a row halts it once some block has
+#: max(|G|, |inv G|, |G| |inv G|) above this
+INVERTIBILITY_BOUND = 1e12
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     tol_constraint: float = 1e-8      # corner/constraint admission tolerance
-    tol_invertibility: float = 1e12   # blow-up detector on |G| * |inv G|
 
     def __post_init__(self):
-        if not all(0 < t < np.inf for t in (self.tol_constraint, self.tol_invertibility)):
+        if not 0 < self.tol_constraint < np.inf:
             raise ValueError("tolerances must be finite and positive")
 
     def to_json(self) -> dict:
         return {
             "tol_constraint": self.tol_constraint,
-            "tol_invertibility": self.tol_invertibility,
+            "tol_invertibility": INVERTIBILITY_BOUND,
         }
 
 
@@ -203,13 +207,6 @@ def _sample(fn, points, shapes, name):
     return out
 
 
-def _c_blocks(constants, fn, points, name):
-    """The system's C blocks, or ``fn`` sampled on the points in their shapes."""
-    if fn is None:
-        return list(constants)
-    return _sample(fn, points, [c.shape for c in constants], name)
-
-
 def _size_groups(sizes) -> tuple[tuple[int, ...], ...]:
     """The indices of the blocks of each size, sizes in order of first appearance."""
     groups: dict[int, list[int]] = {}
@@ -239,21 +236,25 @@ def _unpack(packs, groups) -> list[np.ndarray]:
     return blocks
 
 
-def _finite(packs) -> bool:
-    return all(np.isfinite(g).all() for g in packs)
+def _check_finite(packs) -> None:
+    if not all(np.isfinite(g).all() for g in packs):
+        raise NonFiniteError("the row has a non-finite value")
 
 
-def _row_invertibility(packs):
-    """The row's worst max(|G|, |inv G|, |G| |inv G|), each taken per block.
+class _InvertibilityLost(ArithmeticError):
+    """A row fails the blow-up test against ``INVERTIBILITY_BOUND``."""
 
-    An exactly singular block raises ``np.linalg.LinAlgError``.
-    """
+
+def _check_invertibility(packs) -> None:
+    """Raise _InvertibilityLost once a block's max(|G|, |inv G|, |G| |inv G|)
+    exceeds ``INVERTIBILITY_BOUND``; a singular block raises ``LinAlgError``."""
     worst = 0.0
     for g in packs:
         axes = tuple(range(1, g.ndim))
         size, inv_size = np.abs(g).max(axis=axes), np.abs(inv(g)).max(axis=axes)
         worst = max(worst, size.max(), inv_size.max(), (size * inv_size).max())
-    return worst
+    if not worst <= INVERTIBILITY_BOUND:
+        raise _InvertibilityLost(f"max(|G|, |inv G|, |G| |inv G|) = {worst:.3g} > {INVERTIBILITY_BOUND:g}")
 
 
 def _half_point_v(g_row, h_minus):
@@ -292,51 +293,61 @@ def _cell_centers(g_new, g_old):
             for gn, go in zip(g_new, g_old)]
 
 
-def _solve_row(system, law, groups, left_next, g_row, v_row, cp_vals, cm_vals, hm, dv_scale):
-    """The next row's (G, V) by fixed-point sweeps, or None once a value is non-finite."""
+def _solve_row(rhs, groups, left_next, g_row, v_row, hm, dv_scale):
+    """The next row's (G, V) by fixed-point sweeps; raises NonFiniteError on a non-finite value."""
     v_next = v_row
     g_next = _row_rebuild(left_next, v_next, hm)
     for _ in range(SWEEPS):
-        if not _finite(g_next):
-            return None
+        _check_finite(g_next)
         centers = _unpack(_cell_centers(g_next, g_row), groups)
-        if law is None:
-            f = toda.rhs_dispatch(system, centers, cp_vals, cm_vals)
-        else:
-            f = law(centers)
-        v_next = [v + dv_scale * fb for v, fb in zip(v_row, _pack(f, groups))]
-        if not _finite(v_next):
-            return None
+        v_next = [v + dv_scale * fb for v, fb in zip(v_row, _pack(rhs(centers), groups))]
+        _check_finite(v_next)
         g_next = _row_rebuild(left_next, v_next, hm)
-    return (g_next, v_next) if _finite(g_next) else None
+    _check_finite(g_next)
+    return g_next, v_next
+
+
+def _halt_reason(exc, row, z_plus) -> str:
+    """The halt text of the error that stopped the march at the row.  Row 0
+    takes only the bottom-edge logarithms, later rows the cell-centre square
+    roots."""
+    detail = ""
+    if isinstance(exc, NonFiniteError):
+        # a kernel's input overflowed, such as inv(nw) se in a cell centre
+        cause = "non-finite value"
+    elif isinstance(exc, np.linalg.LinAlgError):
+        cause = "singular block"
+    elif row == 0:
+        cause = "edge logarithm failed"
+    elif isinstance(exc, ConvergenceError):
+        cause, detail = "cell-centre square root failed", f": {exc}"
+    else:
+        cause, detail = "invertibility lost", f": {exc}"
+    return f"{cause} at row {row} (z^+ = {z_plus:g}){detail}"
 
 
 def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
               config: SolverConfig = SolverConfig(),
-              c_plus_fn: Callable[[float], Sequence[np.ndarray]] | None = None,
-              c_minus_fn: Callable[[float], Sequence[np.ndarray]] | None = None,
               march_minus: int = +1,
               law: Callable[[list], Sequence[np.ndarray]] | None = None) -> FieldHistory:
     """March the system over the light-cone lattice from characteristic data.
 
-    ``c_minus_fn``/``c_plus_fn`` optionally override the system constants
-    with functions of z^- and z^+ respectively, enforcing the chirality
-    conditions d_+ c_- = 0, d_- c_+ = 0 by construction.  ``law``, when
-    given, replaces the system's right-hand side: it maps the list of
-    cell-centre blocks of a row to the list of d_+ V blocks, so nearby laws
-    (an equation and its linearization) run through the same scheme.
+    ``law``, when given, replaces the system's right-hand side with its
+    constant C blocks: it maps the list of cell-centre blocks of a row to
+    the list of d_+ V blocks, so nearby laws (an equation and its
+    linearization) run through the same scheme.
 
-    The edge data and the C functions are sampled once, before the march:
-    the edges on the lattice points, c_- and c_+ on the cell midpoints.
-    A sample with the wrong block count or block shape raises ValueError.
+    The edge data are sampled once, on the lattice points, before the
+    march.  A sample with the wrong block count or block shape raises
+    ValueError.
 
     Returns the :class:`FieldHistory` of G.  On numerical loss it is
     truncated to the completed rows, with ``halt_reason`` naming the row
     and the cause: a non-finite value, a cell-centre square root (or, on
     row 0, a logarithm of a bottom-edge step) that did not converge, a
     singular block, or a row failing the blow-up test
-    max(|G|, |inv G|, |G| |inv G|) <= ``config.tol_invertibility``.  Any
-    other error propagates.
+    max(|G|, |inv G|, |G| |inv G|) <= ``INVERTIBILITY_BOUND``.  Any other
+    error propagates.
 
     ``march_minus`` selects the Goursat corner: +1 takes data on the two
     minimum edges, -1 on the maximum z^- edge and minimum z^+ edge.  The
@@ -352,8 +363,6 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
     zp = grid.zp_points()
     hm, hp = grid.h_minus, grid.h_plus
     zm_march = zm if march_minus > 0 else zm[::-1]
-    zm_mid = 0.5 * (zm_march[:-1] + zm_march[1:])
-    zp_mid = 0.5 * (zp[:-1] + zp[1:])
     shapes = [(na, na) for na in sizes]
 
     bottom = _sample(data.gamma_minus, zm_march, shapes, "gamma_minus")
@@ -369,61 +378,33 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
             f"initial data violates the system constraints (residual {dev0:.2e})"
         )
 
-    cm_vals = _c_blocks(system.c_minus, c_minus_fn, zm_mid, "c_minus_fn")
-    cp_vals = _c_blocks(system.c_plus, c_plus_fn, zp_mid, "c_plus_fn")
+    if law is None:
+        def law(centers):
+            # looked up at call time, so a profiler's wrapper of it counts every call
+            return toda.rhs_dispatch(system, centers, system.c_plus, system.c_minus)
 
     gammas = [np.zeros((len(zp), len(zm), na, na), dtype=complex) for na in sizes]
     groups = _size_groups(sizes)
     left_packs = _pack(left, groups)
 
-    def store(j, g_packs):
+    def store(row, g_packs):
         for hg, g in zip(gammas, _unpack(g_packs, groups)):
-            hg[j] = g if march_minus > 0 else g[::-1]
-
-    def halt(row, cause, detail=""):
-        return f"{cause} at row {row} (z^+ = {zp[row]:g}){detail}"
+            hg[row] = g if march_minus > 0 else g[::-1]
 
     g_row = _pack(bottom, groups)
     store(0, g_row)
-    rows, halt_reason = 1, None
+    row, rows, halt_reason = 0, 1, None
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             v_row = _half_point_v(g_row, hm)
-    except NonFiniteError:
-        halt_reason = halt(0, "non-finite value")
-    except ConvergenceError:
-        halt_reason = halt(0, "edge logarithm failed")
-    except np.linalg.LinAlgError:
-        halt_reason = halt(0, "singular block")
-
-    for j in range(0 if halt_reason else len(zp) - 1):
-        cause, detail = None, ""
-        cp_row = cp_vals if c_plus_fn is None else [c[j] for c in cp_vals]
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                row = _solve_row(system, law, groups, [l[:, j + 1] for l in left_packs], g_row, v_row,
-                                 cp_row, cm_vals, hm, march_minus * hp)
-                if row is None:
-                    cause = "non-finite value"
-                else:
-                    worst = _row_invertibility(row[0])
-                    if not worst <= config.tol_invertibility:
-                        cause = "invertibility lost"
-                        detail = (f": max(|G|, |inv G|, |G| |inv G|) = {worst:.3g}"
-                                  f" > {config.tol_invertibility:g}")
-        except NonFiniteError:
-            # a kernel's input overflowed, such as inv(nw) se in a cell centre
-            cause = "non-finite value"
-        except ConvergenceError as exc:
-            cause, detail = "cell-centre square root failed", f": {exc}"
-        except np.linalg.LinAlgError:
-            cause = "singular block"
-        if cause is not None:
-            halt_reason = halt(j + 1, cause, detail)
-            break
-        g_row, v_row = row
-        store(j + 1, g_row)
-        rows = j + 2
+            for row in range(1, len(zp)):
+                g_row, v_row = _solve_row(law, groups, [l[:, row] for l in left_packs], g_row, v_row,
+                                          hm, march_minus * hp)
+                _check_invertibility(g_row)
+                store(row, g_row)
+                rows = row + 1
+    except (NonFiniteError, ConvergenceError, np.linalg.LinAlgError, _InvertibilityLost) as exc:
+        halt_reason = _halt_reason(exc, row, zp[row])
 
     gammas = [g[:rows] for g in gammas]
     return FieldHistory(system=system, grid=grid, config=config, gammas=gammas,
@@ -435,13 +416,9 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
 RESIDUAL_BAND_CELLS = 1024
 
 
-def residual(history: FieldHistory,
-             c_plus_fn: Callable[[float], Sequence[np.ndarray]] | None = None,
-             c_minus_fn: Callable[[float], Sequence[np.ndarray]] | None = None) -> float:
-    """Max central-difference defect |d_+(inv(G) d_- G) - rhs| over the interior.
-
-    Pass the same ``c_plus_fn``/``c_minus_fn`` that were given to
-    :func:`integrate` when the C blocks vary along their characteristics.
+def residual(history: FieldHistory) -> float:
+    """Max central-difference defect |d_+(inv(G) d_- G) - rhs| over the
+    interior, rhs taking the system's constant C blocks.
 
     The differences divide the round-off of G by ``h_minus * h_plus``, so
     the defect has a round-off floor near 1e-12 absolute at 64².  Any
@@ -456,17 +433,13 @@ def residual(history: FieldHistory,
     if rows < 3 or grid.n_minus < 2:
         raise ValueError("residual needs at least a 3x3 block of completed points")
     interior = [g[1:-1, 1:-1] for g in history.gammas]
-    # one c_+ value per interior row and one c_- per interior column
-    cp = _c_blocks(system.c_plus, c_plus_fn, grid.zp_points()[1:rows - 1], "c_plus_fn")
-    cm = _c_blocks(system.c_minus, c_minus_fn, grid.zm_points()[1:-1], "c_minus_fn")
     # the right-hand side in bands of rows of about RESIDUAL_BAND_CELLS
     # cells: the bands' blocks run as one stack, in memory of a few rows
     rhs = [np.empty_like(g) for g in interior]
     band = max(1, RESIDUAL_BAND_CELLS // (grid.n_minus - 1))
     for j in range(0, rows - 2, band):
         rows_j = slice(j, j + band)
-        cp_j = cp if c_plus_fn is None else [c[rows_j, None] for c in cp]
-        f_j = toda.rhs_dispatch(system, [g[rows_j] for g in interior], cp_j, cm)
+        f_j = toda.rhs_dispatch(system, [g[rows_j] for g in interior], system.c_plus, system.c_minus)
         for f, f_band in zip(rhs, f_j):
             f[rows_j] = f_band
     worst = 0.0

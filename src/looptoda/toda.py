@@ -56,6 +56,7 @@ from .gradation import (
     GradationSpec,
     SpecError,
     TrivialSpec,
+    _json_int,
     block_index_table,
     build_h,
     check_valid,
@@ -547,8 +548,8 @@ def build_simplest(family: str, c_plus, c_minus, outer: bool = False) -> TodaSys
     )
 
 
-def build_periodic_chain(p: int, r: int, c_value: complex = 1.0) -> TodaSystem:
-    """The periodic chain: p equal blocks of size r, C_{+-a} = c_value * I_r."""
+def build_periodic_chain(p: int, r: int) -> TodaSystem:
+    """The periodic chain: p equal blocks of size r, C_{+-a} = I_r."""
     if p < 2 or r < 1:
         raise BuildError("need p >= 2 and r >= 1")
     spec = GradationSpec(
@@ -559,7 +560,7 @@ def build_periodic_chain(p: int, r: int, c_value: complex = 1.0) -> TodaSystem:
         n_list=(r,) * p,
         k_list=(1,) * (p - 1),
     )
-    blocks = tuple(c_value * identity(r) for _ in range(p))
+    blocks = tuple(identity(r) for _ in range(p))
     return build_system(spec, 1, blocks, blocks)
 
 
@@ -670,8 +671,7 @@ def random_state(system: TodaSystem, rng: np.random.Generator, scale: float = 0.
     return FieldState(gammas=tuple(gammas))
 
 
-def random_c_blocks(spec: GradationSpec, L: int, rng: np.random.Generator,
-                    scale: float = 1.0):
+def random_c_blocks(spec: GradationSpec, L: int, rng: np.random.Generator):
     """Random (c_plus, c_minus) full-cycle lists compatible with the spec."""
     check_valid(spec)
     _, _, s, nodes, arcs = _classify(spec)
@@ -685,8 +685,8 @@ def random_c_blocks(spec: GradationSpec, L: int, rng: np.random.Generator,
         i = (a - 1) % p
         if not allowed[a]:
             continue
-        bp = scale * (rng.standard_normal((sizes[i], sizes[a])) + 1j * rng.standard_normal((sizes[i], sizes[a])))
-        bm = scale * (rng.standard_normal((sizes[a], sizes[i])) + 1j * rng.standard_normal((sizes[a], sizes[i])))
+        bp = rng.standard_normal((sizes[i], sizes[a])) + 1j * rng.standard_normal((sizes[i], sizes[a]))
+        bm = rng.standard_normal((sizes[a], sizes[i])) + 1j * rng.standard_normal((sizes[a], sizes[i]))
         if a in eps_by_arc:
             bp = (bp + eps_by_arc[a] * b_transpose(bp, "J")) / 2.0
             bm = (bm + eps_by_arc[a] * b_transpose(bm, "J")) / 2.0
@@ -741,7 +741,7 @@ def system_from_json(data: dict) -> TodaSystem:
     spec = spec_from_json(data["spec"])
     if isinstance(spec, TrivialSpec):
         return build_simplest(spec.family, *_single_blocks(cp, cm))
-    return build_system(spec, int(data["L"]), cp, cm)
+    return build_system(spec, _json_int(data["L"], "L"), cp, cm)
 
 
 def _eq_latex_lines(system: TodaSystem) -> list[str]:

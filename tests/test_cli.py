@@ -243,6 +243,30 @@ class TestSimulateCommand:
         assert captured.out == "" and captured.err.startswith("parse error:")
         assert len(captured.err.splitlines()) == 1
 
+    def test_unwritable_output_file_is_a_parse_error(self, tmp_path, capsys):
+        """An output directory that cannot take field.csv ends in one parse
+        error line, not a traceback."""
+        (tmp_path / "field.csv").mkdir()
+        rc = cli.main(["simulate", "--preset", "free-field", "--output", str(tmp_path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("parse error:")
+        assert len(captured.err.splitlines()) == 1
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("L", [1.9, True])
+    def test_non_integer_system_grade_is_a_parse_error(self, tmp_path, capsys, L):
+        """A system file's L must be a JSON integer: no truncation, no bools."""
+        payload = dict(toda.system_to_json(toda.build_periodic_chain(2, 1)), L=L)
+        sys_path = write_json(tmp_path / "sys.json", payload)
+        rc = cli.main(["simulate", "--system", sys_path, "--output", str(tmp_path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("parse error:")
+        assert len(captured.err.splitlines()) == 1
+        assert "L must be a JSON integer" in captured.err
+        assert not (tmp_path / "manifest.json").exists()
+
     @pytest.mark.parametrize("tol", ["0", "-1e-8", "inf"])
     def test_non_positive_tol_is_a_parse_error(self, tmp_path, tol):
         with pytest.raises(SystemExit) as exc:
