@@ -36,7 +36,7 @@ stacks take closed forms on the ``[..., i, j]`` entry slices (Higham,
 Other sizes, and 2x2 batches outside a region, take the general kernels.
 The regions are checked against scipy.linalg in test_kernel_oracles.py.
 
-The marcher stacks the blocks of each size of a row into one array and
+The right-hand side stacks the node blocks of a chain into one array and
 allocates it with ``empty_stack``, which stores 1x1 and 2x2 stacks
 batch-last: the matrix axes are outermost in memory, so numpy's inner
 loops run along the cells and not along a length-2 axis.  The 2x2 closed

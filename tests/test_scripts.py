@@ -1,5 +1,6 @@
 """Smoke runs of the study scripts at tiny sizes: each must exit 0."""
 
+import json
 import os
 import subprocess
 import sys
@@ -26,6 +27,25 @@ def test_script_runs(command):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+
+
+def test_kink_convergence_json():
+    # the converged midpoint scheme is second order at both slopes
+    env = dict(os.environ)
+    src = os.path.join(ROOT, "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    result = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "run_kink_convergence.py"),
+         "--cells", "128", "256", "--json"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    studies = json.loads(result.stdout)
+    assert list(studies) == ["1.44", "1.4142135623730951"]
+    for study in studies.values():
+        assert list(study) == ["cells", "h", "L_inf", "ratio"]
+        assert study["cells"] == [128, 256] and study["ratio"][0] is None
+        assert 3.9 <= study["ratio"][1] <= 4.1, study
 
 
 def test_census_counts():

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -123,7 +125,7 @@ class TestKink:
     def test_convergence_ratio(self):
         err_512, _ = kink_error(solver.KINK_SLOPE, 512)
         err_1024, _ = kink_error(solver.KINK_SLOPE, 1024)
-        assert 3.5 <= err_512 / err_1024 <= 4.5
+        assert 3.9 <= err_512 / err_1024 <= 4.1
 
     def test_unitarity_preserved(self):
         _, hist = kink_error(1.0, 128)
@@ -371,26 +373,41 @@ EDGE_CASE_SYSTEMS = pytest.mark.parametrize("system", [
 
 class TestBlowUp:
     def test_sinh_runaway_halts(self):
+        # the last cell of row 3 overflows (exp of h_minus V with V ~ 1e18),
+        # so row 3 never completes; rows above it failed first, on earlier
+        # anti-diagonals, and do not pre-empt it
         system = solver.sine_gordon_system()
         grid = solver.Grid(0, 1.5, 0, 1.5, 48, 48)
         hist = solver.integrate(system, solver.sinh_data(1.0, 1.0, grid), grid)
-        assert hist.halt_reason == ("invertibility lost at row 3 (z^+ = 0.09375):"
-                                    " max(|G|, |inv G|, |G| |inv G|) = 2.97e+24 > 1e+12")
-        assert 0 < hist.completed_rows < len(grid.zp_points())
+        assert hist.halt_reason == "non-finite value at row 3 (z^+ = 0.09375)"
+        assert hist.completed_rows == 3
         assert hist.gammas[0].shape[0] == hist.completed_rows
         assert np.all(np.isfinite(hist.gammas[0]))
 
-    def test_square_root_failure_halts_with_its_reason(self):
-        # the cell-centre step has an eigenvalue near -3: Denman-Beavers
-        # stalls and raises ConvergenceError, which halts the march
+    def test_lower_row_failure_preempts_a_higher_one(self):
+        # a strongly coupled chain: the sixth anti-diagonal first fails in
+        # row 2 (a cell-centre square root does not converge), then row 1,
+        # still marching below it, overflows at its eighth cell
         c = tuple(6.0 * np.eye(2) for _ in range(3))
         chain = toda.build_system(gr.make_spec("gl", gr.TYPE_GL_INNER, 3, (2, 2, 2), (1, 1)), 1, c, c)
         state = toda.random_state(chain, np.random.default_rng(3), scale=0.6)
         hist = solver.integrate(chain, solver.constant_data(state), solver.Grid(0, 3, 0, 3, 32, 32))
         assert hist.halted and hist.completed_rows == 1
-        assert hist.halt_reason == ("cell-centre square root failed at row 1 (z^+ = 0.09375):"
+        assert hist.halt_reason == "non-finite value at row 1 (z^+ = 0.09375)"
+
+    def test_square_root_failure_halts_with_its_reason(self):
+        # the first cell's inv(nw) se = diag(-3 + 1e-9 i, 1) has an eigenvalue
+        # near -3: Denman-Beavers stalls and raises ConvergenceError, which
+        # halts the march
+        system = toda.build_simplest("gl", np.eye(2) / 2, np.eye(2) / 2)
+        data = solver.CharacteristicData(
+            lambda z: (np.eye(2, dtype=complex),),
+            lambda w: (np.diag([1.0 / (-3.0 + 1e-9j) if w > 0 else 1.0, 1.0]),))
+        hist = solver.integrate(system, data, solver.Grid(0, 1, 0, 1, 8, 8))
+        assert hist.halted and hist.completed_rows == 1
+        assert hist.halt_reason == ("cell-centre square root failed at row 1 (z^+ = 0.125):"
                                     " Denman-Beavers square root did not converge in 32 iterations"
-                                    " (last relative increment 5.46e-13)")
+                                    " (last relative increment 1.69e+00)")
 
     @staticmethod
     def _unit_edge(system, corner):
@@ -421,13 +438,29 @@ class TestBlowUp:
         assert hist.halted and hist.completed_rows == 1
         assert hist.halt_reason == "non-finite value at row 1 (z^+ = 0.125)"
 
-    @pytest.mark.parametrize("bottom, cause", [
-        (lambda z: (np.diag([-3.0 + 1e-9j if z > 0 else 1.0, 1.0]),), "edge logarithm failed"),
-        (lambda z: (np.zeros((2, 2)) if z == 0.5 else np.eye(2),), "singular block"),
-        (lambda z: (np.diag([1e300 if z > 0 else 1.0, 1.0]),), "edge logarithm failed"),
-        (lambda z: (np.diag([{0.125: 1e-200, 0.25: 1e200}.get(z, 1.0), 1.0]),), "non-finite value"),
+    @EDGE_CASE_SYSTEMS
+    def test_large_edge_block_fails_the_blow_up_test(self, system):
+        # row 2 completes with a finite left-edge block of 1e13, above
+        # INVERTIBILITY_BOUND
+        data = solver.CharacteristicData(self._unit_edge(system, lambda z: 1.0),
+                                         self._unit_edge(system, lambda w: 1e13 if w >= 0.25 else 1.0))
+        hist = solver.integrate(system, data, solver.Grid(0, 1, 0, 1, 8, 8))
+        assert hist.halted and hist.completed_rows == 2
+        assert hist.halt_reason == ("invertibility lost at row 2 (z^+ = 0.25):"
+                                    " max(|G|, |inv G|, |G| |inv G|) = 1e+13 > 1e+12")
+
+    @pytest.mark.parametrize("bottom, reason", [
+        (lambda z: (np.diag([-3.0 + 1e-9j if z > 0 else 1.0, 1.0]),),
+         "edge logarithm failed at row 0 (z^+ = 0): Denman-Beavers square root did not converge"
+         " in 32 iterations (last relative increment 1.69e+00)"),
+        (lambda z: (np.zeros((2, 2)) if z == 0.5 else np.eye(2),), "singular block at row 0 (z^+ = 0)"),
+        (lambda z: (np.diag([1e300 if z > 0 else 1.0, 1.0]),),
+         "edge logarithm failed at row 0 (z^+ = 0): Denman-Beavers square root did not converge"
+         " in 32 iterations (last relative increment 1.00e+00)"),
+        (lambda z: (np.diag([{0.125: 1e-200, 0.25: 1e200}.get(z, 1.0), 1.0]),),
+         "non-finite value at row 0 (z^+ = 0)"),
     ], ids=["log_stall", "singular", "log_overflow", "step_overflow"])
-    def test_bottom_edge_failure_halts_at_row_0(self, bottom, cause):
+    def test_bottom_edge_failure_halts_at_row_0(self, bottom, reason):
         # row 0's V takes the logarithm of every bottom-edge step before the
         # march: a step with an eigenvalue near -3 (Denman-Beavers does not
         # converge), a singular block, a step of 1e300 and a step of 1e400
@@ -437,7 +470,7 @@ class TestBlowUp:
         hist = solver.integrate(system, data, solver.Grid(0, 1, 0, 1, 8, 8))
         assert hist.halted and hist.completed_rows == 1
         assert hist.gammas[0].shape[0] == 1
-        assert hist.halt_reason == f"{cause} at row 0 (z^+ = 0)"
+        assert hist.halt_reason == reason
 
     @staticmethod
     def _chain_and_data():
@@ -545,97 +578,6 @@ class TestCsv:
         assert p1.read_bytes() == p2.read_bytes()
 
 
-class TestRowKernels:
-    """The log-depth row rebuild and the run-to-run determinism of the march."""
-
-    @staticmethod
-    def _fixed_node_row(cells=257, seed=40):
-        spec = gr.make_spec("sp", gr.TYPE_SOSP_II, 2, (4, 4), (1,))
-        rng = np.random.default_rng(seed)
-        cp, cm = toda.random_c_blocks(spec, 1, rng)
-        system = toda.build_system(spec, 1, cp, cm)
-        node, kind = system.fixed_nodes[0]
-        g0 = toda.random_state(system, rng).gammas[node]
-        na = g0.shape[-1]
-        x = rng.standard_normal((cells, na, na)) + 1j * rng.standard_normal((cells, na, na))
-        v = (x - lc.b_transpose(x, kind)) / 2.0
-        return system, kind, g0, v
-
-    def test_prefix_rebuild_matches_sequential_product(self):
-        _, _, g0, v = self._fixed_node_row()
-        h = 1.0 / len(v)
-        # one stack of one block: the (1, cells, n, n) array of its size
-        row = solver._row_rebuild([g0[None]], [v[None]], h)[0][0]
-        steps = lc.expm(h * v)
-        seq = [g0]
-        for step in steps:
-            seq.append(seq[-1] @ step)
-        seq = np.stack(seq)
-        assert row.shape == seq.shape == (258, 4, 4)
-        assert lc.max_abs(row - seq) <= 1e-13 * lc.max_abs(seq)
-
-    def test_prefix_rebuild_keeps_fold_constraint(self):
-        _, kind, g0, v = self._fixed_node_row()
-        row = solver._row_rebuild([g0[None]], [v[None]], 1.0 / len(v))[0][0]
-        defect = lc.b_transpose(row, kind) @ row - np.eye(row.shape[-1])
-        assert lc.max_abs(defect) <= 1e-13
-
-    #: G of the gl (1, 2) run below at (row, column), as the marcher gave it
-    #: when it took every block separately: the 1x1 block, then the 2x2 one
-    MIXED_REFERENCE = {
-        (8, 8): (1.3204730508537128 + 0.1309130061169669j,
-                 [[0.9619880331369911 - 0.19882995414548862j, -0.04358782611871556 - 0.0459537683233989j],
-                  [-0.00825271079149537 - 0.2038438129260615j, 0.885266992616417 + 0.12523107677577916j]]),
-        (16, 16): (1.7568133012576377 - 0.2953263876475287j,
-                   [[1.0276859126421498 - 0.2943470549416617j, -0.5510810928390342 - 0.2178008044643599j],
-                    [-0.5069118438722365 - 0.45704223267090427j, 0.5752169003803455 + 1.0087024600945493j]]),
-        (16, 3): (1.3248290446986017 + 0.21565646025666707j,
-                  [[0.9782172634038022 - 0.14113284549808428j, -0.0412369645650522 - 0.03961949945768112j],
-                   [-0.0064945444378827 - 0.14532036530402465j, 0.9189211565565091 + 0.10153224289500498j]]),
-    }
-
-    def test_mixed_block_sizes_march_as_one_stack_per_size(self):
-        spec = gr.make_spec("gl", gr.TYPE_GL_INNER, 2, (1, 2), (1,))
-        rng = np.random.default_rng(12)
-        cp, cm = (tuple(0.5 * c for c in cs) for cs in toda.random_c_blocks(spec, gr.minimal_grade(spec), rng))
-        system = toda.build_system(spec, gr.minimal_grade(spec), cp, cm)
-        a = 0.3 * (rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1)))
-        b = 0.3 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-
-        def edge(t):
-            return (lc.expm(np.sin(t) * a), lc.expm(np.cos(t) * b))
-
-        assert solver._size_groups(system.independent_sizes) == ((0,), (1,))
-        hist = solver.integrate(system, solver.CharacteristicData(edge, edge), solver.Grid(0, 1, 0, 1, 16, 16))
-        assert not hist.halted
-        for (j, i), (g0, g1) in self.MIXED_REFERENCE.items():
-            assert abs(hist.gammas[0][j, i, 0, 0] - g0) <= 1e-13
-            assert lc.max_abs(hist.gammas[1][j, i] - np.array(g1)) <= 1e-13
-        assert solver.residual(hist) < 1e-2
-        assert solver.det_factorization_defect(hist) <= 1e-12
-
-    @staticmethod
-    def _chain_run():
-        chain = toda.build_periodic_chain(3, 2)
-        rng = np.random.default_rng(7)
-        gens = []
-        for _ in range(3):
-            h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            gens.append((h + h.conj().T) / 2)
-
-        def edge(t):
-            return tuple(lc.expm(0.25j * np.sin(t + a) * gens[a]) for a in range(3))
-
-        grid = solver.Grid(0, 1, 0, 1, 24, 24)
-        return solver.integrate(chain, solver.CharacteristicData(edge, edge), grid)
-
-    def test_periodic_chain_runs_bit_identical(self):
-        first, second = self._chain_run(), self._chain_run()
-        assert not first.halted
-        for a, b in zip(first.gammas, second.gammas):
-            assert a.tobytes() == b.tobytes()
-
-
 def _spectral_normalised(blocks, norm):
     top = max(np.linalg.norm(b, 2) for b in blocks if b.size)
     return tuple(b * (norm / top) for b in blocks)
@@ -736,3 +678,91 @@ class TestRichardson:
         scale = max(lc.max_abs(g) for g in folded.gammas)
         gap = max(lc.max_abs(a - b) for a, b in zip(folded.gammas, unfolded.gammas))
         assert gap <= 1e-12 * scale, gap / scale
+
+
+def _mixed_case():
+    """The gl (1, 2) system, a 1x1 and a 2x2 block, with edges expm(sin t a), expm(cos t b)."""
+    spec = gr.make_spec("gl", gr.TYPE_GL_INNER, 2, (1, 2), (1,))
+    rng = np.random.default_rng(12)
+    cp, cm = (tuple(0.5 * c for c in cs) for cs in toda.random_c_blocks(spec, gr.minimal_grade(spec), rng))
+    system = toda.build_system(spec, gr.minimal_grade(spec), cp, cm)
+    a = 0.3 * (rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1)))
+    b = 0.3 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+
+    def edge(t):
+        return (lc.expm(np.sin(t) * a), lc.expm(np.cos(t) * b))
+
+    return system, solver.CharacteristicData(edge, edge)
+
+
+def _chain_case():
+    """The periodic chain (p=3, r=2), three equal blocks, with unitary edges."""
+    chain = toda.build_periodic_chain(3, 2)
+    rng = np.random.default_rng(7)
+    gens = []
+    for _ in range(3):
+        h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        gens.append((h + h.conj().T) / 2)
+
+    def edge(t):
+        return tuple(lc.expm(0.25j * np.sin(t + a) * gens[a]) for a in range(3))
+
+    return chain, solver.CharacteristicData(edge, edge)
+
+
+#: the Richardson systems, a chain of equal blocks and a system of two block sizes
+EXACTNESS_CASES = {case[0]: functools.partial(TestRichardson._case, *case) for case in RICHARDSON_SYSTEMS}
+EXACTNESS_CASES.update(periodic_chain=_chain_case, mixed_sizes=_mixed_case)
+
+
+class TestRowKernels:
+    """The one-pass scheme's exactness and the run-to-run determinism of the march."""
+
+    @pytest.mark.parametrize("name", EXACTNESS_CASES)
+    def test_scheme_is_solved_exactly(self, name):
+        # V recomputed from the march's G on every row, logm(inv(G_i) G_{i+1}) / h_minus,
+        # steps by exactly h_plus rhs(nw sqrt(inv(nw) se)) from row to row
+        system, data = EXACTNESS_CASES[name]()
+        grid = solver.Grid(0, 1, 0, 1, 16, 16)
+        hist = solver.integrate(system, data, grid)
+        assert not hist.halted
+        assert np.max(hist.constraint_residuals) <= 1e-13
+        v = [lc.logm_near_identity(np.linalg.inv(g[:, :-1]) @ g[:, 1:]) / grid.h_minus for g in hist.gammas]
+        centres = [nw @ lc.sqrtm_near_identity(np.linalg.inv(nw) @ se)
+                   for nw, se in ((g[1:, :-1], g[:-1, 1:]) for g in hist.gammas)]
+        rhs = toda.rhs_dispatch(system, centres, system.c_plus, system.c_minus)
+        gap = max(lc.max_abs(x[1:] - x[:-1] - grid.h_plus * f) for x, f in zip(v, rhs))
+        assert gap <= 1e-12, gap
+
+    #: G of the gl (1, 2) run below at (row, column), as the converged
+    #: scheme gives it: the 1x1 block, then the 2x2 one
+    MIXED_REFERENCE = {
+        (8, 8): (1.3204730610686297 + 0.13091300097146732j,
+                 [[0.9619880300740211 - 0.198829942984332j, -0.04358782102649221 - 0.04595377305041131j],
+                  [-0.008252697808808992 - 0.20384380749553108j, 0.885266990663172 + 0.12523106933655856j]]),
+        (16, 16): (1.7568141178697017 - 0.29532666880812136j,
+                   [[1.0276854557759991 - 0.29434650946875757j, -0.5510804938940482 - 0.21780085144386752j],
+                    [-0.5069111445749164 - 0.4570415772075535j, 0.5752169866770708 + 1.008701704923403j]]),
+        (16, 3): (1.3248290446986015 + 0.21565646025666702j,
+                  [[0.9782172634038023 - 0.1411328454980843j, -0.041236964565052193 - 0.03961949945768111j],
+                   [-0.006494544437882707 - 0.14532036530402465j, 0.9189211565565091 + 0.10153224289500497j]]),
+    }
+
+    def test_mixed_block_sizes_march_as_one_stack_per_size(self):
+        system, data = _mixed_case()
+        assert solver._size_groups(system.independent_sizes) == ((0,), (1,))
+        hist = solver.integrate(system, data, solver.Grid(0, 1, 0, 1, 16, 16))
+        assert not hist.halted
+        for (j, i), (g0, g1) in self.MIXED_REFERENCE.items():
+            assert abs(hist.gammas[0][j, i, 0, 0] - g0) <= 1e-13
+            assert lc.max_abs(hist.gammas[1][j, i] - np.array(g1)) <= 1e-13
+        assert solver.residual(hist) < 1e-2
+        assert solver.det_factorization_defect(hist) <= 1e-12
+
+    def test_periodic_chain_runs_bit_identical(self):
+        chain, data = _chain_case()
+        grid = solver.Grid(0, 1, 0, 1, 24, 24)
+        first, second = (solver.integrate(chain, data, grid) for _ in range(2))
+        assert not first.halted
+        for a, b in zip(first.gammas, second.gammas):
+            assert a.tobytes() == b.tobytes()
