@@ -21,7 +21,7 @@ def run(a: float, cells_list) -> dict:
     study = {"cells": [], "h": [], "L_inf": [], "ratio": []}
     for cells in cells_list:
         grid = solver.Grid(-5, 5, -5, 5, cells, cells)
-        hist = solver.integrate(system, solver.kink_data(a, grid), grid, march_minus=-1)
+        hist = solver.integrate(system, solver.kink_data(a, grid), grid)
         field = solver.sine_gordon_reduce(hist)
         zm, zp = np.meshgrid(grid.zm_points(), grid.zp_points())
         err = float(np.max(np.abs(field - solver.analytic_kink(zm, zp, a))))

@@ -27,13 +27,6 @@ EXIT_BLOWUP = 4
 PRESETS = ("sine-gordon-kink", "sinh-gordon", "periodic-chain", "free-field")
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (value > 0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
-    return value
-
-
 def _load_json(path: str):
     with open(path, "r") as fh:
         return json.load(fh)
@@ -47,7 +40,10 @@ def _enum_cap() -> int:
     raw = os.environ.get("TODA_MAX_ENUM")
     if raw is None:
         return gradation.DEFAULT_ENUM_CAP
-    return int(raw)
+    cap = int(raw)
+    if cap < 1:
+        raise ValueError(f"TODA_MAX_ENUM must be a positive integer, got {raw}")
+    return cap
 
 
 def cmd_validate(args) -> int:
@@ -137,13 +133,13 @@ def _constant_initial_from_file(system, path):
     return solver.constant_data(state)
 
 
-def _run_preset(name, grid, config):
+def _run_preset(name, grid):
     meta = {}
     if name == "sine-gordon-kink":
         system = solver.sine_gordon_system()
         grid = grid or solver.Grid(-5, 5, -5, 5, 512, 512)
         a = solver.KINK_SLOPE
-        hist = solver.integrate(system, solver.kink_data(a, grid), grid, config, march_minus=-1)
+        hist = solver.integrate(system, solver.kink_data(a, grid), grid)
         if not hist.halted:
             F = solver.sine_gordon_reduce(hist)
             zm, zp = np.meshgrid(grid.zm_points(), grid.zp_points())
@@ -154,7 +150,7 @@ def _run_preset(name, grid, config):
         system = solver.sine_gordon_system()
         grid = grid or solver.Grid(0, 1, 0, 1, 128, 128)
         eps, a = 1e-3, 1.0
-        hist = solver.integrate(system, solver.sinh_data(eps, a, grid), grid, config)
+        hist = solver.integrate(system, solver.sinh_data(eps, a, grid), grid)
         if not hist.halted:
             F = solver.sinh_gordon_reduce(hist)
             zm, zp = np.meshgrid(grid.zm_points(), grid.zp_points())
@@ -174,7 +170,7 @@ def _run_preset(name, grid, config):
         def edge(t):
             return tuple(expm(0.25j * np.sin(t + alpha) * gens[alpha]) for alpha in range(3))
 
-        hist = solver.integrate(system, solver.CharacteristicData(edge, edge), grid, config)
+        hist = solver.integrate(system, solver.CharacteristicData(edge, edge), grid)
         if not hist.halted:
             meta["det_factorization_defect"] = solver.det_factorization_defect(hist)
         return hist, meta
@@ -201,7 +197,7 @@ def _run_preset(name, grid, config):
             ll = left(w)
             return tuple(l @ b for l, b in zip(ll, bl))
 
-        hist = solver.integrate(system, solver.CharacteristicData(bottom_full, left_full), grid, config)
+        hist = solver.integrate(system, solver.CharacteristicData(bottom_full, left_full), grid)
         if not hist.halted:
             dev = 0.0
             for j, w in enumerate(grid.zp_points()):
@@ -214,7 +210,6 @@ def _run_preset(name, grid, config):
 
 
 def cmd_simulate(args) -> int:
-    config = solver.SolverConfig() if args.tol is None else solver.SolverConfig(tol_constraint=args.tol)
     outdir = args.output or "."
     try:
         grid = _parse_grid(args.grid) if args.grid else None
@@ -224,7 +219,7 @@ def cmd_simulate(args) -> int:
         return EXIT_PARSE
     try:
         if args.preset:
-            hist, meta = _run_preset(args.preset, grid, config)
+            hist, meta = _run_preset(args.preset, grid)
             source = {"preset": args.preset}
         else:
             payload = _load_json(args.system)
@@ -236,7 +231,7 @@ def cmd_simulate(args) -> int:
             else:
                 state = toda.random_state(system, np.random.default_rng(0), scale=0.2)
                 data = solver.constant_data(state)
-            hist = solver.integrate(system, data, grid, config)
+            hist = solver.integrate(system, data, grid)
             meta = {}
             source = {"system": args.system}
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
@@ -257,7 +252,10 @@ def cmd_simulate(args) -> int:
             "spec": hist.system.spec.to_json() if hist.system.spec is not None else None,
         },
         "grid": hist.grid.to_json(),
-        "config": hist.config.to_json(),
+        "config": {
+            "tol_constraint": solver.TOL_CONSTRAINT,
+            "tol_invertibility": solver.INVERTIBILITY_BOUND,
+        },
         "halted": hist.halted,
         "halt_reason": hist.halt_reason,
         "completed_rows": hist.completed_rows,
@@ -280,7 +278,11 @@ def cmd_simulate(args) -> int:
     return status
 
 
-def _check_lines(spec, tol: float):
+#: bound on the round-off of the automorphism, projector and bracket lines of ``check``
+CHECK_TOL = 1e-12
+
+
+def _check_lines(spec):
     """Invariant battery for one spec; yields (name, passed, value)."""
     rng = np.random.default_rng(0)
     n = spec.n
@@ -290,11 +292,11 @@ def _check_lines(spec, tol: float):
     y = x.copy()
     for _ in range(aut.order):
         y = gradation.apply_automorphism(aut, y)
-    yield "automorphism_order", max_abs(y - x) <= tol, max_abs(y - x)
+    yield "automorphism_order", max_abs(y - x) <= CHECK_TOL, max_abs(y - x)
 
     xs = gradation.grading_components(x, aut)
     total = xs.sum(axis=0)
-    yield "projector_completeness", max_abs(total - x) <= tol, max_abs(total - x)
+    yield "projector_completeness", max_abs(total - x) <= CHECK_TOL, max_abs(total - x)
 
     # [x_k, y_l] must have no component of residue m != k + l (mod M)
     ys = gradation.grading_components(x.T.conj(), aut)
@@ -304,7 +306,7 @@ def _check_lines(spec, tol: float):
         br = xs[k] @ ys - ys @ xs[k]
         off_grade = res[:, None] != (k + res[None, :]) % aut.order  # [m, l]
         worst = max(worst, max_abs(gradation.grading_components(br, aut)[off_grade]))
-    yield "bracket_closure", worst <= tol, worst
+    yield "bracket_closure", worst <= CHECK_TOL, worst
 
     if isinstance(spec, gradation.GradationSpec):
         if spec.family in ("so", "sp"):
@@ -352,9 +354,8 @@ def cmd_check(args) -> int:
             print(f"FAIL validation: {v}")
         return EXIT_DOMAIN
     print("PASS validation")
-    tol = 1e-12 if args.tol is None else args.tol
     status = EXIT_OK
-    for name, passed, value in _check_lines(spec, tol):
+    for name, passed, value in _check_lines(spec):
         print(f"{'PASS' if passed else 'FAIL'} {name} ({value:.3e})")
         if not passed:
             status = EXIT_DOMAIN
@@ -387,12 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--initial", help="constant initial state JSON file")
     p_sim.add_argument("--grid", help="zmin,zmax,wmin,wmax,h_minus,h_plus")
     p_sim.add_argument("--output", help="output directory")
-    p_sim.add_argument("--tol", type=_positive_float)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_check = sub.add_parser("check", help="run the invariant suite for a spec")
     p_check.add_argument("--spec", required=True)
-    p_check.add_argument("--tol", type=_positive_float)
     p_check.set_defaults(func=cmd_check)
 
     return parser

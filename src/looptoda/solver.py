@@ -115,20 +115,9 @@ class Grid:
 #: max(|G|, |inv G|, |G| |inv G|) above this
 INVERTIBILITY_BOUND = 1e12
 
-
-@dataclass(frozen=True)
-class SolverConfig:
-    tol_constraint: float = 1e-8      # corner/constraint admission tolerance
-
-    def __post_init__(self):
-        if not 0 < self.tol_constraint < np.inf:
-            raise ValueError("tolerances must be finite and positive")
-
-    def to_json(self) -> dict:
-        return {
-            "tol_constraint": self.tol_constraint,
-            "tol_invertibility": INVERTIBILITY_BOUND,
-        }
+#: the largest group-constraint residual (``toda.state_residual``) the
+#: corner state may carry
+TOL_CONSTRAINT = 1e-8
 
 
 @dataclass(frozen=True)
@@ -136,12 +125,18 @@ class CharacteristicData:
     """Goursat data: blocks on the two characteristics through the corner.
 
     ``gamma_minus(z)`` gives the state on the bottom edge (z^+ fixed at its
-    minimum), ``gamma_plus(w)`` on the edge of constant z^- (the minimum
-    edge, or the maximum one when marching with ``march_minus = -1``).
+    minimum), ``gamma_plus(w)`` on the edge of constant z^-.  ``march_minus``
+    names the corner: +1 puts that edge at the minimum z^-, -1 at the
+    maximum, and :func:`integrate` marches z^- away from it.
     """
 
     gamma_minus: Callable[[float], Sequence[np.ndarray]]
     gamma_plus: Callable[[float], Sequence[np.ndarray]]
+    march_minus: int = +1
+
+    def __post_init__(self):
+        if self.march_minus not in (+1, -1):
+            raise ValueError("march_minus must be +1 or -1")
 
 
 def constant_data(state: FieldState) -> CharacteristicData:
@@ -166,7 +161,6 @@ class FieldHistory:
 
     system: TodaSystem
     grid: Grid
-    config: SolverConfig
     gammas: list[np.ndarray]
     constraint_residuals: np.ndarray
     halt_reason: str | None = None
@@ -289,8 +283,6 @@ def _halt_reason(exc, row, z_plus) -> str:
 
 
 def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
-              config: SolverConfig = SolverConfig(),
-              march_minus: int = +1,
               law: Callable[[list], Sequence[np.ndarray]] | None = None) -> FieldHistory:
     """March the system over the light-cone lattice from characteristic data.
 
@@ -312,15 +304,14 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
     ``INVERTIBILITY_BOUND``.  A failed cell fails its row before any
     blow-up test of it.  Any other error propagates.
 
-    ``march_minus`` selects the Goursat corner: +1 takes data on the two
-    minimum edges, -1 on the maximum z^- edge and minimum z^+ edge.  The
-    -1 orientation reverses the z^- axis internally (the returned history
-    is always in ascending coordinates); it is the stable direction for
-    fields, like the kink, whose far-field linearization grows towards the
-    (+, +) quadrant.
+    The march starts from the data's corner (``data.march_minus``): +1
+    takes data on the two minimum edges, -1 on the maximum z^- edge and
+    minimum z^+ edge.  The -1 orientation reverses the z^- axis internally
+    (the returned history is always in ascending coordinates); it is the
+    stable direction for fields, like the kink, whose far-field
+    linearization grows towards the (+, +) quadrant.
     """
-    if march_minus not in (+1, -1):
-        raise ValueError("march_minus must be +1 or -1")
+    march_minus = data.march_minus
     sizes = system.independent_sizes
     zm = grid.zm_points()
     zp = grid.zp_points()
@@ -331,12 +322,12 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
     bottom = _sample(data.gamma_minus, zm_march, shapes, "gamma_minus")
     left = _sample(data.gamma_plus, zp, shapes, "gamma_plus")
     corner_dev = max(max_abs(b[0] - l[0]) for b, l in zip(bottom, left))
-    if corner_dev > max(config.tol_constraint, 1e-7):
+    if corner_dev > 1e-7:
         raise ValueError(f"characteristic data disagrees at the corner (dev {corner_dev:.2e})")
 
     state0 = FieldState(gammas=tuple(b[0] for b in bottom))
     dev0 = toda.state_residual(system, state0)
-    if dev0 > config.tol_constraint:
+    if dev0 > TOL_CONSTRAINT:
         raise toda.ConstraintViolationError(
             f"initial data violates the system constraints (residual {dev0:.2e})"
         )
@@ -344,7 +335,7 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
     if law is None:
         def law(centers):
             # looked up at call time, so a profiler's wrapper of it counts every call
-            return toda.rhs_dispatch(system, centers, system.c_plus, system.c_minus)
+            return toda.rhs_dispatch(system, centers)
 
     # ``stores`` in ascending coordinates, ``lattice`` their views in the march's order
     groups = _size_groups(sizes)
@@ -394,7 +385,7 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
             d += 1
 
     gammas = _unpack([g[:, :top] for g in stores], groups)
-    return FieldHistory(system=system, grid=grid, config=config, gammas=gammas,
+    return FieldHistory(system=system, grid=grid, gammas=gammas,
                         constraint_residuals=toda.fixed_node_defect(system, gammas).max(axis=1),
                         halt_reason=halt_reason)
 
@@ -426,7 +417,7 @@ def residual(history: FieldHistory) -> float:
     band = max(1, RESIDUAL_BAND_CELLS // (grid.n_minus - 1))
     for j in range(0, rows - 2, band):
         rows_j = slice(j, j + band)
-        f_j = toda.rhs_dispatch(system, [g[rows_j] for g in interior], system.c_plus, system.c_minus)
+        f_j = toda.rhs_dispatch(system, [g[rows_j] for g in interior])
         for f, f_band in zip(rhs, f_j):
             f[rows_j] = f_band
     worst = 0.0
@@ -461,13 +452,6 @@ def analytic_kink(z_minus, z_plus, a: float) -> np.ndarray:
         return 4.0 * np.arctan(np.exp(theta))
 
 
-def kink_dminus(z_minus, z_plus, a: float) -> np.ndarray:
-    """d_- of the kink: 2 a sech(a z^- + (2/a) z^+)."""
-    theta = a * np.asarray(z_minus) + (2.0 / a) * np.asarray(z_plus)
-    with np.errstate(over="ignore"):
-        return 2.0 * a / np.cosh(theta)
-
-
 #: Default kink slope of the acceptance preset.  The scheme converges at
 #: second order at every slope: the L-inf error falls 4.00x per halving of
 #: the step from 256 to 512 cells, both here and at the symmetric slope
@@ -478,12 +462,12 @@ KINK_SLOPE = 1.44
 
 
 def kink_data(a: float, grid: Grid, march_minus: int = -1) -> CharacteristicData:
-    """Characteristic data G = exp(i F/2) of the kink on the grid edges.
+    """Characteristic data G = exp(i F/2) of the kink on the grid edges,
+    from the corner ``march_minus``.
 
     The kink's far field rides the growing branch of the linearization in
     the (+, +) quadrant, so the stable integration marches z^- downward
-    from the opposite corner; ``march_minus`` must match the value later
-    passed to :func:`integrate`.
+    from the opposite corner, the default -1.
     """
     w0 = grid.z_plus_min
     z0 = grid.z_minus_min if march_minus > 0 else grid.z_minus_max
@@ -494,7 +478,7 @@ def kink_data(a: float, grid: Grid, march_minus: int = -1) -> CharacteristicData
     def left(w):
         return (np.array([[np.exp(0.5j * analytic_kink(z0, w, a))]]),)
 
-    return CharacteristicData(gamma_minus=bottom, gamma_plus=left)
+    return CharacteristicData(gamma_minus=bottom, gamma_plus=left, march_minus=march_minus)
 
 
 def sinh_linear_field(z_minus, z_plus, eps: float, a: float = 1.0) -> np.ndarray:
@@ -591,24 +575,6 @@ def det_factorization_defect(history: FieldHistory) -> float:
         prod = prod * np.linalg.det(g)
     ratio = prod * prod[0, 0] / (prod[:, :1] * prod[:1, :])
     return float(np.max(np.abs(ratio - 1.0)))
-
-
-def integrate_scalar_reference(g_fn, bottom_fn, left_fn, grid: Grid) -> np.ndarray:
-    """Independent light-cone scheme for d+d-u = g(u), scalar u.
-
-    Four-point cell average: u_ne = u_nw + u_se - u_sw + h- h+ g((u_nw + u_se)/2).
-    Used only as an oracle against the main marcher.
-    """
-    zm, zp = grid.zm_points(), grid.zp_points()
-    u = np.zeros((len(zp), len(zm)))
-    u[0, :] = [bottom_fn(z) for z in zm]
-    u[:, 0] = [left_fn(w) for w in zp]
-    area = grid.h_minus * grid.h_plus
-    for j in range(len(zp) - 1):
-        for i in range(len(zm) - 1):
-            mid = 0.5 * (u[j + 1, i] + u[j, i + 1])
-            u[j + 1, i + 1] = u[j + 1, i] + u[j, i + 1] - u[j, i] + area * g_fn(mid)
-    return u
 
 
 # ---------------------------------------------------------------------------

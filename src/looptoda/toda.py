@@ -605,12 +605,13 @@ def _check_state(system: TodaSystem, state: FieldState) -> None:
         raise ConstraintViolationError(f"state violates constraints (residual {dev:.2e})")
 
 
-def rhs_dispatch(system: TodaSystem, gammas, cp, cm) -> list[np.ndarray]:
-    """Right-hand sides of the system's capped chain over raw block lists.
+def rhs_dispatch(system: TodaSystem, gammas) -> list[np.ndarray]:
+    """Right-hand sides of the system's capped chain, with its C blocks,
+    over a raw block list.
 
     Accepts batched arrays.
     """
-    return rhs_chain(gammas, cp, cm, *system.caps)
+    return rhs_chain(gammas, system.c_plus, system.c_minus, *system.caps)
 
 
 def rhs_blocks(system: TodaSystem, state: FieldState) -> list[np.ndarray]:
@@ -620,7 +621,7 @@ def rhs_blocks(system: TodaSystem, state: FieldState) -> list[np.ndarray]:
     satisfy the system's constraints to 1e-8.
     """
     _check_state(system, state)
-    return rhs_dispatch(system, list(state.gammas), list(system.c_plus), list(system.c_minus))
+    return rhs_dispatch(system, list(state.gammas))
 
 
 def full_state(system: TodaSystem, state: FieldState) -> tuple[np.ndarray, ...]:

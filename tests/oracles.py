@@ -1,0 +1,86 @@
+"""Test-only oracles: independent schemes and identities the suite checks
+the package against.  Nothing in ``looptoda`` calls them."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from looptoda.folding import FoldError
+from looptoda.lie_core import as_complex, b_transpose, max_abs
+from looptoda.solver import Grid
+from looptoda.toda import rhs_chain
+
+
+def kink_dminus(z_minus, z_plus, a: float) -> np.ndarray:
+    """d_- of the kink: 2 a sech(a z^- + (2/a) z^+)."""
+    theta = a * np.asarray(z_minus) + (2.0 / a) * np.asarray(z_plus)
+    with np.errstate(over="ignore"):
+        return 2.0 * a / np.cosh(theta)
+
+
+def integrate_scalar_reference(g_fn, bottom_fn, left_fn, grid: Grid) -> np.ndarray:
+    """Independent light-cone scheme for d+d-u = g(u), scalar u.
+
+    Four-point cell average: u_ne = u_nw + u_se - u_sw + h- h+ g((u_nw + u_se)/2).
+    """
+    zm, zp = grid.zm_points(), grid.zp_points()
+    u = np.zeros((len(zp), len(zm)))
+    u[0, :] = [bottom_fn(z) for z in zm]
+    u[:, 0] = [left_fn(w) for w in zp]
+    area = grid.h_minus * grid.h_plus
+    for j in range(len(zp) - 1):
+        for i in range(len(zm) - 1):
+            mid = 0.5 * (u[j + 1, i] + u[j, i + 1])
+            u[j + 1, i + 1] = u[j + 1, i] + u[j, i + 1] - u[j, i] + area * g_fn(mid)
+    return u
+
+
+def odd_fold_equivalence(gammas, c_plus, c_minus, b_kind: str = "J") -> float:
+    """Check the substitution relating the two odd-fold variants.
+
+    Given data of the arc-first system (independent blocks Gamma_1..Gamma_s
+    and arcs 0..s-1), the substitution Gamma_i -> ^B inv(Gamma_{s+1-i}),
+    C_{+-a} -> ^B C_{+-(s-a)} produces node-first data whose equations are
+    the B-transposed negatives of the original ones in reversed order.
+    Returns the maximal deviation from that identity.
+    """
+    gammas = [as_complex(g) for g in gammas]
+    c_plus = [as_complex(c) for c in c_plus]
+    c_minus = [as_complex(c) for c in c_minus]
+    s = len(gammas)
+    if len(c_plus) != s or len(c_minus) != s:
+        raise FoldError("arc-first data carries arcs 0..s-1")
+    left = rhs_chain(gammas, c_plus, c_minus, "arc", b_kind)
+    g2, cp2, cm2 = odd_fold_substitution(gammas, c_plus, c_minus, b_kind)
+    # the node-first data sits on arcs 1..s
+    right = rhs_chain(g2, [None] + cp2, [None] + cm2, b_kind, "arc")
+    return max(max_abs(right[i] + b_transpose(left[s - 1 - i], b_kind)) for i in range(s))
+
+
+def odd_fold_substitution(gammas, c_plus, c_minus, b_kind: str = "J"):
+    """The substitution itself; applying it twice returns the input."""
+    s = len(gammas)
+    g2 = [b_transpose(np.linalg.inv(as_complex(gammas[s - 1 - i])), b_kind) for i in range(s)]
+    cp2 = [b_transpose(as_complex(c_plus[s - 1 - a]), b_kind) for a in range(s)]
+    cm2 = [b_transpose(as_complex(c_minus[s - 1 - a]), b_kind) for a in range(s)]
+    return g2, cp2, cm2
+
+
+def enumerate_axis_shapes(p: int) -> dict[tuple[int, int], int]:
+    """Count reflection axes of the p-circle by (fixed nodes, fixed arcs).
+
+    Nodes sit at integer positions, arc midpoints at half-integers; the
+    axis through positions t and t + p/2 fixes whatever it passes through.
+    """
+    shapes: dict[tuple[int, int], int] = {}
+    for j in range(p):
+        t = j / 2.0
+        nodes = 0
+        arcs = 0
+        for q in (t, t + p / 2.0):
+            if abs(q - round(q)) < 1e-12:
+                nodes += 1
+            else:
+                arcs += 1
+        shapes[(nodes, arcs)] = shapes.get((nodes, arcs), 0) + 1
+    return shapes

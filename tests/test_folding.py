@@ -8,6 +8,8 @@ from looptoda import gradation as gr
 from looptoda import lie_core as lc
 from looptoda import toda
 
+import oracles
+
 
 def case_seed(case) -> int:
     """A seed fixed by the case id: the same in every process, unlike the salted hash()."""
@@ -220,7 +222,7 @@ class TestOddFoldEquivalence:
         gammas = [np.eye(2, dtype=complex) for _ in range(s)]
         cps = [np.eye(2, dtype=complex) for _ in range(s)]
         cms = [np.eye(2, dtype=complex) for _ in range(s)]
-        assert folding.odd_fold_equivalence(gammas, cps, cms, "J") < 1e-13
+        assert oracles.odd_fold_equivalence(gammas, cps, cms, "J") < 1e-13
 
     @pytest.mark.parametrize("b_kind", ["J", "K"])
     @pytest.mark.parametrize("s", [2, 3])
@@ -231,7 +233,7 @@ class TestOddFoldEquivalence:
                   for _ in range(s)]
         cps = [rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)) for _ in range(s)]
         cms = [rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)) for _ in range(s)]
-        assert folding.odd_fold_equivalence(gammas, cps, cms, b_kind) < 1e-12
+        assert oracles.odd_fold_equivalence(gammas, cps, cms, b_kind) < 1e-12
 
     @pytest.mark.parametrize("b_kind", ["J", "K"])
     def test_substitution_involution(self, b_kind):
@@ -240,8 +242,8 @@ class TestOddFoldEquivalence:
         gammas = [np.eye(r) + 0.3 * rng.standard_normal((r, r)) for _ in range(s)]
         cps = [rng.standard_normal((r, r)) for _ in range(s)]
         cms = [rng.standard_normal((r, r)) for _ in range(s)]
-        g2, cp2, cm2 = folding.odd_fold_substitution(gammas, cps, cms, b_kind)
-        g3, cp3, cm3 = folding.odd_fold_substitution(g2, cp2, cm2, b_kind)
+        g2, cp2, cm2 = oracles.odd_fold_substitution(gammas, cps, cms, b_kind)
+        g3, cp3, cm3 = oracles.odd_fold_substitution(g2, cp2, cm2, b_kind)
         for a, b in zip(gammas + cps + cms, g3 + cp3 + cm3):
             assert lc.max_abs(a - b) < 1e-12
 
@@ -249,14 +251,14 @@ class TestOddFoldEquivalence:
 class TestAxisEnumeration:
     def test_even_p_two_shapes(self):
         for p in (2, 4, 6, 8):
-            shapes = folding.enumerate_axis_shapes(p)
+            shapes = oracles.enumerate_axis_shapes(p)
             assert set(shapes) == {(2, 0), (0, 2)}
             assert shapes[(2, 0)] == p // 2
             assert shapes[(0, 2)] == p // 2
 
     def test_odd_p_one_shape(self):
         for p in (3, 5, 7):
-            shapes = folding.enumerate_axis_shapes(p)
+            shapes = oracles.enumerate_axis_shapes(p)
             assert set(shapes) == {(1, 1)}
             assert shapes[(1, 1)] == p
 
@@ -264,7 +266,7 @@ class TestAxisEnumeration:
         # an axis through 0, 1 or 2 nodes gives one folded class each
         seen = set()
         for p in range(2, 9):
-            for nodes, arcs in folding.enumerate_axis_shapes(p):
+            for nodes, arcs in oracles.enumerate_axis_shapes(p):
                 assert nodes + arcs == 2
                 seen.add(toda.FOLD_CLASSES[nodes])
         assert seen == {toda.EQ_EVEN_FOLD, toda.EQ_ODD_FOLD, toda.EQ_DOUBLE_FIXED_FOLD}

@@ -9,11 +9,13 @@ from looptoda import lie_core as lc
 from looptoda import solver, toda
 from looptoda.toda import FieldState
 
+import oracles
+
 
 def kink_error(a, cells, domain=5.0):
     system = solver.sine_gordon_system()
     grid = solver.Grid(-domain, domain, -domain, domain, cells, cells)
-    hist = solver.integrate(system, solver.kink_data(a, grid), grid, march_minus=-1)
+    hist = solver.integrate(system, solver.kink_data(a, grid), grid)
     field = solver.sine_gordon_reduce(hist)
     zm, zp = np.meshgrid(grid.zm_points(), grid.zp_points())
     return float(np.max(np.abs(field - solver.analytic_kink(zm, zp, a)))), hist
@@ -36,14 +38,13 @@ class TestGrid:
             with pytest.raises(ValueError):
                 solver.Grid(*bounds, 4, 4)
 
-    def test_config_validation(self):
-        for tol in (0.0, -1e-8, np.nan, np.inf):
-            with pytest.raises(ValueError):
-                solver.SolverConfig(tol_constraint=tol)
+    @pytest.mark.parametrize("march_minus", [0, 2, -2])
+    def test_march_corner_is_plus_or_minus_one(self, march_minus):
+        def edge(t):
+            return (np.eye(1),)
 
-    def test_config_json_names_the_invertibility_bound(self):
-        # manifest.json records solver.INVERTIBILITY_BOUND under this key
-        assert solver.SolverConfig().to_json() == {"tol_constraint": 1e-8, "tol_invertibility": 1e12}
+        with pytest.raises(ValueError, match="march_minus must be"):
+            solver.CharacteristicData(edge, edge, march_minus=march_minus)
 
 
 class TestFreeField:
@@ -152,7 +153,7 @@ class TestKink:
         delta = 1e-6
         fd = (solver.analytic_kink(zm + delta, zp, a)
               - solver.analytic_kink(zm - delta, zp, a)) / (2 * delta)
-        assert np.max(np.abs(fd - solver.kink_dminus(zm, zp, a))) < 1e-8
+        assert np.max(np.abs(fd - oracles.kink_dminus(zm, zp, a))) < 1e-8
 
     def test_kink_limits(self):
         assert solver.analytic_kink(-50.0, 0.0, 1.0) < 1e-10
@@ -493,8 +494,7 @@ class TestBlowUp:
         grid = solver.Grid(0, 1, 0, 1, 32, 32)
         data = solver.sinh_data(0.1, 1.0, grid)
         own = solver.integrate(system, data, grid)
-        hooked = solver.integrate(system, data, grid, law=lambda gs: toda.rhs_dispatch(
-            system, gs, list(system.c_plus), list(system.c_minus)))
+        hooked = solver.integrate(system, data, grid, law=lambda gs: toda.rhs_dispatch(system, gs))
         assert np.array_equal(own.gammas[0], hooked.gammas[0])
 
     def test_corner_mismatch_rejected(self):
@@ -526,7 +526,7 @@ class TestSchemes:
         system = solver.sine_gordon_system()
         hist = solver.integrate(system, solver.kink_data(a, grid, march_minus=+1), grid)
         main = solver.sine_gordon_reduce(hist)
-        ref = solver.integrate_scalar_reference(
+        ref = oracles.integrate_scalar_reference(
             lambda v: 2.0 * np.sin(v),
             lambda z: float(solver.analytic_kink(z, grid.z_plus_min, a)),
             lambda w: float(solver.analytic_kink(grid.z_minus_min, w, a)),
@@ -730,7 +730,7 @@ class TestRowKernels:
         v = [lc.logm_near_identity(np.linalg.inv(g[:, :-1]) @ g[:, 1:]) / grid.h_minus for g in hist.gammas]
         centres = [nw @ lc.sqrtm_near_identity(np.linalg.inv(nw) @ se)
                    for nw, se in ((g[1:, :-1], g[:-1, 1:]) for g in hist.gammas)]
-        rhs = toda.rhs_dispatch(system, centres, system.c_plus, system.c_minus)
+        rhs = toda.rhs_dispatch(system, centres)
         gap = max(lc.max_abs(x[1:] - x[:-1] - grid.h_plus * f) for x, f in zip(v, rhs))
         assert gap <= 1e-12, gap
 
