@@ -1,9 +1,11 @@
+import csv
 import functools
+import hashlib
 
 import numpy as np
 import pytest
 
-from looptoda import folding
+from looptoda import cli, folding
 from looptoda import gradation as gr
 from looptoda import lie_core as lc
 from looptoda import solver, toda
@@ -576,6 +578,66 @@ class TestCsv:
         solver.write_history_csv(solver.integrate(system, data, grid), str(p1))
         solver.write_history_csv(solver.integrate(system, data, grid), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    #: sha256 of field.csv for each preset on a 16-cell grid
+    PRESET_SHA256 = {
+        "sine-gordon-kink": (solver.Grid(-5, 5, -5, 5, 16, 16),
+                             "11488a28d8a340febc040a44f10e2024d34e3b70c265b3d7d5adbdf35ac27ab7"),
+        "sinh-gordon": (solver.Grid(0, 1, 0, 1, 16, 16),
+                        "f125273c3bedacebb1fb923a64e74c693be9c41c4eb7bc9805fe082bd46f52d3"),
+        "periodic-chain": (solver.Grid(0, 1, 0, 1, 16, 16),
+                           "fdb74bb4189a18da2f35e655a4a913265709938aa0b00ae2fbd05de61c1230a0"),
+        "free-field": (solver.Grid(0, 1, 0, 1, 16, 16),
+                       "4d420cd271c50612c0f29d934bcf46b399f361b38b5e19ab49199067dad19828"),
+    }
+
+    @staticmethod
+    def _sha256(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("preset", sorted(PRESET_SHA256))
+    def test_preset_bytes_are_pinned(self, preset, tmp_path):
+        grid, digest = self.PRESET_SHA256[preset]
+        hist, _ = cli._run_preset(preset, grid)
+        path = tmp_path / "field.csv"
+        lines = solver.write_history_csv(hist, str(path))
+        assert lines == (grid.n_minus + 1) * (grid.n_plus + 1) * sum(
+            g.shape[-1] ** 2 for g in hist.gammas)
+        assert self._sha256(path) == digest
+
+    def test_halted_history_bytes_are_pinned(self, tmp_path):
+        # the sinh runaway of TestBlowUp: only rows 0-2 of 49 are written
+        system = solver.sine_gordon_system()
+        grid = solver.Grid(0, 1.5, 0, 1.5, 48, 48)
+        hist = solver.integrate(system, solver.sinh_data(1.0, 1.0, grid), grid)
+        assert hist.completed_rows == 3
+        path = tmp_path / "field.csv"
+        assert solver.write_history_csv(hist, str(path)) == 3 * 49
+        assert self._sha256(path) == "bfa1bd2e8547db586d28aa0ae1d91b5c9473265c8565e858045e455d37dc6935"
+
+    @pytest.mark.parametrize("preset", ["periodic-chain", "free-field"])
+    def test_round_trip_is_exact(self, preset, tmp_path):
+        # periodic-chain: three 2x2 blocks; free-field: two 1x1 blocks
+        hist, _ = cli._run_preset(preset, solver.Grid(0, 1, 0, 1, 6, 5))
+        path = tmp_path / "field.csv"
+        lines = solver.write_history_csv(hist, str(path))
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert tuple(rows[0]) == solver.CSV_HEADER
+        zm, zp = hist.grid.zm_points(), hist.grid.zp_points()
+        expected = [
+            (zm[i], zp[j], alpha + 1, r, c, g[j, i, r, c])
+            for j in range(hist.completed_rows)
+            for i in range(len(zm))
+            for alpha, g in enumerate(hist.gammas)
+            for r in range(g.shape[-1])
+            for c in range(g.shape[-1])
+        ]
+        assert lines == len(rows) - 1 == len(expected)
+        for row, (z_minus, z_plus, alpha, r, c, value) in zip(rows[1:], expected):
+            assert float(row[0]) == z_minus and float(row[1]) == z_plus
+            assert (int(row[2]), int(row[3]), int(row[4])) == (alpha, r, c)
+            assert float(row[5]) + 1j * float(row[6]) == value
 
 
 def _spectral_normalised(blocks, norm):
