@@ -253,7 +253,7 @@ def cmd_simulate(args) -> int:
         },
         "grid": hist.grid.to_json(),
         "config": {
-            "tol_constraint": solver.TOL_CONSTRAINT,
+            "tol_constraint": toda.TOL_CONSTRAINT,
             "tol_invertibility": solver.INVERTIBILITY_BOUND,
         },
         "halted": hist.halted,

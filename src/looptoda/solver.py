@@ -42,7 +42,6 @@ refinement studies) parallelize trivially across processes.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -114,10 +113,6 @@ class Grid:
 #: blow-up bound of the march: a row halts it once some block has
 #: max(|G|, |inv G|, |G| |inv G|) above this
 INVERTIBILITY_BOUND = 1e12
-
-#: the largest group-constraint residual (``toda.state_residual``) the
-#: corner state may carry
-TOL_CONSTRAINT = 1e-8
 
 
 @dataclass(frozen=True)
@@ -327,7 +322,7 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
 
     state0 = FieldState(gammas=tuple(b[0] for b in bottom))
     dev0 = toda.state_residual(system, state0)
-    if dev0 > TOL_CONSTRAINT:
+    if dev0 > toda.TOL_CONSTRAINT:
         raise toda.ConstraintViolationError(
             f"initial data violates the system constraints (residual {dev0:.2e})"
         )
@@ -584,24 +579,24 @@ CSV_HEADER = ("z_minus", "z_plus", "alpha", "block_row", "block_col", "re", "im"
 
 
 def write_history_csv(history: FieldHistory, path: str) -> int:
-    """Field output, one line per matrix entry; returns the line count."""
-    zm = history.grid.zm_points()
-    zp = history.grid.zp_points()
-    count = 0
+    """Field output, one line per matrix entry; returns the line count.
+
+    Lines run over the completed z^+ rows, then the z^- points, then the
+    blocks alpha (1-based), then the entries (r, c).  Floats are written
+    as ``repr`` of a Python float, which reads back exactly, and lines end
+    in CR LF, as ``csv.writer`` ends them.  Each lattice row is formatted
+    and written as one string, so the file is never held in memory whole.
+    """
+    zm = history.grid.zm_points().tolist()
+    zp = history.grid.zp_points().tolist()
+    tags = [f"{alpha + 1},{r},{c}" for alpha, g in enumerate(history.gammas)
+            for r in range(g.shape[-2]) for c in range(g.shape[-1])]
+    heads = [(f"{z!r},", f",{tag},") for z in zm for tag in tags]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
+        fh.write(",".join(CSV_HEADER) + "\r\n")
         for j in range(history.completed_rows):
-            for i in range(len(zm)):
-                for alpha, g in enumerate(history.gammas):
-                    block = g[j, i]
-                    na = block.shape[0]
-                    for r in range(na):
-                        for c in range(na):
-                            v = block[r, c]
-                            writer.writerow(
-                                (repr(float(zm[i])), repr(float(zp[j])), alpha + 1,
-                                 r, c, repr(float(v.real)), repr(float(v.imag)))
-                            )
-                            count += 1
-    return count
+            row = np.concatenate([g[j].reshape(len(zm), -1) for g in history.gammas], axis=1).ravel()
+            w = repr(zp[j])
+            fh.write("".join([f"{a}{w}{b}{re!r},{im!r}\r\n"
+                              for (a, b), re, im in zip(heads, row.real.tolist(), row.imag.tolist())]))
+    return history.completed_rows * len(heads)

@@ -589,6 +589,11 @@ def state_residual(system: TodaSystem, state: FieldState) -> float:
     return dev
 
 
+#: the largest group-constraint residual (``state_residual``) a state may
+#: carry into ``rhs_blocks`` or, as the corner of a march, into ``solver.integrate``
+TOL_CONSTRAINT = 1e-8
+
+
 def _check_state(system: TodaSystem, state: FieldState) -> None:
     if len(state.gammas) != system.s:
         raise ShapeMismatchError(
@@ -601,7 +606,7 @@ def _check_state(system: TodaSystem, state: FieldState) -> None:
         if np.linalg.cond(g) > 1e14:
             raise SingularMatrixError(f"state block {i} is singular")
     dev = state_residual(system, state)
-    if dev > 1e-8:
+    if dev > TOL_CONSTRAINT:
         raise ConstraintViolationError(f"state violates constraints (residual {dev:.2e})")
 
 
@@ -618,7 +623,7 @@ def rhs_blocks(system: TodaSystem, state: FieldState) -> list[np.ndarray]:
     """Right-hand sides of the s independent equations of the system.
 
     The state must have the system's block shapes, no singular block, and
-    satisfy the system's constraints to 1e-8.
+    satisfy the system's constraints to ``TOL_CONSTRAINT``.
     """
     _check_state(system, state)
     return rhs_dispatch(system, list(state.gammas))

@@ -16,31 +16,26 @@ COMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("command", COMMANDS, ids=[c[0] for c in COMMANDS])
-def test_script_runs(command):
+def _run(script, *args, timeout=120):
     env = dict(os.environ)
     src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     result = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "scripts", command[0]), *command[1:]],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, os.path.join(ROOT, "scripts", script), *args],
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip()
+    return result.stdout
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=[c[0] for c in COMMANDS])
+def test_script_runs(command):
+    assert _run(*command).strip()
 
 
 def test_kink_convergence_json():
     # the converged midpoint scheme is second order at both slopes
-    env = dict(os.environ)
-    src = os.path.join(ROOT, "src")
-    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    result = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "scripts", "run_kink_convergence.py"),
-         "--cells", "128", "256", "--json"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    studies = json.loads(result.stdout)
+    studies = json.loads(_run("run_kink_convergence.py", "--cells", "128", "256", "--json"))
     assert list(studies) == ["1.44", "1.4142135623730951"]
     for study in studies.values():
         assert list(study) == ["cells", "h", "L_inf", "ratio"]
@@ -48,18 +43,19 @@ def test_kink_convergence_json():
         assert 3.9 <= study["ratio"][1] <= 4.1, study
 
 
+def test_sinh_amplitude_sweep_json():
+    # the nonlinear deviation is cubic in the amplitude: doubling eps multiplies it by 8
+    sweep = json.loads(_run("run_sinh_amplitude_sweep.py", "--json"))
+    assert list(sweep) == ["eps", "rel", "dev", "ratio"]
+    assert sweep["eps"] == [1e-3, 2e-3, 4e-3] and sweep["ratio"][0] is None
+    assert len(sweep["rel"]) == len(sweep["dev"]) == 3
+    for ratio in sweep["ratio"][1:]:
+        assert 7.9 <= ratio <= 8.1, sweep
+
+
 def test_census_counts():
     # the n, M <= 8 census of valid gradations per family and type
-    env = dict(os.environ)
-    src = os.path.join(ROOT, "src")
-    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    result = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "scripts", "enumerate_gradations.py"),
-         "--max-n", "8", "--max-M", "8"],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == [
+    assert _run("enumerate_gradations.py", "--max-n", "8", "--max-M", "8", timeout=300).splitlines() == [
         "gl {'gl_inner': 12805, 'gl_outer_II': 42, 'gl_outer_III': 56, 'trivial': 64}",
         "so {'sosp_I': 489, 'sosp_II': 277, 'trivial': 64}",
         "sp {'sosp_I': 383, 'sosp_II': 52, 'trivial': 32}",

@@ -519,6 +519,25 @@ class TestBlowUp:
         with pytest.raises(toda.ConstraintViolationError):
             solver.integrate(system, solver.constant_data(bad), grid)
 
+    def test_constraint_bound_has_one_home(self, monkeypatch):
+        # integrate's corner test and rhs_blocks' state test read toda.TOL_CONSTRAINT
+        assert toda.TOL_CONSTRAINT == 1e-8 and not hasattr(solver, "TOL_CONSTRAINT")
+        spec = gr.make_spec("so", gr.TYPE_SOSP_II, 2, (2, 2), (1,))
+        cp, cm = toda.random_c_blocks(spec, 1, np.random.default_rng(5))
+        system = toda.build_system(spec, 1, cp, cm)
+        state = FieldState(gammas=(np.eye(2) * (1 + 1e-6), np.eye(2)))
+        dev = toda.state_residual(system, state)
+        assert dev > toda.TOL_CONSTRAINT
+        grid = solver.Grid(0, 1, 0, 1, 4, 4)
+        monkeypatch.setattr(toda, "TOL_CONSTRAINT", 2 * dev)
+        toda.rhs_blocks(system, state)
+        solver.integrate(system, solver.constant_data(state), grid)
+        monkeypatch.setattr(toda, "TOL_CONSTRAINT", dev / 2)
+        with pytest.raises(toda.ConstraintViolationError, match="state violates"):
+            toda.rhs_blocks(system, state)
+        with pytest.raises(toda.ConstraintViolationError, match="initial data violates"):
+            solver.integrate(system, solver.constant_data(state), grid)
+
 
 class TestSchemes:
     def test_reference_scheme_agrees_with_main(self):
