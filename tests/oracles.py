@@ -3,11 +3,13 @@ the package against.  Nothing in ``looptoda`` calls them."""
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 
 from looptoda.folding import FoldError
 from looptoda.lie_core import as_complex, b_transpose, max_abs
-from looptoda.solver import Grid
+from looptoda.solver import CSV_HEADER, Grid
 from looptoda.toda import rhs_chain
 
 
@@ -33,6 +35,31 @@ def integrate_scalar_reference(g_fn, bottom_fn, left_fn, grid: Grid) -> np.ndarr
             mid = 0.5 * (u[j + 1, i] + u[j, i + 1])
             u[j + 1, i + 1] = u[j + 1, i] + u[j, i + 1] - u[j, i] + area * g_fn(mid)
     return u
+
+
+def write_history_csv_reference(history, path: str) -> int:
+    """The output of ``solver.write_history_csv``, written one ``csv.writer``
+    row per matrix entry."""
+    zm = history.grid.zm_points()
+    zp = history.grid.zp_points()
+    count = 0
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        for j in range(history.completed_rows):
+            for i in range(len(zm)):
+                for alpha, g in enumerate(history.gammas):
+                    block = g[j, i]
+                    na = block.shape[0]
+                    for r in range(na):
+                        for c in range(na):
+                            v = block[r, c]
+                            writer.writerow(
+                                (repr(float(zm[i])), repr(float(zp[j])), alpha + 1,
+                                 r, c, repr(float(v.real)), repr(float(v.imag)))
+                            )
+                            count += 1
+    return count
 
 
 def odd_fold_equivalence(gammas, c_plus, c_minus, b_kind: str = "J") -> float:

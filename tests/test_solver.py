@@ -634,6 +634,21 @@ class TestCsv:
         assert solver.write_history_csv(hist, str(path)) == 3 * 49
         assert self._sha256(path) == "bfa1bd2e8547db586d28aa0ae1d91b5c9473265c8565e858045e455d37dc6935"
 
+    @pytest.mark.parametrize("rows", [6, 2, 0])
+    def test_matches_the_per_entry_writer(self, rows, tmp_path):
+        # a 1x1 and a 2x2 block, with floats whose repr takes every form
+        system, data = _mixed_case()
+        hist = solver.integrate(system, data, solver.Grid(0, 1, 0, 1, 5, 5))
+        gammas = [g[:rows].copy() for g in hist.gammas]
+        special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1 / 3, -2.5e-7]
+        flat = gammas[1].reshape(-1)
+        flat[:len(special)] = [complex(x, -x) for x in special][:flat.size]
+        history = solver.FieldHistory(system, hist.grid, gammas, hist.constraint_residuals[:rows])
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        assert solver.write_history_csv(history, str(new)) == oracles.write_history_csv_reference(
+            history, str(ref)) == rows * 6 * 5
+        assert new.read_bytes() == ref.read_bytes()
+
     @pytest.mark.parametrize("preset", ["periodic-chain", "free-field"])
     def test_round_trip_is_exact(self, preset, tmp_path):
         # periodic-chain: three 2x2 blocks; free-field: two 1x1 blocks
