@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 
@@ -384,6 +385,19 @@ class TestCheckCommand:
             assert cli.main(["check", "--spec", str(path)]) == 0
             lines = capsys.readouterr().out.splitlines()
             assert tuple(line.split()[1] for line in lines) == batteries[shape], spec
+
+    def test_census_check_output_golden(self, tmp_path, capsys):
+        """sha256 of every exit code and stdout of ``check`` over the specs of
+        sp_6 M=8, gl_4 M=6 and so_5 M=6, in enumeration order."""
+        digest = hashlib.sha256()
+        path = tmp_path / "s.json"
+        for family, n, M in (("sp", 6, 8), ("gl", 4, 6), ("so", 5, 6)):
+            for spec in gr.enumerate_specs(family, n, M):
+                with open(path, "w") as fh:
+                    json.dump(spec.to_json(), fh, sort_keys=True)
+                code = cli.main(["check", "--spec", str(path)])
+                digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+        assert digest.hexdigest() == "8bd8cfb475fa239106c993a23d4cbbe05598a667dd080949084e7cf1edec27a0"
 
     def test_invalid_spec_reported_before_invariants(self, tmp_path, capsys):
         payload = dict(SO4_JSON, k_list=[1, 2])
