@@ -8,6 +8,7 @@ spec, failed invariant), 2 parse error, 3 enumeration cap exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -199,12 +200,13 @@ def _run_preset(name, grid):
 
         hist = solver.integrate(system, solver.CharacteristicData(bottom_full, left_full), grid)
         if not hist.halted:
-            dev = 0.0
-            for j, w in enumerate(grid.zp_points()):
-                for b in range(2):
-                    exact = left(w)[b][0, 0] * np.array([bottom(z)[b][0, 0] for z in grid.zm_points()])
-                    dev = max(dev, float(np.max(np.abs(hist.gammas[b][j, :, 0, 0] - exact))))
-            meta["free_field_deviation"] = dev
+            # the exact field is left(w) * bottom(z), block by block
+            bottoms = np.array([[g[0, 0] for g in bottom(z)] for z in grid.zm_points()])
+            lefts = np.array([[g[0, 0] for g in left(w)] for w in grid.zp_points()])
+            meta["free_field_deviation"] = max(
+                float(np.max(np.abs(hist.gammas[b][..., 0, 0] - np.outer(lefts[:, b], bottoms[:, b]))))
+                for b in range(2)
+            )
         return hist, meta
     raise ValueError(f"unknown preset {name!r}")
 
@@ -300,12 +302,11 @@ def _check_lines(spec):
 
     # [x_k, y_l] must have no component of residue m != k + l (mod M)
     ys = gradation.grading_components(x.T.conj(), aut)
+    xk, yl = xs[:, None], ys[None, :]
+    parts = gradation.grading_components(xk @ yl - yl @ xk, aut)  # [m, k, l]
     res = np.arange(aut.order)
-    worst = 0.0
-    for k in range(aut.order):
-        br = xs[k] @ ys - ys @ xs[k]
-        off_grade = res[:, None] != (k + res[None, :]) % aut.order  # [m, l]
-        worst = max(worst, max_abs(gradation.grading_components(br, aut)[off_grade]))
+    off_grade = res[:, None, None] != (res[:, None] + res) % aut.order
+    worst = max_abs(parts[off_grade])
     yield "bracket_closure", worst <= CHECK_TOL, worst
 
     if isinstance(spec, gradation.GradationSpec):
@@ -318,15 +319,16 @@ def _check_lines(spec):
 
         table = gradation.block_index_table(spec)
         offs = np.cumsum((0,) + spec.n_list)
-        dev = 0
+        probes = np.zeros((spec.p, spec.p, n, n), dtype=complex)
         for a in range(spec.p):
             for b in range(spec.p):
-                z = np.zeros((n, n), dtype=complex)
-                z[offs[a]:offs[a + 1], offs[b]:offs[b + 1]] = rng.standard_normal(
+                probes[a, b, offs[a]:offs[a + 1], offs[b]:offs[b + 1]] = rng.standard_normal(
                     (spec.n_list[a], spec.n_list[b])
                 )
-                if not set(gradation.grading_support(z, aut)) <= set(table.residues(a, b)):
-                    dev += 1
+        # support[k, a, b]: residue k carries part of probe (a, b)
+        support = np.abs(gradation.grading_components(probes, aut)).max(axis=(-2, -1)) > 1e-9
+        dev = sum(not set(np.flatnonzero(support[:, a, b])) <= set(table.residues(a, b))
+                  for a in range(spec.p) for b in range(spec.p))
         yield "index_table_vs_projector", dev == 0, float(dev)
 
         L = gradation.minimal_grade(spec)
@@ -362,7 +364,10 @@ def cmd_check(args) -> int:
     return status
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing does not
+    change it."""
     parser = argparse.ArgumentParser(
         prog="looptoda",
         description="Gradations of the classical Lie algebras and loop-group Toda systems",

@@ -4,10 +4,23 @@ the package against.  Nothing in ``looptoda`` calls them."""
 from __future__ import annotations
 
 import csv
+import itertools
 
 import numpy as np
 
 from looptoda.folding import FoldError
+from looptoda.gradation import (
+    GRADATION_TYPES,
+    TYPE_GL_INNER,
+    TYPE_GL_OUTER_II,
+    TYPE_GL_OUTER_III,
+    TYPE_SOSP_I,
+    TYPE_SOSP_II,
+    TrivialSpec,
+    grading_components,
+    make_spec,
+    validate_spec,
+)
 from looptoda.lie_core import as_complex, b_transpose, max_abs
 from looptoda.solver import CSV_HEADER, Grid
 from looptoda.toda import rhs_chain
@@ -35,6 +48,38 @@ def integrate_scalar_reference(g_fn, bottom_fn, left_fn, grid: Grid) -> np.ndarr
             mid = 0.5 * (u[j + 1, i] + u[j, i + 1])
             u[j + 1, i + 1] = u[j + 1, i] + u[j, i + 1] - u[j, i] + area * g_fn(mid)
     return u
+
+
+def grading_support(x, aut) -> list[int]:
+    """Residues k whose component of x exceeds 1e-9."""
+    parts = grading_components(x, aut)
+    return [k for k in range(aut.order) if max_abs(parts[k]) > 1e-9]
+
+
+def enumerate_specs_reference(family: str, n: int, M: int) -> list:
+    """``gradation.enumerate_specs`` by generate and filter: every
+    composition of n and every k with sum(k) <= M, for every type of the
+    family, kept if ``validate_spec`` finds no violation, in the same order."""
+    types = ((TYPE_GL_INNER, TYPE_GL_OUTER_II, TYPE_GL_OUTER_III)
+             if family in ("gl", "sl") else (TYPE_SOSP_I, TYPE_SOSP_II))
+
+    def compositions(total, parts):
+        for cuts in itertools.combinations(range(1, total), parts - 1):
+            edges = (0,) + cuts + (total,)
+            yield tuple(b - a for a, b in zip(edges, edges[1:]))
+
+    found = []
+    for t in types:
+        for p in range(2, n + 1):
+            for nl in compositions(n, p):
+                for kl in (k for total in range(p - 1, M + 1) for k in compositions(total, p - 1)):
+                    cand = make_spec(family, t, M, nl, kl)
+                    if not validate_spec(cand):
+                        found.append(cand)
+    rank = {t: i for i, t in enumerate(GRADATION_TYPES)}
+    found.sort(key=lambda s: (rank[s.gradation_type], s.p, s.n_list, s.k_list))
+    trivial = TrivialSpec(family=family, n=n, M=M)
+    return ([] if validate_spec(trivial) else [trivial]) + found
 
 
 def write_history_csv_reference(history, path: str) -> int:

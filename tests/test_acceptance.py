@@ -103,7 +103,7 @@ def test_criterion_2_table_fidelity():
                 z[offs[a]:offs[a + 1], offs[b]:offs[b + 1]] = rng.standard_normal(
                     (spec.n_list[a], spec.n_list[b]))
                 if not table.outer:
-                    if gr.grading_support(z, aut) != list(table.residues(a, b)):
+                    if oracles.grading_support(z, aut) != list(table.residues(a, b)):
                         mismatches += 1
                     continue
                 factor = (D[offs[a], offs[a]] * D[offs[b], offs[b]]).real
@@ -114,7 +114,7 @@ def test_criterion_2_table_fidelity():
                         continue
                     # x = -(^B x) selects the low index for a <= b, the high one for a > b
                     want = low if (sigma == -1) == (a <= b) else high
-                    if gr.grading_support(xs, aut) != [want]:
+                    if oracles.grading_support(xs, aut) != [want]:
                         mismatches += 1
     passed = mismatches == 0
     assert report("criterion-2 table fidelity",

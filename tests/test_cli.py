@@ -9,6 +9,8 @@ import pytest
 
 from looptoda import cli, gradation as gr, toda
 
+import oracles
+
 
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
@@ -151,9 +153,18 @@ class TestEnumerateCommand:
             "\\end{array}\\right)"
         ) in latex
 
-    def test_cap_exceeded(self, monkeypatch):
+    def test_cap_exceeded(self, monkeypatch, capsys):
+        """A cap of 3 stops exactly the enumerations past 3 nontrivial specs."""
         monkeypatch.setenv("TODA_MAX_ENUM", "3")
-        assert cli.main(["enumerate", "--family", "gl", "--n", "6", "--M", "6"]) == 3
+        for family in ("gl", "so", "sp"):
+            for n in range(2 if family == "sp" else 1, 8, 2 if family == "sp" else 1):
+                for M in range(1, 9):
+                    specs = oracles.enumerate_specs_reference(family, n, M)
+                    over = sum(isinstance(s, gr.GradationSpec) for s in specs) > 3
+                    code = cli.main(["enumerate", "--family", family, "--n", str(n), "--M", str(M)])
+                    err = capsys.readouterr().err
+                    assert (code, err) == ((3, "cap exceeded: enumeration exceeded cap of 3 specs\n")
+                                           if over else (0, "")), (family, n, M)
 
     @pytest.mark.parametrize("cap", ["0", "-5", "abc", "1.5"])
     def test_bad_cap_is_a_parse_error(self, monkeypatch, capsys, cap):
