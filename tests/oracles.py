@@ -21,7 +21,7 @@ from looptoda.gradation import (
     make_spec,
     validate_spec,
 )
-from looptoda.lie_core import as_complex, b_transpose, max_abs
+from looptoda.lie_core import as_complex, b_transpose, inv, max_abs, mul
 from looptoda.solver import CSV_HEADER, Grid
 from looptoda.toda import rhs_chain
 
@@ -105,6 +105,34 @@ def write_history_csv_reference(history, path: str) -> int:
                             )
                             count += 1
     return count
+
+
+def rhs_chain_reference(gammas, cp, cm, left=None, right=None) -> list:
+    """``toda.rhs_chain`` one node at a time: node i's terms are the
+    products ((a b) c) d of ``lie_core.mul``, t1 = inv(G_i) C_{+a} G_{i+1}
+    C_{-a} across arc a = i+1 and t2 = C_{-i} inv(G_{i-1}) C_{+i} G_i across
+    arc i, and the node gets t2 - t1.  An "arc" cap puts ^J G_0 in place of
+    inv(G_{-1}) and ^J inv(G_{s-1}) in place of G_s; a B-kind cap replaces
+    the end node's term across the end by the B-transpose of its other term.
+    """
+    s = len(gammas)
+    ginv = [inv(g) for g in gammas]
+
+    def t1(i):
+        a = (i + 1) % len(cp)
+        succ = b_transpose(ginv[i], "J") if i == s - 1 and right == "arc" else gammas[(i + 1) % s]
+        return mul(mul(mul(ginv[i], cp[a]), succ), cm[a])
+
+    def t2(i):
+        pred = b_transpose(gammas[0], "J") if i == 0 and left == "arc" else ginv[i - 1]
+        return mul(mul(mul(cm[i], pred), cp[i]), gammas[i])
+
+    out = []
+    for i in range(s):
+        first = b_transpose(t2(i), right) if i == s - 1 and right in ("J", "K") else t1(i)
+        second = b_transpose(t1(i), left) if i == 0 and left in ("J", "K") else t2(i)
+        out.append(second - first)
+    return out
 
 
 def odd_fold_equivalence(gammas, c_plus, c_minus, b_kind: str = "J") -> float:

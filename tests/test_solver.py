@@ -862,3 +862,68 @@ class TestRowKernels:
         assert not first.halted
         for a, b in zip(first.gammas, second.gammas):
             assert a.tobytes() == b.tobytes()
+
+
+#: the exactness cases, with even folds of s = 2 nodes of 2x2 and 4x4 blocks and of one 4x4 node
+RHS_REFERENCE_CASES = dict(EXACTNESS_CASES)
+RHS_REFERENCE_CASES.update({case[0]: functools.partial(TestRichardson._case, *case) for case in (
+    ("even_fold_2x2_s2", "sp", gr.TYPE_SOSP_I, 4, (2, 2, 2, 2), (1, 1, 1)),
+    ("even_fold_4x4_s1", "sp", gr.TYPE_SOSP_I, 2, (4, 4), (1,)),
+    ("even_fold_4x4_s2", "sp", gr.TYPE_SOSP_I, 4, (4, 4, 4, 4), (1, 1, 1)),
+)})
+
+
+def _reference_law(system):
+    """The system's right-hand side, node by node (``oracles.rhs_chain_reference``)."""
+    return lambda gammas: oracles.rhs_chain_reference(gammas, system.c_plus, system.c_minus, *system.caps)
+
+
+def _same_history(a, b):
+    assert a.halt_reason == b.halt_reason
+    assert len(a.gammas) == len(b.gammas)
+    for x, y in zip(a.gammas, b.gammas):
+        assert x.tobytes() == y.tobytes()
+
+
+class TestRhsReference:
+    """The right-hand side and the march, bit for bit against the node-by-node chain."""
+
+    @pytest.mark.parametrize("lead", [(3,), (2, 5)], ids=["3", "2x5"])
+    @pytest.mark.parametrize("name", RHS_REFERENCE_CASES)
+    def test_rhs_dispatch_matches_the_node_loop(self, name, lead):
+        system, _ = RHS_REFERENCE_CASES[name]()
+        rng = np.random.default_rng(list(name.encode()) + list(lead))
+        gammas = [np.eye(na) + 0.3 * (rng.standard_normal(lead + (na, na))
+                                      + 1j * rng.standard_normal(lead + (na, na)))
+                  for na in system.independent_sizes]
+        want = _reference_law(system)(gammas)
+        inputs = [gammas]
+        if len(set(system.independent_sizes)) == 1:
+            inputs.append(np.stack(gammas))
+        for given in inputs:
+            got = toda.rhs_dispatch(system, given)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("name", RHS_REFERENCE_CASES)
+    def test_march_matches_the_node_loop(self, name):
+        system, data = RHS_REFERENCE_CASES[name]()
+        grid = solver.Grid(0, 1, 0, 1, 16, 16)
+        own = solver.integrate(system, data, grid)
+        assert not own.halted
+        _same_history(own, solver.integrate(system, data, grid, law=_reference_law(system)))
+
+    @pytest.mark.parametrize("name", ["periodic_chain", "simplest", "mixed_sizes"])
+    def test_law_may_return_a_list_or_a_node_stack(self, name):
+        # a law maps a sequence of blocks to a sequence of blocks: a list, or
+        # on a system of one block size the node stack
+        system, data = RHS_REFERENCE_CASES[name]()
+        grid = solver.Grid(0, 1, 0, 1, 16, 16)
+        own = solver.integrate(system, data, grid)
+        as_list = solver.integrate(system, data, grid, law=lambda gs: list(toda.rhs_dispatch(system, gs)))
+        _same_history(own, as_list)
+        if len(set(system.independent_sizes)) == 1:
+            as_stack = solver.integrate(system, data, grid,
+                                        law=lambda gs: np.stack(list(toda.rhs_dispatch(system, gs))))
+            _same_history(own, as_stack)
