@@ -232,9 +232,12 @@ def _march_cells(law, groups, lattice, v, jj, ii, hm, dv_scale):
     dv_scale in place of h_plus; raises NonFiniteError on a non-finite value."""
     nw = [g[:, jj + 1, ii] for g in lattice]
     centres = [mul(a, sqrtm_near_identity(mul(inv(a), g[:, jj, ii + 1]))) for a, g in zip(nw, lattice)]
-    rhs = law(_unpack(centres, groups))
-    v_new = [x[:, ii] + dv_scale * np.stack([rhs[b] for b in group])
-             for x, group in zip(v, groups)]
+    if len(groups) == 1:
+        rhs = [np.asarray(law(centres[0]))]
+    else:
+        blocks = law(_unpack(centres, groups))
+        rhs = [np.stack([blocks[b] for b in group]) for group in groups]
+    v_new = [x[:, ii] + dv_scale * f for x, f in zip(v, rhs)]
     g_new = [mul(a, expm(hm * x)) for a, x in zip(nw, v_new)]
     if not all(np.isfinite(x).all() for x in v_new + g_new):
         raise NonFiniteError("the diagonal has a non-finite value")

@@ -277,27 +277,6 @@ def _independent_arcs(s: int, left, right) -> range:
 # ---------------------------------------------------------------------------
 # right-hand sides (batched: leading axes broadcast)
 
-def _stacked(blocks, ndim) -> np.ndarray:
-    """The blocks stacked on a new first axis, with unit axes after it up to ndim axes."""
-    shape = blocks[0].shape
-    out = empty_stack((len(blocks),) + (1,) * (ndim - 1 - len(shape)) + shape)
-    for k, block in enumerate(blocks):
-        out[k] = block
-    return out
-
-
-def _nodewise(fn, *lists) -> list:
-    """[fn(*entries) for entries in zip(*lists)] over lists of node blocks.
-
-    When each list holds several blocks of one shape, as on a chain of
-    equal blocks, the lists are stacked and fn runs once for all the nodes.
-    """
-    if len(lists[0]) > 1 and all(len({x.shape for x in blocks}) == 1 for blocks in lists):
-        ndim = 1 + max(blocks[0].ndim for blocks in lists)
-        return list(fn(*(_stacked(blocks, ndim) for blocks in lists)))
-    return [fn(*entries) for entries in zip(*lists)]
-
-
 def _product(a, b, c, d):
     return mul(mul(mul(a, b), c), d)
 
@@ -312,27 +291,67 @@ def rhs_chain(gammas, cp, cm, left=None, right=None):
     t1 of node s-1 (right).  An "arc" cap puts ^J G_0 in place of the
     predecessor's inverse on the left and ^J inv(G_{s-1}) in place of the
     successor on the right, with arc 0 and arc s; a B-kind cap puts minus
-    the B-transpose of the node's other term.  Every term of a chain of
-    equal blocks runs as one batched product over the nodes.
+    the B-transpose of the node's other term.
+
+    A chain of s >= 2 equal blocks takes its nodes as one stack, nodes
+    first, or as a list, and returns the node stack: both terms of every
+    node run as one stacked product (:func:`_chain_terms`).  A chain of one
+    node or of mixed block sizes runs node by node and returns a list.
     """
     s = len(gammas)
-    ginv = _nodewise(inv, gammas)
     node_caps = ("J", "K")
     first = range(s - 1 if right in node_caps else s)
     second = range(1 if left in node_caps else 0, s)
     arcs = [(i + 1) % len(cp) for i in first]
+    if s > 1 and (isinstance(gammas, np.ndarray) or len({g.shape for g in gammas}) == 1):
+        g = gammas if isinstance(gammas, np.ndarray) else np.stack(gammas)
+        terms = _chain_terms(g, cp, cm, first, second, arcs, left, right)
+        t1, t2 = terms[:len(first)], terms[len(first):]
+        if left in node_caps:
+            t2 = np.concatenate((b_transpose(t1[:1], left), t2))
+        if right in node_caps:
+            t1 = np.concatenate((t1, b_transpose(t2[-1:], right)))
+        return t2 - t1
+    ginv = [inv(g) for g in gammas]
     succ = [b_transpose(ginv[i], "J") if i == s - 1 and right == "arc" else gammas[(i + 1) % s]
             for i in first]
     pred = [b_transpose(gammas[0], "J") if i == 0 and left == "arc" else ginv[i - 1] for i in second]
-    t1 = _nodewise(_product, [ginv[i] for i in first], [cp[a] for a in arcs], succ,
-                   [cm[a] for a in arcs])
-    t2 = _nodewise(_product, [cm[i] for i in second], pred, [cp[i] for i in second],
-                   [gammas[i] for i in second])
+    t1 = [_product(ginv[i], cp[a], g, cm[a]) for i, a, g in zip(first, arcs, succ)]
+    t2 = [_product(cm[i], g, cp[i], gammas[i]) for i, g in zip(second, pred)]
     if left in node_caps:
         t2.insert(0, b_transpose(t1[0], left))
     if right in node_caps:
         t1.append(b_transpose(t2[-1], right))
     return [b - a for a, b in zip(t1, t2)]
+
+
+def _chain_terms(g, cp, cm, first, second, arcs, left, right) -> np.ndarray:
+    """t1 of the nodes ``first``, then t2 of the nodes ``second``, of the
+    node stack g, as one stack.
+
+    The four factors of every term are gathered into four operand stacks,
+    [inv G | C_-], [C_+ | pred], [succ | C_+] and [C_- | G], and multiplied
+    as ((a b) c) d, the order of the node-by-node products, so each term
+    has the same bits.
+    """
+    s, n1 = len(g), len(first)
+    ginv = inv(g)
+    a, b, c, d = (empty_stack((n1 + len(second),) + g.shape[1:]) for _ in range(4))
+    a[:n1] = ginv[:n1]
+    c[:n1] = g[[(i + 1) % s for i in first]]
+    b[n1:] = ginv[[i - 1 for i in second]]
+    d[n1:] = g[second.start:]
+    if right == "arc":
+        c[n1 - 1] = b_transpose(ginv[s - 1], "J")
+    if left == "arc":
+        b[n1] = b_transpose(g[0], "J")
+    for k, arc in enumerate(arcs):
+        b[k] = cp[arc]
+        d[k] = cm[arc]
+    for k, i in enumerate(second, n1):
+        a[k] = cm[i]
+        c[k] = cp[i]
+    return mul(mul(mul(a, b), c), d)
 
 
 def rhs_full(gamma, c_minus, c_plus) -> np.ndarray:
@@ -610,16 +629,17 @@ def _check_state(system: TodaSystem, state: FieldState) -> None:
         raise ConstraintViolationError(f"state violates constraints (residual {dev:.2e})")
 
 
-def rhs_dispatch(system: TodaSystem, gammas) -> list[np.ndarray]:
+def rhs_dispatch(system: TodaSystem, gammas):
     """Right-hand sides of the system's capped chain, with its C blocks,
-    over a raw block list.
+    over a raw block list or, on a chain of equal blocks, a node stack
+    (see :func:`rhs_chain`).
 
     Accepts batched arrays.
     """
     return rhs_chain(gammas, system.c_plus, system.c_minus, *system.caps)
 
 
-def rhs_blocks(system: TodaSystem, state: FieldState) -> list[np.ndarray]:
+def rhs_blocks(system: TodaSystem, state: FieldState):
     """Right-hand sides of the s independent equations of the system.
 
     The state must have the system's block shapes, no singular block, and
