@@ -36,14 +36,16 @@ stacks take closed forms on the ``[..., i, j]`` entry slices (Higham,
 Other sizes, and 2x2 batches outside a region, take the general kernels.
 The regions are checked against scipy.linalg in test_kernel_oracles.py.
 
-The right-hand side stacks the node blocks of a chain into one array and
-allocates it with ``empty_stack``, which stores 1x1 and 2x2 stacks
-batch-last: the matrix axes are outermost in memory, so numpy's inner
-loops run along the cells and not along a length-2 axis.  The 2x2 closed
-forms allocate with ``np.empty_like`` and so keep their input's layout;
-``mul`` spreads a broadcast operand to the full stack in the other's
-layout first.  Larger blocks stay in C order for BLAS and LAPACK.  The
-layout changes no value: every kernel gives the same bits in either.
+The right-hand side of a chain of equal blocks gathers the four factors
+of both terms of every node, C blocks spread to full size among them,
+into four operand stacks and multiplies them once.  It allocates them
+with ``empty_stack``, which stores 1x1 and 2x2 stacks batch-last: the
+matrix axes are outermost in memory, so numpy's inner loops run along the
+cells and not along a length-2 axis.  The 2x2 closed forms allocate with
+``np.empty_like`` and so keep their input's layout; ``mul`` spreads a
+broadcast operand to the full stack in the other's layout first.  Larger
+blocks stay in C order for BLAS and LAPACK.  The layout changes no value:
+every kernel gives the same bits in either.
 """
 
 from __future__ import annotations

@@ -24,7 +24,8 @@ block.
 
 The lattice and V are one array per block size, blocks first, so an
 anti-diagonal makes one call of each kernel per size, and the right-hand
-side runs every node of a chain of equal blocks at once.  The history's
+side takes the centres of a system of one block size as that stack and
+runs every node of it at once.  The history's
 ``gammas`` are C-ordered views of these arrays, one per block.
 
 Scalar reductions: for the p = 2, r = 1 chain with C = I/sqrt(2) the
@@ -285,9 +286,13 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
     """March the system over the light-cone lattice from characteristic data.
 
     ``law``, when given, replaces the system's right-hand side with its
-    constant C blocks: it maps the list of cell-centre blocks of an
-    anti-diagonal to the list of d_+ V blocks, so nearby laws (an equation
-    and its linearization) run through the same scheme.
+    constant C blocks, so nearby laws (an equation and its linearization)
+    run through the same scheme.  It maps the sequence of cell-centre
+    blocks of an anti-diagonal, one (cells, n, n) array per independent
+    block, to the sequence of d_+ V blocks in the same order: a list, or
+    on a system of one block size the node stack.  A system of one block
+    size passes the centres as that node stack, one of two sizes as a
+    list.
 
     The edge data are sampled once, on the lattice points, before the
     march.  A sample with the wrong block count or block shape raises

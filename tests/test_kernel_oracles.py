@@ -270,8 +270,9 @@ DENMAN_BEAVERS = {"sqrtm_near_identity_far", "logm_near_identity_far"}
 @pytest.mark.parametrize("n", [1, 2, 4])
 @pytest.mark.parametrize("kernel", sorted(LAYOUT_KERNELS))
 def test_kernels_give_the_same_bits_in_either_layout(kernel, n):
-    # the marcher stores 1x1 and 2x2 stacks batch-last (lie_core.empty_stack);
-    # the layout must change no value, and a 2x2 closed form keeps its input's
+    # the marcher's lattice is C-ordered and the right-hand side's operand
+    # stacks of 1x1 and 2x2 blocks batch-last (lie_core.empty_stack); the
+    # layout must change no value, and a 2x2 closed form keeps its input's
     rng = np.random.default_rng(n)
     x, y = (rng.standard_normal((3, 5, n, n)) + 1j * rng.standard_normal((3, 5, n, n)) for _ in range(2))
     x *= 0.1
