@@ -864,12 +864,16 @@ class TestRowKernels:
             assert a.tobytes() == b.tobytes()
 
 
-#: the exactness cases, with even folds of s = 2 nodes of 2x2 and 4x4 blocks and of one 4x4 node
+#: the exactness cases, with even folds of s = 2 nodes of 2x2 and 4x4 blocks
+#: and of one 4x4 node, and capped chains of mixed block sizes on three folds
 RHS_REFERENCE_CASES = dict(EXACTNESS_CASES)
 RHS_REFERENCE_CASES.update({case[0]: functools.partial(TestRichardson._case, *case) for case in (
     ("even_fold_2x2_s2", "sp", gr.TYPE_SOSP_I, 4, (2, 2, 2, 2), (1, 1, 1)),
     ("even_fold_4x4_s1", "sp", gr.TYPE_SOSP_I, 2, (4, 4), (1,)),
     ("even_fold_4x4_s2", "sp", gr.TYPE_SOSP_I, 4, (4, 4, 4, 4), (1, 1, 1)),
+    ("odd_fold_arc_first_1_2", "so", gr.TYPE_SOSP_I, 3, (1, 2, 1), (1, 1)),
+    ("even_fold_2_4", "sp", gr.TYPE_SOSP_I, 4, (2, 4, 4, 2), (1, 1, 1)),
+    ("double_fixed_fold_2_2_4", "sp", gr.TYPE_SOSP_II, 4, (2, 2, 4, 2), (1, 1, 1)),
 )})
 
 
