@@ -36,9 +36,10 @@ stacks take closed forms on the ``[..., i, j]`` entry slices (Higham,
 Other sizes, and 2x2 batches outside a region, take the general kernels.
 The regions are checked against scipy.linalg in test_kernel_oracles.py.
 
-The right-hand side of a chain of equal blocks gathers the four factors
-of both terms of every node, C blocks spread to full size among them,
-into four operand stacks and multiplies them once.  It allocates them
+The right-hand side of a chain gathers the four factors of both terms
+of every node once.  On a chain of equal blocks it copies them, C blocks
+spread to full size among them, into four operand stacks and multiplies
+them once; otherwise it multiplies term by term.  It allocates them
 with ``empty_stack``, which stores 1x1 and 2x2 stacks batch-last: the
 matrix axes are outermost in memory, so numpy's inner loops run along the
 cells and not along a length-2 axis.  The 2x2 closed forms allocate with

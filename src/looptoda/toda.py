@@ -277,10 +277,6 @@ def _independent_arcs(s: int, left, right) -> range:
 # ---------------------------------------------------------------------------
 # right-hand sides (batched: leading axes broadcast)
 
-def _product(a, b, c, d):
-    return mul(mul(mul(a, b), c), d)
-
-
 def rhs_chain(gammas, cp, cm, left=None, right=None):
     """Right-hand sides of the chain on nodes 0..s-1, s = len(gammas).
 
@@ -293,65 +289,47 @@ def rhs_chain(gammas, cp, cm, left=None, right=None):
     successor on the right, with arc 0 and arc s; a B-kind cap puts minus
     the B-transpose of the node's other term.
 
-    A chain of s >= 2 equal blocks takes its nodes as one stack, nodes
-    first, or as a list, and returns the node stack: both terms of every
-    node run as one stacked product (:func:`_chain_terms`).  A chain of one
-    node or of mixed block sizes runs node by node and returns a list.
+    The four factors of every term are gathered once and multiplied as
+    ((a b) c) d, so each term has the same bits on either path.  A chain
+    of s >= 2 equal blocks takes its nodes as one stack, nodes first, or
+    as a list, multiplies all its terms as four operand stacks and returns
+    the node stack.  A chain of one node or of mixed block sizes
+    multiplies term by term and returns a list.
     """
     s = len(gammas)
     node_caps = ("J", "K")
+    stacked = s > 1 and (isinstance(gammas, np.ndarray) or len({g.shape for g in gammas}) == 1)
+    if stacked:
+        gammas = np.asarray(gammas)
+        ginv = inv(gammas)
+    else:
+        ginv = [inv(g) for g in gammas]
     first = range(s - 1 if right in node_caps else s)
     second = range(1 if left in node_caps else 0, s)
     arcs = [(i + 1) % len(cp) for i in first]
-    if s > 1 and (isinstance(gammas, np.ndarray) or len({g.shape for g in gammas}) == 1):
-        g = gammas if isinstance(gammas, np.ndarray) else np.stack(gammas)
-        terms = _chain_terms(g, cp, cm, first, second, arcs, left, right)
-        t1, t2 = terms[:len(first)], terms[len(first):]
-        if left in node_caps:
-            t2 = np.concatenate((b_transpose(t1[:1], left), t2))
-        if right in node_caps:
-            t1 = np.concatenate((t1, b_transpose(t2[-1:], right)))
-        return t2 - t1
-    ginv = [inv(g) for g in gammas]
     succ = [b_transpose(ginv[i], "J") if i == s - 1 and right == "arc" else gammas[(i + 1) % s]
             for i in first]
     pred = [b_transpose(gammas[0], "J") if i == 0 and left == "arc" else ginv[i - 1] for i in second]
-    t1 = [_product(ginv[i], cp[a], g, cm[a]) for i, a, g in zip(first, arcs, succ)]
-    t2 = [_product(cm[i], g, cp[i], gammas[i]) for i, g in zip(second, pred)]
+    terms = [(ginv[i], cp[a], g, cm[a]) for i, a, g in zip(first, arcs, succ)]
+    terms += [(cm[i], g, cp[i], gammas[i]) for i, g in zip(second, pred)]
+    if stacked:
+        a, b, c, d = (empty_stack((len(terms),) + gammas.shape[1:]) for _ in range(4))
+        for k, term in enumerate(terms):
+            a[k], b[k], c[k], d[k] = term
+        products = mul(mul(mul(a, b), c), d)
+        # free the operand stacks before the caps and the difference
+        # allocate: held, they raise the march's peak RSS pass by pass
+        del a, b, c, d
+    else:
+        products = [mul(mul(mul(a, b), c), d) for a, b, c, d in terms]
+    t1, t2 = products[:len(first)], products[len(first):]
     if left in node_caps:
-        t2.insert(0, b_transpose(t1[0], left))
+        t2 = [b_transpose(t1[0], left), *t2]
     if right in node_caps:
-        t1.append(b_transpose(t2[-1], right))
-    return [b - a for a, b in zip(t1, t2)]
-
-
-def _chain_terms(g, cp, cm, first, second, arcs, left, right) -> np.ndarray:
-    """t1 of the nodes ``first``, then t2 of the nodes ``second``, of the
-    node stack g, as one stack.
-
-    The four factors of every term are gathered into four operand stacks,
-    [inv G | C_-], [C_+ | pred], [succ | C_+] and [C_- | G], and multiplied
-    as ((a b) c) d, the order of the node-by-node products, so each term
-    has the same bits.
-    """
-    s, n1 = len(g), len(first)
-    ginv = inv(g)
-    a, b, c, d = (empty_stack((n1 + len(second),) + g.shape[1:]) for _ in range(4))
-    a[:n1] = ginv[:n1]
-    c[:n1] = g[[(i + 1) % s for i in first]]
-    b[n1:] = ginv[[i - 1 for i in second]]
-    d[n1:] = g[second.start:]
-    if right == "arc":
-        c[n1 - 1] = b_transpose(ginv[s - 1], "J")
-    if left == "arc":
-        b[n1] = b_transpose(g[0], "J")
-    for k, arc in enumerate(arcs):
-        b[k] = cp[arc]
-        d[k] = cm[arc]
-    for k, i in enumerate(second, n1):
-        a[k] = cm[i]
-        c[k] = cp[i]
-    return mul(mul(mul(a, b), c), d)
+        t1 = [*t1, b_transpose(t2[-1], right)]
+    if stacked:
+        return np.subtract(t2, t1)
+    return [y - x for x, y in zip(t1, t2)]
 
 
 def rhs_full(gamma, c_minus, c_plus) -> np.ndarray:
