@@ -776,6 +776,56 @@ class TestRichardson:
         assert gap <= 1e-12 * scale, gap / scale
 
 
+def _soliton_factor(p, alpha, k, mu, a, zm, zp):
+    """tau_{alpha+1} / tau_alpha of the one-soliton tau_alpha = 1 + a omega^alpha E
+    of the abelian chain with C = I: omega = e^{2 pi i k / p}, E = exp(mu z^- + nu z^+)
+    and mu nu = 4 sin^2(pi k / p) (Hollowood, Nucl. Phys. B 384, 1992)."""
+    omega = np.exp(2j * np.pi * k / p)
+    nu = 4 * np.sin(np.pi * k / p) ** 2 / mu
+    e = np.exp(mu * zm + nu * zp)
+    return (1 + a * omega ** (alpha + 1) * e) / (1 + a * omega ** alpha * e)
+
+
+class TestExactSoliton:
+    """The periodic chain against its exact solitons, to second order.
+
+    On the chain of p r x r blocks with C = I, G_alpha = U diag(one soliton
+    factor per diagonal entry, each with its own k and mu) U^-1 is exact for
+    any constant invertible U, so with U not diagonal the matrix kernels do
+    real work.  The march starts from the exact edges on the unit square;
+    the max error against the exact G shrinks 4x per halving of the step.
+    """
+
+    A = 0.01
+
+    @pytest.mark.parametrize("p, ks, mus, rotate", [(3, (1,), (1.0,), False),
+                                                    (4, (1, 3), (1.1, 0.8), True)],
+                             ids=["p3_r1", "p4_r2"])
+    def test_second_order_error(self, p, ks, mus, rotate):
+        r = len(ks)
+        rng = np.random.default_rng(0)
+        u = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)) if rotate else np.eye(r)
+        u_inv = np.linalg.inv(u)
+
+        def exact(alpha, zm, zp):
+            d = np.stack([_soliton_factor(p, alpha, k, mu, self.A, zm, zp) for k, mu in zip(ks, mus)], axis=-1)
+            return (u * d[..., None, :]) @ u_inv
+
+        chain = toda.build_periodic_chain(p, r)
+        data = solver.CharacteristicData(lambda z: tuple(exact(alpha, z, 0.0) for alpha in range(p)),
+                                         lambda w: tuple(exact(alpha, 0.0, w) for alpha in range(p)))
+        errors = []
+        for cells in (16, 32, 64):
+            grid = solver.Grid(0, 1, 0, 1, cells, cells)
+            hist = solver.integrate(chain, data, grid)
+            assert not hist.halted
+            zm, zp = np.meshgrid(grid.zm_points(), grid.zp_points())
+            errors.append(max(lc.max_abs(g - exact(alpha, zm, zp)) for alpha, g in enumerate(hist.gammas)))
+        assert errors[0] < 2e-3
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 3.9 <= coarse / fine <= 4.1, errors
+
+
 def _mixed_case():
     """The gl (1, 2) system, a 1x1 and a 2x2 block, with edges expm(sin t a), expm(cos t b)."""
     spec = gr.make_spec("gl", gr.TYPE_GL_INNER, 2, (1, 2), (1,))
