@@ -134,6 +134,13 @@ def _json_int(value, name: str) -> int:
     return value
 
 
+def _json_number(value, name: str) -> float:
+    """A JSON number as a float; a bool or any other type raises TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a JSON number, got {value!r}")
+    return float(value)
+
+
 def spec_from_json(data: dict) -> GradationSpec | TrivialSpec:
     if not isinstance(data, dict):
         raise TypeError(f"a spec is a JSON object, got {type(data).__name__}")
@@ -147,7 +154,7 @@ def spec_from_json(data: dict) -> GradationSpec | TrivialSpec:
         M=_json_int(data["M"], "M"),
         n_list=tuple(_json_int(v, "n_list entry") for v in data["n_list"]),
         k_list=tuple(_json_int(v, "k_list entry") for v in data["k_list"]),
-        phase_offset=float(data.get("phase_offset", 0.0)),
+        phase_offset=_json_number(data.get("phase_offset", 0.0), "phase_offset"),
     )
 
 

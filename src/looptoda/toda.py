@@ -738,7 +738,10 @@ def _single_blocks(cp, cm) -> tuple:
 def system_from_json(data: dict) -> TodaSystem:
     cp = [_array_from_json(c) for c in data["c_plus"]]
     cm = [_array_from_json(c) for c in data["c_minus"]]
-    if data.get("simplest_outer"):
+    outer = data.get("simplest_outer", False)
+    if not isinstance(outer, bool):
+        raise TypeError(f"simplest_outer must be a JSON bool, got {outer!r}")
+    if outer:
         return build_simplest(data.get("family", "gl"), *_single_blocks(cp, cm), outer=True)
     if data.get("spec") is None:
         raise BuildError("system JSON without a spec is not reconstructible")

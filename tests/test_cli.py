@@ -92,6 +92,22 @@ class TestValidateCommand:
         assert captured.out == ""
         assert "parse error:" in captured.err and "must be a JSON integer" in captured.err
 
+    @pytest.mark.parametrize("command", ["validate", "check"])
+    @pytest.mark.parametrize("offset", ["0.5", "0", True, False, None, [0.0]])
+    def test_non_number_phase_offset_is_a_parse_error(self, tmp_path, capsys, command, offset):
+        """phase_offset must be a JSON number: no strings, no bools."""
+        path = write_json(tmp_path / "s.json", dict(S1_JSON, phase_offset=offset))
+        assert cli.main([command, "--spec", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "parse error: phase_offset must be a JSON number" in captured.err
+
+    @pytest.mark.parametrize("command", ["validate", "check"])
+    def test_integer_phase_offset_is_a_number(self, tmp_path, capsys, command):
+        path = write_json(tmp_path / "s.json", dict(S1_JSON, phase_offset=0))
+        assert cli.main([command, "--spec", path]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_json_output(self, tmp_path, capsys):
         path = write_json(tmp_path / "s.json", S1_JSON)
         assert cli.main(["validate", "--spec", path, "--json"]) == 0
@@ -303,6 +319,19 @@ class TestSimulateCommand:
         assert captured.out == "" and captured.err.startswith("parse error:")
         assert len(captured.err.splitlines()) == 1
         assert "L must be a JSON integer" in captured.err
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("outer", ["false", "true", 0, 1, None])
+    def test_non_bool_simplest_outer_is_a_parse_error(self, tmp_path, capsys, outer):
+        """A system file's simplest_outer must be a JSON bool, not read by truthiness."""
+        c = np.array([[0.0, 1.0], [1.0, 0.0]])
+        payload = dict(toda.system_to_json(toda.build_simplest("gl", c, c)), simplest_outer=outer)
+        sys_path = write_json(tmp_path / "sys.json", payload)
+        rc = cli.main(["simulate", "--system", sys_path, "--output", str(tmp_path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("parse error:")
+        assert "simplest_outer must be a JSON bool" in captured.err
         assert not (tmp_path / "manifest.json").exists()
 
     @pytest.mark.parametrize("preset, grid", [

@@ -447,6 +447,16 @@ class TestSerialization:
         again = toda.system_from_json(toda.system_to_json(system))
         assert again.simplest_outer
 
+    @pytest.mark.parametrize("absent", [False, True])
+    def test_simplest_inner_reads_false_or_absent(self, absent):
+        system = toda.build_simplest("gl", lc.skew_identity(2), lc.skew_identity(2))
+        payload = toda.system_to_json(system)
+        assert payload["simplest_outer"] is False
+        if absent:
+            del payload["simplest_outer"]
+        again = toda.system_from_json(payload)
+        assert not again.simplest_outer and again.spec == system.spec
+
     def test_latex_emission(self):
         system, _ = build_random("so", gr.TYPE_SOSP_I, (1, 2, 1), seed=14)
         tex = toda.system_to_latex(system)
