@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from looptoda import cli, gradation as gr, toda
+from looptoda import cli, gradation as gr, solver, toda
 
 import oracles
 
@@ -26,6 +26,10 @@ SO4_JSON = {
     "family": "so", "n": 4, "type": "sosp_I", "M": 4,
     "n_list": [1, 2, 1], "k_list": [1, 1], "phase_offset": 0.0,
 }
+
+
+#: the (family, n, M) sets whose specs the census runs ``check`` on
+CENSUS_CHECK_SETS = (("sp", 6, 8), ("gl", 4, 6), ("so", 5, 6))
 
 
 #: every option string of each subcommand; a new flag needs an entry here
@@ -398,6 +402,33 @@ class TestCheckCommand:
                                values):
             assert f"FAIL {name} ({value})" in out
 
+    def test_non_equivariant_defect_fails_the_fold_line(self, tmp_path, capsys, monkeypatch):
+        """1e-6 I added to node 0's right-hand side of the unfolded chain
+        breaks the fold symmetry of its flow: the fold line, and only it,
+        fails on every census spec that runs it, in all three fold classes."""
+        march = solver.integrate
+
+        def defective(system, data, grid):
+            def law(centres):
+                rhs = toda.rhs_dispatch(system, centres)
+                rhs[0] = rhs[0] + 1e-6 * np.eye(rhs[0].shape[-1])
+                return rhs
+            return march(system, data, grid, law=law)
+
+        monkeypatch.setattr(solver, "integrate", defective)
+        path = tmp_path / "s.json"
+        classes = set()
+        for family, n, M in CENSUS_CHECK_SETS:
+            for spec in gr.enumerate_specs(family, n, M):
+                write_json(path, spec.to_json())
+                code = cli.main(["check", "--spec", str(path)])
+                out = capsys.readouterr().out
+                if "fold_invariance_drift" in out:
+                    assert code == 1, spec
+                    assert "FAIL fold_invariance_drift" in out and out.count("FAIL") == 1, spec
+                    classes.add(toda.classify_spec(spec)[0])
+        assert classes == {toda.EQ_EVEN_FOLD, toda.EQ_ODD_FOLD, toda.EQ_DOUBLE_FIXED_FOLD}
+
     @pytest.mark.parametrize("family, n, M, shapes", [
         ("so", 5, 6, "tfffffffffmmmm"),
         ("so", 6, 4, "tffmfffffffffffff"),
@@ -431,7 +462,7 @@ class TestCheckCommand:
         sp_6 M=8, gl_4 M=6 and so_5 M=6, in enumeration order."""
         digest = hashlib.sha256()
         path = tmp_path / "s.json"
-        for family, n, M in (("sp", 6, 8), ("gl", 4, 6), ("so", 5, 6)):
+        for family, n, M in CENSUS_CHECK_SETS:
             for spec in gr.enumerate_specs(family, n, M):
                 with open(path, "w") as fh:
                     json.dump(spec.to_json(), fh, sort_keys=True)
