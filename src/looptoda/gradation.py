@@ -545,7 +545,8 @@ def enumerate_specs(family: str, n: int, M: int, cap: int = DEFAULT_ENUM_CAP) ->
                     if not _mirrored(t, klc) or (t in FIXED_FIRST_TYPES and sum(klc) + klc[0] != modulus):
                         continue
                     cand = make_spec(family, t, M, nl, klc)
-                    if not validate_spec(cand):
+                    # a gl_inner candidate is valid by construction
+                    if t == TYPE_GL_INNER or not validate_spec(cand):
                         found.append(cand)
                         if len(found) > cap:
                             raise EnumerationCapError(

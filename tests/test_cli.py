@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from looptoda import cli, gradation as gr, solver, toda
+from looptoda import cli, folding, gradation as gr, solver, toda
 
 import oracles
 
@@ -429,6 +429,23 @@ class TestCheckCommand:
                     classes.add(toda.classify_spec(spec)[0])
         assert classes == {toda.EQ_EVEN_FOLD, toda.EQ_ODD_FOLD, toda.EQ_DOUBLE_FIXED_FOLD}
 
+    def test_halted_fold_march_fails_with_its_reason(self, tmp_path, capsys, monkeypatch):
+        """At 2 steps of 0.1 the unfolded march of sp_6 M=8 (1, 2, 2, 1)
+        halts at row 2: the fold line fails with the halt text, no drift."""
+        march = folding.verify_fold_invariance
+        monkeypatch.setattr(folding, "verify_fold_invariance",
+                            lambda system, state: march(system, state, steps=2, step=0.1))
+        spec = gr.enumerate_specs("sp", 6, 8)[20]
+        assert (spec.n_list, spec.k_list) == ((1, 2, 2, 1), (2, 2, 2))
+        path = write_json(tmp_path / "s.json", spec.to_json())
+        assert cli.main(["check", "--spec", path]) == 1
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1].startswith(
+            "FAIL fold_invariance_drift: the unfolded march halted: cell-centre square root "
+            "failed at row 2 (z^+ = 0.2): Denman-Beavers square root did not converge in 32 "
+            "iterations (last relative increment ")
+        assert out.count("FAIL") == 1
+
     @pytest.mark.parametrize("family, n, M, shapes", [
         ("so", 5, 6, "tfffffffffmmmm"),
         ("so", 6, 4, "tffmfffffffffffff"),
@@ -468,7 +485,7 @@ class TestCheckCommand:
                     json.dump(spec.to_json(), fh, sort_keys=True)
                 code = cli.main(["check", "--spec", str(path)])
                 digest.update(f"{code}\n{capsys.readouterr().out}".encode())
-        assert digest.hexdigest() == "8bd8cfb475fa239106c993a23d4cbbe05598a667dd080949084e7cf1edec27a0"
+        assert digest.hexdigest() == "e0fb81fd593a110761a2e2ec8faae6fe88128bc634030372dea97f4ae3c7ea74"
 
     def test_invalid_spec_reported_before_invariants(self, tmp_path, capsys):
         payload = dict(SO4_JSON, k_list=[1, 2])

@@ -183,17 +183,20 @@ class TestFoldEngine:
 
 
 class TestFoldInvariance:
+    """The scheme commutes with the fold exactly: the drift relative to the
+    largest |G| is round-off, at most 1e-12, at every step size."""
+
     def test_zero_steps_zero_drift(self):
         _, direct = folded_chain("sp", gr.TYPE_SOSP_I, (1, 1), seed=4)
         state = toda.random_state(direct, np.random.default_rng(5))
         drift = folding.verify_fold_invariance(direct, state, steps=1, step=1e-6)
-        assert drift < 1e-10
+        assert drift <= 1e-12
 
     def test_drift_small_at_small_step(self):
         _, direct = folded_chain("sp", gr.TYPE_SOSP_I, (1, 1), seed=6)
         state = toda.random_state(direct, np.random.default_rng(7))
-        drift = folding.verify_fold_invariance(direct, state, steps=10, step=1e-3)
-        assert drift <= 1e-8
+        for steps, step in ((10, 1e-3), (2, 0.025), (2, 0.25)):
+            assert folding.verify_fold_invariance(direct, state, steps=steps, step=step) <= 1e-12
 
     @pytest.mark.parametrize("family, gtype, n_list", [
         ("so", gr.TYPE_SOSP_I, (2, 2, 2)),
@@ -212,8 +215,16 @@ class TestFoldInvariance:
     def test_matrix_fold_drift(self):
         _, direct = folded_chain("so", gr.TYPE_SOSP_II, (2, 2), seed=10)
         state = toda.random_state(direct, np.random.default_rng(11))
-        drift = folding.verify_fold_invariance(direct, state, steps=8, step=2e-3)
-        assert drift <= 1e-8
+        assert folding.verify_fold_invariance(direct, state) <= 1e-12
+        assert folding.verify_fold_invariance(direct, state, steps=8, step=2e-3) <= 1e-12
+
+    def test_halted_march_raises(self):
+        """A march that halts has no drift to report: its halt text is raised."""
+        _, direct = folded_chain("sp", gr.TYPE_SOSP_I, (1, 1), seed=1)
+        state = toda.random_state(direct, np.random.default_rng(1))
+        with pytest.raises(folding.FoldError,
+                           match=r"^the unfolded march halted: non-finite value at row 2 \(z\^\+ = 2\)$"):
+            folding.verify_fold_invariance(direct, state, steps=2, step=1.0)
 
 
 class TestOddFoldEquivalence:

@@ -409,6 +409,16 @@ class TestEnumerate:
                     want = [s.to_json() for s in oracles.enumerate_specs_reference(family, n, M)]
                     assert got == want, (family, n, M)
 
+    def test_gl_inner_specs_are_valid(self):
+        """enumerate_specs does not validate its gl_inner candidates: each one
+        of the n, M <= 8 census must be valid by construction."""
+        for family in ("gl", "sl"):
+            for n in range(1, 9):
+                for M in range(1, 9):
+                    for spec in gr.enumerate_specs(family, n, M):
+                        if isinstance(spec, gr.GradationSpec) and spec.gradation_type == gr.TYPE_GL_INNER:
+                            assert gr.validate_spec(spec) == [], spec
+
     def test_outer_sosp_bijection_even_p(self):
         # outer data coincides with the corresponding so/sp data mod N
         for n, M in ((2, 4), (4, 4), (4, 8), (6, 6)):
