@@ -111,8 +111,7 @@ class Grid:
         }
 
 
-#: blow-up bound of the march: a row halts it once some block has
-#: max(|G|, |inv G|, |G| |inv G|) above this
+#: blow-up bound: a cell fails once a block of a point it tests has max(|G|, |inv G|, |G| |inv G|) above this
 INVERTIBILITY_BOUND = 1e12
 
 
@@ -207,19 +206,24 @@ def _unpack(stacks, groups) -> list:
 
 
 class _InvertibilityLost(ArithmeticError):
-    """A row fails the blow-up test against ``INVERTIBILITY_BOUND``."""
+    """A point fails the blow-up test against ``INVERTIBILITY_BOUND``."""
 
 
-def _check_invertibility(stacks) -> None:
-    """Raise _InvertibilityLost once a block's max(|G|, |inv G|, |G| |inv G|)
-    exceeds ``INVERTIBILITY_BOUND``; a singular block raises ``LinAlgError``."""
+def _check_invertibility(points, inverses) -> None:
+    """Raise _InvertibilityLost at the first cell, in per-size stacks (blocks, cells, n, n) of
+    points and inverses, with a block of max(|G|, |inv G|, |G| |inv G|) > INVERTIBILITY_BOUND."""
+    bound = INVERTIBILITY_BOUND
+    # a stack's largest |G| and |inv G| bound each point's value: look closer only if they fail
+    sizes = [(np.abs(g).max(), np.abs(g_inv).max()) for g, g_inv in zip(points, inverses)]
+    if all(a <= bound and b <= bound and a * b <= bound for a, b in sizes):
+        return
     worst = 0.0
-    for g in stacks:
-        axes = tuple(range(1, g.ndim))
-        size, inv_size = np.abs(g).max(axis=axes), np.abs(inv(g)).max(axis=axes)
-        worst = max(worst, size.max(), inv_size.max(), (size * inv_size).max())
-    if not worst <= INVERTIBILITY_BOUND:
-        raise _InvertibilityLost(f"max(|G|, |inv G|, |G| |inv G|) = {worst:.3g} > {INVERTIBILITY_BOUND:g}")
+    for g, g_inv in zip(points, inverses):
+        size, inv_size = np.abs(g).max(axis=(2, 3)), np.abs(g_inv).max(axis=(2, 3))
+        worst = np.maximum(worst, np.maximum(np.maximum(size, inv_size), size * inv_size).max(axis=0))
+    k = np.argmax(~(worst <= bound))
+    if not worst[k] <= bound:
+        raise _InvertibilityLost(f"max(|G|, |inv G|, |G| |inv G|) = {worst[k]:.3g} > {bound:g}")
 
 
 def _half_point_v(g_row, h_minus):
@@ -230,9 +234,11 @@ def _half_point_v(g_row, h_minus):
 def _march_cells(law, groups, lattice, v, jj, ii, hm, dv_scale):
     """The new V and G of the cells (jj[k], ii[k]) of one anti-diagonal, one
     stack per block size, by the cell rule of the module docstring with
-    dv_scale in place of h_plus; raises NonFiniteError on a non-finite value."""
+    dv_scale in place of h_plus, then the blow-up test of the NW corners and
+    the last column; raises NonFiniteError on a non-finite value."""
     nw = [g[:, jj + 1, ii] for g in lattice]
-    centres = [mul(a, sqrtm_near_identity(mul(inv(a), g[:, jj, ii + 1]))) for a, g in zip(nw, lattice)]
+    nw_inv = [inv(a) for a in nw]
+    centres = [mul(a, sqrtm_near_identity(mul(b, g[:, jj, ii + 1]))) for a, b, g in zip(nw, nw_inv, lattice)]
     if len(groups) == 1:
         rhs = [np.asarray(law(centres[0]))]
     else:
@@ -242,11 +248,15 @@ def _march_cells(law, groups, lattice, v, jj, ii, hm, dv_scale):
     g_new = [mul(a, expm(hm * x)) for a, x in zip(nw, v_new)]
     if not all(np.isfinite(x).all() for x in v_new + g_new):
         raise NonFiniteError("the diagonal has a non-finite value")
+    _check_invertibility(nw, nw_inv)
+    if ii[0] == lattice[0].shape[2] - 2:
+        # the first cell's new point is in the last column, no cell's NW corner
+        _check_invertibility([x[:, :1] for x in g_new], [inv(x[:, :1]) for x in g_new])
     return v_new, g_new
 
 
 #: errors that fail a cell, and so its row
-_CELL_ERRORS = (NonFiniteError, ConvergenceError, np.linalg.LinAlgError)
+_CELL_ERRORS = (NonFiniteError, ConvergenceError, np.linalg.LinAlgError, _InvertibilityLost)
 
 
 def _lowest_failure(step, jj, ii, exc):
@@ -261,9 +271,8 @@ def _lowest_failure(step, jj, ii, exc):
 
 
 def _halt_reason(exc, row, z_plus) -> str:
-    """The halt text of the error that stopped the march at the row.  Row 0
-    takes only the bottom-edge logarithms, later rows the cell-centre square
-    roots and the blow-up test."""
+    """The halt text of the error that stopped the march at the row, where
+    row 0 takes only the bottom-edge logarithms."""
     detail = ""
     if isinstance(exc, NonFiniteError):
         # a kernel's input overflowed, such as inv(nw) se in a cell centre
@@ -300,12 +309,12 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
 
     Returns the :class:`FieldHistory` of G.  On numerical loss it is
     truncated to the rows below the lowest failing row, with
-    ``halt_reason`` naming that row and the cause: a non-finite value, a
-    cell-centre square root (or, on row 0, a logarithm of a bottom-edge
-    step) that did not converge, a singular block, or a completed row
-    failing the blow-up test max(|G|, |inv G|, |G| |inv G|) <=
-    ``INVERTIBILITY_BOUND``.  A failed cell fails its row before any
-    blow-up test of it.  Any other error propagates.
+    ``halt_reason`` naming the first failure along that row: a non-finite
+    value, a cell-centre square root (or, on row 0, a logarithm of a
+    bottom-edge step) that did not converge, a singular block, or a point
+    with max(|G|, |inv G|, |G| |inv G|) > ``INVERTIBILITY_BOUND``; a cell
+    tests its NW corner with its centre's inverse and a new last-column
+    point with an inverse of its own.  Any other error propagates.
 
     The march starts from the data's corner (``data.march_minus``): +1
     takes data on the two minimum edges, -1 on the maximum z^- edge and
@@ -362,10 +371,7 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
 
         # rows from ``top`` up are dropped: ``top`` is the lowest failing row so far
         d = 0
-        while True:
-            jj = np.arange(max(0, d - ncells + 1), min(d, top - 2) + 1)
-            if not jj.size:
-                break
+        while (jj := np.arange(max(0, d - ncells + 1), min(d, top - 2) + 1)).size:
             ii = d - jj
             try:
                 v_new, g_new = step(jj, ii)
@@ -377,14 +383,6 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
                 g[:, jj + 1, ii + 1] = x
             for x, x_new in zip(v, v_new):
                 x[:, ii] = x_new
-            if d >= ncells - 1:
-                # the diagonal completed row jj[0] + 1
-                row = jj[0] + 1
-                try:
-                    _check_invertibility([g[:, row] for g in stores])
-                except (_InvertibilityLost, np.linalg.LinAlgError) as exc:
-                    top, halt_reason = row, _halt_reason(exc, row, zp[row])
-                    break
             d += 1
 
     gammas = _unpack([g[:, :top] for g in stores], groups)

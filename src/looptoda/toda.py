@@ -57,6 +57,7 @@ from .gradation import (
     SpecError,
     TrivialSpec,
     _json_int,
+    _json_number,
     block_index_table,
     build_h,
     check_valid,
@@ -711,7 +712,18 @@ def _array_to_json(a: np.ndarray):
 
 
 def _array_from_json(data) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data], dtype=complex)
+    """A matrix from rows of [re, im] pairs of JSON numbers; a malformed
+    entry or rows of unequal length raise TypeError."""
+    rows = [[_json_entry(entry) for entry in row] for row in data]
+    if len({len(row) for row in rows}) > 1:
+        raise TypeError("matrix rows must have equal length")
+    return np.array(rows, dtype=complex)
+
+
+def _json_entry(entry) -> complex:
+    if not isinstance(entry, list) or len(entry) != 2:
+        raise TypeError(f"a matrix entry must be a [re, im] pair, got {entry!r}")
+    return complex(_json_number(entry[0], "re"), _json_number(entry[1], "im"))
 
 
 def system_to_json(system: TodaSystem) -> dict:

@@ -32,6 +32,15 @@ SO4_JSON = {
 CENSUS_CHECK_SETS = (("sp", 6, 8), ("gl", 4, 6), ("so", 5, 6))
 
 
+#: (name, JSON matrix, parse error text) of malformed matrices of [re, im] entries
+MALFORMED_MATRICES = (
+    ("short_entry", [[[1.0]]], "a matrix entry must be a [re, im] pair, got [1.0]"),
+    ("long_entry", [[[1.0, 0.0, 2.0]]], "a matrix entry must be a [re, im] pair, got [1.0, 0.0, 2.0]"),
+    ("bool_entry", [[[True, 0]]], "re must be a JSON number, got True"),
+    ("ragged_rows", [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]], "matrix rows must have equal length"),
+)
+
+
 #: every option string of each subcommand; a new flag needs an entry here
 CLI_OPTIONS = {
     "validate": ["-h", "--help", "--spec", "--json"],
@@ -312,17 +321,28 @@ class TestSimulateCommand:
         assert len(captured.err.splitlines()) == 1
         assert not (tmp_path / "manifest.json").exists()
 
-    @pytest.mark.parametrize("L", [1.9, True])
-    def test_non_integer_system_grade_is_a_parse_error(self, tmp_path, capsys, L):
-        """A system file's L must be a JSON integer: no truncation, no bools."""
-        payload = dict(toda.system_to_json(toda.build_periodic_chain(2, 1)), L=L)
-        sys_path = write_json(tmp_path / "sys.json", payload)
-        rc = cli.main(["simulate", "--system", sys_path, "--output", str(tmp_path)])
+    @pytest.mark.parametrize("edit, gammas, message", [
+        pytest.param({"L": 1.9}, None, "L must be a JSON integer", id="1.9"),
+        pytest.param({"L": True}, None, "L must be a JSON integer", id="True"),
+        *(pytest.param({"c_plus": [block] * 2}, None, message, id=f"system-{name}")
+          for name, block, message in MALFORMED_MATRICES),
+        *(pytest.param({}, [block] * 2, message, id=f"initial-{name}")
+          for name, block, message in MALFORMED_MATRICES),
+    ])
+    def test_non_integer_system_grade_is_a_parse_error(self, tmp_path, capsys, edit, gammas, message):
+        """A system file's L must be a JSON integer, and each matrix entry of a
+        system or --initial file a pair of JSON numbers, in rows of one
+        length: no truncation, no bools, no dropped or extra values."""
+        payload = dict(toda.system_to_json(toda.build_periodic_chain(2, 1)), **edit)
+        argv = ["simulate", "--system", write_json(tmp_path / "sys.json", payload)]
+        if gammas is not None:
+            argv += ["--initial", write_json(tmp_path / "init.json", {"gammas": gammas})]
+        rc = cli.main(argv + ["--output", str(tmp_path)])
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("parse error:")
         assert len(captured.err.splitlines()) == 1
-        assert "L must be a JSON integer" in captured.err
+        assert message in captured.err
         assert not (tmp_path / "manifest.json").exists()
 
     @pytest.mark.parametrize("outer", ["false", "true", 0, 1, None])

@@ -367,10 +367,10 @@ class TestReality:
 
 #: a 2x2-block system, and the free-field preset's gl inner (1, 1) system
 #: with two 1x1 blocks
+SCALAR_FREE_FIELD = toda.build_system(gr.make_spec("gl", gr.TYPE_GL_INNER, 2, (1, 1), (1,)), 1,
+                                      (np.zeros((1, 1)),) * 2, (np.eye(1),) * 2)
 EDGE_CASE_SYSTEMS = pytest.mark.parametrize("system", [
-    toda.build_simplest("gl", np.eye(2) / 2, np.eye(2) / 2),
-    toda.build_system(gr.make_spec("gl", gr.TYPE_GL_INNER, 2, (1, 1), (1,)), 1,
-                      (np.zeros((1, 1)),) * 2, (np.eye(1),) * 2),
+    toda.build_simplest("gl", np.eye(2) / 2, np.eye(2) / 2), SCALAR_FREE_FIELD,
 ], ids=["gl2", "scalar"])
 
 
@@ -443,14 +443,38 @@ class TestBlowUp:
 
     @EDGE_CASE_SYSTEMS
     def test_large_edge_block_fails_the_blow_up_test(self, system):
-        # row 2 completes with a finite left-edge block of 1e13, above
-        # INVERTIBILITY_BOUND
+        # the finite left-edge block of 1e13 at row 2, above
+        # INVERTIBILITY_BOUND, is the NW corner of that row's first cell
         data = solver.CharacteristicData(self._unit_edge(system, lambda z: 1.0),
                                          self._unit_edge(system, lambda w: 1e13 if w >= 0.25 else 1.0))
         hist = solver.integrate(system, data, solver.Grid(0, 1, 0, 1, 8, 8))
         assert hist.halted and hist.completed_rows == 2
         assert hist.halt_reason == ("invertibility lost at row 2 (z^+ = 0.25):"
                                     " max(|G|, |inv G|, |G| |inv G|) = 1e+13 > 1e+12")
+
+    @EDGE_CASE_SYSTEMS
+    def test_large_last_column_block_fails_the_blow_up_test(self, system):
+        # 1e13 on the bottom edge at z^- = 1 only: the last column, which is
+        # no cell's NW corner, takes the test on an inverse of its own
+        data = solver.CharacteristicData(self._unit_edge(system, lambda z: 1e13 if z == 1 else 1.0),
+                                         self._unit_edge(system, lambda w: 1.0))
+        hist = solver.integrate(system, data, solver.Grid(0, 1, 0, 1, 8, 8))
+        assert hist.halted and hist.completed_rows == 1
+        assert hist.halt_reason == ("invertibility lost at row 1 (z^+ = 0.125):"
+                                    " max(|G|, |inv G|, |G| |inv G|) = 1e+13 > 1e+12")
+
+    def test_well_conditioned_field_with_wide_range_completes(self):
+        # a free field G = exp(14.5 sin 2 pi z^-): |G| and |inv G| each reach
+        # 1.98e6 at different points, but |G| |inv G| = 1 at every point, so
+        # the per-point test passes where their product, 3.93e12, would not
+        edge = self._unit_edge(SCALAR_FREE_FIELD, lambda z: np.exp(14.5 * np.sin(2 * np.pi * z)))
+        data = solver.CharacteristicData(edge, self._unit_edge(SCALAR_FREE_FIELD, lambda w: 1.0))
+        hist = solver.integrate(SCALAR_FREE_FIELD, data, solver.Grid(0, 1, 0, 1, 64, 64))
+        assert hist.halt_reason is None and hist.completed_rows == 65
+        g = hist.gammas[0]
+        assert np.abs(g).max() * np.abs(1 / g).max() > 3.9e12
+        # with C_+ = 0 the field is its bottom edge on every row
+        assert np.abs(g / g[0] - 1).max() < 1e-12
 
     @pytest.mark.parametrize("bottom, reason", [
         (lambda z: (np.diag([-3.0 + 1e-9j if z > 0 else 1.0, 1.0]),),
