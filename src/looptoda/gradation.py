@@ -39,6 +39,8 @@ as one discrete Fourier transform over its orbit under A;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -77,7 +79,11 @@ class EnumerationCapError(RuntimeError):
 
 @dataclass(frozen=True)
 class GradationSpec:
-    """Combinatorial data of a nontrivial gradation (p >= 2)."""
+    """Combinatorial data of a nontrivial gradation (p >= 2).
+
+    ``n_list`` and ``k_list`` are tuples of ints, as :func:`make_spec` and
+    :func:`spec_from_json` build them; the constructor does not coerce.
+    """
 
     family: str
     n: int
@@ -86,10 +92,6 @@ class GradationSpec:
     n_list: tuple[int, ...]
     k_list: tuple[int, ...]
     phase_offset: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "n_list", tuple(int(v) for v in self.n_list))
-        object.__setattr__(self, "k_list", tuple(int(v) for v in self.k_list))
 
     @property
     def p(self) -> int:
@@ -189,8 +191,8 @@ def make_spec(family: str, gradation_type: str, M: int, n_list, k_list) -> Grada
         n=sum(n_list),
         gradation_type=gradation_type,
         M=M,
-        n_list=tuple(n_list),
-        k_list=tuple(k_list),
+        n_list=tuple(map(int, n_list)),
+        k_list=tuple(map(int, k_list)),
         phase_offset=required_offset(gradation_type, M, k_list),
     )
 
@@ -492,32 +494,31 @@ def block_index_table(spec: GradationSpec) -> GradingIndexTable:
 
 
 def _compositions(total: int, parts: int):
-    """Ordered compositions of `total` into `parts` positive integers."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """Ordered compositions of `total` into `parts` positive integers, in
+    lexicographic order: the gaps between sorted cut points."""
+    return (tuple(b - a for a, b in zip((0,) + cuts, cuts + (total,)))
+            for cuts in combinations(range(1, total), parts - 1))
 
 
-def _k_candidates(parts: int, bound: int):
-    """Positive integer tuples of given length with sum <= bound."""
-    if parts == 0:
-        if bound >= 0:
-            yield ()
-        return
-    for first in range(1, bound - parts + 2):
-        for rest in _k_candidates(parts - 1, bound - first):
-            yield (first,) + rest
+def _k_candidates(parts: int, bound: int) -> list:
+    """Positive integer tuples of given length with sum <= bound, in
+    lexicographic order: the gaps between their prefix sums."""
+    return [tuple(b - a for a, b in zip((0,) + sums, sums))
+            for sums in combinations(range(1, bound + 1), parts)]
 
 
 def enumerate_specs(family: str, n: int, M: int, cap: int = DEFAULT_ENUM_CAP) -> list:
     """All valid specs for the family at size n and order M, deduplicated.
 
-    The trivial gradation is included whenever it is itself valid.  Inner
+    The trivial gradation comes first whenever it is itself valid.  Inner
     gl specs appear once per (n_list, k_list) since the exponent base is
-    canonical.  Output is sorted by (type, p, n_list, k_list).
+    canonical.  Specs are generated in output order: by type (in
+    GRADATION_TYPES order), p, then n_list and k_list lexicographically.
+    Each (type, p) counts its comb(modulus - 1, p - 1) k-lists (p - 1
+    positive entries, sum(k) < modulus) before building them once, so a
+    p > modulus costs nothing, and more than 200 * cap candidate pairs
+    (n_list, k_list) raise EnumerationCapError before a k-list is built.
+    gl_inner specs are valid by construction and skip validate_spec.
     """
     if family not in ("gl", "sl", "so", "sp"):
         raise ValueError(f"unknown family {family!r}")
@@ -530,36 +531,27 @@ def enumerate_specs(family: str, n: int, M: int, cap: int = DEFAULT_ENUM_CAP) ->
         if t in OUTER_TYPES and M % 2:
             continue
         modulus = data_modulus(t, M)
-        for p in range(2, n + 1):
+        for p in range(2, min(n, modulus) + 1):
+            klists = None
             for nl in _compositions(n, p):
                 if not _mirrored(t, nl):
                     continue
-                # sum(k) < modulus, and sum(k) + k_1 = modulus implies the same
-                for klc in _k_candidates(p - 1, modulus - 1):
-                    candidates += 1
-                    if candidates > 200 * cap:
-                        raise EnumerationCapError(
-                            f"enumeration candidate space exceeds cap of {cap} specs"
-                        )
-                    # two of validate_spec's shape rules, tested before building a spec
-                    if not _mirrored(t, klc) or (t in FIXED_FIRST_TYPES and sum(klc) + klc[0] != modulus):
-                        continue
-                    cand = make_spec(family, t, M, nl, klc)
-                    # a gl_inner candidate is valid by construction
-                    if t == TYPE_GL_INNER or not validate_spec(cand):
-                        found.append(cand)
-                        if len(found) > cap:
-                            raise EnumerationCapError(
-                                f"enumeration exceeded cap of {cap} specs"
-                            )
-    type_rank = {t: i for i, t in enumerate(GRADATION_TYPES)}
-    found.sort(key=lambda s: (type_rank[s.gradation_type], s.p, s.n_list, s.k_list))
-    out: list = []
+                candidates += comb(modulus - 1, p - 1)
+                if candidates > 200 * cap:
+                    raise EnumerationCapError(f"enumeration candidate space exceeds cap of {cap} specs")
+                if klists is None:
+                    # built at the first n_list, once the cap admits its candidates;
+                    # two of validate_spec's shape rules, tested once per (type, p)
+                    klists = [k for k in _k_candidates(p - 1, modulus - 1) if _mirrored(t, k)
+                              and (t not in FIXED_FIRST_TYPES or sum(k) + k[0] == modulus)]
+                if t == TYPE_GL_INNER:
+                    found += [GradationSpec(family, n, t, M, nl, k) for k in klists]
+                else:
+                    found += [s for s in (make_spec(family, t, M, nl, k) for k in klists) if not validate_spec(s)]
+                if len(found) > cap:
+                    raise EnumerationCapError(f"enumeration exceeded cap of {cap} specs")
     trivial = TrivialSpec(family=family, n=n, M=M)
-    if not validate_spec(trivial):
-        out.append(trivial)
-    out.extend(found)
-    return out
+    return ([] if validate_spec(trivial) else [trivial]) + found
 
 
 def minimal_grade(spec) -> int:

@@ -172,8 +172,8 @@ class FieldHistory:
 def _sample(fn, points, shapes, name):
     """Stack ``fn(z)`` over the points: one (len(points), *shape) array per block.
 
-    A wrong block count or block shape raises ValueError naming ``name``,
-    the point and the block.
+    A wrong block count or block shape raises ValueError, and a non-finite
+    entry NonFiniteError, naming ``name``, the point and the block.
     """
     out = [np.empty((len(points),) + shape, dtype=complex) for shape in shapes]
     for idx, z in enumerate(points):
@@ -181,7 +181,10 @@ def _sample(fn, points, shapes, name):
         if len(values) != len(shapes):
             raise ValueError(f"{name}({z:g}) returned {len(values)} blocks, need {len(shapes)}")
         for b, v in enumerate(values):
-            v = as_complex(v)
+            try:
+                v = as_complex(v)
+            except NonFiniteError:
+                raise NonFiniteError(f"{name}({z:g}) block {b} has a non-finite entry") from None
             if v.shape != shapes[b]:
                 raise ValueError(f"{name}({z:g}) block {b} has shape {v.shape}, need {shapes[b]}")
             out[b][idx] = v

@@ -17,6 +17,7 @@ from looptoda.gradation import (
     TYPE_SOSP_I,
     TYPE_SOSP_II,
     TrivialSpec,
+    data_modulus,
     grading_components,
     make_spec,
     validate_spec,
@@ -56,23 +57,26 @@ def grading_support(x, aut) -> list[int]:
     return [k for k in range(aut.order) if max_abs(parts[k]) > 1e-9]
 
 
+def _family_types(family: str) -> tuple:
+    return ((TYPE_GL_INNER, TYPE_GL_OUTER_II, TYPE_GL_OUTER_III)
+            if family in ("gl", "sl") else (TYPE_SOSP_I, TYPE_SOSP_II))
+
+
+def _compositions(total: int, parts: int):
+    for cuts in itertools.combinations(range(1, total), parts - 1):
+        edges = (0,) + cuts + (total,)
+        yield tuple(b - a for a, b in zip(edges, edges[1:]))
+
+
 def enumerate_specs_reference(family: str, n: int, M: int) -> list:
     """``gradation.enumerate_specs`` by generate and filter: every
     composition of n and every k with sum(k) <= M, for every type of the
     family, kept if ``validate_spec`` finds no violation, in the same order."""
-    types = ((TYPE_GL_INNER, TYPE_GL_OUTER_II, TYPE_GL_OUTER_III)
-             if family in ("gl", "sl") else (TYPE_SOSP_I, TYPE_SOSP_II))
-
-    def compositions(total, parts):
-        for cuts in itertools.combinations(range(1, total), parts - 1):
-            edges = (0,) + cuts + (total,)
-            yield tuple(b - a for a, b in zip(edges, edges[1:]))
-
     found = []
-    for t in types:
+    for t in _family_types(family):
         for p in range(2, n + 1):
-            for nl in compositions(n, p):
-                for kl in (k for total in range(p - 1, M + 1) for k in compositions(total, p - 1)):
+            for nl in _compositions(n, p):
+                for kl in (k for total in range(p - 1, M + 1) for k in _compositions(total, p - 1)):
                     cand = make_spec(family, t, M, nl, kl)
                     if not validate_spec(cand):
                         found.append(cand)
@@ -80,6 +84,30 @@ def enumerate_specs_reference(family: str, n: int, M: int) -> list:
     found.sort(key=lambda s: (rank[s.gradation_type], s.p, s.n_list, s.k_list))
     trivial = TrivialSpec(family=family, n=n, M=M)
     return ([] if validate_spec(trivial) else [trivial]) + found
+
+
+def enumeration_counts(family: str, n: int, M: int) -> tuple[int, int]:
+    """The (candidates, specs) counts that ``gradation.enumerate_specs``
+    holds against its caps, counted one candidate at a time.  A candidate
+    pairs an n_list that reads the same backwards (past its first entry for
+    the fixed-first types; any n_list for gl_inner) with a k_list of p - 1
+    positive entries and sum(k) < modulus; the outer types are skipped at
+    odd M.  A spec is a candidate that ``validate_spec`` accepts."""
+    candidates = specs = 0
+    for t in _family_types(family):
+        if t in (TYPE_GL_OUTER_II, TYPE_GL_OUTER_III) and M % 2:
+            continue
+        modulus = data_modulus(t, M)
+        for p in range(2, n + 1):
+            for nl in _compositions(n, p):
+                tail = nl[1:] if t in (TYPE_SOSP_II, TYPE_GL_OUTER_III) else nl
+                if t != TYPE_GL_INNER and tail != tail[::-1]:
+                    continue
+                for total in range(p - 1, modulus):
+                    for kl in _compositions(total, p - 1):
+                        candidates += 1
+                        specs += not validate_spec(make_spec(family, t, M, nl, kl))
+    return candidates, specs
 
 
 def write_history_csv_reference(history, path: str) -> int:

@@ -195,6 +195,12 @@ class TestEnumerateCommand:
                     assert (code, err) == ((3, "cap exceeded: enumeration exceeded cap of 3 specs\n")
                                            if over else (0, "")), (family, n, M)
 
+    def test_gl_40_at_m_2(self, capsys):
+        # only p = 2 has a k-list at M = 2; the compositions of larger p are never walked
+        assert cli.main(["enumerate", "--family", "gl", "--n", "40", "--M", "2"]) == 0
+        heads = [line.split()[0] for line in capsys.readouterr().out.splitlines() if not line.startswith(" ")]
+        assert heads == ["trivial"] + ["gl_inner"] * 39
+
     @pytest.mark.parametrize("cap", ["0", "-5", "abc", "1.5"])
     def test_bad_cap_is_a_parse_error(self, monkeypatch, capsys, cap):
         monkeypatch.setenv("TODA_MAX_ENUM", cap)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import numpy as np
 import pytest
@@ -403,6 +404,62 @@ class TestEnumerate:
     def test_cap(self):
         with pytest.raises(gr.EnumerationCapError):
             gr.enumerate_specs("gl", 6, 6, cap=5)
+
+    #: small enumerations; so_5 at M = 26 has 118 specs and 31 200 = 200 * 156
+    #: candidates, so its candidate cap binds first and is met exactly at cap 156
+    CAP_CASES = (("gl", 5, 5), ("sl", 4, 6), ("so", 6, 6), ("sp", 6, 8), ("gl", 6, 8), ("so", 5, 26))
+
+    def test_caps_fire_where_the_counts_cross(self):
+        """EnumerationCapError is raised iff more than cap specs or more than
+        200 * cap candidates are found, counted one candidate at a time by
+        the oracle, with cap on each side of both thresholds."""
+        for family, n, M in self.CAP_CASES:
+            candidates, specs = oracles.enumeration_counts(family, n, M)
+            least = -(-candidates // 200)  # the least cap that admits every candidate
+            for cap in {specs - 1, specs, least - 1, least} - {-1}:
+                message = ""
+                try:
+                    gr.enumerate_specs(family, n, M, cap=cap)
+                except gr.EnumerationCapError as exc:
+                    message = str(exc)
+                assert bool(message) == (specs > cap or candidates > 200 * cap), (family, n, M, cap)
+                if specs <= cap < least:
+                    assert message.startswith("enumeration candidate space exceeds"), (family, n, M, cap)
+                if least <= cap < specs:
+                    assert message.startswith("enumeration exceeded"), (family, n, M, cap)
+
+    def test_p_without_k_lists_costs_nothing(self, monkeypatch):
+        """At M = 2 only p = 2 has a k-list, so gl_40 walks the 39
+        compositions of p = 2 alone, not all 2^39 compositions of 40."""
+        asked = []
+        compositions = gr._compositions
+
+        def counted(total, parts):
+            asked.append((total, parts))
+            return compositions(total, parts)
+
+        monkeypatch.setattr(gr, "_compositions", counted)
+        start = time.process_time()
+        specs = gr.enumerate_specs("gl", 40, 2)
+        assert time.process_time() - start < 0.5
+        assert asked == [(40, 2)]
+        assert isinstance(specs[0], gr.TrivialSpec)
+        assert [(s.n_list, s.k_list) for s in specs[1:]] == [((a, 40 - a), (1,)) for a in range(1, 40)]
+
+    def test_cap_raises_before_building_a_large_k_list(self, monkeypatch):
+        """gl_40 at M = 40 passes a cap of 10 within p = 2, before the p = 20
+        k-list of C(39, 19) entries is counted, let alone built."""
+        built = []
+        k_candidates = gr._k_candidates
+
+        def recorded(parts, bound):
+            built.append((parts, bound))
+            return k_candidates(parts, bound)
+
+        monkeypatch.setattr(gr, "_k_candidates", recorded)
+        with pytest.raises(gr.EnumerationCapError, match="^enumeration exceeded cap of 10 specs$"):
+            gr.enumerate_specs("gl", 40, 40, cap=10)
+        assert built == [(1, 39)]
 
     def test_matches_generate_and_filter(self):
         for family in ("gl", "sl", "so", "sp"):

@@ -515,6 +515,14 @@ class TestBlowUp:
         with pytest.raises(ValueError, match=r"gamma_minus\(0\) block 1 has shape \(2,\), need \(2, 2\)"):
             solver.integrate(chain, solver.CharacteristicData(edge, edge), grid)
 
+    def test_non_finite_edge_sample_names_the_point(self):
+        # the left edge exp(2.5 e^{2 z^+}) overflows first at z^+ = 3
+        grid = solver.Grid(0, 3, 0, 3, 16, 16)
+        with np.errstate(over="ignore"):
+            data = solver.sinh_data(5.0, 1.0, grid)
+            with pytest.raises(lc.NonFiniteError, match=r"^gamma_plus\(3\) block 0 has a non-finite entry$"):
+                solver.integrate(solver.sine_gordon_system(), data, grid)
+
     def test_law_hook_runs_the_same_scheme(self):
         system = solver.sine_gordon_system()
         grid = solver.Grid(0, 1, 0, 1, 32, 32)
