@@ -500,13 +500,6 @@ def _compositions(total: int, parts: int):
             for cuts in combinations(range(1, total), parts - 1))
 
 
-def _k_candidates(parts: int, bound: int) -> list:
-    """Positive integer tuples of given length with sum <= bound, in
-    lexicographic order: the gaps between their prefix sums."""
-    return [tuple(b - a for a, b in zip((0,) + sums, sums))
-            for sums in combinations(range(1, bound + 1), parts)]
-
-
 def enumerate_specs(family: str, n: int, M: int, cap: int = DEFAULT_ENUM_CAP) -> list:
     """All valid specs for the family at size n and order M, deduplicated.
 
@@ -540,10 +533,12 @@ def enumerate_specs(family: str, n: int, M: int, cap: int = DEFAULT_ENUM_CAP) ->
                 if candidates > 200 * cap:
                     raise EnumerationCapError(f"enumeration candidate space exceeds cap of {cap} specs")
                 if klists is None:
-                    # built at the first n_list, once the cap admits its candidates;
+                    # built at the first n_list, once the cap admits its candidates: a
+                    # k_list is a composition c of modulus into p parts without its last
+                    # part, so the fixed-first rule sum(k) + k_1 = modulus is c_1 = c_p;
                     # two of validate_spec's shape rules, tested once per (type, p)
-                    klists = [k for k in _k_candidates(p - 1, modulus - 1) if _mirrored(t, k)
-                              and (t not in FIXED_FIRST_TYPES or sum(k) + k[0] == modulus)]
+                    klists = [c[:-1] for c in _compositions(modulus, p) if _mirrored(t, c[:-1])
+                              and (t not in FIXED_FIRST_TYPES or c[0] == c[-1])]
                 if t == TYPE_GL_INNER:
                     found += [GradationSpec(family, n, t, M, nl, k) for k in klists]
                 else:

@@ -442,24 +442,24 @@ class TestEnumerate:
         start = time.process_time()
         specs = gr.enumerate_specs("gl", 40, 2)
         assert time.process_time() - start < 0.5
-        assert asked == [(40, 2)]
+        assert asked == [(40, 2), (2, 2)]  # the n_lists, then the k_lists
         assert isinstance(specs[0], gr.TrivialSpec)
         assert [(s.n_list, s.k_list) for s in specs[1:]] == [((a, 40 - a), (1,)) for a in range(1, 40)]
 
     def test_cap_raises_before_building_a_large_k_list(self, monkeypatch):
         """gl_40 at M = 40 passes a cap of 10 within p = 2, before the p = 20
         k-list of C(39, 19) entries is counted, let alone built."""
-        built = []
-        k_candidates = gr._k_candidates
+        asked = []
+        compositions = gr._compositions
 
-        def recorded(parts, bound):
-            built.append((parts, bound))
-            return k_candidates(parts, bound)
+        def counted(total, parts):
+            asked.append((total, parts))
+            return compositions(total, parts)
 
-        monkeypatch.setattr(gr, "_k_candidates", recorded)
+        monkeypatch.setattr(gr, "_compositions", counted)
         with pytest.raises(gr.EnumerationCapError, match="^enumeration exceeded cap of 10 specs$"):
             gr.enumerate_specs("gl", 40, 40, cap=10)
-        assert built == [(1, 39)]
+        assert asked == [(40, 2), (40, 2)]  # the p = 2 n_lists and k_lists
 
     def test_matches_generate_and_filter(self):
         for family in ("gl", "sl", "so", "sp"):
