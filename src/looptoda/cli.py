@@ -120,18 +120,18 @@ def _parse_grid(text: str) -> solver.Grid:
     zmin, zmax, wmin, wmax, hm, hp = parts
     if not all(math.isfinite(v) for v in parts) or hm <= 0 or hp <= 0:
         raise ValueError("grid values must be finite and the steps h_minus, h_plus positive")
-    n_minus = round((zmax - zmin) / hm)
-    n_plus = round((wmax - wmin) / hp)
+    counts = ((zmax - zmin) / hm, (wmax - wmin) / hp)
+    if not all(math.isfinite(c) for c in counts):
+        raise ValueError("grid steps are too small for their ranges")
+    n_minus, n_plus = (round(c) for c in counts)
     if abs(n_minus * hm - (zmax - zmin)) > 1e-9 or abs(n_plus * hp - (wmax - wmin)) > 1e-9:
         raise ValueError("steps must divide the ranges evenly")
     return solver.Grid(zmin, zmax, wmin, wmax, int(n_minus), int(n_plus))
 
 
-def _constant_initial_from_file(system, path):
+def _constant_initial_from_file(path):
     payload = _load_json(path)
-    blocks = tuple(toda._array_from_json(b) for b in payload["gammas"])
-    state = toda.FieldState(gammas=blocks)
-    return solver.constant_data(state)
+    return solver.constant_data([toda._array_from_json(b) for b in payload["gammas"]])
 
 
 def _run_preset(name, grid):
@@ -229,7 +229,7 @@ def cmd_simulate(args) -> int:
             if grid is None:
                 grid = solver.Grid(0, 1, 0, 1, 64, 64)
             if args.initial:
-                data = _constant_initial_from_file(system, args.initial)
+                data = _constant_initial_from_file(args.initial)
             else:
                 state = toda.random_state(system, np.random.default_rng(0), scale=0.2)
                 data = solver.constant_data(state)

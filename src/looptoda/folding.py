@@ -25,7 +25,7 @@ from __future__ import annotations
 from .gradation import TYPE_GL_INNER, data_modulus, make_spec, validate_spec
 from . import solver, toda
 from .lie_core import max_abs
-from .toda import FieldState, TodaSystem
+from .toda import TodaSystem
 
 
 class FoldError(ValueError):
@@ -54,7 +54,7 @@ def unfolded_chain(system: TodaSystem) -> TodaSystem:
     return toda.build_system(chain_spec, system.L, system.c_plus, system.c_minus)
 
 
-def verify_fold_invariance(system: TodaSystem, state: FieldState,
+def verify_fold_invariance(system: TodaSystem, gammas,
                            steps: int = 2, step: float = 0.025) -> float:
     """Evolve the unfolded chain from a folded state on a steps x steps grid
     of the given step and return the largest fold-constraint violation over
@@ -69,9 +69,8 @@ def verify_fold_invariance(system: TodaSystem, state: FieldState,
     the halt text when the march halts.
     """
     chain = unfolded_chain(system)
-    full = toda.full_state(system, state)
+    data = solver.constant_data(toda.full_state(system, gammas))
     grid = solver.Grid(0.0, steps * step, 0.0, steps * step, steps, steps)
-    data = solver.constant_data(FieldState(gammas=full))
     history = solver.integrate(chain, data, grid)
     if history.halted:
         raise FoldError(f"the unfolded march halted: {history.halt_reason}")

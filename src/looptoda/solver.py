@@ -61,7 +61,7 @@ from .lie_core import (
 )
 from .gradation import TYPE_SOSP_I, make_spec
 from . import toda
-from .toda import FieldState, TodaSystem
+from .toda import TodaSystem
 
 
 @dataclass(frozen=True)
@@ -134,8 +134,9 @@ class CharacteristicData:
             raise ValueError("march_minus must be +1 or -1")
 
 
-def constant_data(state: FieldState) -> CharacteristicData:
-    blocks = tuple(state.gammas)
+def constant_data(gammas) -> CharacteristicData:
+    """The state ``gammas`` on both characteristics."""
+    blocks = tuple(as_complex(g) for g in gammas)
     return CharacteristicData(
         gamma_minus=lambda z: blocks,
         gamma_plus=lambda w: blocks,
@@ -340,8 +341,7 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
     if corner_dev > 1e-7:
         raise ValueError(f"characteristic data disagrees at the corner (dev {corner_dev:.2e})")
 
-    state0 = FieldState(gammas=tuple(b[0] for b in bottom))
-    dev0 = toda.state_residual(system, state0)
+    dev0 = toda.state_residual(system, [b[0] for b in bottom])
     if dev0 > toda.TOL_CONSTRAINT:
         raise toda.ConstraintViolationError(
             f"initial data violates the system constraints (residual {dev0:.2e})"

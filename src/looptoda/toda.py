@@ -25,12 +25,15 @@ one of each; variant ``arc_first`` caps node 0's end with the arc,
 reconstructed from the group and algebra conditions through a
 :class:`FoldEngine`.
 
-Systems and states are immutable values and every operation here is a
-pure function; evaluation at independent grid points can run concurrently.
+A state is the tuple of the s independent node blocks at one point, and
+:func:`_check_state` is its one gate.  Systems are immutable values and
+every operation here is a pure function; evaluation at independent grid
+points can run concurrently.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,16 +87,6 @@ class BuildError(ValueError):
 
 class ConstraintViolationError(ValueError):
     """A field state or C block breaks its constraint beyond tolerance."""
-
-
-@dataclass(frozen=True)
-class FieldState:
-    """The tuple of independent invertible blocks at one grid point."""
-
-    gammas: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "gammas", tuple(as_complex(g) for g in self.gammas))
 
 
 def _offsets(sizes):
@@ -167,17 +160,11 @@ class FoldEngine:
         """Fill the full node cycle from the independent blocks 0..s-1.
 
         Paired nodes satisfy Gamma_sigma(i) = ^J inv(Gamma_i) in every
-        class (the local structure blocks cancel pairwise)."""
-        full: list = [None] * self.p
-        for i, g in enumerate(independent):
-            full[i] = as_complex(g)
-        for i in range(len(independent)):
-            j = self.sigma[i]
-            if j != i:
-                if full[j] is None:
-                    full[j] = b_transpose(np.linalg.inv(full[i]), "J")
-        if any(g is None for g in full):
-            raise BuildError("independent blocks do not generate the full cycle")
+        class (the local structure blocks cancel pairwise); every node
+        beyond s-1 is the mirror of an independent one."""
+        full = [as_complex(g) for g in independent]
+        for j in range(len(full), self.p):
+            full.append(b_transpose(np.linalg.inv(full[self.sigma[j]]), "J"))
         return tuple(full)
 
     def extract_c(self, mat: np.ndarray, a: int, direction: int) -> np.ndarray:
@@ -576,13 +563,16 @@ def fixed_node_defect(system: TodaSystem, gammas) -> np.ndarray:
     return out
 
 
-def state_residual(system: TodaSystem, state: FieldState) -> float:
-    """Max violation of the fixed-node group constraints by the state."""
-    dev = float(fixed_node_defect(system, state.gammas))
+def state_residual(system: TodaSystem, gammas) -> float:
+    """Max violation of the group constraints by the state's blocks: the
+    fixed-node conditions and, for sl, det = 1 over the full node cycle,
+    where each mirrored block ^J inv(G) cancels its partner's det."""
+    dev = float(fixed_node_defect(system, gammas))
     if system.family == "sl":
-        prod = 1.0
-        for g in state.gammas:
-            prod = prod * np.linalg.det(g)
+        try:
+            prod = math.prod(np.linalg.det(g) for g in full_state(system, gammas))
+        except np.linalg.LinAlgError:
+            prod = 0.0   # a singular block has det 0 and no mirror
         dev = max(dev, abs(prod - 1.0))
     return dev
 
@@ -592,20 +582,27 @@ def state_residual(system: TodaSystem, state: FieldState) -> float:
 TOL_CONSTRAINT = 1e-8
 
 
-def _check_state(system: TodaSystem, state: FieldState) -> None:
-    if len(state.gammas) != system.s:
-        raise ShapeMismatchError(
-            f"state needs {system.s} independent blocks, got {len(state.gammas)}"
-        )
-    for i, g in enumerate(state.gammas):
+def _check_count(system: TodaSystem, gammas) -> None:
+    if len(gammas) != system.s:
+        raise ShapeMismatchError(f"state needs {system.s} independent blocks, got {len(gammas)}")
+
+
+def _check_state(system: TodaSystem, gammas) -> tuple[np.ndarray, ...]:
+    """The gate of a state: its blocks as a tuple of complex arrays, once
+    there are s of them, of the system's shapes, none singular, and they
+    meet the system's constraints to ``TOL_CONSTRAINT``."""
+    gammas = tuple(as_complex(g) for g in gammas)
+    _check_count(system, gammas)
+    for i, g in enumerate(gammas):
         na = system.block_sizes[i]
         if g.shape[-2:] != (na, na):
             raise ShapeMismatchError(f"block {i} must be {na}x{na}, got {g.shape}")
         if np.linalg.cond(g) > 1e14:
             raise SingularMatrixError(f"state block {i} is singular")
-    dev = state_residual(system, state)
+    dev = state_residual(system, gammas)
     if dev > TOL_CONSTRAINT:
         raise ConstraintViolationError(f"state violates constraints (residual {dev:.2e})")
+    return gammas
 
 
 def rhs_dispatch(system: TodaSystem, gammas):
@@ -618,35 +615,32 @@ def rhs_dispatch(system: TodaSystem, gammas):
     return rhs_chain(gammas, system.c_plus, system.c_minus, *system.caps)
 
 
-def rhs_blocks(system: TodaSystem, state: FieldState):
-    """Right-hand sides of the s independent equations of the system.
-
-    The state must have the system's block shapes, no singular block, and
-    satisfy the system's constraints to ``TOL_CONSTRAINT``.
-    """
-    _check_state(system, state)
-    return rhs_dispatch(system, list(state.gammas))
+def rhs_blocks(system: TodaSystem, gammas):
+    """Right-hand sides of the s independent equations of the system at the
+    state ``gammas``, which must pass :func:`_check_state`."""
+    return rhs_dispatch(system, list(_check_state(system, gammas)))
 
 
-def full_state(system: TodaSystem, state: FieldState) -> tuple[np.ndarray, ...]:
-    """All p node blocks, reconstructing the mirrored ones where needed."""
+def full_state(system: TodaSystem, gammas) -> tuple[np.ndarray, ...]:
+    """All p node blocks of the state, reconstructing the mirrored ones where needed."""
+    _check_count(system, gammas)
     if system.engine is None:
-        return tuple(state.gammas)
-    return system.engine.complete_gammas(state.gammas)
+        return tuple(gammas)
+    return system.engine.complete_gammas(gammas)
 
 
-def rhs_blocks_vs_full(system: TodaSystem, state: FieldState) -> float:
+def rhs_blocks_vs_full(system: TodaSystem, gammas) -> float:
     """Cross-validate the block equations against the full matrix form.
 
     Embeds the state into the block-diagonal gamma and the C blocks into
     the skeleton c matrices, evaluates [c_-, inv(gamma) c_+ gamma], and
     returns the max deviation of its diagonal blocks from rhs_blocks.
     """
-    blocks = rhs_blocks(system, state)
+    blocks = rhs_blocks(system, gammas)
     sizes = system.block_sizes
     offs = _offsets(sizes)
     full = rhs_full(
-        _embed_gamma(sizes, full_state(system, state)),
+        _embed_gamma(sizes, full_state(system, gammas)),
         _embed_c(sizes, system.c_minus, -1),
         _embed_c(sizes, system.c_plus, +1),
     )
@@ -658,8 +652,8 @@ def rhs_blocks_vs_full(system: TodaSystem, state: FieldState) -> float:
 # ---------------------------------------------------------------------------
 # random constrained data (deterministic given the rng)
 
-def random_state(system: TodaSystem, rng: np.random.Generator, scale: float = 0.4) -> FieldState:
-    """Random invertible state satisfying the fixed-node constraints."""
+def random_state(system: TodaSystem, rng: np.random.Generator, scale: float = 0.4) -> tuple:
+    """Random invertible state, the tuple of its s blocks, satisfying the fixed-node constraints."""
     fixed = dict(system.fixed_nodes)
     gammas = []
     for i in range(system.s):
@@ -673,7 +667,7 @@ def random_state(system: TodaSystem, rng: np.random.Generator, scale: float = 0.
             gammas.append(expm(x))
         else:
             gammas.append(identity(na) + x)
-    return FieldState(gammas=tuple(gammas))
+    return tuple(gammas)
 
 
 def random_c_blocks(spec: GradationSpec, L: int, rng: np.random.Generator):

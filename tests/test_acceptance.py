@@ -190,7 +190,7 @@ def test_criterion_4_folding_soundness():
         direct = toda.build_system(fspec, 1, cp, cm)
         chain = folding.unfolded_chain(direct)
         state = toda.random_state(direct, state_rng)
-        lifted = toda.rhs_blocks(chain, toda.FieldState(gammas=toda.full_state(direct, state)))
+        lifted = toda.rhs_blocks(chain, toda.full_state(direct, state))
         rhs_dev = max(rhs_dev, max(
             lc.max_abs(a - b) for a, b in zip(lifted[:direct.s], toda.rhs_blocks(direct, state))))
 

@@ -294,8 +294,9 @@ class TestSimulateCommand:
         assert cli.main(["simulate"]) == 2
 
     def test_bad_grid(self, tmp_path):
-        # steps that do not divide the ranges, a zero step, an infinite range
-        for grid in ("0,1,0,1,0.3,0.3", "0,1,0,1,0,0.1", "0,inf,0,1,0.1,0.1"):
+        # steps that do not divide the ranges, a zero step, an infinite range,
+        # a step so small that the cell count overflows
+        for grid in ("0,1,0,1,0.3,0.3", "0,1,0,1,0,0.1", "0,inf,0,1,0.1,0.1", "0,1,0,1,1e-320,0.5"):
             rc = cli.main(["simulate", "--preset", "free-field", "--grid", grid,
                            "--output", str(tmp_path)])
             assert rc == 2, grid

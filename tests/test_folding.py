@@ -3,7 +3,7 @@ import zlib
 import numpy as np
 import pytest
 
-from looptoda import folding
+from looptoda import folding, solver
 from looptoda import gradation as gr
 from looptoda import lie_core as lc
 from looptoda import toda
@@ -113,7 +113,7 @@ class TestFoldConstraints:
         for a, b in zip(unfolded.c_plus + unfolded.c_minus, chain.c_plus + chain.c_minus):
             assert np.array_equal(a, b)
         state = toda.random_state(direct, np.random.default_rng(len(n_list)))
-        lifted = toda.rhs_blocks(unfolded, toda.FieldState(gammas=toda.full_state(direct, state)))
+        lifted = toda.rhs_blocks(unfolded, toda.full_state(direct, state))
         for a, b in zip(lifted[:direct.s], toda.rhs_blocks(direct, state)):
             assert lc.max_abs(a - b) < 1e-12
 
@@ -124,7 +124,7 @@ class TestFoldConstraints:
         assert folding.unfolded_chain(folded).spec == toda.build_periodic_chain(2, 2).spec
         rng = np.random.default_rng(0)
         g = np.eye(2) + 0.3 * rng.standard_normal((2, 2))
-        r = toda.rhs_blocks(folded, toda.FieldState(gammas=(g,)))[0]
+        r = toda.rhs_blocks(folded, (g,))[0]
         s = lc.b_transpose(g, "J") @ g
         assert lc.max_abs(r - (-np.linalg.inv(s) + s)) < 1e-13
 
@@ -173,7 +173,7 @@ class TestFoldEngine:
         points = []
         for k in range(12):
             state = toda.random_state(direct, rng)
-            bad = [g + 10.0 ** -(2 + k % 6) * rng.standard_normal(g.shape) for g in state.gammas]
+            bad = [g + 10.0 ** -(2 + k % 6) * rng.standard_normal(g.shape) for g in state]
             points.append(engine.complete_gammas(bad))
         stack = [np.stack([pt[b] for pt in points]).reshape((3, 4) + points[0][b].shape)
                  for b in range(direct.p)]
@@ -207,7 +207,7 @@ class TestFoldInvariance:
         # the last independent node is a fixed one in all three folds
         _, direct = folded_chain(family, gtype, n_list, seed=8)
         state = toda.random_state(direct, np.random.default_rng(9))
-        bad = list(state.gammas)
+        bad = list(state)
         bad[-1] = bad[-1] + 1e-2
         full = direct.engine.complete_gammas(tuple(bad))
         assert direct.engine.gamma_residual(full) >= 1e-2
@@ -225,6 +225,64 @@ class TestFoldInvariance:
         with pytest.raises(folding.FoldError,
                            match=r"^the unfolded march halted: non-finite value at row 2 \(z\^\+ = 2\)$"):
             folding.verify_fold_invariance(direct, state, steps=2, step=1.0)
+
+
+class TestStateGate:
+    GRID = solver.Grid(0, 1, 0, 1, 8, 8)
+
+    def test_fold_check_reads_the_block_count(self):
+        """A wrong block count fails the fold check as it fails rhs_blocks."""
+        spec = gr.make_spec("sp", gr.TYPE_SOSP_I, 2, (2, 2), (1,))
+        cp, cm = toda.random_c_blocks(spec, 1, np.random.default_rng(0))
+        system = toda.build_system(spec, 1, cp, cm)
+        for count in (3, 0):
+            state = (np.eye(2, dtype=complex),) * count
+            with pytest.raises(lc.ShapeMismatchError) as rhs_error:
+                toda.rhs_blocks(system, state)
+            with pytest.raises(lc.ShapeMismatchError) as fold_error:
+                folding.verify_fold_invariance(system, state)
+            assert str(fold_error.value) == str(rhs_error.value)
+
+    @staticmethod
+    def sl_state_with_det_two(gtype, M, n_list, k_list):
+        """An sl system and a constrained state with one paired node scaled to det 2."""
+        spec = gr.make_spec("sl", gtype, M, n_list, k_list)
+        L = gr.minimal_grade(spec)
+        rng = np.random.default_rng(0)
+        system = toda.build_system(spec, L, *toda.random_c_blocks(spec, L, rng))
+        state = list(toda.random_state(system, rng))
+        node = next(i for i in range(system.s) if i not in dict(system.fixed_nodes))
+        state[node] = state[node] * 2.0 ** (1 / system.block_sizes[node])
+        assert abs(np.linalg.det(state[node]) - 2.0) < 1e-12
+        return system, state
+
+    @pytest.mark.parametrize("gtype, M, n_list, k_list", [
+        (gr.TYPE_GL_OUTER_II, 4, (1, 1), (1,)),
+        (gr.TYPE_GL_OUTER_II, 6, (2, 2), (1,)),
+        (gr.TYPE_GL_OUTER_III, 6, (2, 2, 2), (1, 1)),
+    ], ids=["outer_II-M4", "outer_II-M6", "outer_III-M6"])
+    def test_sl_fold_reads_det_over_the_full_cycle(self, gtype, M, n_list, k_list):
+        """On a fold the mirror ^J inv(G) of a det-2 node cancels it: det is 1
+        over the full cycle, and the state evaluates and marches."""
+        system, state = self.sl_state_with_det_two(gtype, M, n_list, k_list)
+        full = toda.full_state(system, state)
+        assert abs(np.prod([np.linalg.det(g) for g in full]) - 1.0) < 1e-12
+        assert system.engine.gamma_residual(full) < 1e-12
+        toda.rhs_blocks(system, state)
+        assert not solver.integrate(system, solver.constant_data(state), self.GRID).halted
+
+    def test_sl_fold_singular_corner_is_a_constraint_violation(self):
+        """A singular block has no mirror; its det reads 0, as on the chain."""
+        system, _ = self.sl_state_with_det_two(gr.TYPE_GL_OUTER_II, 4, (1, 1), (1,))
+        with pytest.raises(toda.ConstraintViolationError, match="residual 1.00e"):
+            solver.integrate(system, solver.constant_data((np.zeros((1, 1)),)), self.GRID)
+
+    def test_sl_chain_rejects_a_det_two_node(self):
+        system, state = self.sl_state_with_det_two(gr.TYPE_GL_INNER, 3, (1, 1, 1), (1, 1))
+        with pytest.raises(toda.ConstraintViolationError):
+            toda.rhs_blocks(system, state)
+        with pytest.raises(toda.ConstraintViolationError):
+            solver.integrate(system, solver.constant_data(state), self.GRID)
 
 
 class TestOddFoldEquivalence:

@@ -1,5 +1,7 @@
-"""Smoke runs of the study scripts at tiny sizes: each must exit 0."""
+"""Smoke runs of the study scripts and the benchmark workloads at tiny sizes."""
 
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -60,3 +62,24 @@ def test_census_counts():
         "so {'sosp_I': 489, 'sosp_II': 277, 'trivial': 64}",
         "sp {'sosp_I': 383, 'sosp_II': 52, 'trivial': 32}",
     ]
+
+
+def _perfbench_module(name):
+    """A module of perfbench/, which is a directory of scripts, not a package;
+    registered before it runs, as its dataclasses look it up."""
+    path = os.path.join(ROOT, "perfbench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracing_targets_resolve():
+    for module_name, attr, _ in _perfbench_module("tracing").TARGETS:
+        assert callable(getattr(importlib.import_module(module_name), attr)), (module_name, attr)
+
+
+@pytest.mark.parametrize("name", ["scalar-simulate", "matrix-march", "gradation-census"])
+def test_benchmark_workload_warms_up(name, tmp_path):
+    workload = _perfbench_module("workloads").WORKLOADS[name]
+    workload.warm_up(workload.build(1, str(tmp_path)))

@@ -9,7 +9,6 @@ from looptoda import cli, folding
 from looptoda import gradation as gr
 from looptoda import lie_core as lc
 from looptoda import solver, toda
-from looptoda.toda import FieldState
 
 import oracles
 
@@ -112,7 +111,7 @@ class TestFreeField:
 
     def test_constant_critical_point(self):
         chain = toda.build_periodic_chain(2, 2)
-        state = FieldState(gammas=(np.eye(2, dtype=complex), np.eye(2, dtype=complex)))
+        state = (np.eye(2, dtype=complex), np.eye(2, dtype=complex))
         grid = solver.Grid(0, 1, 0, 1, 8, 8)
         hist = solver.integrate(chain, solver.constant_data(state), grid)
         for g in hist.gammas:
@@ -227,11 +226,11 @@ class TestReductions:
     def test_sine_gordon_equilibria(self):
         system = solver.sine_gordon_system()
         grid = solver.Grid(0, 1, 0, 1, 16, 16)
-        one = FieldState(gammas=(np.eye(1, dtype=complex),))
+        one = (np.eye(1, dtype=complex),)
         hist = solver.integrate(system, solver.constant_data(one), grid)
         assert np.max(np.abs(solver.sine_gordon_reduce(hist))) < 1e-12
         # F = pi: Gamma = exp(i pi / 2) = i, the unstable equilibrium
-        eq = FieldState(gammas=(1j * np.eye(1),))
+        eq = (1j * np.eye(1),)
         hist2 = solver.integrate(system, solver.constant_data(eq), grid)
         f2 = solver.sine_gordon_reduce(hist2)
         assert np.max(np.abs(f2 - np.pi)) < 1e-10
@@ -239,7 +238,7 @@ class TestReductions:
     def test_reduce_rejects_nonunitary(self):
         system = solver.sine_gordon_system()
         grid = solver.Grid(0, 1, 0, 1, 8, 8)
-        state = FieldState(gammas=(1.5 * np.eye(1, dtype=complex),))
+        state = (1.5 * np.eye(1, dtype=complex),)
         hist = solver.integrate(system, solver.constant_data(state), grid)
         with pytest.raises(ValueError):
             solver.sine_gordon_reduce(hist)
@@ -247,10 +246,10 @@ class TestReductions:
     def test_sinh_reduce_equilibrium_and_domain(self):
         system = solver.sine_gordon_system()
         grid = solver.Grid(0, 1, 0, 1, 8, 8)
-        one = FieldState(gammas=(np.eye(1, dtype=complex),))
+        one = (np.eye(1, dtype=complex),)
         hist = solver.integrate(system, solver.constant_data(one), grid)
         assert np.max(np.abs(solver.sinh_gordon_reduce(hist))) < 1e-12
-        unit = FieldState(gammas=(1j * np.eye(1),))
+        unit = (1j * np.eye(1),)
         hist2 = solver.integrate(system, solver.constant_data(unit), grid)
         with pytest.raises(ValueError):
             solver.sinh_gordon_reduce(hist2)
@@ -351,16 +350,15 @@ class TestReality:
 
     def test_det_factorization_defect_needs_an_inner_system(self):
         grid = solver.Grid(0, 1, 0, 1, 4, 4)
-        hist = solver.integrate(solver.sine_gordon_system(), solver.constant_data(
-            FieldState(gammas=(np.eye(1, dtype=complex),))), grid)
+        hist = solver.integrate(solver.sine_gordon_system(),
+                                solver.constant_data((np.eye(1, dtype=complex),)), grid)
         with pytest.raises(ValueError):
             solver.det_factorization_defect(hist)
 
     def test_unknown_tag(self):
         system = solver.sine_gordon_system()
         grid = solver.Grid(0, 1, 0, 1, 4, 4)
-        hist = solver.integrate(system, solver.constant_data(
-            FieldState(gammas=(np.eye(1, dtype=complex),))), grid)
+        hist = solver.integrate(system, solver.constant_data((np.eye(1, dtype=complex),)), grid)
         with pytest.raises(ValueError):
             solver.reality_preservation(hist, "quaternionic")
 
@@ -546,7 +544,7 @@ class TestBlowUp:
         rng = np.random.default_rng(5)
         cp, cm = toda.random_c_blocks(spec, 1, rng)
         system = toda.build_system(spec, 1, cp, cm)
-        bad = FieldState(gammas=(np.eye(2) * 1.5, np.eye(2)))
+        bad = (np.eye(2) * 1.5, np.eye(2))
         grid = solver.Grid(0, 1, 0, 1, 4, 4)
         with pytest.raises(toda.ConstraintViolationError):
             solver.integrate(system, solver.constant_data(bad), grid)
@@ -557,7 +555,7 @@ class TestBlowUp:
         spec = gr.make_spec("so", gr.TYPE_SOSP_II, 2, (2, 2), (1,))
         cp, cm = toda.random_c_blocks(spec, 1, np.random.default_rng(5))
         system = toda.build_system(spec, 1, cp, cm)
-        state = FieldState(gammas=(np.eye(2) * (1 + 1e-6), np.eye(2)))
+        state = (np.eye(2) * (1 + 1e-6), np.eye(2))
         dev = toda.state_residual(system, state)
         assert dev > toda.TOL_CONSTRAINT
         grid = solver.Grid(0, 1, 0, 1, 4, 4)
@@ -602,7 +600,7 @@ class TestHistoryResiduals:
 
     def test_unconstrained_history_zero_residuals(self):
         chain = toda.build_periodic_chain(2, 1)
-        state = FieldState(gammas=(np.eye(1, dtype=complex), np.eye(1, dtype=complex)))
+        state = (np.eye(1, dtype=complex), np.eye(1, dtype=complex))
         grid = solver.Grid(0, 1, 0, 1, 4, 4)
         hist = solver.integrate(chain, solver.constant_data(state), grid)
         assert np.all(hist.constraint_residuals == 0)
@@ -612,8 +610,7 @@ class TestCsv:
     def test_csv_output(self, tmp_path):
         system = solver.sine_gordon_system()
         grid = solver.Grid(0, 1, 0, 1, 4, 4)
-        hist = solver.integrate(system, solver.constant_data(
-            FieldState(gammas=(np.eye(1, dtype=complex),))), grid)
+        hist = solver.integrate(system, solver.constant_data((np.eye(1, dtype=complex),)), grid)
         path = tmp_path / "field.csv"
         lines = solver.write_history_csv(hist, str(path))
         content = path.read_text().splitlines()
@@ -763,7 +760,7 @@ class TestRichardson:
             system = toda.build_system(spec, L, _spectral_normalised(cp, cls.C_NORM),
                                        _spectral_normalised(cm, cls.C_NORM))
         assert name.startswith(system.equation_class)
-        g0 = toda.random_state(system, rng, scale=cls.STATE_SCALE).gammas
+        g0 = toda.random_state(system, rng, scale=cls.STATE_SCALE)
         xs = [_edge_generator(system, i, rng) for i in range(system.s)]
         ys = [_edge_generator(system, i, rng) for i in range(system.s)]
 
@@ -796,7 +793,7 @@ class TestRichardson:
         chain = toda.build_system(chain_spec, system.L, system.c_plus, system.c_minus)
 
         def full(edge):
-            return lambda t: toda.full_state(system, FieldState(gammas=edge(t)))
+            return lambda t: toda.full_state(system, edge(t))
 
         grid = solver.Grid(0, 1, 0, 1, 16, 16)
         folded = solver.integrate(system, data, grid)

@@ -57,7 +57,7 @@ class TestRhsScalarChain:
     def test_p2_exponential_form(self):
         chain = toda.build_periodic_chain(2, 1)
         f1, f2 = 0.37, -0.61
-        state = toda.FieldState(gammas=(np.array([[np.exp(f1)]]), np.array([[np.exp(f2)]])))
+        state = (np.array([[np.exp(f1)]]), np.array([[np.exp(f2)]]))
         r = toda.rhs_blocks(chain, state)
         expected = -np.exp(f2 - f1) + np.exp(f1 - f2)
         assert abs(r[0][0, 0] - expected) < 1e-14
@@ -68,7 +68,7 @@ class TestRhsScalarChain:
         spec = chain_spec("gl", gr.TYPE_GL_INNER, (2, 1, 2))
         cp, cm = toda.random_c_blocks(spec, 1, rng)
         system = toda.build_system(spec, 1, cp, cm)
-        state = toda.FieldState(gammas=tuple(np.eye(n, dtype=complex) for n in (2, 1, 2)))
+        state = tuple(np.eye(n, dtype=complex) for n in (2, 1, 2))
         r = toda.rhs_blocks(system, state)
         for i in range(3):
             expected = -cp[(i + 1) % 3] @ cm[(i + 1) % 3] + cm[i] @ cp[i]
@@ -76,7 +76,7 @@ class TestRhsScalarChain:
 
     def test_periodic_chain_critical_point(self):
         chain = toda.build_periodic_chain(3, 2)
-        state = toda.FieldState(gammas=tuple(np.eye(2, dtype=complex) for _ in range(3)))
+        state = tuple(np.eye(2, dtype=complex) for _ in range(3))
         for r in toda.rhs_blocks(chain, state):
             assert lc.max_abs(r) < 1e-14
 
@@ -90,7 +90,7 @@ class TestBlockVsFull:
     def test_identity_state_exact(self):
         system, _ = build_random("so", gr.TYPE_SOSP_I, (2, 1, 1, 2), seed=5)
         sizes = system.independent_sizes
-        state = toda.FieldState(gammas=tuple(np.eye(n, dtype=complex) for n in sizes))
+        state = tuple(np.eye(n, dtype=complex) for n in sizes)
         assert toda.rhs_blocks_vs_full(system, state) < 1e-13
 
     def test_simplest(self):
@@ -98,7 +98,7 @@ class TestBlockVsFull:
         cp = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         cm = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         system = toda.build_simplest("gl", cp, cm)
-        state = toda.FieldState(gammas=(np.eye(3) + 0.3 * rng.standard_normal((3, 3)),))
+        state = (np.eye(3) + 0.3 * rng.standard_normal((3, 3)),)
         assert toda.rhs_blocks_vs_full(system, state) < 1e-12
 
     def test_larger_L(self):
@@ -147,14 +147,14 @@ class TestBuildValidation:
 
     def test_state_constraint_checked(self):
         system, state = build_random("so", gr.TYPE_SOSP_I, (2, 1, 2), seed=7)
-        bad = list(state.gammas)
+        bad = list(state)
         bad[-1] = bad[-1] + 0.3  # breaks ^B Gamma = inv(Gamma) on the fixed node
         with pytest.raises(toda.ConstraintViolationError):
-            toda.rhs_blocks(system, toda.FieldState(gammas=tuple(bad)))
+            toda.rhs_blocks(system, tuple(bad))
 
     def test_singular_state_rejected(self):
         chain = toda.build_periodic_chain(2, 1)
-        state = toda.FieldState(gammas=(np.zeros((1, 1)), np.eye(1)))
+        state = (np.zeros((1, 1)), np.eye(1))
         with pytest.raises(lc.SingularMatrixError):
             toda.rhs_blocks(chain, state)
 
@@ -191,13 +191,13 @@ class TestSimplest:
         cm = rng.standard_normal((2, 2))
         system = toda.build_simplest("gl", cp, cm)
         g = np.eye(2) + 0.2 * rng.standard_normal((2, 2))
-        r = toda.rhs_blocks(system, toda.FieldState(gammas=(g,)))[0]
+        r = toda.rhs_blocks(system, (g,))[0]
         x = np.linalg.inv(g) @ cp @ g
         assert lc.max_abs(r - (cm @ x - x @ cm)) < 1e-14
 
     def test_zero_c_plus_freezes(self):
         system = toda.build_simplest("gl", np.zeros((2, 2)), np.eye(2))
-        state = toda.FieldState(gammas=(np.diag([2.0, 0.5]),))
+        state = (np.diag([2.0, 0.5]),)
         assert lc.max_abs(toda.rhs_blocks(system, state)[0]) == 0.0
 
 
@@ -247,7 +247,7 @@ class TestConservationProperties:
         cp2 = tuple(cp[(a - 1) % 4] for a in range(4))
         cm2 = tuple(cm[(a - 1) % 4] for a in range(4))
         system2 = toda.build_system(spec2, 1, cp2, cm2)
-        state2 = toda.FieldState(gammas=tuple(state.gammas[(i - 1) % 4] for i in range(4)))
+        state2 = tuple(state[(i - 1) % 4] for i in range(4))
         r2 = toda.rhs_blocks(system2, state2)
         for i in range(4):
             assert lc.max_abs(r2[i] - r[(i - 1) % 4]) < 1e-13
@@ -259,7 +259,7 @@ class TestConservationProperties:
         chain = toda.build_periodic_chain(2, 3)
         g0 = np.eye(3) + 0.3 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
         g1 = np.swapaxes(np.linalg.inv(g0), -1, -2)
-        r = toda.rhs_blocks(chain, toda.FieldState(gammas=(g0, g1)))
+        r = toda.rhs_blocks(chain, (g0, g1))
         assert lc.max_abs(r[1] + np.swapaxes(r[0], -1, -2)) < 1e-12
         s = g0.T @ g0
         assert lc.max_abs(r[0] - (-np.linalg.inv(s) + s)) < 1e-12
@@ -276,7 +276,7 @@ class TestConservationProperties:
         state = toda.random_state(system, rng)
         r = toda.rhs_blocks(system, state)
         # the wrap coupling is gone: equation 0 no longer sees Gamma_p
-        state2 = toda.FieldState(gammas=(state.gammas[0], state.gammas[1], 2.0 * state.gammas[2]))
+        state2 = (state[0], state[1], 2.0 * state[2])
         r2 = toda.rhs_blocks(system, state2)
         assert lc.max_abs(r[0] - r2[0]) < 1e-13
 
@@ -315,7 +315,7 @@ class TestClassification:
         assert outer3.fixed_nodes == ((0, "J"), (2, "K"))
 
     def test_sl_state_residual_reads_det_product(self):
-        state = toda.FieldState(gammas=(np.array([[2.0]]), np.eye(1), np.eye(1)))
+        state = (np.array([[2.0]]), np.eye(1), np.eye(1))
         sl_sys, _ = build_random("sl", gr.TYPE_GL_INNER, (1, 1, 1), seed=29)
         gl_sys, _ = build_random("gl", gr.TYPE_GL_INNER, (1, 1, 1), seed=29)
         assert toda.state_residual(sl_sys, state) >= 1.0
@@ -412,7 +412,7 @@ class TestEvenFoldEr9:
         system = toda.build_system(spec, 1, (c, c), (c, c))
         rng = np.random.default_rng(11)
         g = np.eye(2) + 0.3 * rng.standard_normal((2, 2))
-        r = toda.rhs_blocks(system, toda.FieldState(gammas=(g,)))[0]
+        r = toda.rhs_blocks(system, (g,))[0]
         s = lc.b_transpose(g, "J") @ g
         assert lc.max_abs(r - (-np.linalg.inv(s) + s)) < 1e-13
 
