@@ -1,7 +1,8 @@
 """Command line surface: validate, enumerate, simulate, check.
 
 Exit codes form a stable contract: 0 success, 1 domain failure (invalid
-spec, failed invariant), 2 parse error, 3 enumeration cap exceeded,
+spec, failed invariant), 2 parse error, 3 size cap exceeded (the
+enumeration cap, or a ``check`` spec with M n^2 above ``CHECK_MAX_ORBIT``),
 4 blow-up during integration.
 """
 
@@ -283,10 +284,19 @@ def cmd_simulate(args) -> int:
 #: bound on the round-off of the automorphism, projector, bracket and fold lines of ``check``
 CHECK_TOL = 1e-12
 
+#: largest M n^2 ``check`` takes: its largest buffers are the (M, n, n)
+#: orbit and component stacks, 4 MiB each at this size
+CHECK_MAX_ORBIT = 2**18
+
 
 def _check_lines(spec):
     """Invariant battery for one spec; yields (name, passed, value), the
-    value a deviation or the text of why a line could not be measured."""
+    value a deviation or the text of why a line could not be measured.
+
+    Every line reads one random x, its conjugate transpose and the M
+    residue components of x, so the battery holds a few (M, n, n) stacks
+    and takes O(M n^2) memory and O(M^2 n^2 + n^3) time.
+    """
     rng = np.random.default_rng(0)
     n = spec.n
     aut = gradation.build_automorphism(spec)
@@ -301,13 +311,15 @@ def _check_lines(spec):
     total = xs.sum(axis=0)
     yield "projector_completeness", max_abs(total - x) <= CHECK_TOL, max_abs(total - x)
 
-    # [x_k, y_l] must have no component of residue m != k + l (mod M)
-    ys = gradation.grading_components(x.T.conj(), aut)
-    xk, yl = xs[:, None], ys[None, :]
-    parts = gradation.grading_components(xk @ yl - yl @ xk, aut)  # [m, k, l]
-    res = np.arange(aut.order)
-    off_grade = res[:, None, None] != (res[:, None] + res) % aut.order
-    worst = max_abs(parts[off_grade])
+    # [g_k, g_l] lies in g_{k+l} exactly when A is a bracket homomorphism
+    # whose residue-k components are eigenvectors of eigenvalue w^k; an
+    # inner A is a homomorphism for any h, so the eigen defect is needed too
+    y = x.T.conj()
+    ax, ay = gradation.apply_automorphism(aut, np.stack((x, y)))
+    hom = max_abs(gradation.apply_automorphism(aut, x @ y - y @ x) - (ax @ ay - ay @ ax))
+    w = np.exp(2j * np.pi * np.arange(aut.order) / aut.order)
+    eig = max_abs(gradation.apply_automorphism(aut, xs) - w[:, None, None] * xs)
+    worst = max(hom, eig)
     yield "bracket_closure", worst <= CHECK_TOL, worst
 
     if isinstance(spec, gradation.GradationSpec):
@@ -318,16 +330,12 @@ def _check_lines(spec):
             dev = max_abs(b_transpose(image, b) + image)
             yield "algebra_membership_preserved", dev <= 1e-9, dev
 
+        # the projectors are orthogonal, so residue k carries part of the
+        # block (a, b) inputs exactly when the (a, b) block of x_k is non-zero
         table = gradation.block_index_table(spec)
-        offs = np.cumsum((0,) + spec.n_list)
-        probes = np.zeros((spec.p, spec.p, n, n), dtype=complex)
-        for a in range(spec.p):
-            for b in range(spec.p):
-                probes[a, b, offs[a]:offs[a + 1], offs[b]:offs[b + 1]] = rng.standard_normal(
-                    (spec.n_list[a], spec.n_list[b])
-                )
-        # support[k, a, b]: residue k carries part of probe (a, b)
-        support = np.abs(gradation.grading_components(probes, aut)).max(axis=(-2, -1)) > 1e-9
+        starts = np.cumsum((0,) + spec.n_list[:-1])
+        peaks = np.maximum.reduceat(np.maximum.reduceat(np.abs(xs), starts, axis=1), starts, axis=2)
+        support = peaks > 1e-9  # [k, a, b]
         dev = sum(not set(np.flatnonzero(support[:, a, b])) <= set(table.residues(a, b))
                   for a in range(spec.p) for b in range(spec.p))
         yield "index_table_vs_projector", dev == 0, float(dev)
@@ -360,6 +368,10 @@ def cmd_check(args) -> int:
         for v in violations:
             print(f"FAIL validation: {v}")
         return EXIT_DOMAIN
+    if spec.M * spec.n**2 > CHECK_MAX_ORBIT:
+        print(f"cap exceeded: check takes M n^2 up to {CHECK_MAX_ORBIT}, "
+              f"got {spec.M * spec.n**2}", file=sys.stderr)
+        return EXIT_CAP
     print("PASS validation")
     status = EXIT_OK
     for name, passed, value in _check_lines(spec):

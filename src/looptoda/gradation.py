@@ -417,8 +417,7 @@ def grading_components(x, aut: Automorphism) -> np.ndarray:
     is contracted with the M x M DFT matrix as one (M x n^2) product, so an
     operand's components are bit-identical whether it comes alone or in a
     stack.  The result has shape (M, *x.shape) and holds M times the entries
-    of x: a stack of p^2 block probes or M^2 brackets at n = M = 8 takes
-    0.5 MB.
+    of x; the orbit, of the same size, is freed on return.
     """
     x = _operand(aut, x)
     M = aut.order

@@ -17,6 +17,7 @@ from looptoda.gradation import (
     TYPE_SOSP_I,
     TYPE_SOSP_II,
     TrivialSpec,
+    block_index_table,
     data_modulus,
     grading_components,
     make_spec,
@@ -55,6 +56,37 @@ def grading_support(x, aut) -> list[int]:
     """Residues k whose component of x exceeds 1e-9."""
     parts = grading_components(x, aut)
     return [k for k in range(aut.order) if max_abs(parts[k]) > 1e-9]
+
+
+def bracket_closure_reference(x, aut) -> float:
+    """Largest component of a bracket [x_k, y_l], y = x*, at a residue
+    m != k + l (mod M): the (M, M, n, n) bracket stack projected whole, an
+    (M, M, M, n, n) array."""
+    xs = grading_components(x, aut)
+    ys = grading_components(x.T.conj(), aut)
+    xk, yl = xs[:, None], ys[None, :]
+    parts = grading_components(xk @ yl - yl @ xk, aut)  # [m, k, l]
+    res = np.arange(aut.order)
+    off_grade = res[:, None, None] != (res[:, None] + res) % aut.order
+    return max_abs(parts[off_grade])
+
+
+def index_table_reference(spec, aut, rng) -> int:
+    """Blocks (a, b) of which a residue outside ``residues(a, b)`` carries
+    part of a random probe supported on block (a, b): the p^2 probes
+    projected as one (p, p, n, n) stack."""
+    table = block_index_table(spec)
+    offs = np.cumsum((0,) + spec.n_list)
+    probes = np.zeros((spec.p, spec.p, spec.n, spec.n), dtype=complex)
+    for a in range(spec.p):
+        for b in range(spec.p):
+            probes[a, b, offs[a]:offs[a + 1], offs[b]:offs[b + 1]] = rng.standard_normal(
+                (spec.n_list[a], spec.n_list[b])
+            )
+    # support[k, a, b]: residue k carries part of probe (a, b)
+    support = np.abs(grading_components(probes, aut)).max(axis=(-2, -1)) > 1e-9
+    return sum(not set(np.flatnonzero(support[:, a, b])) <= set(table.residues(a, b))
+               for a in range(spec.p) for b in range(spec.p))
 
 
 def _family_types(family: str) -> tuple:

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -377,6 +378,31 @@ class TestSimulateCommand:
         assert manifest["config"] == {"tol_constraint": 1e-8, "tol_invertibility": 1e12}
 
 
+#: the unpatched maps the mutations below wrap
+_APPLY, _BUILD = gr.apply_automorphism, gr.build_automorphism
+
+
+def _gl_chain_json(n):
+    """gl_inner spec with n = M = p and every k = 1."""
+    return {"family": "gl", "n": n, "type": "gl_inner", "M": n,
+            "n_list": [1] * n, "k_list": [1] * (n - 1), "phase_offset": 0.0}
+
+
+def _transpose_dropped(aut, x):
+    """An outer twist x -> -h x h^-1 with its ^B dropped; inner maps unchanged."""
+    if aut.B is None:
+        return _APPLY(aut, x)
+    d = aut.h_diag
+    return -(d[:, None] / d[None, :]) * np.asarray(x)
+
+
+def _wrong_phase(spec):
+    """The spec's automorphism with h times exp(0.3 i j) on row j: no longer of order M."""
+    aut = _BUILD(spec)
+    n = aut.h.shape[0]
+    return dataclasses.replace(aut, h=np.diag(aut.h_diag * np.exp(0.3j * np.arange(n))))
+
+
 class TestCheckCommand:
     def test_s1_all_pass(self, tmp_path, capsys):
         path = write_json(tmp_path / "s.json", S1_JSON)
@@ -406,22 +432,15 @@ class TestCheckCommand:
     @pytest.mark.parametrize("payload, values", [
         ({"family": "gl", "n": 3, "type": "gl_inner", "M": 3,
           "n_list": [1, 1, 1], "k_list": [1, 1], "phase_offset": 0.0},
-         ("2.343e+00", "1.207e+00", "6.000e+00")),
+         ("2.343e+00", "7.810e-01", "6.000e+00")),
         ({"family": "so", "n": 4, "type": "sosp_I", "M": 4,
           "n_list": [2, 2], "k_list": [1], "phase_offset": 0.5},
-         ("4.615e+00", "3.055e+00", "4.000e+00")),
+         ("4.615e+00", "1.154e+00", "4.000e+00")),
     ])
     def test_broken_automorphism_fails(self, tmp_path, capsys, monkeypatch, payload, values):
         """An automorphism that is no longer of order M must fail the order,
         closure and index-table lines."""
-        build = gr.build_automorphism
-
-        def broken(spec):
-            aut = build(spec)
-            n = aut.h.shape[0]
-            return dataclasses.replace(aut, h=np.diag(aut.h_diag * np.exp(0.3j * np.arange(n))))
-
-        monkeypatch.setattr(gr, "build_automorphism", broken)
+        monkeypatch.setattr(gr, "build_automorphism", _wrong_phase)
         path = write_json(tmp_path / "s.json", payload)
         assert cli.main(["check", "--spec", path]) == 1
         out = capsys.readouterr().out
@@ -457,20 +476,19 @@ class TestCheckCommand:
         assert classes == {toda.EQ_EVEN_FOLD, toda.EQ_ODD_FOLD, toda.EQ_DOUBLE_FIXED_FOLD}
 
     def test_halted_fold_march_fails_with_its_reason(self, tmp_path, capsys, monkeypatch):
-        """At 2 steps of 0.1 the unfolded march of sp_6 M=8 (1, 2, 2, 1)
-        halts at row 2: the fold line fails with the halt text, no drift."""
+        """At 2 steps of 0.15 the unfolded march of sp_6 M=8 (3, 3) halts at
+        row 2: the fold line fails with the halt text, no drift."""
         march = folding.verify_fold_invariance
         monkeypatch.setattr(folding, "verify_fold_invariance",
-                            lambda system, state: march(system, state, steps=2, step=0.1))
-        spec = gr.enumerate_specs("sp", 6, 8)[20]
-        assert (spec.n_list, spec.k_list) == ((1, 2, 2, 1), (2, 2, 2))
+                            lambda system, state: march(system, state, steps=2, step=0.15))
+        spec = gr.enumerate_specs("sp", 6, 8)[1]
+        assert (spec.n_list, spec.k_list) == ((3, 3), (1,))
         path = write_json(tmp_path / "s.json", spec.to_json())
         assert cli.main(["check", "--spec", path]) == 1
         out = capsys.readouterr().out
-        assert out.splitlines()[-1].startswith(
-            "FAIL fold_invariance_drift: the unfolded march halted: cell-centre square root "
-            "failed at row 2 (z^+ = 0.2): Denman-Beavers square root did not converge in 32 "
-            "iterations (last relative increment ")
+        assert out.splitlines()[-1] == (
+            "FAIL fold_invariance_drift: the unfolded march halted: non-finite value at row 2 "
+            "(z^+ = 0.3)")
         assert out.count("FAIL") == 1
 
     @pytest.mark.parametrize("family, n, M, shapes", [
@@ -512,7 +530,7 @@ class TestCheckCommand:
                     json.dump(spec.to_json(), fh, sort_keys=True)
                 code = cli.main(["check", "--spec", str(path)])
                 digest.update(f"{code}\n{capsys.readouterr().out}".encode())
-        assert digest.hexdigest() == "e0fb81fd593a110761a2e2ec8faae6fe88128bc634030372dea97f4ae3c7ea74"
+        assert digest.hexdigest() == "affc9ca7bf39f9888a5db44a0c5326116131a4bbffc8cac6a782a8b6add429ae"
 
     def test_invalid_spec_reported_before_invariants(self, tmp_path, capsys):
         payload = dict(SO4_JSON, k_list=[1, 2])
@@ -521,3 +539,89 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "FAIL validation" in out
         assert "bracket_closure" not in out
+
+    def test_spec_at_the_size_cap_runs(self, tmp_path, capsys):
+        """gl_inner n = M = p = 64 has M n^2 = CHECK_MAX_ORBIT, the largest
+        battery ``check`` takes."""
+        n = 64
+        assert n**3 == cli.CHECK_MAX_ORBIT
+        path = write_json(tmp_path / "s.json", _gl_chain_json(n))
+        assert cli.main(["check", "--spec", path]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n", [65, 400])
+    def test_spec_above_the_size_cap_exits_3(self, tmp_path, capsys, monkeypatch, n):
+        """A valid gl_inner n = M = p spec above the cap exits 3 with one line
+        on stderr, before it builds the automorphism (at n = 400 the battery
+        would need GiB-sized stacks)."""
+        def unreachable(spec):
+            raise AssertionError("the automorphism was built")
+
+        monkeypatch.setattr(gr, "build_automorphism", unreachable)
+        path = write_json(tmp_path / "s.json", _gl_chain_json(n))
+        assert cli.main(["check", "--spec", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cap exceeded: check takes M n^2 up to {cli.CHECK_MAX_ORBIT}, got {n**3}\n"
+
+    def test_memory_grows_with_m_n2(self):
+        """The traced peak of the battery on gl_inner n = M = p = 12 stays
+        below 8 (M, n, n) complex stacks (221 KB); one (M, M, M, n, n)
+        projection of the brackets would take 4 MB."""
+        n = 12
+        spec = gr.make_spec("gl", "gl_inner", n, (1,) * n, (1,) * (n - 1))
+        list(cli._check_lines(spec))  # the first call's lazy imports are not the battery's
+        tracemalloc.start()
+        try:
+            list(cli._check_lines(spec))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * spec.M * n**2 * 16
+
+
+def _closure_and_index(spec):
+    """(bracket_closure, index_table_vs_projector) verdicts of the battery and
+    of the oracles the battery replaced, on the same draws; the index verdict
+    of a trivial spec is None."""
+    battery = {name: passed for name, passed, _ in cli._check_lines(spec)}
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((spec.n, spec.n)) + 1j * rng.standard_normal((spec.n, spec.n))
+    aut = gr.build_automorphism(spec)
+    closure = oracles.bracket_closure_reference(x, aut) <= cli.CHECK_TOL
+    index = (oracles.index_table_reference(spec, aut, rng) == 0
+             if isinstance(spec, gr.GradationSpec) else None)
+    return (battery["bracket_closure"], battery.get("index_table_vs_projector")), (closure, index)
+
+
+class TestCheckOracles:
+    """The closure and index-table lines against the M^3 bracket projection
+    and the p^2 block probes they replaced (``oracles``)."""
+
+    def test_census_verdicts_match_the_oracles(self):
+        for family, n, M in CENSUS_CHECK_SETS:
+            for spec in gr.enumerate_specs(family, n, M):
+                battery, oracle = _closure_and_index(spec)
+                assert battery == oracle, spec
+                assert battery[0] and battery[1] in (True, None), spec
+
+    @pytest.mark.parametrize("mutation", ["wrong_phase", "transpose_dropped"])
+    def test_mutated_automorphism_fails_both(self, monkeypatch, mutation):
+        """A wrong phase in h (every spec) and an outer twist without its
+        transpose (the outer specs) fail the closure line and its oracle,
+        and the index line agrees with its oracle."""
+        if mutation == "wrong_phase":
+            monkeypatch.setattr(gr, "build_automorphism", _wrong_phase)
+        else:
+            monkeypatch.setattr(gr, "apply_automorphism", _transpose_dropped)
+        checked = 0
+        for family, n, M in CENSUS_CHECK_SETS:
+            for spec in gr.enumerate_specs(family, n, M):
+                outer = getattr(spec, "gradation_type", None) in gr.OUTER_TYPES
+                if mutation == "transpose_dropped" and not outer:
+                    continue
+                battery, oracle = _closure_and_index(spec)
+                assert battery == oracle, spec
+                assert not battery[0], spec
+                checked += 1
+        assert checked == (119 if mutation == "wrong_phase" else 4)
