@@ -36,13 +36,21 @@ used as the convergence oracle.  Both vacua of d_+ d_- F = 2 sin F are
 exponentially unstable towards the (+, +) quadrant, so the kink preset
 marches from the opposite z^- corner where error transport is bounded.
 
-A single integration is sequential in the causal order of the lattice;
-results are deterministic, and independent runs (parameter sweeps,
-refinement studies) parallelize trivially across processes.
+A single integration runs in one process, in the causal order of the
+lattice; results are deterministic, and independent runs (parameter
+sweeps, refinement studies) parallelize trivially across processes.  The
+rows of ``field.csv`` are independent too: ``write_history_csv`` formats
+them in up to one forked process per usable CPU, with bytes that do not
+depend on the split.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import shutil
+import signal
+import tempfile
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -586,6 +594,17 @@ def det_factorization_defect(history: FieldHistory) -> float:
 
 CSV_HEADER = ("z_minus", "z_plus", "alpha", "block_row", "block_col", "re", "im")
 
+#: lines each worker process of ``write_history_csv`` must have to itself:
+#: a fork, its wait and the append cost about 2 ms, the time of 1-2k lines
+CSV_LINES_PER_WORKER = 2**13
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork or read its affinity."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
 
 def write_history_csv(history: FieldHistory, path: str) -> int:
     """Field output, one line per matrix entry; returns the line count.
@@ -595,17 +614,62 @@ def write_history_csv(history: FieldHistory, path: str) -> int:
     as ``repr`` of a Python float, which reads back exactly, and lines end
     in CR LF, as ``csv.writer`` ends them.  Each lattice row is formatted
     and written as one string, so the file is never held in memory whole.
+
+    The rows are split into contiguous ranges, one per usable CPU and at
+    most one per ``CSV_LINES_PER_WORKER`` lines.  This process writes the
+    header and the first range; each further range is formatted by a
+    forked child (``os.fork``) into an anonymous temporary file in the
+    output's directory, which is appended once the child has exited.
+    Every range runs the same formatting code, so the bytes do not depend
+    on the split, and a child that fails raises ``OSError`` here.
     """
     zm = history.grid.zm_points().tolist()
     zp = history.grid.zp_points().tolist()
     tags = [f"{alpha + 1},{r},{c}" for alpha, g in enumerate(history.gammas)
             for r in range(g.shape[-2]) for c in range(g.shape[-1])]
     heads = [(f"{z!r},", f",{tag},") for z in zm for tag in tags]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(CSV_HEADER) + "\r\n")
-        for j in range(history.completed_rows):
+    rows = history.completed_rows
+
+    def write_rows(fh, start, stop):
+        for j in range(start, stop):
             row = np.concatenate([g[j].reshape(len(zm), -1) for g in history.gammas], axis=1).ravel()
             w = repr(zp[j])
             fh.write("".join([f"{a}{w}{b}{re!r},{im!r}\r\n"
-                              for (a, b), re, im in zip(heads, row.real.tolist(), row.imag.tolist())]))
-    return history.completed_rows * len(heads)
+                              for (a, b), re, im in zip(heads, row.real.tolist(), row.imag.tolist())]
+                             ).encode())
+
+    workers = max(1, min(_usable_cpus(), rows * len(heads) // CSV_LINES_PER_WORKER, rows))
+    bounds = [rows * k // workers for k in range(workers + 1)]
+    with contextlib.ExitStack() as files:
+        fh = files.enter_context(open(path, "wb"))
+        pending = []  # (pid, temporary file, first row) of the unreaped children, in row order
+        try:
+            for start, stop in zip(bounds[1:-1], bounds[2:]):
+                part = files.enter_context(
+                    tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))))
+                pid = os.fork()
+                if pid == 0:
+                    # leave only through os._exit, so no inherited buffer is flushed
+                    code = 1
+                    try:
+                        write_rows(part, start, stop)
+                        part.flush()
+                        code = 0
+                    finally:
+                        os._exit(code)
+                pending.append((pid, part, start))
+            fh.write((",".join(CSV_HEADER) + "\r\n").encode())
+            write_rows(fh, bounds[0], bounds[1])
+            while pending:
+                pid, part, start = pending[0]
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del pending[0]
+                if code:
+                    raise OSError(f"the worker for the rows from {start} of {path} exited with code {code}")
+                part.seek(0)
+                shutil.copyfileobj(part, fh)
+        finally:
+            for pid, _, _ in pending:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return rows * len(heads)

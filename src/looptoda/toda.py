@@ -634,7 +634,9 @@ def rhs_blocks_vs_full(system: TodaSystem, gammas) -> float:
 
     Embeds the state into the block-diagonal gamma and the C blocks into
     the skeleton c matrices, evaluates [c_-, inv(gamma) c_+ gamma], and
-    returns the max deviation of its diagonal blocks from rhs_blocks.
+    returns the max deviation of its diagonal blocks from rhs_blocks,
+    relative to the largest entry of either, so the bound on its round-off
+    does not depend on the size of the terms.
     """
     blocks = rhs_blocks(system, gammas)
     sizes = system.block_sizes
@@ -644,9 +646,10 @@ def rhs_blocks_vs_full(system: TodaSystem, gammas) -> float:
         _embed_c(sizes, system.c_minus, -1),
         _embed_c(sizes, system.c_plus, +1),
     )
-    return max(
-        max_abs(full[offs[i]:offs[i + 1], offs[i]:offs[i + 1]] - blocks[i]) for i in range(system.s)
-    )
+    diagonal = [full[offs[i]:offs[i + 1], offs[i]:offs[i + 1]] for i in range(system.s)]
+    dev = max(max_abs(f - b) for f, b in zip(diagonal, blocks))
+    scale = max(max(max_abs(f), max_abs(b)) for f, b in zip(diagonal, blocks))
+    return dev / scale if dev else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -327,7 +327,29 @@ class TestSimulateCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("parse error:")
         assert len(captured.err.splitlines()) == 1
-        assert not (tmp_path / "manifest.json").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["field.csv"]
+
+    def test_unwritable_output_file_with_the_csv_split(self, tmp_path, capsys, monkeypatch, split_csv):
+        """The output file is opened before any worker is forked, so the
+        failure forks nothing and leaves no temporary file."""
+        def no_fork():
+            raise AssertionError("forked before the output file was opened")
+
+        monkeypatch.setattr(solver.os, "fork", no_fork)
+        self.test_unwritable_output_file_is_a_parse_error(tmp_path, capsys)
+
+    def test_failed_csv_worker_is_a_parse_error(self, tmp_path, capsys, monkeypatch, split_csv):
+        """A worker that cannot write its rows exits non-zero, and the run
+        ends in one parse error line with every worker reaped."""
+        monkeypatch.setattr(solver.tempfile, "TemporaryFile", lambda dir: open(os.devnull, "rb"))
+        rc = cli.main(["simulate", "--preset", "free-field", "--grid", "0,1,0,1,0.25,0.25",
+                       "--output", str(tmp_path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: the worker for the rows from 1 of ")
+        assert len(captured.err.splitlines()) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["field.csv"]
 
     @pytest.mark.parametrize("edit, gammas, message", [
         pytest.param({"L": 1.9}, None, "L must be a JSON integer", id="1.9"),
@@ -428,6 +450,17 @@ class TestCheckCommand:
         path = write_json(tmp_path / "s.json", payload)
         assert cli.main(["check", "--spec", path]) == 0
         assert "PASS fold_invariance_drift" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("half", [42, 50])
+    def test_large_so_spec_passes_block_vs_full(self, tmp_path, capsys, half):
+        """The block-vs-full deviation is relative to the size of the terms,
+        which grows with n: on so sosp_I M=2 (42, 42) and (50, 50) the
+        absolute deviation, 1.2e-11 and 1.5e-11, failed a bound of 1e-11."""
+        payload = {"family": "so", "n": 2 * half, "type": "sosp_I", "M": 2,
+                   "n_list": [half, half], "k_list": [1], "phase_offset": 0.5}
+        path = write_json(tmp_path / "s.json", payload)
+        assert cli.main(["check", "--spec", path]) == 0
+        assert "PASS block_vs_full" in capsys.readouterr().out
 
     @pytest.mark.parametrize("payload, values", [
         ({"family": "gl", "n": 3, "type": "gl_inner", "M": 3,
@@ -530,7 +563,7 @@ class TestCheckCommand:
                     json.dump(spec.to_json(), fh, sort_keys=True)
                 code = cli.main(["check", "--spec", str(path)])
                 digest.update(f"{code}\n{capsys.readouterr().out}".encode())
-        assert digest.hexdigest() == "affc9ca7bf39f9888a5db44a0c5326116131a4bbffc8cac6a782a8b6add429ae"
+        assert digest.hexdigest() == "273c2797e553a0c3aaa76b2cd44239d2fa31fed4d348985914ac127333ecdbdc"
 
     def test_invalid_spec_reported_before_invariants(self, tmp_path, capsys):
         payload = dict(SO4_JSON, k_list=[1, 2])

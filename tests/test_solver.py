@@ -663,7 +663,7 @@ class TestCsv:
         assert solver.write_history_csv(hist, str(path)) == 3 * 49
         assert self._sha256(path) == "bfa1bd2e8547db586d28aa0ae1d91b5c9473265c8565e858045e455d37dc6935"
 
-    @pytest.mark.parametrize("rows", [6, 2, 0])
+    @pytest.mark.parametrize("rows", [6, 3, 2, 1, 0])
     def test_matches_the_per_entry_writer(self, rows, tmp_path):
         # a 1x1 and a 2x2 block, with floats whose repr takes every form
         system, data = _mixed_case()
@@ -701,6 +701,41 @@ class TestCsv:
             assert float(row[0]) == z_minus and float(row[1]) == z_plus
             assert (int(row[2]), int(row[3]), int(row[4])) == (alpha, r, c)
             assert float(row[5]) + 1j * float(row[6]) == value
+
+
+@pytest.mark.parametrize("cells, cpus, forks", [
+    (16, 2, 0), (90, 2, 0), (128, 1, 0), (128, 2, 1), (128, 4, 1), (255, 4, 3),
+])
+def test_csv_forks_one_worker_per_cpu_and_line_floor(cells, cpus, forks, tmp_path, monkeypatch):
+    """Workers: min(usable CPUs, lines // CSV_LINES_PER_WORKER), so files of
+    fewer than 2 * 8192 lines (289 at 16^2, 8 281 at 90^2) stay in one process."""
+    grid = solver.Grid(0, 1, 0, 1, cells, cells)
+    points = (cells + 1, cells + 1, 1, 1)
+    history = solver.FieldHistory(solver.sine_gordon_system(), grid, [np.ones(points, complex)],
+                                  np.zeros(cells + 1))
+    fork = solver.os.fork
+    pids = []
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(solver, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(solver.os, "fork", counted_fork)
+    path = tmp_path / "field.csv"
+    assert solver.write_history_csv(history, str(path)) == (cells + 1) ** 2
+    assert len(pids) == forks
+    assert path.read_bytes().count(b"\n") == (cells + 1) ** 2 + 1
+    assert [p.name for p in tmp_path.iterdir()] == ["field.csv"]
+
+
+@pytest.mark.usefixtures("split_csv")
+class TestCsvSplit(TestCsv):
+    """Every ``TestCsv`` test with each file split over up to three
+    processes, one lattice row at least to each: the bytes, and the
+    digests pinned above, do not change."""
 
 
 def _spectral_normalised(blocks, norm):
