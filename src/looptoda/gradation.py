@@ -318,21 +318,30 @@ def compute_m(spec: GradationSpec) -> tuple[int, ...]:
     return tuple(tails + [mp])
 
 
+def b_kinds(spec: GradationSpec) -> tuple[str, str]:
+    """The B kinds (first, rest) of a twisted spec: B is block diagonal over
+    the first block and the rest, of kinds (J, J) for so, (K, K) for sp and
+    (J, K) for the outer types.  Any other type raises SpecError."""
+    t = spec.gradation_type
+    if t in OUTER_TYPES:
+        return "J", "K"
+    if t not in _SOSP_TYPES:
+        raise SpecError(f"cannot classify gradation type {t!r}")
+    kind = "J" if spec.family == "so" else "K"
+    return kind, kind
+
+
 def structure_for_spec(spec: GradationSpec) -> np.ndarray | None:
     """The global structure matrix B tied to the spec's type (None for gl_inner).
 
-    B is block diagonal over the first block and the rest, of kinds (J, J)
-    for so, (K, K) for sp and (J, K) for the outer types; a palindromic
-    type takes the second kind over the whole: J_n, K_n, or
-    diag(J_{n_1}, K_{n-n_1}) for gl_outer_III.
+    B has the kinds of :func:`b_kinds`; a palindromic type takes the second
+    kind over the whole: J_n, K_n, or diag(J_{n_1}, K_{n-n_1}) for
+    gl_outer_III.
     """
     t = spec.gradation_type
     if t == TYPE_GL_INNER:
         return None
-    if t in OUTER_TYPES:
-        first, rest = "J", "K"
-    else:
-        first = rest = "J" if spec.family == "so" else "K"
+    first, rest = b_kinds(spec)
     if t in PALINDROMIC_TYPES:
         return structure_matrix(rest, spec.n)
     n1 = spec.n_list[0]

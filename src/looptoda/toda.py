@@ -54,13 +54,12 @@ from .lie_core import (
 from .gradation import (
     FIXED_FIRST_TYPES,
     OUTER_TYPES,
-    PALINDROMIC_TYPES,
     TYPE_GL_INNER,
     GradationSpec,
-    SpecError,
     TrivialSpec,
     _json_int,
     _json_number,
+    b_kinds,
     block_index_table,
     build_h,
     check_valid,
@@ -191,24 +190,26 @@ class FoldEngine:
     def complete_c(self, partial, direction: int) -> tuple[np.ndarray, ...]:
         """Fill the full arc cycle from values on the independent arcs.
 
-        ``partial`` maps arc index -> block.  The twist of the embedded
-        partial cycle holds each arc's mirror image: it fills the arcs
-        outside ``partial`` (with zeros where no given arc mirrors onto
-        them) and is checked against the given arcs whose mirror is given
-        too, self-paired arcs among them.
+        ``partial`` maps arc index -> block, and holds at most one arc of
+        each mirror pair.  On an arc on the axis the twist is eps ^J, with
+        eps = +-1 read off the twist of an all-ones block; such an arc
+        keeps the eps-symmetric part of its block.  The twist of the
+        embedded partial cycle fills the arcs outside ``partial`` with
+        their mirror images, and with zeros where no given arc mirrors
+        onto them.
         """
         given: list = [None] * self.p
         for a, blk in partial.items():
-            given[a] = as_complex(blk)
+            blk = as_complex(blk)
+            if self.mirror_arc(a) == a:
+                ones = [np.ones_like(blk) if b == a else None for b in range(self.p)]
+                tau = self.twist(_embed_c(self.sizes, ones, direction), direction)
+                eps = round(self.extract_c(tau, a, direction)[0, 0].real)
+                blk = (blk + eps * b_transpose(blk, "J")) / 2.0
+            given[a] = blk
         # + 0.0 turns the -0 that the twist leaves in the zero fill into +0
         image = self.twist(_embed_c(self.sizes, given, direction), direction) + 0.0
         mirrored = [self.extract_c(image, a, direction) for a in range(self.p)]
-        for a in partial:
-            if self.mirror_arc(a) in partial and (
-                    max_abs(mirrored[a] - given[a]) > 1e-9 * max(1.0, max_abs(given[a]))):
-                raise ConstraintViolationError(
-                    f"arc {self.mirror_arc(a)} violates the fold symmetry on its mirror {a}"
-                )
         return tuple(m if g is None else g for g, m in zip(given, mirrored))
 
 
@@ -337,72 +338,44 @@ def classify_spec(spec) -> tuple[str, str]:
     """(equation_class, variant) the spec's Toda system will carry."""
     if isinstance(spec, TrivialSpec):
         return EQ_SIMPLEST, ""
-    eq_class, variant, _, _, _ = _classify(spec)
+    eq_class, variant, _, _ = _classify(spec)
     return eq_class, variant
 
 
 def _classify(spec: GradationSpec):
-    """(equation_class, variant, s, fixed nodes, fixed arcs), the last two
-    as :func:`fold_ends` gives them."""
+    """(equation_class, variant, s, fixed nodes), the fixed nodes as
+    (node, B kind) pairs: a fixed node takes the kind of the block of B it
+    lies in, the first block's for node 0 (fixed only by the fixed-first
+    types), the rest's otherwise."""
     if spec.gradation_type == TYPE_GL_INNER:
-        return EQ_GENERAL_LINEAR, "", spec.p, (), ()
-    s, _, nodes, arcs = _spec_fold_ends(spec)
+        return EQ_GENERAL_LINEAR, "", spec.p, ()
+    first, rest = b_kinds(spec)
+    s, _, fixed = _spec_fold_ends(spec)
+    nodes = tuple((i, first if i == 0 else rest) for i in fixed)
     eq_class = FOLD_CLASSES[len(nodes)]
     variant = ""
     if eq_class == EQ_ODD_FOLD:
-        variant = VARIANT_NODE_FIRST if nodes[0][0] == 0 else VARIANT_ARC_FIRST
-    return eq_class, variant, s, nodes, arcs
+        variant = VARIANT_NODE_FIRST if fixed[0] == 0 else VARIANT_ARC_FIRST
+    return eq_class, variant, s, nodes
 
 
-#: The decorations at the two ends of each fold family's folded chain: for
-#: the end through node 0 / arc 0, then the end through node s-1 / arc s,
-#: the B kind of a fixed node and the sign epsilon of ^J C = epsilon C on a
-#: fixed arc.  An outer family has one natural odd placement; its row
-#: leaves empty what the other, mirrored, placement would read at the
-#: first end, and the mirrored placement trades the two ends' decorations.
-FOLD_ENDS = {
-    "so": (("J", -1), ("J", -1)),
-    "sp": (("K", 1), ("K", 1)),
-    "gl_outer_II": ((None, -1), ("K", 1)),
-    "gl_outer_III": (("J", None), ("K", 1)),
-}
-
-
-def fold_ends(family: str, p: int, node0: bool):
-    """(s, sigma, fixed nodes, fixed arcs) of a fold of the p-node circle.
+def fold_ends(p: int, node0: bool):
+    """(s, sigma, fixed nodes) of a fold of the p-node circle.
 
     The axis passes through node 0 when ``node0`` is set, else through
     arc 0, and opposite that through node s-1 or arc s.  sigma is the
-    involution on nodes; fixed nodes are (node, B kind) pairs and fixed
-    arcs (arc, epsilon) pairs, the node 0 / arc 0 end first.
+    involution on nodes; the fixed nodes are those on the axis, node 0
+    first.
     """
-    near, far = FOLD_ENDS[family]
-    far_node = node0 != (p % 2 == 1)
-    if near[0 if node0 else 1] is None or far[0 if far_node else 1] is None:
-        near, far = far, near
     s = p // 2 + 1 if node0 else (p + 1) // 2
     sigma = tuple(((p if node0 else p - 1) - i) % p for i in range(p))
-    nodes, arcs = [], []
-    for is_node, node, arc, (b_kind, eps) in ((node0, 0, 0, near), (far_node, s - 1, s, far)):
-        if is_node:
-            nodes.append((node, b_kind))
-        else:
-            arcs.append((arc, eps))
-    return s, sigma, tuple(nodes), tuple(arcs)
-
-
-def fold_family(spec: GradationSpec) -> str:
-    """The :data:`FOLD_ENDS` row of a folded spec: its family for so/sp, its
-    type for the outer gl types."""
-    t = spec.gradation_type
-    if t not in PALINDROMIC_TYPES + FIXED_FIRST_TYPES:
-        raise SpecError(f"cannot classify gradation type {t!r}")
-    return t if t in OUTER_TYPES else spec.family
+    far_node = node0 != (p % 2 == 1)
+    return s, sigma, tuple(i for i, on_axis in ((0, node0), (s - 1, far_node)) if on_axis)
 
 
 def _spec_fold_ends(spec: GradationSpec):
     """fold_ends of a folded spec; the fixed-first types fix node 0."""
-    return fold_ends(fold_family(spec), spec.p, spec.gradation_type in FIXED_FIRST_TYPES)
+    return fold_ends(spec.p, spec.gradation_type in FIXED_FIRST_TYPES)
 
 
 def engine_for_spec(spec: GradationSpec, L: int) -> FoldEngine | None:
@@ -472,7 +445,7 @@ def build_system(spec, L: int, c_plus, c_minus) -> TodaSystem:
             raise BuildError(
                 f"arc {a} has grading index incompatible with L = {L}; its blocks must vanish"
             )
-    eq_class, variant, s, nodes, _ = _classify(spec)
+    eq_class, variant, s, nodes = _classify(spec)
     engine = engine_for_spec(spec, L)
     if engine is not None:
         for blocks, direction, name in ((cp, +1, "c_plus"), (cm, -1, "c_minus")):
@@ -676,24 +649,18 @@ def random_state(system: TodaSystem, rng: np.random.Generator, scale: float = 0.
 def random_c_blocks(spec: GradationSpec, L: int, rng: np.random.Generator):
     """Random (c_plus, c_minus) full-cycle lists compatible with the spec."""
     check_valid(spec)
-    _, _, s, nodes, arcs = _classify(spec)
+    _, _, s, nodes = _classify(spec)
     engine = engine_for_spec(spec, L)
     allowed = arcs_allowed(spec, L)
     sizes = spec.n_list
     p = spec.p
-    eps_by_arc = dict(arcs)
     partial_p, partial_m = {}, {}
     for a in _independent_arcs(s, *_chain_caps(s, nodes, engine is not None)):
         i = (a - 1) % p
         if not allowed[a]:
             continue
-        bp = rng.standard_normal((sizes[i], sizes[a])) + 1j * rng.standard_normal((sizes[i], sizes[a]))
-        bm = rng.standard_normal((sizes[a], sizes[i])) + 1j * rng.standard_normal((sizes[a], sizes[i]))
-        if a in eps_by_arc:
-            bp = (bp + eps_by_arc[a] * b_transpose(bp, "J")) / 2.0
-            bm = (bm + eps_by_arc[a] * b_transpose(bm, "J")) / 2.0
-        partial_p[a] = bp
-        partial_m[a] = bm
+        partial_p[a] = rng.standard_normal((sizes[i], sizes[a])) + 1j * rng.standard_normal((sizes[i], sizes[a]))
+        partial_m[a] = rng.standard_normal((sizes[a], sizes[i])) + 1j * rng.standard_normal((sizes[a], sizes[i]))
     if engine is None:
         cp = [partial_p.get(a, np.zeros((sizes[(a - 1) % p], sizes[a]), dtype=complex)) for a in range(p)]
         cm = [partial_m.get(a, np.zeros((sizes[a], sizes[(a - 1) % p]), dtype=complex)) for a in range(p)]

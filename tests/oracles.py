@@ -244,3 +244,41 @@ def enumerate_axis_shapes(p: int) -> dict[tuple[int, int], int]:
                 arcs += 1
         shapes[(nodes, arcs)] = shapes.get((nodes, arcs), 0) + 1
     return shapes
+
+
+def axis_twist_signs(engine) -> dict:
+    """eps of the fold twist on each arc on the axis, read off a random
+    block embedded alone in both directions: +-1 where the twist is eps ^J
+    there to 1e-12 in both, None where it is not (on an arc whose grading
+    misses L the twist is a phase such as e^{i pi/4})."""
+    rng = np.random.default_rng(0)
+    offs = np.cumsum((0,) + tuple(engine.sizes))
+    signs = {}
+    for a in range(engine.p):
+        if engine.mirror_arc(a) != a:
+            continue
+        i = (a - 1) % engine.p
+        found = set()
+        for direction, (r, c) in ((1, (i, a)), (-1, (a, i))):
+            rows, cols = slice(offs[r], offs[r + 1]), slice(offs[c], offs[c + 1])
+            full = np.zeros((offs[-1], offs[-1]), dtype=complex)
+            x = rng.standard_normal(full[rows, cols].shape) + 1j * rng.standard_normal(full[rows, cols].shape)
+            full[rows, cols] = x
+            image = engine.twist(full, direction)
+            found.add(next((eps for eps in (1, -1)
+                            if max_abs(image[rows, cols] - eps * b_transpose(x, "J")) <= 1e-12 * max_abs(x)
+                            and max_abs(image) == max_abs(image[rows, cols])), None))
+        signs[a] = found.pop() if len(found) == 1 else None
+    return signs
+
+
+def fixed_arc_signs(system) -> tuple:
+    """The (arc, eps) pairs of a folded system's axis arcs, eps from
+    :func:`axis_twist_signs`; raises AssertionError unless both of the
+    system's C blocks on each such arc meet ^J C = eps C."""
+    signs = tuple(sorted(axis_twist_signs(system.engine).items()))
+    for a, eps in signs:
+        assert eps is not None, f"the twist on axis arc {a} is not +-^J"
+        for c in (system.c_plus[a], system.c_minus[a]):
+            assert max_abs(b_transpose(c, "J") - eps * c) <= 1e-14 * max_abs(c), (a, eps)
+    return signs

@@ -32,43 +32,45 @@ def folded_chain(family, gtype, n_list, seed=0):
 
 
 class TestMakeFold:
-    """The folds of the p-node circle, as toda.fold_ends derives them:
-    (s, sigma, fixed nodes, fixed arcs); node0 puts node 0 on the axis."""
+    """The folds of the p-node circle: toda.fold_ends gives the geometry
+    (s, sigma, fixed nodes; node0 puts node 0 on the axis), and a built
+    system's fixed nodes carry their B kinds and its twist the sign eps of
+    ^J C = eps C on each fixed arc."""
 
     def test_p2_even_arc(self):
-        _, sigma, nodes, arcs = toda.fold_ends("sp", 2, False)
-        assert sigma == (1, 0)
-        assert nodes == ()
-        assert dict(arcs) == {0: 1, 1: 1}
+        assert toda.fold_ends(2, False) == (1, (1, 0), ())
+        system = folded_chain("sp", gr.TYPE_SOSP_I, (1, 1))[1]
+        assert system.fixed_nodes == ()
+        assert oracles.fixed_arc_signs(system) == ((0, 1), (1, 1))
 
     def test_p3_odd_mixed(self):
-        _, sigma, nodes, arcs = toda.fold_ends("so", 3, False)
-        assert sigma == (2, 1, 0)
-        assert nodes == ((1, "J"),)
-        assert arcs == ((0, -1),)
+        assert toda.fold_ends(3, False) == (2, (2, 1, 0), (1,))
+        system = folded_chain("so", gr.TYPE_SOSP_I, (2, 1, 2))[1]
+        assert system.fixed_nodes == ((1, "J"),)
+        assert oracles.fixed_arc_signs(system) == ((0, -1),)
 
     def test_p2_even_node(self):
-        _, sigma, nodes, arcs = toda.fold_ends("so", 2, True)
-        assert sigma == (0, 1)
-        assert nodes == ((0, "J"), (1, "J"))
-        assert arcs == ()
+        assert toda.fold_ends(2, True) == (2, (0, 1), (0, 1))
+        system = folded_chain("so", gr.TYPE_SOSP_II, (2, 2))[1]
+        assert system.fixed_nodes == ((0, "J"), (1, "J"))
+        assert oracles.fixed_arc_signs(system) == ()
 
     def test_decorations_by_family(self):
-        assert dict(toda.fold_ends("so", 4, False)[3]) == {0: -1, 2: -1}
-        assert dict(toda.fold_ends("gl_outer_II", 4, False)[3]) == {0: -1, 2: 1}
-        assert toda.fold_ends("sp", 3, False)[2] == ((1, "K"),)
-        assert toda.fold_ends("gl_outer_III", 4, True)[2] == ((0, "J"), (2, "K"))
+        so4 = folded_chain("so", gr.TYPE_SOSP_I, (2, 1, 1, 2))[1]
+        outer2 = folded_chain("gl_outer_II", gr.TYPE_GL_OUTER_II, (1, 2, 2, 1))[1]
+        sp3 = folded_chain("sp", gr.TYPE_SOSP_I, (2, 2, 2))[1]
+        outer3 = folded_chain("gl_outer_III", gr.TYPE_GL_OUTER_III, (1, 2, 2, 2))[1]
+        assert oracles.fixed_arc_signs(so4) == ((0, -1), (2, -1))
+        assert oracles.fixed_arc_signs(outer2) == ((0, -1), (2, 1))
+        assert sp3.fixed_nodes == ((1, "K"),)
+        assert outer3.fixed_nodes == ((0, "J"), (2, "K"))
 
-    @pytest.mark.parametrize("family,variant,nodes,arcs", [
-        ("so", toda.VARIANT_NODE_FIRST, ((0, "J"),), ((3, -1),)),
-        ("gl_outer_II", toda.VARIANT_NODE_FIRST, ((0, "K"),), ((3, -1),)),
-        ("gl_outer_III", toda.VARIANT_ARC_FIRST, ((2, "J"),), ((0, 1),)),
+    @pytest.mark.parametrize("node0,sigma,nodes", [
+        (True, (0, 4, 3, 2, 1), (0,)),
+        (False, (4, 3, 2, 1, 0), (2,)),
     ])
-    def test_odd_mirrored_placements(self, family, variant, nodes, arcs):
-        s, _, fixed_nodes, fixed_arcs = toda.fold_ends(family, 5, variant == toda.VARIANT_NODE_FIRST)
-        assert s == 3
-        assert fixed_nodes == nodes
-        assert fixed_arcs == arcs
+    def test_p5_odd_placements(self, node0, sigma, nodes):
+        assert toda.fold_ends(5, node0) == (3, sigma, nodes)
 
 
 #: The folded class each axis shape gives, by the shape's name.

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import zlib
 
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from looptoda import gradation as gr
 from looptoda import lie_core as lc
 from looptoda import toda
+
+import oracles
 
 
 def case_seed(case) -> int:
@@ -285,15 +288,15 @@ class TestClassification:
     def test_so_even_fold_constraint_signs(self):
         system, _ = build_random("so", gr.TYPE_SOSP_I, (2, 2), seed=20)
         assert system.equation_class == toda.EQ_EVEN_FOLD
-        assert toda._classify(system.spec)[4] == ((0, -1), (1, -1))
+        assert oracles.fixed_arc_signs(system) == ((0, -1), (1, -1))
 
     def test_sp_even_fold_constraint_signs(self):
         system, _ = build_random("sp", gr.TYPE_SOSP_I, (1, 1), seed=21)
-        assert toda._classify(system.spec)[4] == ((0, 1), (1, 1))
+        assert oracles.fixed_arc_signs(system) == ((0, 1), (1, 1))
 
     def test_outer_even_fold_mixed_signs(self):
         system, _ = build_random("gl", gr.TYPE_GL_OUTER_II, (2, 1, 1, 2), seed=22)
-        assert toda._classify(system.spec)[4] == ((0, -1), (2, 1))
+        assert oracles.fixed_arc_signs(system) == ((0, -1), (2, 1))
 
     def test_odd_fold_node_kinds(self):
         so_sys, _ = build_random("so", gr.TYPE_SOSP_I, (2, 1, 2), seed=23)
@@ -303,9 +306,9 @@ class TestClassification:
         assert so_sys.fixed_nodes == ((1, "J"),)
         assert sp_sys.fixed_nodes == ((1, "K"),)
         assert outer2.fixed_nodes == ((1, "K"),)
-        assert toda._classify(outer2.spec)[4] == ((0, -1),)
+        assert oracles.fixed_arc_signs(outer2) == ((0, -1),)
         assert outer3.fixed_nodes == ((0, "J"),)
-        assert toda._classify(outer3.spec)[4] == ((2, 1),)
+        assert oracles.fixed_arc_signs(outer3) == ((2, 1),)
         assert outer3.variant == toda.VARIANT_NODE_FIRST
 
     def test_double_fold_node_kinds(self):
@@ -320,6 +323,11 @@ class TestClassification:
         gl_sys, _ = build_random("gl", gr.TYPE_GL_INNER, (1, 1, 1), seed=29)
         assert toda.state_residual(sl_sys, state) >= 1.0
         assert toda.state_residual(gl_sys, state) == 0.0
+
+    def test_unknown_folded_type_is_a_spec_error(self):
+        spec = gr.GradationSpec("so", 4, "sosp_III", 4, (2, 2), (1,))
+        with pytest.raises(gr.SpecError, match="cannot classify gradation type 'sosp_III'"):
+            toda.classify_spec(spec)
 
 
 class TestIndexTableReaders:
@@ -348,9 +356,9 @@ class TestIndexTableReaders:
         assert checked == count
 
 
-#: one folded spec with fixed arcs per FOLD_ENDS row and fold shape, sized
-#: so that no fixed arc is a 1x1 block with eps = +1 (which ^J leaves free);
-#: the odd node-first placement occurs only for the outer type III
+#: one folded spec with fixed arcs per family, outer type and fold shape,
+#: sized so that no fixed arc is a 1x1 block with eps = +1 (which ^J leaves
+#: free); the odd node-first placement occurs only for the outer type III
 FIXED_ARC_CASES = [
     ("so", gr.TYPE_SOSP_I, (2, 1, 1, 2)),       # even fold
     ("so", gr.TYPE_SOSP_I, (2, 1, 2)),          # odd fold, arc first
@@ -361,6 +369,17 @@ FIXED_ARC_CASES = [
     ("gl", gr.TYPE_GL_OUTER_III, (1, 2, 2)),    # odd fold, node first
 ]
 
+#: the (arc, eps) pairs of ^J C = eps C on each case's fixed arcs
+FIXED_ARC_SIGNS = {
+    (2, 1, 1, 2): ((0, -1), (2, -1)),
+    (2, 1, 2): ((0, -1),),
+    (2, 2): ((0, 1), (1, 1)),
+    (2, 2, 2): ((0, 1),),
+    (1, 2, 2, 1): ((0, -1), (2, 1)),
+    (1, 2, 1): ((0, -1),),
+    (1, 2, 2): ((2, 1),),
+}
+
 
 class TestFixedArcGuard:
     """The fold twist alone rejects C blocks that break ^J C = eps C on a fixed arc."""
@@ -370,9 +389,9 @@ class TestFixedArcGuard:
         spec = chain_spec(family, gtype, n_list)
         rng = np.random.default_rng(case_seed((family, gtype, n_list)))
         cp, cm = toda.random_c_blocks(spec, 1, rng)
-        toda.build_system(spec, 1, cp, cm)
-        arcs = toda._classify(spec)[4]
-        assert arcs and all(toda.arcs_allowed(spec, 1))
+        arcs = FIXED_ARC_SIGNS[n_list]
+        assert oracles.fixed_arc_signs(toda.build_system(spec, 1, cp, cm)) == arcs
+        assert all(toda.arcs_allowed(spec, 1))
         for a, eps in arcs:
             for direction in (+1, -1):
                 blocks = [list(cp), list(cm)]
@@ -519,22 +538,51 @@ class TestLatexGolden:
             r"\partial_+\left(\Gamma^{-1}\partial_-\Gamma\right) = [C_-,\,\Gamma^{-1} C_+ \Gamma]")
 
 
+def folded_census():
+    """The folded specs of the gl, so and sp census with n, M <= 8."""
+    for family in ("gl", "so", "sp"):
+        for n in range(1, 9):
+            for M in range(1, 9):
+                for spec in gr.enumerate_specs(family, n, M):
+                    if not isinstance(spec, gr.TrivialSpec) and spec.gradation_type != gr.TYPE_GL_INNER:
+                        yield spec
+
+
 class TestFoldEndsMatchStructure:
     def test_fixed_node_kind_is_diagonal_block_of_b(self):
-        # every fixed node's B kind, read from the fold ends, is the
-        # diagonal block of the spec's global structure matrix at that node
+        # every fixed node's B kind is the diagonal block of the spec's
+        # global structure matrix at that node
         checked = 0
-        for family in ("gl", "so", "sp"):
-            for n in range(1, 9):
-                for M in range(1, 9):
-                    for spec in gr.enumerate_specs(family, n, M):
-                        if isinstance(spec, gr.TrivialSpec) or spec.gradation_type == gr.TYPE_GL_INNER:
-                            continue
-                        b = gr.structure_for_spec(spec)
-                        offs = np.cumsum((0,) + spec.n_list)
-                        for node, b_kind in toda._spec_fold_ends(spec)[2]:
-                            block = b[offs[node]:offs[node + 1], offs[node]:offs[node + 1]]
-                            expected = lc.structure_matrix(b_kind, spec.n_list[node])
-                            assert np.array_equal(block, expected), (spec, node, b_kind)
-                            checked += 1
+        for spec in folded_census():
+            b = gr.structure_for_spec(spec)
+            offs = np.cumsum((0,) + spec.n_list)
+            for node, b_kind in toda._classify(spec)[3]:
+                block = b[offs[node]:offs[node + 1], offs[node]:offs[node + 1]]
+                expected = lc.structure_matrix(b_kind, spec.n_list[node])
+                assert np.array_equal(block, expected), (spec, node, b_kind)
+                checked += 1
         assert checked == 1076
+
+    def test_twist_is_plus_minus_j_on_allowed_fixed_arcs(self):
+        # at every admissible L the fold twist is +-^J on each fixed arc
+        # whose grading carries L, in both directions
+        arcs = systems = 0
+        for spec in folded_census():
+            for L in range(1, gr.minimal_grade(spec) + 1):
+                allowed = toda.arcs_allowed(spec, L)
+                for a, eps in oracles.axis_twist_signs(toda.engine_for_spec(spec, L)).items():
+                    if allowed[a]:
+                        assert eps in (1, -1), (spec, L, a)
+                        arcs += 1
+                systems += 1
+        assert (systems, arcs) == (1805, 771)
+
+    def test_census_draws_are_pinned(self):
+        # random_c_blocks at L = minimal_grade, one seeded rng per spec
+        digest = hashlib.sha256()
+        for seed, spec in enumerate(folded_census()):
+            blocks = toda.random_c_blocks(spec, gr.minimal_grade(spec), np.random.default_rng(seed))
+            for c in blocks[0] + blocks[1]:
+                digest.update(repr(c.shape).encode() + c.tobytes())
+        assert seed + 1 == 1299
+        assert digest.hexdigest() == "82e8596b9dffe2d62c53eb35630bf62fd223d3963bce03b2f7f10fe63aac3621"
