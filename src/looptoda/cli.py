@@ -2,8 +2,9 @@
 
 Exit codes form a stable contract: 0 success, 1 domain failure (invalid
 spec, failed invariant), 2 parse error, 3 size cap exceeded (the
-enumeration cap, or a ``check`` spec with M n^2 above ``CHECK_MAX_ORBIT``),
-4 blow-up during integration.
+enumeration cap, a ``check`` spec with M n^2 above ``CHECK_MAX_ORBIT``, or
+a ``simulate`` lattice that cannot be allocated), 4 blow-up during
+integration.
 """
 
 from __future__ import annotations
@@ -189,17 +190,7 @@ def _run_preset(name, grid):
         def left(w):
             return (np.array([[np.exp(0.1 * w)]]), np.array([[np.exp(-0.1 * w)]]))
 
-        def bottom_full(z):
-            bl = bottom(z)
-            ll = left(0.0)
-            return tuple(l @ b for l, b in zip(ll, bl))
-
-        def left_full(w):
-            bl = bottom(0.0)
-            ll = left(w)
-            return tuple(l @ b for l, b in zip(ll, bl))
-
-        hist = solver.integrate(system, solver.CharacteristicData(bottom_full, left_full), grid)
+        hist = solver.integrate(system, solver.CharacteristicData(bottom, left), grid)
         if not hist.halted:
             # the exact field is left(w) * bottom(z), block by block
             bottoms = np.array([[g[0, 0] for g in bottom(z)] for z in grid.zm_points()])
@@ -243,6 +234,9 @@ def cmd_simulate(args) -> int:
     except (toda.BuildError, toda.ConstraintViolationError, gradation.SpecError, ValueError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except MemoryError as exc:
+        print(f"cap exceeded: {exc}", file=sys.stderr)
+        return EXIT_CAP
 
     status = EXIT_BLOWUP if hist.halted else EXIT_OK
     manifest = {
@@ -343,7 +337,10 @@ def _check_lines(spec):
         L = gradation.minimal_grade(spec)
         cp, cm = toda.random_c_blocks(spec, L, rng)
         system = toda.build_system(spec, L, cp, cm)
-        state = toda.random_state(system, rng)
+        # entries of X in I + X scaled by 1 / sqrt(size) keep X's eigenvalues
+        # in a disk of radius about 0.57 at every block size (circular law),
+        # so a large block is as far from singular as a small one
+        state = toda.random_state(system, rng, scale=0.4 / math.sqrt(max(spec.n_list)))
         dev = toda.rhs_blocks_vs_full(system, state)
         yield "block_vs_full", dev <= 1e-11, dev
 

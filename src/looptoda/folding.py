@@ -13,11 +13,12 @@ folded equation class:
 * through a node and an arc (odd p = 2s - 1) -> ``odd_fold`` (two
   equivalent placements, arc first or node first).
 
-:func:`looptoda.toda.fold_ends` derives the ends of every fold, and
-:func:`looptoda.toda.build_system` caps the chain at them.  This module
-checks a folded system against the chain it folds: the unrestricted chain
-on the same data (:func:`unfolded_chain`) must keep the fold constraints
-along its flow (:func:`verify_fold_invariance`).
+:func:`looptoda.toda.fold_ends` gives the geometry of every fold and the
+spec's twist the decorations at its ends (a fixed node's B kind, a fixed
+arc's epsilon); :func:`looptoda.toda.build_system` caps the chain there.
+This module checks a folded system against the chain it folds: the
+unrestricted chain on the same data (:func:`unfolded_chain`) must keep the
+fold constraints along its flow (:func:`verify_fold_invariance`).
 """
 
 from __future__ import annotations
@@ -61,12 +62,13 @@ def verify_fold_invariance(system: TodaSystem, gammas,
     the grid, relative to the largest |G| on it.
 
     The discrete scheme commutes with the fold exactly, so at every step
-    size the violation is round-off: at most 8.2e-16 on the census specs
-    on the default grid, 2 x 2 cells of step 0.025 (three anti-diagonal
-    passes), against the 1e-12 that ``check`` allows.  A defect of the
-    flow does not hide under that bound: a non-equivariant 1e-6 I on one
-    node reads at least 9.4e-11 there.  Raises :class:`FoldError` with
-    the halt text when the march halts.
+    size the violation is round-off: at most 1.6e-15 on the 29 fold specs
+    of the census ``check`` golden, with ``check``'s states, on the default
+    grid, 2 x 2 cells of step 0.025 (three anti-diagonal passes), against
+    the 1e-12 that ``check`` allows.  A defect of the flow does not hide
+    under that bound: a non-equivariant 1e-6 I on one node reads at least
+    9.5e-10 there.  Raises :class:`FoldError` with the halt text when the
+    march halts.
     """
     chain = unfolded_chain(system)
     data = solver.constant_data(toda.full_state(system, gammas))

@@ -316,8 +316,9 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
     list.
 
     The edge data are sampled once, on the lattice points, before the
-    march.  A sample with the wrong block count or block shape raises
-    ValueError.
+    march and after the lattice is allocated, so a lattice too large for
+    memory raises MemoryError at once.  A sample with the wrong block count
+    or block shape raises ValueError.
 
     Returns the :class:`FieldHistory` of G.  On numerical loss it is
     truncated to the rows below the lowest failing row, with
@@ -343,6 +344,11 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
     zm_march = zm if march_minus > 0 else zm[::-1]
     shapes = [(na, na) for na in sizes]
 
+    # ``stores`` in ascending coordinates
+    groups = _size_groups(sizes)
+    stores = [np.empty((len(group), len(zp), len(zm)) + shapes[group[0]], dtype=complex)
+              for group in groups]
+
     bottom = _sample(data.gamma_minus, zm_march, shapes, "gamma_minus")
     left = _sample(data.gamma_plus, zp, shapes, "gamma_plus")
     corner_dev = max(max_abs(b[0] - l[0]) for b, l in zip(bottom, left))
@@ -360,10 +366,7 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
             # looked up at call time, so a profiler's wrapper of it counts every call
             return toda.rhs_dispatch(system, centers)
 
-    # ``stores`` in ascending coordinates, ``lattice`` their views in the march's order
-    groups = _size_groups(sizes)
-    stores = [np.empty((len(group), len(zp), len(zm)) + shapes[group[0]], dtype=complex)
-              for group in groups]
+    # ``lattice``: the stores' views in the march's order
     lattice = [g if march_minus > 0 else g[:, :, ::-1] for g in stores]
     for g, l, b in zip(_unpack(lattice, groups), left, bottom):
         g[:, 0] = l

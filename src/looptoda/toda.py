@@ -659,8 +659,9 @@ def random_c_blocks(spec: GradationSpec, L: int, rng: np.random.Generator):
         i = (a - 1) % p
         if not allowed[a]:
             continue
-        partial_p[a] = rng.standard_normal((sizes[i], sizes[a])) + 1j * rng.standard_normal((sizes[i], sizes[a]))
-        partial_m[a] = rng.standard_normal((sizes[a], sizes[i])) + 1j * rng.standard_normal((sizes[a], sizes[i]))
+        shape = (sizes[i], sizes[a])
+        partial_p[a] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        partial_m[a] = rng.standard_normal(shape[::-1]) + 1j * rng.standard_normal(shape[::-1])
     if engine is None:
         cp = [partial_p.get(a, np.zeros((sizes[(a - 1) % p], sizes[a]), dtype=complex)) for a in range(p)]
         cm = [partial_m.get(a, np.zeros((sizes[a], sizes[(a - 1) % p]), dtype=complex)) for a in range(p)]

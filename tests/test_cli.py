@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -303,6 +304,24 @@ class TestSimulateCommand:
             assert rc == 2, grid
         assert not (tmp_path / "manifest.json").exists()
 
+    def test_unallocatable_lattice_exits_3_at_once(self, tmp_path, capsys, monkeypatch):
+        """A 2 000 001-point square lattice (58 TiB) is a cap error, raised
+        when the lattice is allocated, before the edges are sampled (which
+        took 38 s) and before any file is written."""
+        def no_sample(*args):
+            raise AssertionError("sampled the edges of a lattice that was never allocated")
+
+        monkeypatch.setattr(cli.solver, "_sample", no_sample)
+        start = time.monotonic()
+        rc = cli.main(["simulate", "--preset", "sine-gordon-kink", "--grid=-5,5,-5,5,5e-6,5e-6",
+                       "--output", str(tmp_path)])
+        assert rc == 3
+        assert time.monotonic() - start < 10.0
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("cap exceeded: ")
+        assert len(captured.err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_output_below_a_file_is_a_parse_error(self, tmp_path, capsys, monkeypatch):
         """The output directory is made before the run, and a failure to make
         it is a parse error, not a traceback after the integration."""
@@ -508,20 +527,34 @@ class TestCheckCommand:
                     classes.add(toda.classify_spec(spec)[0])
         assert classes == {toda.EQ_EVEN_FOLD, toda.EQ_ODD_FOLD, toda.EQ_DOUBLE_FIXED_FOLD}
 
+    @pytest.mark.parametrize("family, half", [("so", 70), ("sp", 100)])
+    def test_large_fold_spec_passes(self, tmp_path, capsys, family, half):
+        """The state is drawn with entries scaled by 1 / sqrt(block size):
+        at a fixed scale the unfolded march of sosp_I M=2 (70, 70) lost
+        invertibility at row 2, and (80, 80) and sp (100, 100) went
+        non-finite, though M n^2 is far under the cap."""
+        payload = {"family": family, "n": 2 * half, "type": "sosp_I", "M": 2,
+                   "n_list": [half, half], "k_list": [1], "phase_offset": 0.5}
+        path = write_json(tmp_path / "s.json", payload)
+        assert cli.main(["check", "--spec", path]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out
+        assert "PASS fold_invariance_drift" in out
+
     def test_halted_fold_march_fails_with_its_reason(self, tmp_path, capsys, monkeypatch):
-        """At 2 steps of 0.15 the unfolded march of sp_6 M=8 (3, 3) halts at
-        row 2: the fold line fails with the halt text, no drift."""
+        """At 2 steps of 1.3 the unfolded march of sp_6 M=8 (3, 3) halts at
+        row 1: the fold line fails with the halt text, no drift."""
         march = folding.verify_fold_invariance
         monkeypatch.setattr(folding, "verify_fold_invariance",
-                            lambda system, state: march(system, state, steps=2, step=0.15))
+                            lambda system, state: march(system, state, steps=2, step=1.3))
         spec = gr.enumerate_specs("sp", 6, 8)[1]
         assert (spec.n_list, spec.k_list) == ((3, 3), (1,))
         path = write_json(tmp_path / "s.json", spec.to_json())
         assert cli.main(["check", "--spec", path]) == 1
         out = capsys.readouterr().out
-        assert out.splitlines()[-1] == (
-            "FAIL fold_invariance_drift: the unfolded march halted: non-finite value at row 2 "
-            "(z^+ = 0.3)")
+        assert out.splitlines()[-1].startswith(
+            "FAIL fold_invariance_drift: the unfolded march halted: invertibility lost at row 1 "
+            "(z^+ = 1.3): max(|G|, |inv G|, |G| |inv G|) = ")
         assert out.count("FAIL") == 1
 
     @pytest.mark.parametrize("family, n, M, shapes", [
@@ -563,7 +596,7 @@ class TestCheckCommand:
                     json.dump(spec.to_json(), fh, sort_keys=True)
                 code = cli.main(["check", "--spec", str(path)])
                 digest.update(f"{code}\n{capsys.readouterr().out}".encode())
-        assert digest.hexdigest() == "273c2797e553a0c3aaa76b2cd44239d2fa31fed4d348985914ac127333ecdbdc"
+        assert digest.hexdigest() == "d84ed6d5017dba79e7fde1560ff2ccf692892a1eb065b7770f6b10f5a8e5edcd"
 
     def test_invalid_spec_reported_before_invariants(self, tmp_path, capsys):
         payload = dict(SO4_JSON, k_list=[1, 2])
