@@ -49,12 +49,19 @@ def _enum_cap() -> int:
     return cap
 
 
-def cmd_validate(args) -> int:
+def _load_spec(path: str):
+    """The gradation spec in the JSON file at path, or None after printing
+    why it could not be read."""
     try:
-        payload = _load_json(args.spec)
-        spec = gradation.spec_from_json(payload)
+        return gradation.spec_from_json(_load_json(path))
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return None
+
+
+def cmd_validate(args) -> int:
+    spec = _load_spec(args.spec)
+    if spec is None:
         return EXIT_PARSE
     violations = gradation.validate_spec(spec)
     if args.json:
@@ -354,11 +361,8 @@ def _check_lines(spec):
 
 
 def cmd_check(args) -> int:
-    try:
-        payload = _load_json(args.spec)
-        spec = gradation.spec_from_json(payload)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+    spec = _load_spec(args.spec)
+    if spec is None:
         return EXIT_PARSE
     violations = gradation.validate_spec(spec)
     if violations:
@@ -398,8 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--family", required=True, choices=("gl", "sl", "so", "sp"))
     p_enum.add_argument("--n", type=int, required=True)
     p_enum.add_argument("--M", type=int, required=True)
-    p_enum.add_argument("--json", action="store_true")
-    p_enum.add_argument("--latex", action="store_true")
+    enum_format = p_enum.add_mutually_exclusive_group()
+    enum_format.add_argument("--json", action="store_true")
+    enum_format.add_argument("--latex", action="store_true")
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_sim = sub.add_parser("simulate", help="integrate a Toda system")
@@ -417,12 +422,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _source_error(args) -> str | None:
+    """Why simulate's options name no single source, or None: exactly one
+    of --preset and --system, and --initial only with --system."""
+    if not (args.preset or args.system):
+        return "simulate needs --preset or --system"
+    if args.preset and args.system:
+        return "simulate takes --preset or --system, not both"
+    if args.initial and not args.system:
+        return "simulate takes --initial only with --system"
+    return None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "simulate" and not (args.preset or args.system):
-        print("simulate needs --preset or --system", file=sys.stderr)
-        return EXIT_PARSE
+    if args.command == "simulate":
+        error = _source_error(args)
+        if error:
+            print(error, file=sys.stderr)
+            return EXIT_PARSE
     return args.func(args)
 
 

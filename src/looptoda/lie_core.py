@@ -37,16 +37,15 @@ Other sizes, and 2x2 batches outside a region, take the general kernels.
 The regions are checked against scipy.linalg in test_kernel_oracles.py.
 
 The right-hand side of a chain gathers the four factors of both terms
-of every node once.  On a chain of equal blocks it copies them, C blocks
-spread to full size among them, into four operand stacks and multiplies
-them once; otherwise it multiplies term by term.  It allocates them
-with ``empty_stack``, which stores 1x1 and 2x2 stacks batch-last: the
-matrix axes are outermost in memory, so numpy's inner loops run along the
-cells and not along a length-2 axis.  The 2x2 closed forms allocate with
-``np.empty_like`` and so keep their input's layout; ``mul`` spreads a
-broadcast operand to the full stack in the other's layout first.  Larger
-blocks stay in C order for BLAS and LAPACK.  The layout changes no value:
-every kernel gives the same bits in either.
+of every node once.  On a chain of equal blocks, one node among them, it
+copies them, C blocks spread to full size among them, into four operand
+stacks and multiplies them once; only mixed block sizes multiply term by
+term.  It allocates the stacks with ``empty_stack``, which stores 1x1 and
+2x2 stacks batch-last: the matrix axes are outermost in memory, so
+numpy's inner loops run along the cells and not along a length-2 axis.
+The 2x2 closed forms allocate with ``np.empty_like`` and so keep their
+input's layout.  Larger blocks stay in C order for BLAS and LAPACK.  The
+layout changes no value: every kernel gives the same bits in either.
 """
 
 from __future__ import annotations
@@ -226,28 +225,11 @@ def empty_stack(shape) -> np.ndarray:
     return np.empty(shape[-2:] + shape[:-2], dtype=complex).transpose(*range(2, len(shape)), 0, 1)
 
 
-def _spread(x: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """x broadcast to the shape of the larger ``other``, in other's layout.
-
-    numpy can lay out the product of a full stack and a broadcast one with
-    a length-2 matrix axis innermost, which slows every later loop over
-    it.  x is returned as it is when it is the larger one or does not
-    broadcast to other's shape.
-    """
-    if x.size >= other.size or x.ndim > other.ndim or any(
-            d not in (1, e) for d, e in zip(x.shape[::-1], other.shape[::-1])):
-        return x
-    full = np.empty_like(other, dtype=np.result_type(x))
-    full[...] = x
-    return full
-
-
 def mul(a, b) -> np.ndarray:
     """Batched matrix product a @ b.
 
     An inner dimension of 1 (1x1 blocks among them) is the broadcast
-    product a * b; 2x2 by 2x2 takes two broadcast outer products, after
-    spreading a broadcast operand to the other's stack (``_spread``).
+    product a * b; 2x2 by 2x2 takes two broadcast outer products.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -257,8 +239,6 @@ def mul(a, b) -> np.ndarray:
         return a * b
     if a.shape[-2:] != (2, 2) or b.shape[-1] != 2:
         return a @ b
-    if a.shape != b.shape:
-        a, b = _spread(a, b), _spread(b, a)
     out = a[..., :, :1] * b[..., :1, :]
     out += a[..., :, 1:] * b[..., 1:, :]
     return out

@@ -280,14 +280,15 @@ def rhs_chain(gammas, cp, cm, left=None, right=None):
 
     The four factors of every term are gathered once and multiplied as
     ((a b) c) d, so each term has the same bits on either path.  A chain
-    of s >= 2 equal blocks takes its nodes as one stack, nodes first, or
-    as a list, multiplies all its terms as four operand stacks and returns
-    the node stack.  A chain of one node or of mixed block sizes
-    multiplies term by term and returns a list.
+    of equal blocks, of one node or more, takes its nodes as one stack,
+    nodes first, or as a list, copies all its terms into four operand
+    stacks of one allocation, multiplies them once and returns the node
+    stack.  A chain of mixed block sizes multiplies term by term and
+    returns a list.
     """
     s = len(gammas)
     node_caps = ("J", "K")
-    stacked = s > 1 and (isinstance(gammas, np.ndarray) or len({g.shape for g in gammas}) == 1)
+    stacked = isinstance(gammas, np.ndarray) or len({g.shape for g in gammas}) == 1
     if stacked:
         gammas = np.asarray(gammas)
         ginv = inv(gammas)
@@ -302,7 +303,7 @@ def rhs_chain(gammas, cp, cm, left=None, right=None):
     terms = [(ginv[i], cp[a], g, cm[a]) for i, a, g in zip(first, arcs, succ)]
     terms += [(cm[i], g, cp[i], gammas[i]) for i, g in zip(second, pred)]
     if stacked:
-        a, b, c, d = (empty_stack((len(terms),) + gammas.shape[1:]) for _ in range(4))
+        a, b, c, d = empty_stack((4, len(terms)) + gammas.shape[1:])
         for k, term in enumerate(terms):
             a[k], b[k], c[k], d[k] = term
         products = mul(mul(mul(a, b), c), d)
@@ -672,10 +673,6 @@ def random_c_blocks(spec: GradationSpec, L: int, rng: np.random.Generator):
 # ---------------------------------------------------------------------------
 # serialization and rendering
 
-def _array_to_json(a: np.ndarray):
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.atleast_2d(a)]
-
-
 def _array_from_json(data) -> np.ndarray:
     """A matrix from rows of [re, im] pairs of JSON numbers; a malformed
     entry or rows of unequal length raise TypeError."""
@@ -689,20 +686,6 @@ def _json_entry(entry) -> complex:
     if not isinstance(entry, list) or len(entry) != 2:
         raise TypeError(f"a matrix entry must be a [re, im] pair, got {entry!r}")
     return complex(_json_number(entry[0], "re"), _json_number(entry[1], "im"))
-
-
-def system_to_json(system: TodaSystem) -> dict:
-    return {
-        "class": system.equation_class,
-        "variant": system.variant,
-        "family": system.family,
-        "L": system.L,
-        "block_sizes": list(system.block_sizes),
-        "spec": system.spec.to_json() if system.spec is not None else None,
-        "simplest_outer": system.simplest_outer,
-        "c_plus": [_array_to_json(c) for c in system.c_plus],
-        "c_minus": [_array_to_json(c) for c in system.c_minus],
-    }
 
 
 def _single_blocks(cp, cm) -> tuple:

@@ -1,5 +1,6 @@
 """Test-only oracles: independent schemes and identities the suite checks
-the package against.  Nothing in ``looptoda`` calls them."""
+the package against, and the writer of the ``--system`` files the CLI
+tests read.  Nothing in ``looptoda`` calls them."""
 
 from __future__ import annotations
 
@@ -282,3 +283,23 @@ def fixed_arc_signs(system) -> tuple:
         for c in (system.c_plus[a], system.c_minus[a]):
             assert max_abs(b_transpose(c, "J") - eps * c) <= 1e-14 * max_abs(c), (a, eps)
     return signs
+
+
+def _array_to_json(a: np.ndarray):
+    return [[[float(v.real), float(v.imag)] for v in row] for row in np.atleast_2d(a)]
+
+
+def system_to_json(system) -> dict:
+    """The system as ``toda.system_from_json`` reads it, such as a
+    ``looptoda simulate --system`` file."""
+    return {
+        "class": system.equation_class,
+        "variant": system.variant,
+        "family": system.family,
+        "L": system.L,
+        "block_sizes": list(system.block_sizes),
+        "spec": system.spec.to_json() if system.spec is not None else None,
+        "simplest_outer": system.simplest_outer,
+        "c_plus": [_array_to_json(c) for c in system.c_plus],
+        "c_minus": [_array_to_json(c) for c in system.c_minus],
+    }

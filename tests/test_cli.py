@@ -217,6 +217,13 @@ class TestEnumerateCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and "parse error" in captured.err
 
+    def test_json_and_latex_conflict(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["enumerate", "--family", "gl", "--n", "2", "--M", "2", "--json", "--latex"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not allowed with argument" in captured.err
+
 
 class TestSimulateCommand:
     def test_free_field_preset(self, tmp_path, capsys):
@@ -254,7 +261,7 @@ class TestSimulateCommand:
         cp = np.array([[0.0, 1.0], [0.0, 0.0]])
         cm = cp.T
         system = toda.build_simplest("gl", cp, cm)
-        sys_path = write_json(tmp_path / "sys.json", toda.system_to_json(system))
+        sys_path = write_json(tmp_path / "sys.json", oracles.system_to_json(system))
         init = {"gammas": [[[[1e-8, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e8, 0.0]]]]}
         init_path = write_json(tmp_path / "init.json", init)
         rc = cli.main([
@@ -269,7 +276,7 @@ class TestSimulateCommand:
 
     def test_system_file_run(self, tmp_path):
         chain = toda.build_periodic_chain(2, 1)
-        sys_path = write_json(tmp_path / "sys.json", toda.system_to_json(chain))
+        sys_path = write_json(tmp_path / "sys.json", oracles.system_to_json(chain))
         rc = cli.main(["simulate", "--system", sys_path, "--output", str(tmp_path)])
         assert rc == 0
 
@@ -277,7 +284,7 @@ class TestSimulateCommand:
     def test_trivial_system_needs_one_block_each(self, tmp_path, capsys, count):
         """A p = 1 system file with no or extra C blocks is a domain error."""
         c = np.array([[0.0, 1.0], [1.0, 0.0]])
-        payload = toda.system_to_json(toda.build_simplest("gl", c, c))
+        payload = oracles.system_to_json(toda.build_simplest("gl", c, c))
         payload["c_plus"] = payload["c_plus"][:1] * count
         sys_path = write_json(tmp_path / "sys.json", payload)
         rc = cli.main(["simulate", "--system", sys_path, "--output", str(tmp_path)])
@@ -292,8 +299,18 @@ class TestSimulateCommand:
         assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
         assert (out1 / "field.csv").read_bytes() == (out2 / "field.csv").read_bytes()
 
-    def test_missing_source(self):
+    def test_missing_source(self, tmp_path, capsys):
         assert cli.main(["simulate"]) == 2
+        # two sources, or --initial without --system: one stderr line, no output
+        out = tmp_path / "out"
+        for extra in (["--preset", "free-field", "--system", "missing.json"],
+                      ["--preset", "free-field", "--system", "missing.json", "--initial", "missing.json"],
+                      ["--preset", "free-field", "--initial", "missing.json"]):
+            capsys.readouterr()
+            assert cli.main(["simulate", *extra, "--output", str(out)]) == 2, extra
+            captured = capsys.readouterr()
+            assert captured.out == "" and len(captured.err.splitlines()) == 1, extra
+            assert not out.exists()
 
     def test_bad_grid(self, tmp_path):
         # steps that do not divide the ranges, a zero step, an infinite range,
@@ -382,7 +399,7 @@ class TestSimulateCommand:
         """A system file's L must be a JSON integer, and each matrix entry of a
         system or --initial file a pair of JSON numbers, in rows of one
         length: no truncation, no bools, no dropped or extra values."""
-        payload = dict(toda.system_to_json(toda.build_periodic_chain(2, 1)), **edit)
+        payload = dict(oracles.system_to_json(toda.build_periodic_chain(2, 1)), **edit)
         argv = ["simulate", "--system", write_json(tmp_path / "sys.json", payload)]
         if gammas is not None:
             argv += ["--initial", write_json(tmp_path / "init.json", {"gammas": gammas})]
@@ -398,7 +415,7 @@ class TestSimulateCommand:
     def test_non_bool_simplest_outer_is_a_parse_error(self, tmp_path, capsys, outer):
         """A system file's simplest_outer must be a JSON bool, not read by truthiness."""
         c = np.array([[0.0, 1.0], [1.0, 0.0]])
-        payload = dict(toda.system_to_json(toda.build_simplest("gl", c, c)), simplest_outer=outer)
+        payload = dict(oracles.system_to_json(toda.build_simplest("gl", c, c)), simplest_outer=outer)
         sys_path = write_json(tmp_path / "sys.json", payload)
         rc = cli.main(["simulate", "--system", sys_path, "--output", str(tmp_path)])
         assert rc == 2

@@ -978,9 +978,15 @@ class TestRowKernels:
             assert a.tobytes() == b.tobytes()
 
 
-#: the exactness cases, with even folds of s = 2 nodes of 2x2 and 4x4 blocks
-#: and of one 4x4 node, and capped chains of mixed block sizes on three folds
-RHS_REFERENCE_CASES = dict(EXACTNESS_CASES)
+def _sine_gordon_case():
+    """The sine-Gordon chain, one 1x1 node with arc caps at both ends, with kink data."""
+    return solver.sine_gordon_system(), solver.kink_data(solver.KINK_SLOPE, solver.Grid(0, 1, 0, 1, 16, 16))
+
+
+#: the exactness cases, with even folds of s = 2 nodes of 2x2 and 4x4 blocks,
+#: of one 4x4 node and of one 1x1 node (sine-Gordon), and capped chains of
+#: mixed block sizes on three folds
+RHS_REFERENCE_CASES = dict(EXACTNESS_CASES, sine_gordon=_sine_gordon_case)
 RHS_REFERENCE_CASES.update({case[0]: functools.partial(TestRichardson._case, *case) for case in (
     ("even_fold_2x2_s2", "sp", gr.TYPE_SOSP_I, 4, (2, 2, 2, 2), (1, 1, 1)),
     ("even_fold_4x4_s1", "sp", gr.TYPE_SOSP_I, 2, (4, 4), (1,)),

@@ -440,7 +440,7 @@ class TestSerialization:
     @pytest.mark.parametrize("family,gtype,n_list", CHAIN_CASES[:6])
     def test_json_round_trip(self, family, gtype, n_list):
         system, _ = build_random(family, gtype, n_list, seed=13)
-        payload = json.loads(json.dumps(toda.system_to_json(system)))
+        payload = json.loads(json.dumps(oracles.system_to_json(system)))
         again = toda.system_from_json(payload)
         assert again.equation_class == system.equation_class
         assert again.block_sizes == system.block_sizes
@@ -449,11 +449,11 @@ class TestSerialization:
 
     def test_json_without_constraints_block(self):
         system, _ = build_random("so", gr.TYPE_SOSP_I, (2, 1, 2), seed=15)
-        assert "constraints" not in toda.system_to_json(system)
+        assert "constraints" not in oracles.system_to_json(system)
 
     def test_json_with_old_constraints_block_loads(self):
         system, _ = build_random("gl", gr.TYPE_GL_OUTER_II, (1, 2, 1), seed=16)
-        payload = json.loads(json.dumps(toda.system_to_json(system)))
+        payload = json.loads(json.dumps(oracles.system_to_json(system)))
         payload["constraints"] = {"gamma": [[1, "K"]], "c": [[0, "J", -1]],
                                   "det_product_one": False}
         again = toda.system_from_json(payload)
@@ -463,13 +463,13 @@ class TestSerialization:
 
     def test_simplest_outer_round_trip(self):
         system = toda.build_simplest("gl", lc.skew_identity(3), lc.skew_identity(3), outer=True)
-        again = toda.system_from_json(toda.system_to_json(system))
+        again = toda.system_from_json(oracles.system_to_json(system))
         assert again.simplest_outer
 
     @pytest.mark.parametrize("absent", [False, True])
     def test_simplest_inner_reads_false_or_absent(self, absent):
         system = toda.build_simplest("gl", lc.skew_identity(2), lc.skew_identity(2))
-        payload = toda.system_to_json(system)
+        payload = oracles.system_to_json(system)
         assert payload["simplest_outer"] is False
         if absent:
             del payload["simplest_outer"]
