@@ -39,16 +39,6 @@ def _dump_json(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
-def _enum_cap() -> int:
-    raw = os.environ.get("TODA_MAX_ENUM")
-    if raw is None:
-        return gradation.DEFAULT_ENUM_CAP
-    cap = int(raw)
-    if cap < 1:
-        raise ValueError(f"TODA_MAX_ENUM must be a positive integer, got {raw}")
-    return cap
-
-
 def _load_spec(path: str):
     """The gradation spec in the JSON file at path, or None after printing
     why it could not be read."""
@@ -89,7 +79,7 @@ def _spec_summary(spec) -> dict:
 
 def cmd_enumerate(args) -> int:
     try:
-        specs = gradation.enumerate_specs(args.family, args.n, args.M, cap=_enum_cap())
+        specs = gradation.enumerate_specs(args.family, args.n, args.M)
     except gradation.EnumerationCapError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
@@ -184,30 +174,29 @@ def _run_preset(name, grid):
         if not hist.halted:
             meta["det_factorization_defect"] = solver.det_factorization_defect(hist)
         return hist, meta
-    if name == "free-field":
-        spec = gradation.make_spec("gl", gradation.TYPE_GL_INNER, 2, (1, 1), (1,))
-        zero = np.zeros((1, 1))
-        one = np.eye(1)
-        system = toda.build_system(spec, 1, (zero, zero), (one, one))
-        grid = grid or solver.Grid(0, 1, 0, 1, 64, 64)
+    # free-field, the last name argparse's choices=PRESETS admit
+    spec = gradation.make_spec("gl", gradation.TYPE_GL_INNER, 2, (1, 1), (1,))
+    zero = np.zeros((1, 1))
+    one = np.eye(1)
+    system = toda.build_system(spec, 1, (zero, zero), (one, one))
+    grid = grid or solver.Grid(0, 1, 0, 1, 64, 64)
 
-        def bottom(z):
-            return (np.array([[np.exp(0.2 * np.sin(z))]]), np.array([[np.exp(-0.2 * np.sin(z))]]))
+    def bottom(z):
+        return (np.array([[np.exp(0.2 * np.sin(z))]]), np.array([[np.exp(-0.2 * np.sin(z))]]))
 
-        def left(w):
-            return (np.array([[np.exp(0.1 * w)]]), np.array([[np.exp(-0.1 * w)]]))
+    def left(w):
+        return (np.array([[np.exp(0.1 * w)]]), np.array([[np.exp(-0.1 * w)]]))
 
-        hist = solver.integrate(system, solver.CharacteristicData(bottom, left), grid)
-        if not hist.halted:
-            # the exact field is left(w) * bottom(z), block by block
-            bottoms = np.array([[g[0, 0] for g in bottom(z)] for z in grid.zm_points()])
-            lefts = np.array([[g[0, 0] for g in left(w)] for w in grid.zp_points()])
-            meta["free_field_deviation"] = max(
-                float(np.max(np.abs(hist.gammas[b][..., 0, 0] - np.outer(lefts[:, b], bottoms[:, b]))))
-                for b in range(2)
-            )
-        return hist, meta
-    raise ValueError(f"unknown preset {name!r}")
+    hist = solver.integrate(system, solver.CharacteristicData(bottom, left), grid)
+    if not hist.halted:
+        # the exact field is left(w) * bottom(z), block by block
+        bottoms = np.array([[g[0, 0] for g in bottom(z)] for z in grid.zm_points()])
+        lefts = np.array([[g[0, 0] for g in left(w)] for w in grid.zp_points()])
+        meta["free_field_deviation"] = max(
+            float(np.max(np.abs(hist.gammas[b][..., 0, 0] - np.outer(lefts[:, b], bottoms[:, b]))))
+            for b in range(2)
+        )
+    return hist, meta
 
 
 def cmd_simulate(args) -> int:
@@ -436,7 +425,10 @@ def _source_error(args) -> str | None:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse's --help (0) and usage errors (2)
+        return exc.code
     if args.command == "simulate":
         error = _source_error(args)
         if error:

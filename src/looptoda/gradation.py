@@ -117,14 +117,6 @@ class TrivialSpec:
     n: int
     M: int = 1
 
-    @property
-    def p(self) -> int:
-        return 1
-
-    @property
-    def n_list(self) -> tuple[int, ...]:
-        return (self.n,)
-
     def to_json(self) -> dict:
         return {"family": self.family, "n": self.n, "type": "trivial", "M": self.M}
 

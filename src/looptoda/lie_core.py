@@ -101,9 +101,7 @@ def symplectic_identity(n: int) -> np.ndarray:
 
 
 def structure_matrix(kind: str, n: int) -> np.ndarray:
-    """I_n, J_n or K_n by one-letter kind."""
-    if kind == "I":
-        return identity(n)
+    """J_n or K_n by one-letter kind."""
     if kind == "J":
         return skew_identity(n)
     if kind == "K":

@@ -106,10 +106,6 @@ class Grid:
     def zp_points(self) -> np.ndarray:
         return np.linspace(self.z_plus_min, self.z_plus_max, self.n_plus + 1)
 
-    def halved(self) -> "Grid":
-        return Grid(self.z_minus_min, self.z_minus_max, self.z_plus_min,
-                    self.z_plus_max, 2 * self.n_minus, 2 * self.n_plus)
-
     def to_json(self) -> dict:
         return {
             "z_minus": [self.z_minus_min, self.z_minus_max],

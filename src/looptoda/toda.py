@@ -235,10 +235,6 @@ class TodaSystem:
     family: str = "gl"
 
     @property
-    def p(self) -> int:
-        return len(self.block_sizes)
-
-    @property
     def independent_sizes(self) -> tuple[int, ...]:
         return self.block_sizes[: self.s]
 

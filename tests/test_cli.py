@@ -184,32 +184,19 @@ class TestEnumerateCommand:
             "\\end{array}\\right)"
         ) in latex
 
-    def test_cap_exceeded(self, monkeypatch, capsys):
-        """A cap of 3 stops exactly the enumerations past 3 nontrivial specs."""
-        monkeypatch.setenv("TODA_MAX_ENUM", "3")
-        for family in ("gl", "so", "sp"):
-            for n in range(2 if family == "sp" else 1, 8, 2 if family == "sp" else 1):
-                for M in range(1, 9):
-                    specs = oracles.enumerate_specs_reference(family, n, M)
-                    over = sum(isinstance(s, gr.GradationSpec) for s in specs) > 3
-                    code = cli.main(["enumerate", "--family", family, "--n", str(n), "--M", str(M)])
-                    err = capsys.readouterr().err
-                    assert (code, err) == ((3, "cap exceeded: enumeration exceeded cap of 3 specs\n")
-                                           if over else (0, "")), (family, n, M)
+    def test_cap_exceeded(self, capsys):
+        """gl_10 at M = 10 passes gradation.DEFAULT_ENUM_CAP; where a cap
+        fires is pinned by TestEnumerate::test_caps_fire_where_the_counts_cross."""
+        assert cli.main(["enumerate", "--family", "gl", "--n", "10", "--M", "10"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cap exceeded: enumeration exceeded cap of {gr.DEFAULT_ENUM_CAP} specs\n"
 
     def test_gl_40_at_m_2(self, capsys):
         # only p = 2 has a k-list at M = 2; the compositions of larger p are never walked
         assert cli.main(["enumerate", "--family", "gl", "--n", "40", "--M", "2"]) == 0
         heads = [line.split()[0] for line in capsys.readouterr().out.splitlines() if not line.startswith(" ")]
         assert heads == ["trivial"] + ["gl_inner"] * 39
-
-    @pytest.mark.parametrize("cap", ["0", "-5", "abc", "1.5"])
-    def test_bad_cap_is_a_parse_error(self, monkeypatch, capsys, cap):
-        monkeypatch.setenv("TODA_MAX_ENUM", cap)
-        assert cli.main(["enumerate", "--family", "gl", "--n", "2", "--M", "2"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("parse error:")
-        assert len(captured.err.splitlines()) == 1
 
     @pytest.mark.parametrize("n,M", [("0", "4"), ("4", "-2"), ("4", "0")])
     def test_non_positive_size_is_a_parse_error(self, capsys, n, M):
@@ -218,11 +205,20 @@ class TestEnumerateCommand:
         assert captured.out == "" and "parse error" in captured.err
 
     def test_json_and_latex_conflict(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["enumerate", "--family", "gl", "--n", "2", "--M", "2", "--json", "--latex"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "not allowed with argument" in captured.err
+        """argparse's usage errors are returned as exit 2, like main's own;
+        --help returns 0."""
+        for argv, message in (
+            (["enumerate", "--family", "gl", "--n", "2", "--M", "2", "--json", "--latex"],
+             "not allowed with argument"),
+            (["enumerate", "--family", "gl", "--n", "2", "--M", "2", "--bogus"], "unrecognized arguments"),
+            (["enumerate", "--family", "xx", "--n", "2", "--M", "2"], "invalid choice"),
+            (["check"], "the following arguments are required: --spec"),
+        ):
+            assert cli.main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and message in captured.err, argv
+        assert cli.main(["enumerate", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: looptoda enumerate")
 
 
 class TestSimulateCommand:
@@ -314,8 +310,9 @@ class TestSimulateCommand:
 
     def test_bad_grid(self, tmp_path):
         # steps that do not divide the ranges, a zero step, an infinite range,
-        # a step so small that the cell count overflows
-        for grid in ("0,1,0,1,0.3,0.3", "0,1,0,1,0,0.1", "0,inf,0,1,0.1,0.1", "0,1,0,1,1e-320,0.5"):
+        # a step so small that the cell count overflows, five values in place of six
+        for grid in ("0,1,0,1,0.3,0.3", "0,1,0,1,0,0.1", "0,inf,0,1,0.1,0.1", "0,1,0,1,1e-320,0.5",
+                     "0,1,0,1,0.5"):
             rc = cli.main(["simulate", "--preset", "free-field", "--grid", grid,
                            "--output", str(tmp_path)])
             assert rc == 2, grid

@@ -178,7 +178,7 @@ class TestFoldEngine:
             bad = [g + 10.0 ** -(2 + k % 6) * rng.standard_normal(g.shape) for g in state]
             points.append(engine.complete_gammas(bad))
         stack = [np.stack([pt[b] for pt in points]).reshape((3, 4) + points[0][b].shape)
-                 for b in range(direct.p)]
+                 for b in range(len(direct.block_sizes))]
         per_point = [engine.gamma_residual(pt) for pt in points]
         assert engine.gamma_residual(stack) == pytest.approx(max(per_point), rel=1e-12)
         assert max(per_point) > 10 * min(per_point)

@@ -131,6 +131,36 @@ class TestValidate:
             "phase_offset_mismatch: offset inconsistent with type parity rule",
             "M_even: outer gradations require even M",
         ]),
+        # the shape rules every type shares, and the trivial spec's own
+        (gr.GradationSpec("xx", 2, gr.TYPE_GL_INNER, 2, (1, 1), (1,)), [
+            "family: unknown family 'xx'",
+        ]),
+        (gr.GradationSpec("gl", 2, "gl_bogus", 2, (1, 1), (1,)), [
+            "type: unknown gradation type 'gl_bogus'",
+        ]),
+        (gr.GradationSpec("gl", 2, gr.TYPE_SOSP_I, 2, (1, 1), (1,)), [
+            "family_type: type sosp_I requires family so or sp",
+        ]),
+        (gr.GradationSpec("gl", 2, gr.TYPE_GL_INNER, 0, (2,), (1,)), [
+            "M_positive: M must be positive",
+            "p_minimum: p >= 2 (p = 1 is the trivial gradation)",
+            "k_length: k_list must have p - 1 entries",
+        ]),
+        (gr.GradationSpec("gl", 2, gr.TYPE_GL_INNER, 4, (0, 2), (0,)), [
+            "n_positive_entries: every n_alpha must be positive",
+            "k_positive_entries: every k_alpha must be positive",
+        ]),
+        (gr.GradationSpec("gl", 3, gr.TYPE_GL_INNER, 4, (1, 1), (1,)), [
+            "n_sum: block sizes must sum to n",
+        ]),
+        (gr.GradationSpec("gl", 2, gr.TYPE_GL_INNER, 4, (1, 1), (1,), phase_offset=0.25), [
+            "phase_offset_value: phase offset must be 0 or 1/2",
+        ]),
+        (gr.TrivialSpec("xx", 0, M=0), [
+            "family: unknown family 'xx'",
+            "n_positive: n must be positive",
+            "M_positive: M must be positive",
+        ]),
     ]
 
     @pytest.mark.parametrize("spec, expected", FULL_VIOLATIONS)
@@ -404,6 +434,10 @@ class TestEnumerate:
     def test_cap(self):
         with pytest.raises(gr.EnumerationCapError):
             gr.enumerate_specs("gl", 6, 6, cap=5)
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ValueError, match="^unknown family 'xx'$"):
+            gr.enumerate_specs("xx", 2, 2)
 
     #: small enumerations; so_5 at M = 26 has 118 specs and 31 200 = 200 * 156
     #: candidates, so its candidate cap binds first and is met exactly at cap 156

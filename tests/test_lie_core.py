@@ -36,8 +36,9 @@ class TestStructureMatrices:
             lc.symplectic_identity(3)
 
     def test_structure_matrix_kinds(self):
-        assert np.allclose(lc.structure_matrix("I", 3), np.eye(3))
         assert np.allclose(lc.structure_matrix("J", 2), [[0, 1], [1, 0]])
+        with pytest.raises(ValueError):
+            lc.structure_matrix("I", 3)
 
 
 def solve_oracle(m, b_rows, b_cols):
@@ -268,3 +269,6 @@ class TestExpLog:
         out = lc.expm(xs)
         for i in range(2):
             assert lc.max_abs(out[i] - lc.expm(xs[i])) < 1e-13
+        empty = lc.expm(np.zeros((0, 2, 2), dtype=complex))
+        assert empty.shape == (0, 2, 2)
+        assert lc.max_abs(empty) == 0.0

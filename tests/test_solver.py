@@ -202,6 +202,14 @@ class TestResidual:
         assert corrupted >= 1e-3 / grid.h_minus
         assert corrupted >= 5 * clean
 
+    def test_residual_needs_three_by_three_points(self):
+        system = solver.sine_gordon_system()
+        one = solver.constant_data((np.eye(1, dtype=complex),))
+        for grid in (solver.Grid(0, 1, 0, 1, 1, 4), solver.Grid(0, 1, 0, 1, 4, 1)):
+            hist = solver.integrate(system, one, grid)
+            with pytest.raises(ValueError, match="at least a 3x3 block"):
+                solver.residual(hist)
+
     def test_exact_factorized_residual_truncation_level(self):
         spec = gr.make_spec("gl", gr.TYPE_GL_INNER, 2, (1, 1), (1,))
         zero = np.zeros((1, 1))
@@ -243,6 +251,14 @@ class TestReductions:
         with pytest.raises(ValueError):
             solver.sine_gordon_reduce(hist)
 
+    def test_reductions_reject_a_matrix_history(self):
+        system = toda.build_simplest("gl", np.eye(2), np.eye(2))
+        hist = solver.integrate(system, solver.constant_data((np.eye(2, dtype=complex),)),
+                                solver.Grid(0, 1, 0, 1, 4, 4))
+        for reduce in (solver.sine_gordon_reduce, solver.sinh_gordon_reduce):
+            with pytest.raises(ValueError, match="needs a single scalar block"):
+                reduce(hist)
+
     def test_sinh_reduce_equilibrium_and_domain(self):
         system = solver.sine_gordon_system()
         grid = solver.Grid(0, 1, 0, 1, 8, 8)
@@ -253,6 +269,10 @@ class TestReductions:
         hist2 = solver.integrate(system, solver.constant_data(unit), grid)
         with pytest.raises(ValueError):
             solver.sinh_gordon_reduce(hist2)
+        minus = (-np.eye(1, dtype=complex),)
+        hist3 = solver.integrate(system, solver.constant_data(minus), grid)
+        with pytest.raises(ValueError, match="history is not positive"):
+            solver.sinh_gordon_reduce(hist3)
 
     def test_sinh_linearized_match(self):
         system = solver.sine_gordon_system()
@@ -512,6 +532,12 @@ class TestBlowUp:
 
         with pytest.raises(ValueError, match=r"gamma_minus\(0\) block 1 has shape \(2,\), need \(2, 2\)"):
             solver.integrate(chain, solver.CharacteristicData(edge, edge), grid)
+
+        def short(t):
+            return good[:2]
+
+        with pytest.raises(ValueError, match=r"gamma_minus\(0\) returned 2 blocks, need 3"):
+            solver.integrate(chain, solver.CharacteristicData(short, short), grid)
 
     def test_non_finite_edge_sample_names_the_point(self):
         # the left edge exp(2.5 e^{2 z^+}) overflows first at z^+ = 3

@@ -125,6 +125,22 @@ class TestBuildValidation:
         bad = np.eye(2)
         with pytest.raises(lc.ShapeMismatchError):
             toda.build_system(spec, 1, (bad, bad), (bad, bad))
+        # one arc block short, and C_minus given C_plus's shapes
+        cp = (np.ones((2, 1)), np.ones((1, 2)))
+        with pytest.raises(lc.ShapeMismatchError, match="need 2 arc blocks, got 1/2"):
+            toda.build_system(spec, 1, cp[:1], cp)
+        with pytest.raises(lc.ShapeMismatchError, match=r"C_minus\[0\] must be 1x2"):
+            toda.build_system(spec, 1, cp, cp)
+
+    def test_trivial_spec_builds_the_simplest_system(self):
+        c = np.array([[0.0, 1.0], [1.0, 0.0]])
+        system = toda.build_system(gr.TrivialSpec("gl", 2), 1, (c,), (c,))
+        simplest = toda.build_simplest("gl", c, c)
+        for field in ("equation_class", "block_sizes", "s", "L", "spec", "family", "simplest_outer"):
+            assert getattr(system, field) == getattr(simplest, field), field
+        assert lc.max_abs(system.c_plus[0] - c) == lc.max_abs(system.c_minus[0] - c) == 0.0
+        with pytest.raises(lc.ShapeMismatchError, match="single C pair"):
+            toda.build_system(gr.TrivialSpec("gl", 2), 1, (c, c), (c, c))
 
     def test_constraint_violation_rejected(self):
         # so even fold requires ^J C_0 = -C_0; the identity violates it
@@ -147,6 +163,8 @@ class TestBuildValidation:
         blocks = tuple(np.zeros((2, 2)) for _ in range(2))
         with pytest.raises(toda.BuildError):
             toda.build_system(spec, 3, blocks, blocks)
+        with pytest.raises(toda.BuildError, match="L must be a positive integer"):
+            toda.build_system(spec, 0, blocks, blocks)
 
     def test_state_constraint_checked(self):
         system, state = build_random("so", gr.TYPE_SOSP_I, (2, 1, 2), seed=7)
@@ -161,8 +179,21 @@ class TestBuildValidation:
         with pytest.raises(lc.SingularMatrixError):
             toda.rhs_blocks(chain, state)
 
+    def test_mis_shaped_state_block_rejected(self):
+        chain = toda.build_periodic_chain(2, 1)
+        with pytest.raises(lc.ShapeMismatchError, match=r"block 1 must be 1x1, got \(2, 2\)"):
+            toda.rhs_blocks(chain, (np.eye(1), np.eye(2)))
+
 
 class TestSimplest:
+    def test_rejections(self):
+        with pytest.raises(lc.ShapeMismatchError):
+            toda.build_simplest("gl", np.ones((2, 3)), np.ones((2, 3)))
+        with pytest.raises(toda.BuildError, match="outer simplest case lives in gl/sl"):
+            toda.build_simplest("so", lc.skew_identity(2), lc.skew_identity(2), outer=True)
+        with pytest.raises(toda.ConstraintViolationError, match="C_plus must be traceless for sl"):
+            toda.build_simplest("sl", np.eye(2), np.zeros((2, 2)))
+
     def test_gl_any_c(self):
         rng = np.random.default_rng(4)
         cp = rng.standard_normal((2, 2))
@@ -465,6 +496,13 @@ class TestSerialization:
         system = toda.build_simplest("gl", lc.skew_identity(3), lc.skew_identity(3), outer=True)
         again = toda.system_from_json(oracles.system_to_json(system))
         assert again.simplest_outer
+
+    def test_json_without_spec_rejected(self):
+        system = toda.build_simplest("gl", lc.skew_identity(2), lc.skew_identity(2))
+        payload = oracles.system_to_json(system)
+        payload["spec"] = None
+        with pytest.raises(toda.BuildError, match="without a spec"):
+            toda.system_from_json(payload)
 
     @pytest.mark.parametrize("absent", [False, True])
     def test_simplest_inner_reads_false_or_absent(self, absent):
