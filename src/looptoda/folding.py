@@ -52,24 +52,29 @@ def unfolded_chain(system: TodaSystem) -> TodaSystem:
     return toda.build_system(chain_spec, system.L, system.c_plus, system.c_minus)
 
 
-def verify_fold_invariance(system: TodaSystem, gammas,
-                           steps: int = 2, step: float = 0.025) -> float:
-    """Evolve the unfolded chain from a folded state on a steps x steps grid
-    of the given step and return the largest fold-constraint violation over
-    the grid, relative to the largest |G| on it.
+#: the grid :func:`verify_fold_invariance` marches: FOLD_STEPS x FOLD_STEPS cells of side FOLD_STEP
+FOLD_STEPS = 2
+FOLD_STEP = 0.025
+
+
+def verify_fold_invariance(system: TodaSystem, gammas) -> float:
+    """Evolve the unfolded chain from a folded state on the fold grid and
+    return the largest fold-constraint violation over it, relative to the
+    largest |G| on it.
 
     The discrete scheme commutes with the fold exactly, so at every step
     size the violation is round-off: at most 1.6e-15 on the 29 fold specs
-    of the census ``check`` golden, with ``check``'s states, on the default
-    grid, 2 x 2 cells of step 0.025 (three anti-diagonal passes), against
-    the 1e-12 that ``check`` allows.  A defect of the flow does not hide
-    under that bound: a non-equivariant 1e-6 I on one node reads at least
-    9.5e-10 there.  Raises :class:`FoldError` with the halt text when the
-    march halts.
+    of the census ``check`` golden, with ``check``'s states, on the 2 x 2
+    cells of step 0.025 (three anti-diagonal passes), against the 1e-12
+    that ``check`` allows.  A defect of the flow does not hide under that
+    bound: a non-equivariant 1e-6 I on one node reads at least 9.5e-10
+    there.  Raises :class:`FoldError` with the halt text when the march
+    halts.
     """
     chain = unfolded_chain(system)
     data = solver.constant_data(toda.full_state(system, gammas))
-    grid = solver.Grid(0.0, steps * step, 0.0, steps * step, steps, steps)
+    side = FOLD_STEPS * FOLD_STEP
+    grid = solver.Grid(0.0, side, 0.0, side, FOLD_STEPS, FOLD_STEPS)
     history = solver.integrate(chain, data, grid)
     if history.halted:
         raise FoldError(f"the unfolded march halted: {history.halt_reason}")

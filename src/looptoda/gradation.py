@@ -66,7 +66,8 @@ OUTER_TYPES = (TYPE_GL_OUTER_II, TYPE_GL_OUTER_III)
 PALINDROMIC_TYPES = (TYPE_SOSP_I, TYPE_GL_OUTER_II)
 FIXED_FIRST_TYPES = (TYPE_SOSP_II, TYPE_GL_OUTER_III)
 
-DEFAULT_ENUM_CAP = 20000
+#: most specs ``enumerate_specs`` lists; it also stops at 200 times as many candidates
+ENUM_CAP = 20000
 
 
 class SpecError(ValueError):
@@ -74,7 +75,7 @@ class SpecError(ValueError):
 
 
 class EnumerationCapError(RuntimeError):
-    """Enumeration would exceed the configured cap."""
+    """Enumeration would exceed ``ENUM_CAP``."""
 
 
 @dataclass(frozen=True)
@@ -500,7 +501,7 @@ def _compositions(total: int, parts: int):
             for cuts in combinations(range(1, total), parts - 1))
 
 
-def enumerate_specs(family: str, n: int, M: int, cap: int = DEFAULT_ENUM_CAP) -> list:
+def enumerate_specs(family: str, n: int, M: int) -> list:
     """All valid specs for the family at size n and order M, deduplicated.
 
     The trivial gradation comes first whenever it is itself valid.  Inner
@@ -509,8 +510,9 @@ def enumerate_specs(family: str, n: int, M: int, cap: int = DEFAULT_ENUM_CAP) ->
     GRADATION_TYPES order), p, then n_list and k_list lexicographically.
     Each (type, p) counts its comb(modulus - 1, p - 1) k-lists (p - 1
     positive entries, sum(k) < modulus) before building them once, so a
-    p > modulus costs nothing, and more than 200 * cap candidate pairs
-    (n_list, k_list) raise EnumerationCapError before a k-list is built.
+    p > modulus costs nothing, and more than 200 * ``ENUM_CAP`` candidate
+    pairs (n_list, k_list) raise EnumerationCapError before a k-list is
+    built; so do more than ``ENUM_CAP`` specs.
     gl_inner specs are valid by construction and skip validate_spec.
     """
     if family not in ("gl", "sl", "so", "sp"):
@@ -530,8 +532,8 @@ def enumerate_specs(family: str, n: int, M: int, cap: int = DEFAULT_ENUM_CAP) ->
                 if not _mirrored(t, nl):
                     continue
                 candidates += comb(modulus - 1, p - 1)
-                if candidates > 200 * cap:
-                    raise EnumerationCapError(f"enumeration candidate space exceeds cap of {cap} specs")
+                if candidates > 200 * ENUM_CAP:
+                    raise EnumerationCapError(f"enumeration candidate space exceeds cap of {ENUM_CAP} specs")
                 if klists is None:
                     # built at the first n_list, once the cap admits its candidates: a
                     # k_list is a composition c of modulus into p parts without its last
@@ -543,8 +545,8 @@ def enumerate_specs(family: str, n: int, M: int, cap: int = DEFAULT_ENUM_CAP) ->
                     found += [GradationSpec(family, n, t, M, nl, k) for k in klists]
                 else:
                     found += [s for s in (make_spec(family, t, M, nl, k) for k in klists) if not validate_spec(s)]
-                if len(found) > cap:
-                    raise EnumerationCapError(f"enumeration exceeded cap of {cap} specs")
+                if len(found) > ENUM_CAP:
+                    raise EnumerationCapError(f"enumeration exceeded cap of {ENUM_CAP} specs")
     trivial = TrivialSpec(family=family, n=n, M=M)
     return ([] if validate_spec(trivial) else [trivial]) + found
 

@@ -17,8 +17,10 @@ matrix axes broadcast).
 
 The marcher's kernels (``expm``, ``sqrtm_near_identity``, ``mul``, ``inv``)
 work on stacks of small blocks, mostly 2x2 or 1x1, where numpy spends one
-BLAS or LAPACK call per matrix.  They are the only code that looks at the
-block size: the marcher runs one path for every size.  1x1 stacks take the
+BLAS or LAPACK call per matrix.  The marcher runs one path for every size:
+besides these kernels, only ``solver._size_groups``, which groups the
+lattice by block size, and ``toda.rhs_chain``, which picks its product
+path by block shape, look at the block size.  1x1 stacks take the
 scalar functions, elementwise: the product a * b, the inverse 1 / a
 (raising ``np.linalg.LinAlgError`` at an exact 0), exp, sqrt and log.  2x2
 stacks take closed forms on the ``[..., i, j]`` entry slices (Higham,
@@ -36,16 +38,9 @@ stacks take closed forms on the ``[..., i, j]`` entry slices (Higham,
 Other sizes, and 2x2 batches outside a region, take the general kernels.
 The regions are checked against scipy.linalg in test_kernel_oracles.py.
 
-The right-hand side of a chain gathers the four factors of both terms
-of every node once.  On a chain of equal blocks, one node among them, it
-copies them, C blocks spread to full size among them, into four operand
-stacks and multiplies them once; only mixed block sizes multiply term by
-term.  It allocates the stacks with ``empty_stack``, which stores 1x1 and
-2x2 stacks batch-last: the matrix axes are outermost in memory, so
-numpy's inner loops run along the cells and not along a length-2 axis.
-The 2x2 closed forms allocate with ``np.empty_like`` and so keep their
-input's layout.  Larger blocks stay in C order for BLAS and LAPACK.  The
-layout changes no value: every kernel gives the same bits in either.
+``empty_stack`` stores 1x1 and 2x2 stacks batch-last; the 2x2 closed
+forms allocate with ``np.empty_like`` and so keep their input's layout.
+The layout changes no value: every kernel gives the same bits in either.
 """
 
 from __future__ import annotations

@@ -472,16 +472,15 @@ def analytic_kink(z_minus, z_plus, a: float) -> np.ndarray:
 KINK_SLOPE = 1.44
 
 
-def kink_data(a: float, grid: Grid, march_minus: int = -1) -> CharacteristicData:
+def kink_data(a: float, grid: Grid) -> CharacteristicData:
     """Characteristic data G = exp(i F/2) of the kink on the grid edges,
-    from the corner ``march_minus``.
+    from the maximum-z^- corner.
 
     The kink's far field rides the growing branch of the linearization in
     the (+, +) quadrant, so the stable integration marches z^- downward
-    from the opposite corner, the default -1.
+    from the opposite corner.
     """
-    w0 = grid.z_plus_min
-    z0 = grid.z_minus_min if march_minus > 0 else grid.z_minus_max
+    w0, z0 = grid.z_plus_min, grid.z_minus_max
 
     def bottom(z):
         return (np.array([[np.exp(0.5j * analytic_kink(z, w0, a))]]),)
@@ -489,7 +488,7 @@ def kink_data(a: float, grid: Grid, march_minus: int = -1) -> CharacteristicData
     def left(w):
         return (np.array([[np.exp(0.5j * analytic_kink(z0, w, a))]]),)
 
-    return CharacteristicData(gamma_minus=bottom, gamma_plus=left, march_minus=march_minus)
+    return CharacteristicData(gamma_minus=bottom, gamma_plus=left, march_minus=-1)
 
 
 def sinh_linear_field(z_minus, z_plus, eps: float, a: float = 1.0) -> np.ndarray:

@@ -218,7 +218,8 @@ class TodaSystem:
     """A fully assembled Toda system over the block cycle.
 
     ``fixed_nodes`` holds the (node, B kind) pairs with ^B Gamma = inv(Gamma);
-    the C blocks of a folded system are fixed by its engine's twist.
+    the C blocks of a folded system are fixed by its engine's twist.  Only
+    the outer simplest system has no ``spec``.
     """
 
     equation_class: str
@@ -229,9 +230,7 @@ class TodaSystem:
     c_minus: tuple[np.ndarray, ...]
     fixed_nodes: tuple[tuple[int, str], ...] = ()
     spec: object = None
-    variant: str = ""
     engine: FoldEngine | None = None
-    simplest_outer: bool = False
     family: str = "gl"
 
     @property
@@ -284,7 +283,7 @@ def rhs_chain(gammas, cp, cm, left=None, right=None):
     """
     s = len(gammas)
     node_caps = ("J", "K")
-    stacked = isinstance(gammas, np.ndarray) or len({g.shape for g in gammas}) == 1
+    stacked = len({g.shape for g in gammas}) == 1
     if stacked:
         gammas = np.asarray(gammas)
         ginv = inv(gammas)
@@ -442,7 +441,7 @@ def build_system(spec, L: int, c_plus, c_minus) -> TodaSystem:
             raise BuildError(
                 f"arc {a} has grading index incompatible with L = {L}; its blocks must vanish"
             )
-    eq_class, variant, s, nodes = _classify(spec)
+    eq_class, _, s, nodes = _classify(spec)
     engine = engine_for_spec(spec, L)
     if engine is not None:
         for blocks, direction, name in ((cp, +1, "c_plus"), (cm, -1, "c_minus")):
@@ -460,7 +459,6 @@ def build_system(spec, L: int, c_plus, c_minus) -> TodaSystem:
         c_minus=cm,
         fixed_nodes=nodes,
         spec=spec,
-        variant=variant,
         engine=engine,
         family=spec.family,
     )
@@ -497,8 +495,7 @@ def build_simplest(family: str, c_plus, c_minus, outer: bool = False) -> TodaSys
         c_plus=(cp,),
         c_minus=(cm,),
         fixed_nodes=() if kind is None else ((0, kind),),
-        spec=TrivialSpec(family=family, n=n) if not outer else None,
-        simplest_outer=outer,
+        spec=None if outer else TrivialSpec(family=family, n=n),
         family=family,
     )
 

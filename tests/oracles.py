@@ -26,7 +26,7 @@ from looptoda.gradation import (
 )
 from looptoda.lie_core import as_complex, b_transpose, inv, max_abs, mul
 from looptoda.solver import CSV_HEADER, Grid
-from looptoda.toda import rhs_chain
+from looptoda.toda import classify_spec, rhs_chain
 
 
 def kink_dminus(z_minus, z_plus, a: float) -> np.ndarray:
@@ -294,12 +294,12 @@ def system_to_json(system) -> dict:
     ``looptoda simulate --system`` file."""
     return {
         "class": system.equation_class,
-        "variant": system.variant,
+        "variant": classify_spec(system.spec)[1] if system.spec is not None else "",
         "family": system.family,
         "L": system.L,
         "block_sizes": list(system.block_sizes),
         "spec": system.spec.to_json() if system.spec is not None else None,
-        "simplest_outer": system.simplest_outer,
+        "simplest_outer": system.spec is None,
         "c_plus": [_array_to_json(c) for c in system.c_plus],
         "c_minus": [_array_to_json(c) for c in system.c_minus],
     }

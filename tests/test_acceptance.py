@@ -160,7 +160,7 @@ def test_criterion_3_block_full_equivalence():
                   passed, f"{len(cases) * 3} instances over 4 classes, worst {worst:.2e}")
 
 
-def test_criterion_4_folding_soundness():
+def test_criterion_4_folding_soundness(monkeypatch):
     """The unfolded chain's equations on the lift of a folded state are the
     folded equations to 1e-12; the odd substitution closes to 1e-12; the
     unfolded flow keeps the fold constraints to round-off, a drift of at
@@ -208,8 +208,11 @@ def test_criterion_4_folding_soundness():
     direct = toda.build_system(gr.make_spec("sp", gr.TYPE_SOSP_I, 2, (2, 2), (1,)), 1, eye, eye)
     state = toda.random_state(direct, rng)
     # the scheme commutes with the fold, so the drift is round-off at every step
-    drifts = [folding.verify_fold_invariance(direct, state, steps=steps, step=step)
-              for steps, step in ((2, 0.025), (10, 2e-3), (20, 1e-3))]
+    drifts = []
+    for steps, step in ((2, 0.025), (10, 2e-3), (20, 1e-3)):
+        monkeypatch.setattr(folding, "FOLD_STEPS", steps)
+        monkeypatch.setattr(folding, "FOLD_STEP", step)
+        drifts.append(folding.verify_fold_invariance(direct, state))
     drift_note = "relative drift " + ", ".join(f"{d:.1e}" for d in drifts) + ": exactly preserved"
     passed = rhs_dev <= 1e-12 and sub_dev <= 1e-12 and max(drifts) <= 1e-12
     assert report("criterion-4 folding soundness", passed,

@@ -3,12 +3,15 @@ import dataclasses
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import looptoda
 from looptoda import cli, folding, gradation as gr, solver, toda
 
 import oracles
@@ -17,6 +20,16 @@ import oracles
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def run_module(*args, **env):
+    """``python -m looptoda.cli`` in a subprocess, with the package under
+    test on its path and the environment variables ``env`` set."""
+    environ = {**os.environ, **env}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(looptoda.__file__)))
+    environ["PYTHONPATH"] = src + (os.pathsep + environ["PYTHONPATH"] if environ.get("PYTHONPATH") else "")
+    return subprocess.run([sys.executable, "-m", "looptoda.cli", *args],
+                          capture_output=True, text=True, env=environ, timeout=120)
 
 
 S1_JSON = {
@@ -185,12 +198,12 @@ class TestEnumerateCommand:
         ) in latex
 
     def test_cap_exceeded(self, capsys):
-        """gl_10 at M = 10 passes gradation.DEFAULT_ENUM_CAP; where a cap
+        """gl_10 at M = 10 passes gradation.ENUM_CAP; where a cap
         fires is pinned by TestEnumerate::test_caps_fire_where_the_counts_cross."""
         assert cli.main(["enumerate", "--family", "gl", "--n", "10", "--M", "10"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"cap exceeded: enumeration exceeded cap of {gr.DEFAULT_ENUM_CAP} specs\n"
+        assert captured.err == f"cap exceeded: enumeration exceeded cap of {gr.ENUM_CAP} specs\n"
 
     def test_gl_40_at_m_2(self, capsys):
         # only p = 2 has a k-list at M = 2; the compositions of larger p are never walked
@@ -558,9 +571,8 @@ class TestCheckCommand:
     def test_halted_fold_march_fails_with_its_reason(self, tmp_path, capsys, monkeypatch):
         """At 2 steps of 1.3 the unfolded march of sp_6 M=8 (3, 3) halts at
         row 1: the fold line fails with the halt text, no drift."""
-        march = folding.verify_fold_invariance
-        monkeypatch.setattr(folding, "verify_fold_invariance",
-                            lambda system, state: march(system, state, steps=2, step=1.3))
+        monkeypatch.setattr(folding, "FOLD_STEPS", 2)
+        monkeypatch.setattr(folding, "FOLD_STEP", 1.3)
         spec = gr.enumerate_specs("sp", 6, 8)[1]
         assert (spec.n_list, spec.k_list) == ((3, 3), (1,))
         path = write_json(tmp_path / "s.json", spec.to_json())
@@ -705,3 +717,46 @@ class TestCheckOracles:
                 assert not battery[0], spec
                 checked += 1
         assert checked == (119 if mutation == "wrong_phase" else 4)
+
+
+class TestEntrypoint:
+    """``python -m looptoda.cli`` runs ``entrypoint``, which exits with
+    ``main``'s return value."""
+
+    def test_help_exits_0(self):
+        result = run_module("--help")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("usage: looptoda")
+
+    def test_no_command_exits_2(self):
+        result = run_module()
+        assert result.returncode == 2
+        assert result.stdout == "" and "usage: looptoda" in result.stderr
+
+
+class TestBlasThreads:
+    """``simulate`` writes the same bytes under one and two BLAS threads:
+    the periodic chain's three 2x2 blocks, and an sp sosp_I M=2 (8, 8)
+    system with C of spectral norm 0.5 on an 8^2 grid."""
+
+    @staticmethod
+    def _assert_same_bytes(tmp_path, *args):
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads_{threads}"
+            result = run_module("simulate", *args, f"--output={out}", OPENBLAS_NUM_THREADS=threads)
+            assert result.returncode == 0, result.stderr
+            outputs.append([(out / name).read_bytes() for name in ("field.csv", "manifest.json")])
+        assert outputs[0] == outputs[1]
+
+    def test_periodic_chain_preset(self, tmp_path):
+        self._assert_same_bytes(tmp_path, "--preset", "periodic-chain", "--grid=0,1,0,1,0.0625,0.0625")
+
+    def test_sp_sosp_i_8x8_system(self, tmp_path):
+        spec = gr.make_spec("sp", gr.TYPE_SOSP_I, 2, (8, 8), (1,))
+        cp, cm = toda.random_c_blocks(spec, 1, np.random.default_rng(1))
+        cp, cm = (tuple(c * (0.5 / max(np.linalg.norm(b, 2) for b in blocks)) for c in blocks)
+                  for blocks in (cp, cm))
+        system = toda.build_system(spec, 1, cp, cm)
+        path = write_json(tmp_path / "system.json", oracles.system_to_json(system))
+        self._assert_same_bytes(tmp_path, "--system", path, "--grid=0,1,0,1,0.125,0.125")

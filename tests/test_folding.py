@@ -16,6 +16,12 @@ def case_seed(case) -> int:
     return zlib.crc32(repr(case).encode())
 
 
+def fold_grid(monkeypatch, steps, step):
+    """verify_fold_invariance marches steps x steps cells of the given step."""
+    monkeypatch.setattr(folding, "FOLD_STEPS", steps)
+    monkeypatch.setattr(folding, "FOLD_STEP", step)
+
+
 def folded_chain(family, gtype, n_list, seed=0):
     """A chain whose C blocks already satisfy the fold symmetry, plus the
     directly-built folded system with the same blocks."""
@@ -188,17 +194,19 @@ class TestFoldInvariance:
     """The scheme commutes with the fold exactly: the drift relative to the
     largest |G| is round-off, at most 1e-12, at every step size."""
 
-    def test_zero_steps_zero_drift(self):
+    def test_zero_steps_zero_drift(self, monkeypatch):
         _, direct = folded_chain("sp", gr.TYPE_SOSP_I, (1, 1), seed=4)
         state = toda.random_state(direct, np.random.default_rng(5))
-        drift = folding.verify_fold_invariance(direct, state, steps=1, step=1e-6)
+        fold_grid(monkeypatch, 1, 1e-6)
+        drift = folding.verify_fold_invariance(direct, state)
         assert drift <= 1e-12
 
-    def test_drift_small_at_small_step(self):
+    def test_drift_small_at_small_step(self, monkeypatch):
         _, direct = folded_chain("sp", gr.TYPE_SOSP_I, (1, 1), seed=6)
         state = toda.random_state(direct, np.random.default_rng(7))
         for steps, step in ((10, 1e-3), (2, 0.025), (2, 0.25)):
-            assert folding.verify_fold_invariance(direct, state, steps=steps, step=step) <= 1e-12
+            fold_grid(monkeypatch, steps, step)
+            assert folding.verify_fold_invariance(direct, state) <= 1e-12
 
     @pytest.mark.parametrize("family, gtype, n_list", [
         ("so", gr.TYPE_SOSP_I, (2, 2, 2)),
@@ -214,19 +222,21 @@ class TestFoldInvariance:
         full = direct.engine.complete_gammas(tuple(bad))
         assert direct.engine.gamma_residual(full) >= 1e-2
 
-    def test_matrix_fold_drift(self):
+    def test_matrix_fold_drift(self, monkeypatch):
         _, direct = folded_chain("so", gr.TYPE_SOSP_II, (2, 2), seed=10)
         state = toda.random_state(direct, np.random.default_rng(11))
         assert folding.verify_fold_invariance(direct, state) <= 1e-12
-        assert folding.verify_fold_invariance(direct, state, steps=8, step=2e-3) <= 1e-12
+        fold_grid(monkeypatch, 8, 2e-3)
+        assert folding.verify_fold_invariance(direct, state) <= 1e-12
 
-    def test_halted_march_raises(self):
+    def test_halted_march_raises(self, monkeypatch):
         """A march that halts has no drift to report: its halt text is raised."""
         _, direct = folded_chain("sp", gr.TYPE_SOSP_I, (1, 1), seed=1)
         state = toda.random_state(direct, np.random.default_rng(1))
+        fold_grid(monkeypatch, 2, 1.0)
         with pytest.raises(folding.FoldError,
                            match=r"^the unfolded march halted: non-finite value at row 2 \(z\^\+ = 2\)$"):
-            folding.verify_fold_invariance(direct, state, steps=2, step=1.0)
+            folding.verify_fold_invariance(direct, state)
 
 
 class TestStateGate:

@@ -431,9 +431,10 @@ class TestEnumerate:
         b = gr.enumerate_specs("so", 4, 4)
         assert [s.to_json() for s in a] == [s.to_json() for s in b]
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(gr, "ENUM_CAP", 5)
         with pytest.raises(gr.EnumerationCapError):
-            gr.enumerate_specs("gl", 6, 6, cap=5)
+            gr.enumerate_specs("gl", 6, 6)
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="^unknown family 'xx'$"):
@@ -443,7 +444,7 @@ class TestEnumerate:
     #: candidates, so its candidate cap binds first and is met exactly at cap 156
     CAP_CASES = (("gl", 5, 5), ("sl", 4, 6), ("so", 6, 6), ("sp", 6, 8), ("gl", 6, 8), ("so", 5, 26))
 
-    def test_caps_fire_where_the_counts_cross(self):
+    def test_caps_fire_where_the_counts_cross(self, monkeypatch):
         """EnumerationCapError is raised iff more than cap specs or more than
         200 * cap candidates are found, counted one candidate at a time by
         the oracle, with cap on each side of both thresholds."""
@@ -451,9 +452,10 @@ class TestEnumerate:
             candidates, specs = oracles.enumeration_counts(family, n, M)
             least = -(-candidates // 200)  # the least cap that admits every candidate
             for cap in {specs - 1, specs, least - 1, least} - {-1}:
+                monkeypatch.setattr(gr, "ENUM_CAP", cap)
                 message = ""
                 try:
-                    gr.enumerate_specs(family, n, M, cap=cap)
+                    gr.enumerate_specs(family, n, M)
                 except gr.EnumerationCapError as exc:
                     message = str(exc)
                 assert bool(message) == (specs > cap or candidates > 200 * cap), (family, n, M, cap)
@@ -491,8 +493,9 @@ class TestEnumerate:
             return compositions(total, parts)
 
         monkeypatch.setattr(gr, "_compositions", counted)
+        monkeypatch.setattr(gr, "ENUM_CAP", 10)
         with pytest.raises(gr.EnumerationCapError, match="^enumeration exceeded cap of 10 specs$"):
-            gr.enumerate_specs("gl", 40, 40, cap=10)
+            gr.enumerate_specs("gl", 40, 40)
         assert asked == [(40, 2), (40, 2)]  # the p = 2 n_lists and k_lists
 
     def test_matches_generate_and_filter(self):

@@ -13,6 +13,17 @@ from looptoda import solver, toda
 import oracles
 
 
+def plus_corner_kink(a, grid):
+    """The kink's characteristic data from the minimum-z^- corner, marched upward."""
+    def bottom(z):
+        return (np.array([[np.exp(0.5j * solver.analytic_kink(z, grid.z_plus_min, a))]]),)
+
+    def left(w):
+        return (np.array([[np.exp(0.5j * solver.analytic_kink(grid.z_minus_min, w, a))]]),)
+
+    return solver.CharacteristicData(gamma_minus=bottom, gamma_plus=left, march_minus=+1)
+
+
 def kink_error(a, cells, domain=5.0):
     system = solver.sine_gordon_system()
     grid = solver.Grid(-domain, domain, -domain, domain, cells, cells)
@@ -137,7 +148,7 @@ class TestKink:
         system = solver.sine_gordon_system()
         a = 1.0
         grid = solver.Grid(-1, 1, -1, 1, 64, 64)
-        hist = solver.integrate(system, solver.kink_data(a, grid, march_minus=+1), grid)
+        hist = solver.integrate(system, plus_corner_kink(a, grid), grid)
         field = solver.sine_gordon_reduce(hist)
         zm, zp = np.meshgrid(grid.zm_points(), grid.zp_points())
         assert np.max(np.abs(field - solver.analytic_kink(zm, zp, a))) < 2e-3
@@ -180,7 +191,7 @@ class TestResidual:
     def test_residual_small_on_converged_run(self):
         system = solver.sine_gordon_system()
         grid = solver.Grid(-2, 2, -2, 2, 128, 128)
-        hist = solver.integrate(system, solver.kink_data(1.0, grid, march_minus=+1), grid)
+        hist = solver.integrate(system, plus_corner_kink(1.0, grid), grid)
         assert solver.residual(hist) < 5e-3
 
     def test_residual_order(self):
@@ -188,14 +199,14 @@ class TestResidual:
         values = []
         for cells in (64, 128):
             grid = solver.Grid(-2, 2, -2, 2, cells, cells)
-            hist = solver.integrate(system, solver.kink_data(1.0, grid, march_minus=+1), grid)
+            hist = solver.integrate(system, plus_corner_kink(1.0, grid), grid)
             values.append(solver.residual(hist))
         assert 2.5 <= values[0] / values[1] <= 6.0
 
     def test_residual_detects_corruption(self):
         system = solver.sine_gordon_system()
         grid = solver.Grid(-2, 2, -2, 2, 128, 128)
-        hist = solver.integrate(system, solver.kink_data(1.0, grid, march_minus=+1), grid)
+        hist = solver.integrate(system, plus_corner_kink(1.0, grid), grid)
         clean = solver.residual(hist)
         hist.gammas[0][64, 64, 0, 0] *= np.exp(1e-3j)
         corrupted = solver.residual(hist)
@@ -601,7 +612,7 @@ class TestSchemes:
         a = 1.0
         grid = solver.Grid(-1, 1, -1, 1, 64, 64)
         system = solver.sine_gordon_system()
-        hist = solver.integrate(system, solver.kink_data(a, grid, march_minus=+1), grid)
+        hist = solver.integrate(system, plus_corner_kink(a, grid), grid)
         main = solver.sine_gordon_reduce(hist)
         ref = oracles.integrate_scalar_reference(
             lambda v: 2.0 * np.sin(v),
@@ -647,7 +658,7 @@ class TestCsv:
     def test_csv_deterministic(self, tmp_path):
         system = solver.sine_gordon_system()
         grid = solver.Grid(0, 1, 0, 1, 8, 8)
-        data = solver.kink_data(1.0, grid, march_minus=+1)
+        data = plus_corner_kink(1.0, grid)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         solver.write_history_csv(solver.integrate(system, data, grid), str(p1))
         solver.write_history_csv(solver.integrate(system, data, grid), str(p2))
@@ -755,6 +766,20 @@ def test_csv_forks_one_worker_per_cpu_and_line_floor(cells, cpus, forks, tmp_pat
     assert len(pids) == forks
     assert path.read_bytes().count(b"\n") == (cells + 1) ** 2 + 1
     assert [p.name for p in tmp_path.iterdir()] == ["field.csv"]
+
+
+def test_no_affinity_means_one_process(tmp_path, monkeypatch):
+    """Where ``os.sched_getaffinity`` does not exist, one CPU is usable and
+    the file is written without a fork, to the bytes pinned above."""
+    monkeypatch.delattr(solver.os, "sched_getaffinity")
+    monkeypatch.setattr(solver, "CSV_LINES_PER_WORKER", 1)
+    monkeypatch.setattr(solver.os, "fork", lambda: pytest.fail("forked"))
+    assert solver._usable_cpus() == 1
+    grid, digest = TestCsv.PRESET_SHA256["sine-gordon-kink"]
+    hist, _ = cli._run_preset("sine-gordon-kink", grid)
+    path = tmp_path / "field.csv"
+    solver.write_history_csv(hist, str(path))
+    assert TestCsv._sha256(path) == digest
 
 
 @pytest.mark.usefixtures("split_csv")

@@ -136,7 +136,7 @@ class TestBuildValidation:
         c = np.array([[0.0, 1.0], [1.0, 0.0]])
         system = toda.build_system(gr.TrivialSpec("gl", 2), 1, (c,), (c,))
         simplest = toda.build_simplest("gl", c, c)
-        for field in ("equation_class", "block_sizes", "s", "L", "spec", "family", "simplest_outer"):
+        for field in ("equation_class", "block_sizes", "s", "L", "spec", "family"):
             assert getattr(system, field) == getattr(simplest, field), field
         assert lc.max_abs(system.c_plus[0] - c) == lc.max_abs(system.c_minus[0] - c) == 0.0
         with pytest.raises(lc.ShapeMismatchError, match="single C pair"):
@@ -205,7 +205,7 @@ class TestSimplest:
     def test_outer_symmetric_c(self):
         j3 = lc.skew_identity(3)
         system = toda.build_simplest("gl", j3, j3, outer=True)
-        assert system.simplest_outer
+        assert system.spec is None
         assert system.fixed_nodes == ((0, "J"),)
 
     def test_outer_antisymmetric_rejected(self):
@@ -340,7 +340,7 @@ class TestClassification:
         assert oracles.fixed_arc_signs(outer2) == ((0, -1),)
         assert outer3.fixed_nodes == ((0, "J"),)
         assert oracles.fixed_arc_signs(outer3) == ((2, 1),)
-        assert outer3.variant == toda.VARIANT_NODE_FIRST
+        assert toda.classify_spec(outer3.spec)[1] == toda.VARIANT_NODE_FIRST
 
     def test_double_fold_node_kinds(self):
         so_sys, _ = build_random("so", gr.TYPE_SOSP_II, (2, 2), seed=27)
@@ -495,7 +495,8 @@ class TestSerialization:
     def test_simplest_outer_round_trip(self):
         system = toda.build_simplest("gl", lc.skew_identity(3), lc.skew_identity(3), outer=True)
         again = toda.system_from_json(oracles.system_to_json(system))
-        assert again.simplest_outer
+        assert again.equation_class == toda.EQ_SIMPLEST and again.spec is None
+        assert again.fixed_nodes == ((0, "J"),)
 
     def test_json_without_spec_rejected(self):
         system = toda.build_simplest("gl", lc.skew_identity(2), lc.skew_identity(2))
@@ -512,7 +513,7 @@ class TestSerialization:
         if absent:
             del payload["simplest_outer"]
         again = toda.system_from_json(payload)
-        assert not again.simplest_outer and again.spec == system.spec
+        assert again.spec == system.spec == gr.TrivialSpec("gl", 2)
 
     def test_latex_emission(self):
         system, _ = build_random("so", gr.TYPE_SOSP_I, (1, 2, 1), seed=14)
