@@ -401,13 +401,17 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
                         halt_reason=halt_reason)
 
 
-#: interior cells per band of rows in which :func:`residual` takes the right-hand side
-RESIDUAL_BAND_CELLS = 1024
+#: matrix entries (interior cells times the sum of n^2 over the blocks) per band of rows of :func:`residual`
+RESIDUAL_BAND_ENTRIES = 12288
 
 
 def residual(history: FieldHistory) -> float:
     """Max central-difference defect |d_+(inv(G) d_- G) - rhs| over the
     interior, rhs taking the system's constant C blocks.
+
+    It works on one band of interior rows of about ``RESIDUAL_BAND_ENTRIES``
+    matrix entries at a time, so the memory it holds is bounded by a band,
+    not the lattice; the value does not depend on the band.
 
     The differences divide the round-off of G by ``h_minus * h_plus``, so
     the defect has a round-off floor near 1e-12 absolute at 64².  Any
@@ -422,22 +426,17 @@ def residual(history: FieldHistory) -> float:
     if rows < 3 or grid.n_minus < 2:
         raise ValueError("residual needs at least a 3x3 block of completed points")
     interior = [g[1:-1, 1:-1] for g in history.gammas]
-    # the right-hand side in bands of rows of about RESIDUAL_BAND_CELLS
-    # cells: the bands' blocks run as one stack, in memory of a few rows
-    rhs = [np.empty_like(g) for g in interior]
-    band = max(1, RESIDUAL_BAND_CELLS // (grid.n_minus - 1))
-    for j in range(0, rows - 2, band):
-        rows_j = slice(j, j + band)
-        f_j = toda.rhs_dispatch(system, [g[rows_j] for g in interior])
-        for f, f_band in zip(rhs, f_j):
-            f[rows_j] = f_band
+    band = max(1, RESIDUAL_BAND_ENTRIES // ((grid.n_minus - 1) * sum(n * n for n in system.independent_sizes)))
     worst = 0.0
-    # W = inv(G) d_- G one block at a time: only one block's W is held
-    for g, f in zip(history.gammas, rhs):
-        d_minus = (g[:, 2:] - g[:, :-2]) / (2.0 * hm)
-        w = mul(inv(g[:, 1:-1]), d_minus)
-        d_plus = (w[2:] - w[:-2]) / (2.0 * hp)
-        worst = max(worst, max_abs(d_plus - f))
+    for j in range(0, rows - 2, band):
+        f_j = toda.rhs_dispatch(system, [g[j:j + band] for g in interior])
+        for g, f in zip(history.gammas, f_j):
+            # the band's rows of G and the row on each side of it
+            g = g[j:j + band + 2]
+            d_minus = (g[:, 2:] - g[:, :-2]) / (2.0 * hm)
+            w = mul(inv(g[:, 1:-1]), d_minus)
+            d_plus = (w[2:] - w[:-2]) / (2.0 * hp)
+            worst = max(worst, max_abs(d_plus - f))
     return worst
 
 

@@ -689,19 +689,29 @@ def _single_blocks(cp, cm) -> tuple:
 
 
 def system_from_json(data: dict) -> TodaSystem:
+    """The system a ``looptoda simulate --system`` file describes.  Its
+    ``class``, ``variant`` and ``block_sizes`` keys may be left out; each
+    one given must be what the spec and C blocks build."""
     cp = [_array_from_json(c) for c in data["c_plus"]]
     cm = [_array_from_json(c) for c in data["c_minus"]]
     outer = data.get("simplest_outer", False)
     if not isinstance(outer, bool):
         raise TypeError(f"simplest_outer must be a JSON bool, got {outer!r}")
     if outer:
-        return build_simplest(data.get("family", "gl"), *_single_blocks(cp, cm), outer=True)
-    if data.get("spec") is None:
+        system = build_simplest(data.get("family", "gl"), *_single_blocks(cp, cm), outer=True)
+    elif data.get("spec") is None:
         raise BuildError("system JSON without a spec is not reconstructible")
-    spec = spec_from_json(data["spec"])
-    if isinstance(spec, TrivialSpec):
-        return build_simplest(spec.family, *_single_blocks(cp, cm))
-    return build_system(spec, _json_int(data["L"], "L"), cp, cm)
+    elif isinstance(spec := spec_from_json(data["spec"]), TrivialSpec):
+        system = build_simplest(spec.family, *_single_blocks(cp, cm))
+    else:
+        system = build_system(spec, _json_int(data["L"], "L"), cp, cm)
+    built = {"class": system.equation_class,
+             "variant": classify_spec(system.spec)[1] if system.spec is not None else "",
+             "block_sizes": list(system.block_sizes)}
+    for key, value in built.items():
+        if key in data and data[key] != value:
+            raise BuildError(f"system JSON has {key} {data[key]!r}, but the system built is {value!r}")
+    return system
 
 
 def _eq_latex_lines(system: TodaSystem) -> list[str]:

@@ -289,6 +289,41 @@ class TestSimulateCommand:
         rc = cli.main(["simulate", "--system", sys_path, "--output", str(tmp_path)])
         assert rc == 0
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"class": "bogus"}, "class 'bogus', but the system built is 'general_linear'"),
+        ({"variant": "node_first"}, "variant 'node_first', but the system built is ''"),
+        ({"block_sizes": [9]}, "block_sizes [9], but the system built is [2, 2, 2]"),
+    ])
+    def test_system_file_keys_must_match_the_built_system(self, tmp_path, capsys, edit, message):
+        """A system file's class, variant and block_sizes, where given, are
+        those of the system its spec and C blocks build."""
+        payload = dict(oracles.system_to_json(toda.build_periodic_chain(3, 2)), **edit)
+        sys_path = write_json(tmp_path / "sys.json", payload)
+        rc = cli.main(["simulate", "--system", sys_path, "--output", str(tmp_path)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("domain error:")
+        assert len(captured.err.splitlines()) == 1
+        assert message in captured.err
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_system_file_keys_change_no_bytes(self, tmp_path):
+        """An unedited system file and one without class, variant and
+        block_sizes give the bytes the chain gave before those keys were read."""
+        payload = oracles.system_to_json(toda.build_periodic_chain(3, 2))
+        bare = {k: v for k, v in payload.items() if k not in ("class", "variant", "block_sizes")}
+        outputs = []
+        for name, keys in (("full", payload), ("bare", bare)):
+            sys_path = write_json(tmp_path / "sys.json", keys)
+            out = tmp_path / name
+            assert cli.main(["simulate", "--system", sys_path, "--grid", "0,1,0,1,0.125,0.125",
+                             "--output", str(out)]) == 0
+            outputs.append([(out / f).read_bytes() for f in ("field.csv", "manifest.json")])
+        assert outputs[0] == outputs[1]
+        assert hashlib.sha256(outputs[0][0]).hexdigest() == \
+            "e60b954571887fd58d8ff71be97124159337cfc582579c9a834da2410ae5d000"
+        assert json.loads(outputs[0][1])["max_residual"] == 42.053229324692474
+
     @pytest.mark.parametrize("count", [0, 2])
     def test_trivial_system_needs_one_block_each(self, tmp_path, capsys, count):
         """A p = 1 system file with no or extra C blocks is a domain error."""

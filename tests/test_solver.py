@@ -1,6 +1,7 @@
 import csv
 import functools
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1102,3 +1103,74 @@ class TestRhsReference:
             as_stack = solver.integrate(system, data, grid,
                                         law=lambda gs: np.stack(list(toda.rhs_dispatch(system, gs))))
             _same_history(own, as_stack)
+
+
+#: 16x16 grids of the presets, on their default domains
+PRESET_GRIDS_16 = {
+    "sine-gordon-kink": solver.Grid(-5, 5, -5, 5, 16, 16),
+    "sinh-gordon": solver.Grid(0, 1, 0, 1, 16, 16),
+    "periodic-chain": solver.Grid(0, 1, 0, 1, 16, 16),
+    "free-field": solver.Grid(0, 1, 0, 1, 16, 16),
+}
+
+#: ``residual`` at 16x16 on the presets and on RHS_REFERENCE_CASES, as the
+#: unbanded ``residual`` gave it
+RESIDUAL_REFERENCE = {
+    "sine-gordon-kink": 0.5596293616021576,
+    "sinh-gordon": 4.9391015454071374e-05,
+    "periodic-chain": 0.017627500166973904,
+    "free-field": 2.0650148258027912e-14,
+    "general_linear": 0.002107367458078442,
+    "even_fold": 0.0017837573490092128,
+    "odd_fold_arc_first": 0.0029203083338712,
+    "odd_fold_node_first": 0.006991294723937017,
+    "double_fixed_fold": 0.003204390734523024,
+    "simplest": 0.0012325525397305077,
+    "periodic_chain": 0.011082617703299977,
+    "mixed_sizes": 0.0012554313113190268,
+    "sine_gordon": 0.010702945322380366,
+    "even_fold_2x2_s2": 0.0031092734436882316,
+    "even_fold_4x4_s1": 0.0011607665081237602,
+    "even_fold_4x4_s2": 0.0013693584862416795,
+    "odd_fold_arc_first_1_2": 0.005099487004951103,
+    "even_fold_2_4": 0.002853770865052591,
+    "double_fixed_fold_2_2_4": 0.0010292854837101403,
+}
+
+
+class TestResidualBands:
+    """``residual`` takes the interior in bands of rows: the value does not
+    depend on the band, and the memory does not grow with the rows."""
+
+    @pytest.mark.parametrize("name", RESIDUAL_REFERENCE)
+    def test_same_value_in_every_band(self, name, monkeypatch):
+        if name in PRESET_GRIDS_16:
+            hist, _ = cli._run_preset(name, PRESET_GRIDS_16[name])
+        else:
+            system, data = RHS_REFERENCE_CASES[name]()
+            hist = solver.integrate(system, data, solver.Grid(0, 1, 0, 1, 16, 16))
+        assert not hist.halted
+        assert solver.residual(hist) == RESIDUAL_REFERENCE[name]
+        values = []
+        for entries in (1, 10 ** 9):  # one row per band, one band
+            monkeypatch.setattr(solver, "RESIDUAL_BAND_ENTRIES", entries)
+            values.append(solver.residual(hist))
+        assert values[0] == values[1] == RESIDUAL_REFERENCE[name]
+
+    def test_memory_does_not_grow_with_the_rows(self, monkeypatch):
+        # the kink at 64 x 128 and 64 x 1024 cells, both in bands of 8 rows:
+        # the traced peak above what is held before the call is one band's
+        monkeypatch.setattr(solver, "RESIDUAL_BAND_ENTRIES", 63 * 8)
+        peaks = []
+        for rows in (128, 1024):
+            grid = solver.Grid(-5, 5, -5, 5, 64, rows)
+            hist = solver.integrate(solver.sine_gordon_system(), solver.kink_data(solver.KINK_SLOPE, grid), grid)
+            assert not hist.halted
+            tracemalloc.start()
+            try:
+                held = tracemalloc.get_traced_memory()[0]
+                solver.residual(hist)
+                peaks.append(tracemalloc.get_traced_memory()[1] - held)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.2 * peaks[0], peaks
