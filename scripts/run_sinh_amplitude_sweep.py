@@ -19,16 +19,15 @@ from looptoda import solver
 def run(eps_list, cells: int) -> dict:
     system = solver.sine_gordon_system()
     grid = solver.Grid(0, 1, 0, 1, cells, cells)
-    zm, zp = np.meshgrid(grid.zm_points(), grid.zp_points())
     sweep = {"eps": [], "rel": [], "dev": [], "ratio": []}
     for eps in eps_list:
-        hist = solver.integrate(system, solver.sinh_data(eps, 1.0, grid), grid)
+        hist = solver.integrate(system, solver.sinh_data(eps, grid), grid)
         field = solver.sinh_gordon_reduce(hist)
         lin_run = solver.integrate(
-            system, solver.sinh_data(eps, 1.0, grid), grid, law=lambda gs: [2.0 * np.log(gs[0])]
+            system, solver.sinh_data(eps, grid), grid, law=lambda gs: [2.0 * np.log(gs[0])]
         ).gammas[0][..., 0, 0]
         dev = float(np.max(np.abs(field - 2.0 * np.log(lin_run.real))))
-        lin = solver.sinh_linear_field(zm, zp, eps, 1.0)
+        lin = solver.sinh_linear_field(grid.zm_points(), grid.zp_points()[:, None], eps)
         rel = float(np.max(np.abs(field - lin)) / np.max(np.abs(lin)))
         sweep["ratio"].append(dev / sweep["dev"][-1] if sweep["dev"] else None)
         sweep["eps"].append(eps)

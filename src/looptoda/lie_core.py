@@ -21,21 +21,21 @@ BLAS or LAPACK call per matrix.  The marcher runs one path for every size:
 besides these kernels, only ``solver._size_groups``, which groups the
 lattice by block size, and ``toda.rhs_chain``, which picks its product
 path by block shape, look at the block size.  1x1 stacks take the
-scalar functions, elementwise: the product a * b, the inverse 1 / a
-(raising ``np.linalg.LinAlgError`` at an exact 0), exp, sqrt and log.  2x2
-stacks take closed forms on the ``[..., i, j]`` entry slices (Higham,
-*Functions of Matrices*, SIAM 2008, ch. 5-6 and 10):
+scalar functions, elementwise: the product a * b, the inverse 1 / a,
+exp, sqrt and log.  2x2 stacks take closed forms on the ``[..., i, j]``
+entry slices (Higham, *Functions of Matrices*, SIAM 2008, ch. 5-6 and 10):
 
 * product: two broadcast outer products, column of a times row of b;
-* inverse: adjugate over det, raising ``np.linalg.LinAlgError`` when a det
-  is exactly 0;
+* inverse: adjugate over det, for batches whose every det and 1 / det are
+  finite and nonzero (1 / a needs the same of every 1x1 entry);
 * exponential: Cayley-Hamilton, e^tau (cosh mu I + sinh(mu)/mu (A - tau I))
   with tau = tr A / 2 and mu^2 = ((a00 - a11)/2)^2 + a01 a10, for batches
   with ||A||_1 <= 1/2;
 * square root: (A + delta I) / sqrt(tr A + 2 delta) with delta = sqrt(det A),
   for batches with ||A - I||_1 <= 1/2.
 
-Other sizes, and 2x2 batches outside a region, take the general kernels.
+Other sizes, and 2x2 batches outside a region, take the general kernels:
+for the inverse, LAPACK's, which alone decides that a matrix is singular.
 The regions are checked against scipy.linalg in test_kernel_oracles.py.
 
 ``empty_stack`` stores 1x1 and 2x2 stacks batch-last; the 2x2 closed
@@ -50,9 +50,9 @@ import math
 
 import numpy as np
 
-#: Default tolerance of the grading support and of the C-block constraint
-#: checks: double precision leaves ample headroom over 1e-16 machine
-#: epsilon through O(n^3) arithmetic.
+#: Tolerance of the C-block constraint checks of ``toda.build_system`` and
+#: ``toda.build_simplest``, relative to max(1, max|C|): double precision
+#: leaves ample headroom over 1e-16 machine epsilon through O(n^3) arithmetic.
 DEFAULT_TOL = 1e-10
 
 
@@ -238,32 +238,29 @@ def mul(a, b) -> np.ndarray:
 
 
 def inv(a) -> np.ndarray:
-    """Batched inverse; 1x1 by 1 / a, 2x2 by adjugate over det.
-
-    Raises ``np.linalg.LinAlgError`` when a matrix is singular: for 1x1
-    and 2x2 when an entry or a det is exactly 0, otherwise when LAPACK
-    finds a zero pivot.
+    """Batched inverse: 1 / a for 1x1 and adjugate over det for 2x2, on a
+    batch whose every det (for 1x1 the entry) and its reciprocal are finite
+    and nonzero, where these forms hold to round-off.  Any other batch, such
+    as 2x2 stacks of 1e200 I or 1e-170 I, and any larger size take LAPACK's
+    inverse, which alone decides singularity: it raises ``LinAlgError``.
     """
     a = np.asarray(a)
     _check_square(a, "inv")
     n = a.shape[-1]
-    if n == 1:
-        if not a.all():
-            raise np.linalg.LinAlgError("Singular matrix")
-        return 1.0 / a
-    if n != 2:
-        return np.linalg.inv(a)
-    det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-    if not det.all():
-        raise np.linalg.LinAlgError("Singular matrix")
-    r = 1.0 / det
-    out = np.empty_like(a, dtype=r.dtype)
-    np.multiply(a[..., 1, 1], r, out=out[..., 0, 0])
-    np.multiply(a[..., 0, 0], r, out=out[..., 1, 1])
-    r = -r
-    np.multiply(a[..., 0, 1], r, out=out[..., 0, 1])
-    np.multiply(a[..., 1, 0], r, out=out[..., 1, 0])
-    return out
+    if n in (1, 2):
+        det = a if n == 1 else a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+        r = 1.0 / det if det.all() else det  # a zero det goes to LAPACK undivided
+        if r.all() and np.isfinite(r).all():
+            if n == 1:
+                return r
+            out = np.empty_like(a, dtype=r.dtype)
+            np.multiply(a[..., 1, 1], r, out=out[..., 0, 0])
+            np.multiply(a[..., 0, 0], r, out=out[..., 1, 1])
+            r = -r
+            np.multiply(a[..., 0, 1], r, out=out[..., 0, 1])
+            np.multiply(a[..., 1, 0], r, out=out[..., 1, 0])
+            return out
+    return np.linalg.inv(a)
 
 
 def _norm1(a) -> float:
@@ -331,7 +328,9 @@ def expm(a) -> np.ndarray:
     then the smallest m <= 16 whose bound theta^(m+1) / (m+1)! is below
     unit roundoff at the scaled norm (m = 6 at norm 1e-2), and the
     polynomial is evaluated by Horner's rule in m - 1 batched products.
-    1x1 input short-circuits to scalar exp.
+    A 1-norm above theta_16 2^1023 (about 7.4e307), or an infinite column
+    sum of finite entries, raises :class:`NonFiniteError`: its scaling 2^s
+    overflows.  1x1 input short-circuits to scalar exp.
     """
     a = as_complex(a)
     _check_square(a, "expm")
@@ -341,6 +340,8 @@ def expm(a) -> np.ndarray:
     norm = _norm1(a)
     if n == 2 and norm <= _EXPM_2X2_NORM:
         return _expm_2x2(a)
+    if not norm <= _TAYLOR_THETA[-1] * 2.0 ** 1023:
+        raise NonFiniteError(f"expm cannot scale a 1-norm of {norm:.3g}: 2^s overflows")
     squarings = int(np.ceil(np.log2(norm / _TAYLOR_THETA[-1]))) if norm > _TAYLOR_THETA[-1] else 0
     b = a / (2.0 ** squarings)
     norm /= 2.0 ** squarings
@@ -402,8 +403,8 @@ def sqrtm_near_identity(a) -> np.ndarray:
         bound += step
         if step <= tol * bound and step <= tol * max_abs(y_next):
             return y_next
-        z = 0.5 * (z + np.linalg.inv(y))
-        z_inv = np.linalg.inv(z)
+        z = 0.5 * (z + inv(y))
+        z_inv = inv(z)
         y = y_next
     raise ConvergenceError(
         f"Denman-Beavers square root did not converge in {_SQRTM_MAX_ITER} iterations "

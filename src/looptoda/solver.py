@@ -490,21 +490,21 @@ def kink_data(a: float, grid: Grid) -> CharacteristicData:
     return CharacteristicData(gamma_minus=bottom, gamma_plus=left, march_minus=-1)
 
 
-def sinh_linear_field(z_minus, z_plus, eps: float, a: float = 1.0) -> np.ndarray:
-    """Exact product solution eps exp(a z^- + (2/a) z^+) of d+d-F = 2F."""
-    return eps * np.exp(a * np.asarray(z_minus) + (2.0 / a) * np.asarray(z_plus))
+def sinh_linear_field(z_minus, z_plus, eps: float) -> np.ndarray:
+    """Exact product solution eps exp(z^- + 2 z^+) of d+d-F = 2F."""
+    return eps * np.exp(np.asarray(z_minus) + 2.0 * np.asarray(z_plus))
 
 
-def sinh_data(eps: float, a: float, grid: Grid) -> CharacteristicData:
+def sinh_data(eps: float, grid: Grid) -> CharacteristicData:
     """Real characteristic data G = exp(F/2) seeded by the linearized solution."""
     w0 = grid.z_plus_min
     z0 = grid.z_minus_min
 
     def bottom(z):
-        return (np.array([[np.exp(0.5 * sinh_linear_field(z, w0, eps, a))]], dtype=complex),)
+        return (np.array([[np.exp(0.5 * sinh_linear_field(z, w0, eps))]], dtype=complex),)
 
     def left(w):
-        return (np.array([[np.exp(0.5 * sinh_linear_field(z0, w, eps, a))]], dtype=complex),)
+        return (np.array([[np.exp(0.5 * sinh_linear_field(z0, w, eps))]], dtype=complex),)
 
     return CharacteristicData(gamma_minus=bottom, gamma_plus=left)
 
@@ -516,7 +516,7 @@ def sine_gordon_reduce(history: FieldHistory) -> np.ndarray:
     the z^+ seam, giving one continuous branch.  A history whose |G|
     leaves 1 by more than 1e-6 raises ValueError.
     """
-    if history.system.s != 1 or history.system.independent_sizes != (1,):
+    if history.system.independent_sizes != (1,):
         raise ValueError("sine-Gordon reduction needs a single scalar block")
     g = history.gammas[0][..., 0, 0]
     drift = float(np.max(np.abs(np.abs(g) - 1.0)))
@@ -533,7 +533,7 @@ def sinh_gordon_reduce(history: FieldHistory) -> np.ndarray:
 
     A history with |Im G| above 1e-6 or a non-positive G raises ValueError.
     """
-    if history.system.s != 1 or history.system.independent_sizes != (1,):
+    if history.system.independent_sizes != (1,):
         raise ValueError("sinh-Gordon reduction needs a single scalar block")
     g = history.gammas[0][..., 0, 0]
     if float(np.max(np.abs(g.imag))) > 1e-6:

@@ -247,11 +247,11 @@ def test_criterion_6_sinh_gordon_linearization():
     rels = []
     devs = []
     for eps in (1e-3, 2e-3, 4e-3):
-        hist = solver.integrate(system, solver.sinh_data(eps, 1.0, grid), grid)
+        hist = solver.integrate(system, solver.sinh_data(eps, grid), grid)
         field = solver.sinh_gordon_reduce(hist)
-        lin = solver.sinh_linear_field(zm, zp, eps, 1.0)
+        lin = solver.sinh_linear_field(zm, zp, eps)
         rels.append(float(np.max(np.abs(field - lin)) / np.max(np.abs(lin))))
-        lin_run = solver.integrate(system, solver.sinh_data(eps, 1.0, grid), grid,
+        lin_run = solver.integrate(system, solver.sinh_data(eps, grid), grid,
                                    law=lambda gs: [2.0 * np.log(gs[0])]).gammas[0][..., 0, 0]
         devs.append(float(np.max(np.abs(field - 2.0 * np.log(lin_run.real)))))
     ratios = [devs[i + 1] / devs[i] for i in range(2)]

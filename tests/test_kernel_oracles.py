@@ -134,6 +134,17 @@ def test_expm_2x2_fallback_side(norm):
     assert rel_err(lc.expm(x), oracle(sla.expm, x)) < 1e-12
 
 
+def test_expm_scaling_range():
+    # the nilpotent e^A = I + A comes out exact up to a 1-norm of theta_16
+    # 2^1023 (about 7.4e307); above it, or at an infinite column sum of
+    # finite entries, the scaling 2^s overflows and expm raises
+    a = np.array([[0.0, 7e307], [0.0, 0.0]])
+    assert np.array_equal(lc.expm(a), np.eye(2) + a)
+    for big in (np.array([[0.0, 8e307], [0.0, 0.0]]), np.array([[1e308, 0.0], [1e308, 0.0]])):
+        with np.errstate(over="ignore"), pytest.raises(lc.NonFiniteError):
+            lc.expm(big)
+
+
 def test_sqrtm_2x2_exact_at_mu_zero():
     for a, ref in ((np.diag([1.21 + 0.0j] * 2), 1.1 * np.eye(2)),
                    (np.array([[1.0, 0.4], [0.0, 1.0]]), np.array([[1.0, 0.2], [0.0, 1.0]]))):
@@ -205,8 +216,31 @@ def test_inv_raises_at_det_zero():
     batch = np.stack([np.eye(2, dtype=complex), singular])
     scalars = np.array([[[2.0 + 1.0j]], [[0.0]], [[-1.0]]])
     for a in (singular, batch, np.zeros((2, 2)), np.zeros((3, 3)), np.zeros((1, 1)), scalars):
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
             lc.inv(a)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("scale", [1e200, 1e-155, 1e-170])
+def test_inv_of_scaled_identity(n, scale):
+    # a 2x2 det of 1e400 overflows, one of 1e-310 is subnormal (its
+    # reciprocal overflows) and one of 1e-340 underflows to 0: the adjugate
+    # form would give 0, inf and nan, or a false singularity, so these take
+    # LAPACK's inverse; the 1x1 reciprocals are in range
+    with np.errstate(over="ignore", under="ignore"):
+        got = lc.inv(scale * np.eye(n))
+    assert rel_err(got, np.eye(n) / scale) <= 1e-15
+
+
+def test_inv_batch_with_out_of_range_dets():
+    # one matrix whose det leaves the float range sends the whole batch to
+    # LAPACK, which inverts every matrix of it
+    a = np.eye(2) + stack(2, 8, 0.5, 17)
+    a[2], a[5], a[6] = 1e200 * np.eye(2), 1e-155 * np.eye(2), 1e-170 * a[6]
+    with np.errstate(over="ignore", under="ignore"):
+        got = lc.inv(a)
+    for x, ref in zip(got, oracle(sla.inv, a)):
+        assert rel_err(x, ref) <= 1e-15
 
 
 @pytest.mark.parametrize("shapes", [((64, 2, 2), (64, 2, 2)), ((64, 2, 2), (2, 2)),

@@ -290,10 +290,10 @@ class TestReductions:
         system = solver.sine_gordon_system()
         grid = solver.Grid(0, 1, 0, 1, 128, 128)
         eps = 1e-3
-        hist = solver.integrate(system, solver.sinh_data(eps, 1.0, grid), grid)
+        hist = solver.integrate(system, solver.sinh_data(eps, grid), grid)
         field = solver.sinh_gordon_reduce(hist)
         zm, zp = np.meshgrid(grid.zm_points(), grid.zp_points())
-        lin = solver.sinh_linear_field(zm, zp, eps, 1.0)
+        lin = solver.sinh_linear_field(zm, zp, eps)
         assert np.max(np.abs(field - lin)) / np.max(np.abs(lin)) < 1e-2
 
     def test_sinh_cubic_amplitude_scaling(self):
@@ -301,9 +301,9 @@ class TestReductions:
         grid = solver.Grid(0, 1, 0, 1, 128, 128)
         devs = []
         for eps in (1e-3, 2e-3, 4e-3):
-            hist = solver.integrate(system, solver.sinh_data(eps, 1.0, grid), grid)
+            hist = solver.integrate(system, solver.sinh_data(eps, grid), grid)
             field = solver.sinh_gordon_reduce(hist)
-            lin_run = solver.integrate(system, solver.sinh_data(eps, 1.0, grid), grid,
+            lin_run = solver.integrate(system, solver.sinh_data(eps, grid), grid,
                                        law=lambda gs: [2.0 * np.log(gs[0])]).gammas[0][..., 0, 0]
             devs.append(np.max(np.abs(field - 2.0 * np.log(lin_run.real))))
         for i in range(2):
@@ -411,7 +411,7 @@ class TestBlowUp:
         # anti-diagonals, and do not pre-empt it
         system = solver.sine_gordon_system()
         grid = solver.Grid(0, 1.5, 0, 1.5, 48, 48)
-        hist = solver.integrate(system, solver.sinh_data(1.0, 1.0, grid), grid)
+        hist = solver.integrate(system, solver.sinh_data(1.0, grid), grid)
         assert hist.halt_reason == "non-finite value at row 3 (z^+ = 0.09375)"
         assert hist.completed_rows == 3
         assert hist.gammas[0].shape[0] == hist.completed_rows
@@ -493,6 +493,28 @@ class TestBlowUp:
         assert hist.halt_reason == ("invertibility lost at row 1 (z^+ = 0.125):"
                                     " max(|G|, |inv G|, |G| |inv G|) = 1e+13 > 1e+12")
 
+    @pytest.mark.parametrize("scale, size", [(1e200, "1e+200"), (1e-170, "1e+170")])
+    def test_constant_state_beyond_the_det_range_fails_the_blow_up_test(self, scale, size):
+        # the 2x2 det of 1e200 I overflows and that of 1e-170 I underflows to
+        # 0: their inverses take LAPACK's kernel, so the march halts at the
+        # blow-up test of row 1, not at a false singular block on row 0
+        system = toda.build_simplest("gl", np.eye(2) / 2, np.eye(2) / 2)
+        data = solver.constant_data((scale * np.eye(2, dtype=complex),))
+        hist = solver.integrate(system, data, solver.Grid(0, 1, 0, 1, 8, 8))
+        assert hist.halted and hist.completed_rows == 1
+        assert hist.halt_reason == ("invertibility lost at row 1 (z^+ = 0.125):"
+                                    f" max(|G|, |inv G|, |G| |inv G|) = {size} > 1e+12")
+
+    def test_exponential_beyond_scaling_halts_as_non_finite(self):
+        # at G = I the first cell's V is h_+ [C_-, C_+], entries 1e307, so
+        # h_- V has a 1-norm above expm's scaling range (about 7.4e307)
+        system = toda.build_simplest("gl", np.array([[0.0, 1e153], [0.0, 0.0]]),
+                                     np.array([[0.0, 0.0], [1e153, 0.0]]))
+        data = solver.constant_data((np.eye(2, dtype=complex),))
+        hist = solver.integrate(system, data, solver.Grid(0, 20, 0, 20, 2, 2))
+        assert hist.halted and hist.completed_rows == 1
+        assert hist.halt_reason == "non-finite value at row 1 (z^+ = 10)"
+
     def test_well_conditioned_field_with_wide_range_completes(self):
         # a free field G = exp(14.5 sin 2 pi z^-): |G| and |inv G| each reach
         # 1.98e6 at different points, but |G| |inv G| = 1 at every point, so
@@ -555,14 +577,14 @@ class TestBlowUp:
         # the left edge exp(2.5 e^{2 z^+}) overflows first at z^+ = 3
         grid = solver.Grid(0, 3, 0, 3, 16, 16)
         with np.errstate(over="ignore"):
-            data = solver.sinh_data(5.0, 1.0, grid)
+            data = solver.sinh_data(5.0, grid)
             with pytest.raises(lc.NonFiniteError, match=r"^gamma_plus\(3\) block 0 has a non-finite entry$"):
                 solver.integrate(solver.sine_gordon_system(), data, grid)
 
     def test_law_hook_runs_the_same_scheme(self):
         system = solver.sine_gordon_system()
         grid = solver.Grid(0, 1, 0, 1, 32, 32)
-        data = solver.sinh_data(0.1, 1.0, grid)
+        data = solver.sinh_data(0.1, grid)
         own = solver.integrate(system, data, grid)
         hooked = solver.integrate(system, data, grid, law=lambda gs: toda.rhs_dispatch(system, gs))
         assert np.array_equal(own.gammas[0], hooked.gammas[0])
@@ -695,7 +717,7 @@ class TestCsv:
         # the sinh runaway of TestBlowUp: only rows 0-2 of 49 are written
         system = solver.sine_gordon_system()
         grid = solver.Grid(0, 1.5, 0, 1.5, 48, 48)
-        hist = solver.integrate(system, solver.sinh_data(1.0, 1.0, grid), grid)
+        hist = solver.integrate(system, solver.sinh_data(1.0, grid), grid)
         assert hist.completed_rows == 3
         path = tmp_path / "field.csv"
         assert solver.write_history_csv(hist, str(path)) == 3 * 49
