@@ -40,7 +40,12 @@ The regions are checked against scipy.linalg in test_kernel_oracles.py.
 
 ``empty_stack`` stores 1x1 and 2x2 stacks batch-last; the 2x2 closed
 forms allocate with ``np.empty_like`` and so keep their input's layout.
-The layout changes no value: every kernel gives the same bits in either.
+The layout changes no value.  The closed forms are elementwise, and so
+give the same bits in any layout.  numpy's matmul does not: on operands
+it cannot hand to BLAS, such as batch-last stacks of (1x2)(2x2) or
+(2x2)(2x1), it rounds differently, by up to about 1e-15 (numpy 2.4).
+So ``mul`` gives matmul C-ordered copies, and the LAPACK kernels copy
+their input anyway.
 """
 
 from __future__ import annotations
@@ -222,7 +227,10 @@ def mul(a, b) -> np.ndarray:
     """Batched matrix product a @ b.
 
     An inner dimension of 1 (1x1 blocks among them) is the broadcast
-    product a * b; 2x2 by 2x2 takes two broadcast outer products.
+    product a * b; 2x2 by 2x2 takes two broadcast outer products.  Other
+    shapes take numpy's matmul on C-ordered copies of the operands: it
+    rounds differently on stacks it cannot hand to BLAS, such as
+    batch-last ones, so the copies keep the bits independent of layout.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -231,7 +239,7 @@ def mul(a, b) -> np.ndarray:
     if a.shape[-1] == 1:
         return a * b
     if a.shape[-2:] != (2, 2) or b.shape[-1] != 2:
-        return a @ b
+        return np.ascontiguousarray(a) @ np.ascontiguousarray(b)
     out = a[..., :, :1] * b[..., :1, :]
     out += a[..., :, 1:] * b[..., 1:, :]
     return out

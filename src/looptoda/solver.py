@@ -25,8 +25,12 @@ block.
 The lattice and V are one array per block size, blocks first, so an
 anti-diagonal makes one call of each kernel per size, and the right-hand
 side takes the centres of a system of one block size as that stack and
-runs every node of it at once.  The history's
-``gammas`` are C-ordered views of these arrays, one per block.
+runs every node of it at once.  ``lie_core.empty_stack`` allocates them,
+so 1x1 and 2x2 blocks are stored batch-last and larger ones C-ordered.
+The march reads an anti-diagonal's NW and SE corners and V, and writes
+its new points and V, through basic-slice views of these arrays, so the
+kernels get the lattice's layout, not copies.  The history's ``gammas``
+are views of the lattice arrays in the same layout, one per block.
 
 Scalar reductions: for the p = 2, r = 1 chain with C = I/sqrt(2) the
 unit-modulus real form G = exp(i F / 2) carries the field F with
@@ -60,6 +64,7 @@ from .lie_core import (
     ConvergenceError,
     NonFiniteError,
     as_complex,
+    empty_stack,
     expm,
     inv,
     logm_near_identity,
@@ -235,30 +240,57 @@ def _check_invertibility(points, inverses) -> None:
 
 
 def _half_point_v(g_row, h_minus):
-    """Discrete V on row half-points: logm(inv(G_i) G_{i+1}) / h_minus."""
-    return logm_near_identity(mul(inv(g_row[:, :-1]), g_row[:, 1:])) / h_minus
+    """Discrete V on row half-points: logm(inv(G_i) G_{i+1}) / h_minus, in an ``empty_stack``."""
+    out = empty_stack(g_row[:, 1:].shape)
+    return np.divide(logm_near_identity(mul(inv(g_row[:, :-1]), g_row[:, 1:])), h_minus, out=out)
 
 
-def _march_cells(law, groups, lattice, v, jj, ii, hm, dv_scale):
-    """The new V and G of the cells (jj[k], ii[k]) of one anti-diagonal, one
-    stack per block size, by the cell rule of the module docstring with
-    dv_scale in place of h_plus, then the blow-up test of the NW corners and
-    the last column; raises NonFiniteError on a non-finite value."""
-    nw = [g[:, jj + 1, ii] for g in lattice]
+def _flat(store):
+    """The view (blocks, rows * columns, n, n) of a store (blocks, rows, columns, n, n)."""
+    return store.reshape(store.shape[:1] + (-1,) + store.shape[3:], copy=False)
+
+
+def _diagonal(flat, cols, march_minus, j, i, count):
+    """The lattice points (j + k, i - k), k < count, in the march's order, as a
+    basic-slice view of the flattened store of ``cols`` columns: the march's
+    column i is the store's column i, or cols - 1 - i where it reverses z^-,
+    so the diagonal steps by cols - march_minus points."""
+    start = j * cols + (i if march_minus > 0 else cols - 1 - i)
+    step = cols - march_minus
+    return flat[:, start:start + (count - 1) * step + 1:step]
+
+
+def _cell_views(flats, v, cols, march_minus, d, j0, j1):
+    """Views of the cells (j, d - j), j0 <= j < j1, of anti-diagonal d, one
+    per stack: their NW corners, SE corners, new points and V half-points."""
+    count, i0 = j1 - j0, d - j0
+    return ([_diagonal(f, cols, march_minus, j0 + 1, i0, count) for f in flats],
+            [_diagonal(f, cols, march_minus, j0, i0 + 1, count) for f in flats],
+            [_diagonal(f, cols, march_minus, j0 + 1, i0 + 1, count) for f in flats],
+            [x[:, i0 - count + 1:i0 + 1][:, ::-1] for x in v])
+
+
+def _march_cells(law, groups, nw, se, v, last_column, hm, dv_scale):
+    """The new V and G of the cells of one anti-diagonal, one stack per block
+    size, from their NW corners, SE corners and V by the cell rule of the
+    module docstring with dv_scale in place of h_plus, then the blow-up test
+    of the NW corners and, where ``last_column`` puts the first cell's new
+    point in the last column, of that point; raises NonFiniteError on a
+    non-finite value."""
     nw_inv = [inv(a) for a in nw]
-    centres = [mul(a, sqrtm_near_identity(mul(b, g[:, jj, ii + 1]))) for a, b, g in zip(nw, nw_inv, lattice)]
+    centres = [mul(a, sqrtm_near_identity(mul(b, c))) for a, b, c in zip(nw, nw_inv, se)]
     if len(groups) == 1:
         rhs = [np.asarray(law(centres[0]))]
     else:
         blocks = law(_unpack(centres, groups))
         rhs = [np.stack([blocks[b] for b in group]) for group in groups]
-    v_new = [x[:, ii] + dv_scale * f for x, f in zip(v, rhs)]
+    v_new = [x + dv_scale * f for x, f in zip(v, rhs)]
     g_new = [mul(a, expm(hm * x)) for a, x in zip(nw, v_new)]
     if not all(np.isfinite(x).all() for x in v_new + g_new):
         raise NonFiniteError("the diagonal has a non-finite value")
     _check_invertibility(nw, nw_inv)
-    if ii[0] == lattice[0].shape[2] - 2:
-        # the first cell's new point is in the last column, no cell's NW corner
+    if last_column:
+        # a new point of the last column is no cell's NW corner: it takes an inverse of its own
         _check_invertibility([x[:, :1] for x in g_new], [inv(x[:, :1]) for x in g_new])
     return v_new, g_new
 
@@ -267,15 +299,16 @@ def _march_cells(law, groups, lattice, v, jj, ii, hm, dv_scale):
 _CELL_ERRORS = (NonFiniteError, ConvergenceError, np.linalg.LinAlgError, _InvertibilityLost)
 
 
-def _lowest_failure(step, jj, ii, exc):
-    """The lowest row of a failed diagonal whose cell fails alone, with its
-    error; the diagonal's first row and error when no cell fails alone."""
-    for k in range(len(jj)):
+def _lowest_failure(step, j0, j1, exc):
+    """The lowest row j0 <= j < j1 of a failed diagonal whose cell fails
+    alone, with its error; j0 and the diagonal's error when no cell fails
+    alone."""
+    for j in range(j0, j1):
         try:
-            step(jj[k:k + 1], ii[k:k + 1])
+            step(j, j + 1)
         except _CELL_ERRORS as cell_exc:
-            return jj[k], cell_exc
-    return jj[0], exc
+            return j, cell_exc
+    return j0, exc
 
 
 def _halt_reason(exc, row, z_plus) -> str:
@@ -342,8 +375,7 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
 
     # ``stores`` in ascending coordinates
     groups = _size_groups(sizes)
-    stores = [np.empty((len(group), len(zp), len(zm)) + shapes[group[0]], dtype=complex)
-              for group in groups]
+    stores = [empty_stack((len(group), len(zp), len(zm)) + shapes[group[0]]) for group in groups]
 
     bottom = _sample(data.gamma_minus, zm_march, shapes, "gamma_minus")
     left = _sample(data.gamma_plus, zp, shapes, "gamma_plus")
@@ -368,7 +400,8 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
         g[:, 0] = l
         g[0] = b
 
-    ncells = len(zm) - 1
+    cols = len(zm)
+    flats = [_flat(g) for g in stores]
     top, halt_reason = len(zp), None
     with np.errstate(over="ignore", invalid="ignore"):
         try:
@@ -376,23 +409,24 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
         except _CELL_ERRORS as exc:
             top, halt_reason = 1, _halt_reason(exc, 0, zp[0])
 
-        def step(jj, ii):
-            return _march_cells(law, groups, lattice, v, jj, ii, hm, march_minus * hp)
+        def step(j0, j1):
+            # the cells of rows j0 .. j1 - 1 of anti-diagonal d: the views
+            # they write, the new points and V, and the values to write there
+            nw, se, new, v_cells = _cell_views(flats, v, cols, march_minus, d, j0, j1)
+            v_new, g_new = _march_cells(law, groups, nw, se, v_cells, d - j0 == cols - 2, hm, march_minus * hp)
+            return new + v_cells, g_new + v_new
 
         # rows from ``top`` up are dropped: ``top`` is the lowest failing row so far
         d = 0
-        while (jj := np.arange(max(0, d - ncells + 1), min(d, top - 2) + 1)).size:
-            ii = d - jj
+        while (j0 := max(0, d - cols + 2)) < (j1 := min(d + 1, top - 1)):
             try:
-                v_new, g_new = step(jj, ii)
+                targets, values = step(j0, j1)
             except _CELL_ERRORS as exc:
-                j, exc = _lowest_failure(step, jj, ii, exc)
+                j, exc = _lowest_failure(step, j0, j1, exc)
                 top, halt_reason = j + 1, _halt_reason(exc, j + 1, zp[j + 1])
                 continue
-            for g, x in zip(lattice, g_new):
-                g[:, jj + 1, ii + 1] = x
-            for x, x_new in zip(v, v_new):
-                x[:, ii] = x_new
+            for target, x in zip(targets, values):
+                target[...] = x
             d += 1
 
     gammas = _unpack([g[:, :top] for g in stores], groups)

@@ -304,9 +304,9 @@ DENMAN_BEAVERS = {"sqrtm_near_identity_far", "logm_near_identity_far"}
 @pytest.mark.parametrize("n", [1, 2, 4])
 @pytest.mark.parametrize("kernel", sorted(LAYOUT_KERNELS))
 def test_kernels_give_the_same_bits_in_either_layout(kernel, n):
-    # the marcher's lattice is C-ordered and the right-hand side's operand
-    # stacks of 1x1 and 2x2 blocks batch-last (lie_core.empty_stack); the
-    # layout must change no value, and a 2x2 closed form keeps its input's
+    # the marcher's lattice and the right-hand side's operand stacks of 1x1
+    # and 2x2 blocks are batch-last (lie_core.empty_stack); the layout must
+    # change no value, and a 2x2 closed form keeps its input's
     rng = np.random.default_rng(n)
     x, y = (rng.standard_normal((3, 5, n, n)) + 1j * rng.standard_normal((3, 5, n, n)) for _ in range(2))
     x *= 0.1
@@ -316,6 +316,26 @@ def test_kernels_give_the_same_bits_in_either_layout(kernel, n):
     if n == 2 and kernel not in DENMAN_BEAVERS:
         assert c_order.flags.c_contiguous
         assert is_batch_last(last)
+
+
+#: operand shapes of ``mul`` outside its 2x2 closed form: (2x1)(1x2) takes
+#: the broadcast product, the others numpy's matmul
+MUL_SHAPES = (((1, 2), (2, 2)), ((2, 2), (2, 1)), ((2, 1), (1, 2)), ((3, 3), (3, 3)), ((4, 4), (4, 4)))
+
+
+@pytest.mark.parametrize("shapes", MUL_SHAPES, ids=lambda s: "x".join(f"{r}{c}" for r, c in s))
+def test_mul_gives_the_same_bits_in_every_layout(shapes):
+    # numpy's matmul rounds differently on stacks it cannot hand to BLAS,
+    # such as batch-last stacks and the march's views of a lattice diagonal
+    rng = np.random.default_rng(list(np.ravel(shapes)))
+    a, b = (rng.standard_normal((64,) + s) + 1j * rng.standard_normal((64,) + s) for s in shapes)
+    want = lc.mul(a, b)
+    assert want.flags.c_contiguous
+
+    # batch-last, and every other matrix of a stack twice as long in either layout
+    for layout in (batch_last, lambda x: np.repeat(x, 2, axis=0)[::2],
+                   lambda x: batch_last(np.repeat(x, 2, axis=0))[::2]):
+        assert np.array_equal(lc.mul(layout(a), layout(b)), want)
 
 
 @pytest.mark.parametrize("shape", [(3, 5, 1, 1), (3, 5, 2, 2), (2, 4, 4)])

@@ -1052,6 +1052,59 @@ class TestRowKernels:
             assert a.tobytes() == b.tobytes()
 
 
+class TestDiagonalViews:
+    """The march reads and writes each anti-diagonal through basic-slice views."""
+
+    @pytest.mark.parametrize("march_minus", [1, -1])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_views_are_the_gathers_and_scatters(self, n, march_minus):
+        # 1x1 and 2x2 stores are batch-last, 3x3 ones C-ordered (lie_core.empty_stack)
+        rows, cols = 5, 7
+        rng = np.random.default_rng(n)
+
+        def random_stack(shape):
+            out = lc.empty_stack(shape)
+            out[...] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            return out
+
+        store, v = random_stack((2, rows, cols, n, n)), random_stack((2, cols - 1, n, n))
+        flat = solver._flat(store)
+        assert np.shares_memory(flat, store)
+        lattice = store if march_minus > 0 else store[:, :, ::-1]
+        for d in range(rows + cols - 3):
+            jj = np.arange(max(0, d - cols + 2), min(d, rows - 2) + 1)
+            ii = d - jj
+            nw, se, new, v_cells = (views[0] for views in solver._cell_views(
+                [flat], [v], cols, march_minus, d, jj[0], jj[-1] + 1))
+            assert np.array_equal(nw, lattice[:, jj + 1, ii])
+            assert np.array_equal(se, lattice[:, jj, ii + 1])
+            assert np.array_equal(v_cells, v[:, ii])
+            if n == 2:
+                assert min(nw.strides[-2:]) > max(nw.strides[:-2])
+            x = rng.standard_normal(new.shape) + 1j * rng.standard_normal(new.shape)
+            want = store.copy()
+            (want if march_minus > 0 else want[:, :, ::-1])[:, jj + 1, ii + 1] = x
+            new[...] = x
+            assert np.array_equal(store, want)
+
+    def test_a_diagonal_whose_cells_pass_alone_halts_at_its_first_row(self, monkeypatch):
+        # every batch of two or more cells fails, and every cell alone passes:
+        # the march halts on the first such diagonal, at its first row, with
+        # the batch's error
+        march_cells = solver._march_cells
+
+        def batch_fails(law, groups, nw, *args):
+            if nw[0].shape[1] > 1:
+                raise lc.ConvergenceError("the batch failed")
+            return march_cells(law, groups, nw, *args)
+
+        monkeypatch.setattr(solver, "_march_cells", batch_fails)
+        system, data = _chain_case()
+        hist = solver.integrate(system, data, solver.Grid(0, 1, 0, 1, 8, 8))
+        assert hist.completed_rows == 1
+        assert hist.halt_reason == "cell-centre square root failed at row 1 (z^+ = 0.125): the batch failed"
+
+
 def _sine_gordon_case():
     """The sine-Gordon chain, one 1x1 node with arc caps at both ends, with kink data."""
     return solver.sine_gordon_system(), solver.kink_data(solver.KINK_SLOPE, solver.Grid(0, 1, 0, 1, 16, 16))
@@ -1125,6 +1178,48 @@ class TestRhsReference:
             as_stack = solver.integrate(system, data, grid,
                                         law=lambda gs: np.stack(list(toda.rhs_dispatch(system, gs))))
             _same_history(own, as_stack)
+
+
+def _from_the_other_corner(data, grid):
+    """The same edges marched from the other z^- corner: gamma_minus is
+    reflected across the grid's z^- range, so the corner still agrees."""
+    lo, hi = grid.z_minus_min, grid.z_minus_max
+    return solver.CharacteristicData(lambda z: data.gamma_minus(lo + hi - z), data.gamma_plus,
+                                     march_minus=-data.march_minus)
+
+
+#: sha256 over the ``gammas`` bytes of each RHS_REFERENCE_CASES history at
+#: 16x16, marched from the data's corner and then from the other z^- corner
+MARCH_SHA256 = {
+    "general_linear": "7da58920e7a5776d1f0e3d77fc96bd6e99c10b3c54dc672532aaf39318b36466",
+    "even_fold": "f2180388b8d6033dccf335bc3a5caf5782f05921ab04e4cce7b9611ca0184757",
+    "odd_fold_arc_first": "714c824ee44a6695cf38784d9f94f337e2f2aa34c83848e9a3f87be28e6a083d",
+    "odd_fold_node_first": "b7f89a9b55b6edd3548b06f002dd78bc6e77d9f6e376cbd395a297faaf66b581",
+    "double_fixed_fold": "5e832be6b5579cc389037f6f5872ac9cf4df46c9611e89d7f9cdc2b4dcf18d45",
+    "simplest": "8e2a443169d7fde620c67c3f1a6ef95ff583dede7689f2309120aa7fa6d31bea",
+    "periodic_chain": "02d637a361b8ebe5498389286a3efdf2ddd94dc13b99f5dcdc794608ffef70bb",
+    "mixed_sizes": "bdb026d26c3f27a16c168eb2cb367464e62a4c9a5c05ed59f51c42ea73a3858f",
+    "sine_gordon": "2fa1509e327e6a1d73530cedadbe2944f849974b757f487a9965c976d1fd7b87",
+    "even_fold_2x2_s2": "949b6ce9e0ff210ffc6997cd2d0dbe195b611e63e2feae8bfb609fd9a2881995",
+    "even_fold_4x4_s1": "5bb6a648f1297b9b625259222a6289b453ea4b2848f2f9c1de8151788e0ae40a",
+    "even_fold_4x4_s2": "8bfda8a52103e8090de48af6288211e2c17941320280fb562beee1f019148ff1",
+    "odd_fold_arc_first_1_2": "168566ed132926376765ffc1b12ef72c0dd1a879c708cec6c6445ae2a3408359",
+    "even_fold_2_4": "eebd7ad3996afef98d04482156502dd83b86d1af0b507a14415699556e7f469f",
+    "double_fixed_fold_2_2_4": "01476b0e29fd021ec8b00ff3cfc025f75ede30dd00f612b4066e04bb67a047d3",
+}
+
+
+@pytest.mark.parametrize("name", RHS_REFERENCE_CASES)
+def test_histories_from_both_corners_are_pinned(name):
+    system, data = RHS_REFERENCE_CASES[name]()
+    grid = solver.Grid(0, 1, 0, 1, 16, 16)
+    digest = hashlib.sha256()
+    for corner in (data, _from_the_other_corner(data, grid)):
+        hist = solver.integrate(system, corner, grid)
+        assert not hist.halted
+        for g in hist.gammas:
+            digest.update(g.tobytes())
+    assert digest.hexdigest() == MARCH_SHA256[name]
 
 
 #: 16x16 grids of the presets, on their default domains
