@@ -246,8 +246,11 @@ def _half_point_v(g_row, h_minus):
 
 
 def _flat(store):
-    """The view (blocks, rows * columns, n, n) of a store (blocks, rows, columns, n, n)."""
-    return store.reshape(store.shape[:1] + (-1,) + store.shape[3:], copy=False)
+    """The view (blocks, rows * columns, n, n) of a store (blocks, rows, columns, n, n).
+
+    Both ``empty_stack`` layouts keep the rows and columns axes adjacent,
+    columns inside rows, so the reshape merges them without a copy."""
+    return store.reshape(store.shape[:1] + (-1,) + store.shape[3:])
 
 
 def _diagonal(flat, cols, march_minus, j, i, count):
