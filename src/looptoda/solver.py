@@ -51,6 +51,7 @@ depend on the split.
 from __future__ import annotations
 
 import contextlib
+import operator
 import os
 import shutil
 import signal
@@ -79,7 +80,11 @@ from .toda import TodaSystem
 
 @dataclass(frozen=True)
 class Grid:
-    """Rectangular light-cone lattice; n_minus/n_plus count cells."""
+    """Rectangular light-cone lattice; n_minus/n_plus count cells.
+
+    The counts may be of any integer type and are stored as int, so
+    ``to_json`` gives JSON numbers; a bool or a float count is a
+    ValueError."""
 
     z_minus_min: float
     z_minus_max: float
@@ -94,6 +99,11 @@ class Grid:
             raise ValueError("grid bounds must be finite")
         if self.z_minus_max <= self.z_minus_min or self.z_plus_max <= self.z_plus_min:
             raise ValueError("grid ranges must be increasing")
+        for name in ("n_minus", "n_plus"):
+            count = getattr(self, name)
+            if isinstance(count, (bool, np.bool_)) or not hasattr(count, "__index__"):
+                raise ValueError(f"{name} must be an integer cell count, got {count!r}")
+            object.__setattr__(self, name, operator.index(count))
         if self.n_minus < 1 or self.n_plus < 1:
             raise ValueError("grids need at least one cell per direction")
 
@@ -278,8 +288,12 @@ def _march_cells(law, groups, nw, se, v, last_column, hm, dv_scale):
     size, from their NW corners, SE corners and V by the cell rule of the
     module docstring with dv_scale in place of h_plus, then the blow-up test
     of the NW corners and, where ``last_column`` puts the first cell's new
-    point in the last column, of that point; raises NonFiniteError on a
-    non-finite value."""
+    point in the last column, of that point.
+
+    NonFiniteError comes from two gates: the kernels, which reject a
+    non-finite input (a non-finite V fails expm(hm V), an overflowing
+    inv(nw) se the centre's square root), and the test of the new points,
+    which catches a product nw expm(hm V) that overflows."""
     nw_inv = [inv(a) for a in nw]
     centres = [mul(a, sqrtm_near_identity(mul(b, c))) for a, b, c in zip(nw, nw_inv, se)]
     if len(groups) == 1:
@@ -289,7 +303,7 @@ def _march_cells(law, groups, nw, se, v, last_column, hm, dv_scale):
         rhs = [np.stack([blocks[b] for b in group]) for group in groups]
     v_new = [x + dv_scale * f for x, f in zip(v, rhs)]
     g_new = [mul(a, expm(hm * x)) for a, x in zip(nw, v_new)]
-    if not all(np.isfinite(x).all() for x in v_new + g_new):
+    if not all(np.isfinite(x).all() for x in g_new):
         raise NonFiniteError("the diagonal has a non-finite value")
     _check_invertibility(nw, nw_inv)
     if last_column:

@@ -267,6 +267,58 @@ def test_kernel_checks_shape_before_dispatch(kernel):
             kernel(bad)
 
 
+#: non-finite entries: every one makes |entry|, and so a 1-norm, NaN or inf
+NON_FINITE = (np.nan, np.inf, -np.inf, complex(np.inf, np.nan), complex(np.nan, -np.inf), complex(0.0, np.inf))
+#: the kernels from near I, with the distance from I of the finite matrices
+#: of each case: inside the 2x2 closed forms' regions at 0.1, outside at 3
+NEAR_IDENTITY_KERNELS = {
+    "expm": lc.expm,
+    "sqrtm_near_identity": lambda x: lc.sqrtm_near_identity(np.eye(x.shape[-1]) + x),
+    "logm_near_identity": lambda x: lc.logm_near_identity(np.eye(x.shape[-1]) + x),
+}
+NON_FINITE_CASES = {"1x1": (1, 0.1), "2x2_inside": (2, 0.1), "2x2_outside": (2, 3.0), "4x4": (4, 0.1)}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_CASES))
+@pytest.mark.parametrize("kernel", sorted(NEAR_IDENTITY_KERNELS))
+def test_kernel_rejects_a_non_finite_entry(kernel, case):
+    # one non-finite entry in one matrix of a batch, in either layout: the
+    # 2x2 and larger kernels find it through the non-finite 1-norm
+    n, dist = NON_FINITE_CASES[case]
+    fn = NEAR_IDENTITY_KERNELS[kernel]
+    x = stack(n, 4, dist, 0)
+    with np.errstate(all="raise"):
+        fn(x)  # the finite batch passes with no floating-point warning
+    for value in NON_FINITE:
+        for k, i, j in ((0, 0, 0), (2, n - 1, 0), (3, 0, n - 1)):
+            bad = x.copy()
+            bad[k, i, j] = value
+            for layout in (lambda a: a, batch_last):
+                with pytest.raises(lc.NonFiniteError, match="^matrix entries must be finite$"):
+                    fn(layout(bad))
+
+
+@pytest.mark.parametrize("kernel", [lc.expm, lc.sqrtm_near_identity, lc.logm_near_identity],
+                         ids=["expm", "sqrtm_near_identity", "logm_near_identity"])
+def test_kernel_checks_finiteness_before_shape(kernel):
+    for shape in ((3, 2), (2,), (4, 2, 3)):
+        bad = np.ones(shape, dtype=complex)
+        bad.flat[-1] = np.nan
+        with pytest.raises(lc.NonFiniteError, match="^matrix entries must be finite$"):
+            kernel(bad)
+
+
+@pytest.mark.parametrize("kernel", [lc.sqrtm_near_identity, lc.logm_near_identity],
+                         ids=["sqrtm_near_identity", "logm_near_identity"])
+def test_overflowing_norm_of_finite_entries_is_not_a_non_finite_input(kernel):
+    # a column sum of 2e308 overflows the 1-norm, but every entry is finite:
+    # the input leaves the closed form's region for the Denman-Beavers
+    # iteration, which cannot converge (expm: test_expm_scaling_range)
+    a = np.array([[1e308, 0.0], [1e308, 1.0]])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(lc.ConvergenceError):
+        kernel(a)
+
+
 def test_mul_checks_shapes_before_dispatch():
     for a, b in (((2, 3), (2, 3)), ((3, 2), (2,)), ((2,), (2, 2))):
         with pytest.raises(lc.ShapeMismatchError):

@@ -64,6 +64,17 @@ def test_census_counts():
     ]
 
 
+def test_history_digests_repeat():
+    # two runs print the same bytes: one line per matrix-march system, preset and halting march
+    args = ("history_digests.py", "--seeds", "1", "--cells", "8")
+    first = _run(*args)
+    assert _run(*args) == first
+    lines = first.splitlines()
+    assert len(lines) == 8 + 4 + 2
+    assert lines[-2].startswith("sinh_runaway  gammas ")
+    assert lines[-2].endswith("  halt non-finite value at row 3 (z^+ = 0.09375)")
+
+
 def _perfbench_module(name):
     """A module of perfbench/, which is a directory of scripts, not a package;
     registered before it runs, as its dataclasses look it up."""

@@ -1,6 +1,7 @@
 import csv
 import functools
 import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -50,6 +51,20 @@ class TestGrid:
                        (0, 1, np.nan, 1), (0, 1, 0, np.inf)):
             with pytest.raises(ValueError):
                 solver.Grid(*bounds, 4, 4)
+
+    @pytest.mark.parametrize("count", [8.0, True, np.bool_(True), "8", None, np.float64(8)],
+                             ids=["float", "bool", "numpy_bool", "str", "none", "numpy_float"])
+    def test_cell_counts_must_be_integers(self, count):
+        for counts in ((count, 8), (8, count)):
+            with pytest.raises(ValueError, match="must be an integer cell count"):
+                solver.Grid(0, 1, 0, 1, *counts)
+
+    def test_integer_cell_counts_are_stored_as_int(self):
+        g = solver.Grid(0, 1, 0, 1, np.int64(8), np.uint8(4))
+        assert type(g.n_minus) is int and type(g.n_plus) is int
+        assert json.loads(json.dumps(g.to_json())) == {"z_minus": [0, 1], "z_plus": [0, 1],
+                                                       "n_minus": 8, "n_plus": 4}
+        assert len(g.zm_points()) == 9
 
     @pytest.mark.parametrize("march_minus", [0, 2, -2])
     def test_march_corner_is_plus_or_minus_one(self, march_minus):
@@ -399,9 +414,8 @@ class TestReality:
 #: with two 1x1 blocks
 SCALAR_FREE_FIELD = toda.build_system(gr.make_spec("gl", gr.TYPE_GL_INNER, 2, (1, 1), (1,)), 1,
                                       (np.zeros((1, 1)),) * 2, (np.eye(1),) * 2)
-EDGE_CASE_SYSTEMS = pytest.mark.parametrize("system", [
-    toda.build_simplest("gl", np.eye(2) / 2, np.eye(2) / 2), SCALAR_FREE_FIELD,
-], ids=["gl2", "scalar"])
+GL2_SIMPLEST = toda.build_simplest("gl", np.eye(2) / 2, np.eye(2) / 2)
+EDGE_CASE_SYSTEMS = pytest.mark.parametrize("system", [GL2_SIMPLEST, SCALAR_FREE_FIELD], ids=["gl2", "scalar"])
 
 
 class TestBlowUp:
@@ -468,6 +482,18 @@ class TestBlowUp:
         data = solver.CharacteristicData(self._unit_edge(system, lambda z: 10.0 ** (16 * z)),
                                          self._unit_edge(system, lambda w: 1e-307 if w > 0 else 1.0))
         hist = solver.integrate(system, data, solver.Grid(0, 1, 0, 1, 8, 8))
+        assert hist.halted and hist.completed_rows == 1
+        assert hist.halt_reason == "non-finite value at row 1 (z^+ = 0.125)"
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("system", [solver.sine_gordon_system(), GL2_SIMPLEST],
+                             ids=["sine_gordon", "gl2"])
+    def test_non_finite_v_halts_as_non_finite(self, system, value):
+        # a law whose d_+ V is non-finite makes the first cell's V non-finite:
+        # expm(h_minus V) rejects it, which halts the march at row 1
+        data = solver.constant_data([np.eye(na) for na in system.independent_sizes])
+        hist = solver.integrate(system, data, solver.Grid(0, 1, 0, 1, 8, 8),
+                                law=lambda centres: np.full_like(centres, value))
         assert hist.halted and hist.completed_rows == 1
         assert hist.halt_reason == "non-finite value at row 1 (z^+ = 0.125)"
 
