@@ -39,7 +39,7 @@ as one discrete Fourier transform over its orbit under A;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 
 import numpy as np
@@ -269,15 +269,22 @@ def validate_spec(spec) -> list[str]:
         if not _mirrored(t, kl):
             v.append("k_palindrome: k_{p-a} = k_a is required")
 
-    # the parity each family's B form imposes on the blocks it covers
-    if t == TYPE_SOSP_I and spec.family == "sp" and p % 2 == 1 and nl[(p - 1) // 2] % 2:
+    return v + _parity_violations(spec.family, t, nl)
+
+
+def _parity_violations(family: str, gradation_type: str, nl: tuple) -> list[str]:
+    """The parity each family's B form imposes on the blocks it covers: the
+    rules of validate_spec that read only the family, type and n_list."""
+    v = []
+    t, p, n = gradation_type, len(nl), sum(nl)
+    if t == TYPE_SOSP_I and family == "sp" and p % 2 == 1 and nl[(p - 1) // 2] % 2:
         v.append("sp_middle_even: odd p requires even middle block for sp")
-    if t == TYPE_SOSP_II and spec.family == "sp" and p % 2 == 0 and (nl[0] % 2 or nl[p // 2] % 2):
+    if t == TYPE_SOSP_II and family == "sp" and p % 2 == 0 and (nl[0] % 2 or nl[p // 2] % 2):
         v.append("sp_fixed_even: blocks carrying the K form must be even for sp")
-    if t == TYPE_GL_OUTER_II and spec.n % 2:
+    if t == TYPE_GL_OUTER_II and n % 2:
         v.append("n_even: B = K_n requires even n")
     if t == TYPE_GL_OUTER_III:
-        if (spec.n - nl[0]) % 2:
+        if (n - nl[0]) % 2:
             v.append("k_block_even: n - n_1 must be even for B = diag(J, K)")
         if p % 2 == 0 and nl[p // 2] % 2:
             v.append("middle_even: even p requires an even self-paired block")
@@ -466,32 +473,15 @@ class GradingIndexTable:
 
 def block_index_table(spec: GradationSpec) -> GradingIndexTable:
     check_valid(spec)
-    p = spec.p
-    kl = spec.k_list
-    outer = spec.gradation_type in OUTER_TYPES
     modulus = spec.M
-
-    def base_index(a: int, b: int) -> int:
-        if a == b:
-            return 0
-        if a < b:
-            return sum(kl[a:b]) % modulus
-        return (-sum(kl[b:a])) % modulus
-
-    if not outer:
-        entries = tuple(tuple(base_index(a, b) for b in range(p)) for a in range(p))
-        return GradingIndexTable(M=modulus, outer=False, entries=entries)
-
-    N = data_modulus(spec.gradation_type, modulus)
-    rows = []
-    for a in range(p):
-        row = []
-        for b in range(p):
-            base = base_index(a, b)
-            member = base if base < N else (base + N) % modulus
-            row.append((member, member + N))
-        rows.append(tuple(row))
-    return GradingIndexTable(M=modulus, outer=True, entries=tuple(rows))
+    # block (a, b) carries k_{a+1} + ... + k_b mod M, the difference of two prefix sums
+    prefix = list(accumulate(spec.k_list, initial=0))
+    base = [[(pb - pa) % modulus for pb in prefix] for pa in prefix]
+    if spec.gradation_type not in OUTER_TYPES:
+        return GradingIndexTable(M=modulus, outer=False, entries=tuple(map(tuple, base)))
+    N = data_modulus(spec.gradation_type, modulus)  # M = 2N: residue r is the pair's low or high member
+    return GradingIndexTable(M=modulus, outer=True, entries=tuple(tuple((r % N, r % N + N) for r in row)
+                                                                 for row in base))
 
 
 def _compositions(total: int, parts: int):
@@ -499,6 +489,40 @@ def _compositions(total: int, parts: int):
     lexicographic order: the gaps between sorted cut points."""
     return (tuple(b - a for a, b in zip((0,) + cuts, cuts + (total,)))
             for cuts in combinations(range(1, total), parts - 1))
+
+
+def _palindromes(total: int, parts: int):
+    """The compositions of `total` into `parts` that read the same backwards,
+    in lexicographic order, each built from its first half (whose order it
+    keeps) and, for odd `parts`, the middle entry the half leaves.  The
+    halves of odd `parts` have 2 * sum < total: they are the compositions of
+    (total + 1) // 2 into one part more, without that last (slack) part."""
+    half = parts // 2
+    if parts % 2 == 0:
+        return (h + h[::-1] for h in _compositions(total // 2, half)) if total % 2 == 0 else iter(())
+    return (h + (total - 2 * sum(h),) + h[::-1]
+            for h in (c[:-1] for c in _compositions((total + 1) // 2, half + 1)))
+
+
+def _mirrored_nlists(gradation_type: str, n: int, p: int):
+    """The n_lists that read the same backwards (past the first entry for the
+    fixed-first types), in lexicographic order."""
+    if gradation_type in PALINDROMIC_TYPES:
+        return _palindromes(n, p)
+    return ((first,) + tail for first in range(1, n) for tail in _palindromes(n - first, p - 1))
+
+
+def _palindrome_count(total: int, parts: int) -> int:
+    """len(list(_palindromes(total, parts))): a palindrome is its first half
+    and middle, and the halves sum to at most (total - 1) // 2."""
+    return comb((total - 1) // 2, (parts - 1) // 2) if parts % 2 or total % 2 == 0 else 0
+
+
+def _mirrored_count(gradation_type: str, n: int, p: int) -> int:
+    """len(list(_mirrored_nlists(gradation_type, n, p))), without the walk."""
+    if gradation_type in PALINDROMIC_TYPES:
+        return _palindrome_count(n, p)
+    return sum(_palindrome_count(n - first, p - 1) for first in range(1, n))
 
 
 def enumerate_specs(family: str, n: int, M: int) -> list:
@@ -512,8 +536,13 @@ def enumerate_specs(family: str, n: int, M: int) -> list:
     positive entries, sum(k) < modulus) before building them once, so a
     p > modulus costs nothing, and more than 200 * ``ENUM_CAP`` candidate
     pairs (n_list, k_list) raise EnumerationCapError before a k-list is
-    built; so do more than ``ENUM_CAP`` specs.
-    gl_inner specs are valid by construction and skip validate_spec.
+    built; so do more than ``ENUM_CAP`` specs.  A candidate pairs such a
+    k-list with an n_list of the type's shape: any composition of n for
+    gl_inner, a mirrored one (built from its first half) for the others.
+    Specs are built valid, without validate_spec: the shape rules hold by
+    construction, a (type, p) that validate_spec rejects whole is skipped
+    (its n_lists still count as candidates), and the parity rules are
+    tested once per n_list.
     """
     if family not in ("gl", "sl", "so", "sp"):
         raise ValueError(f"unknown family {family!r}")
@@ -527,24 +556,31 @@ def enumerate_specs(family: str, n: int, M: int) -> list:
             continue
         modulus = data_modulus(t, M)
         for p in range(2, min(n, modulus) + 1):
+            per_nlist = comb(modulus - 1, p - 1)
+            if t == TYPE_GL_INNER:
+                nlists = _compositions(n, p)
+            elif (family == "sp" and n % 2) or (t == TYPE_SOSP_II and (M % 2 or p % 2)):
+                # validate_spec rejects every spec here (sp_even_n, M_even, p_even), but
+                # the mirrored n_lists still count as candidates
+                candidates += per_nlist * _mirrored_count(t, n, p)
+                if candidates > 200 * ENUM_CAP:
+                    raise EnumerationCapError(f"enumeration candidate space exceeds cap of {ENUM_CAP} specs")
+                continue
+            else:
+                nlists = _mirrored_nlists(t, n, p)
             klists = None
-            for nl in _compositions(n, p):
-                if not _mirrored(t, nl):
-                    continue
-                candidates += comb(modulus - 1, p - 1)
+            for nl in nlists:
+                candidates += per_nlist
                 if candidates > 200 * ENUM_CAP:
                     raise EnumerationCapError(f"enumeration candidate space exceeds cap of {ENUM_CAP} specs")
                 if klists is None:
                     # built at the first n_list, once the cap admits its candidates: a
                     # k_list is a composition c of modulus into p parts without its last
-                    # part, so the fixed-first rule sum(k) + k_1 = modulus is c_1 = c_p;
-                    # two of validate_spec's shape rules, tested once per (type, p)
-                    klists = [c[:-1] for c in _compositions(modulus, p) if _mirrored(t, c[:-1])
-                              and (t not in FIXED_FIRST_TYPES or c[0] == c[-1])]
-                if t == TYPE_GL_INNER:
-                    found += [GradationSpec(family, n, t, M, nl, k) for k in klists]
-                else:
-                    found += [s for s in (make_spec(family, t, M, nl, k) for k in klists) if not validate_spec(s)]
+                    # part, so the fixed-first rule sum(k) + k_1 = modulus is c_1 = c_p
+                    klists = [(c[:-1], required_offset(t, M, c[:-1])) for c in _compositions(modulus, p)
+                              if _mirrored(t, c[:-1]) and (t not in FIXED_FIRST_TYPES or c[0] == c[-1])]
+                if not _parity_violations(family, t, nl):
+                    found += [GradationSpec(family, n, t, M, nl, k, offset) for k, offset in klists]
                 if len(found) > ENUM_CAP:
                     raise EnumerationCapError(f"enumeration exceeded cap of {ENUM_CAP} specs")
     trivial = TrivialSpec(family=family, n=n, M=M)

@@ -84,7 +84,8 @@ class Grid:
 
     The counts may be of any integer type and are stored as int, so
     ``to_json`` gives JSON numbers; a bool or a float count is a
-    ValueError."""
+    ValueError.  A numpy scalar bound is stored as the Python number its
+    ``item()`` gives; other bounds are kept as given."""
 
     z_minus_min: float
     z_minus_max: float
@@ -94,6 +95,10 @@ class Grid:
     n_plus: int
 
     def __post_init__(self):
+        for name in ("z_minus_min", "z_minus_max", "z_plus_min", "z_plus_max"):
+            bound = getattr(self, name)
+            if isinstance(bound, np.generic):
+                object.__setattr__(self, name, bound.item())
         if not np.all(np.isfinite((self.z_minus_min, self.z_minus_max,
                                    self.z_plus_min, self.z_plus_max))):
             raise ValueError("grid bounds must be finite")

@@ -521,15 +521,81 @@ class TestEnumerate:
                     digest.update(json.dumps([s.to_json() for s in specs], sort_keys=True).encode())
         assert digest.hexdigest() == "264d12818cd0228ae28cae792cb1f7965dea8767cbe5c99e159501644e315136"
 
-    def test_gl_inner_specs_are_valid(self):
-        """enumerate_specs does not validate its gl_inner candidates: each one
-        of the n, M <= 8 census must be valid by construction."""
-        for family in ("gl", "sl"):
+    #: sha256 of the enumerate_specs JSON at M = 8 for larger n, as the
+    #: generate-and-filter walk over every composition of n printed it
+    LARGE_N_DIGESTS = {
+        ("so", 16): "2d1c85548429ee51a7cbcabdff214ed665f2e17cf198f7b239c3215e2e757650",
+        ("so", 20): "b7a06a74059131cb781207da68c24415af06d42da4a166352bf0139203c1a7a1",
+        ("so", 24): "4d1ca8cd420d7b08deb558850d039a5a0a6da2c2aea65857a6db40ee03588180",
+        ("so", 30): "0a6f5f513725532f85f40be470d1d67a1cb8908ae41b26fe27f2975854ce816f",
+        ("sp", 16): "dc35234320dc846c93c59dbc5dec19339c9016d87f677dac4dc9bdd60ef25d22",
+        ("sp", 20): "335a28b0f09a7bb73a22d24e35b87ed1462d34c129d80a10efb13f2be347f66e",
+        ("sp", 24): "7a8b3a4a3d55f9f4c46b91caba8ce2c55bc7ef5c83adba420d5bc46c239a53c7",
+        ("sp", 30): "ee33a7f5e6780f1c8d47066a53484191979d43d37ae41f8e05005ea0339e086b",
+    }
+
+    @pytest.mark.parametrize("family, n", sorted(LARGE_N_DIGESTS))
+    def test_large_n_json_golden(self, family, n):
+        specs = gr.enumerate_specs(family, n, 8)
+        digest = hashlib.sha256(json.dumps([s.to_json() for s in specs], sort_keys=True).encode()).hexdigest()
+        assert digest == self.LARGE_N_DIGESTS[family, n]
+
+    def test_mirrored_types_walk_only_mirrored_n_lists(self, monkeypatch):
+        """so_30 at M = 8 builds its n_lists from first halves, which sum to
+        at most 15: it never walks the 2 182 395 compositions of 30 into
+        p <= 8 parts that a filter over all n_lists would."""
+        asked = []
+        built = 0
+        compositions = gr._compositions
+
+        def counted(total, parts):
+            nonlocal built
+            asked.append((total, parts))
+            for c in compositions(total, parts):
+                built += 1
+                yield c
+
+        monkeypatch.setattr(gr, "_compositions", counted)
+        start = time.process_time()
+        specs = gr.enumerate_specs("so", 30, 8)
+        assert time.process_time() - start < 0.5
+        assert len(specs) == 7072
+        assert max(total for total, _ in asked) == 15
+        assert built < 5000  # 4 540 first halves and k-lists
+
+    def test_mirrored_n_lists_are_the_filtered_compositions(self):
+        """_mirrored_nlists yields exactly the compositions _mirrored keeps, in
+        their order, and _mirrored_count counts them without the walk."""
+        for t in (gr.TYPE_SOSP_I, gr.TYPE_SOSP_II):
+            for n in range(1, 13):
+                for p in range(2, n + 1):
+                    want = [c for c in gr._compositions(n, p) if gr._mirrored(t, c)]
+                    assert list(gr._mirrored_nlists(t, n, p)) == want, (t, n, p)
+                    assert gr._mirrored_count(t, n, p) == len(want), (t, n, p)
+
+    def test_skipped_pairs_still_count_their_candidates(self, monkeypatch):
+        """sosp_II at odd M and every type of sp at odd n are rejected whole
+        and not walked, but their n_lists still count against the candidate
+        cap: it fires exactly where the oracle's count crosses 200 * cap."""
+        for family, n, M in (("so", 5, 27), ("sp", 7, 8), ("sp", 5, 26)):
+            candidates, specs = oracles.enumeration_counts(family, n, M)
+            least = -(-candidates // 200)
+            assert specs < least - 1  # the candidate cap binds first
+            monkeypatch.setattr(gr, "ENUM_CAP", least - 1)
+            with pytest.raises(gr.EnumerationCapError, match="^enumeration candidate space exceeds"):
+                gr.enumerate_specs(family, n, M)
+            monkeypatch.setattr(gr, "ENUM_CAP", least)
+            assert sum(isinstance(s, gr.GradationSpec) for s in gr.enumerate_specs(family, n, M)) == specs
+
+    def test_enumerated_specs_are_valid(self):
+        """enumerate_specs does not validate its candidates: each spec of the
+        n, M <= 8 census, of every family and type, must be valid by
+        construction."""
+        for family in ("gl", "sl", "so", "sp"):
             for n in range(1, 9):
                 for M in range(1, 9):
                     for spec in gr.enumerate_specs(family, n, M):
-                        if isinstance(spec, gr.GradationSpec) and spec.gradation_type == gr.TYPE_GL_INNER:
-                            assert gr.validate_spec(spec) == [], spec
+                        assert gr.validate_spec(spec) == [], spec
 
     def test_outer_sosp_bijection_even_p(self):
         # outer data coincides with the corresponding so/sp data mod N

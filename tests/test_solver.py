@@ -66,6 +66,18 @@ class TestGrid:
                                                        "n_minus": 8, "n_plus": 4}
         assert len(g.zm_points()) == 9
 
+    @pytest.mark.parametrize("scalar, low, high", [(np.float32, 0.0, 1.0), (np.int64, 0, 1),
+                                                   (np.float64, 0.0, 1.0)])
+    def test_numpy_scalar_bounds_are_stored_as_python_numbers(self, scalar, low, high):
+        g = solver.Grid(scalar(0), scalar(1), scalar(0), scalar(1), 8, 8)
+        assert [type(b) for b in (g.z_minus_min, g.z_minus_max, g.z_plus_min, g.z_plus_max)] == [type(low)] * 4
+        assert json.dumps(g.to_json()) == json.dumps({"z_minus": [low, high], "z_plus": [low, high],
+                                                      "n_minus": 8, "n_plus": 8})
+
+    def test_python_bounds_keep_their_manifest_bytes(self):
+        g = solver.Grid(0, 1, -0.5, 2.5, 8, 8)
+        assert json.dumps(g.to_json()) == '{"z_minus": [0, 1], "z_plus": [-0.5, 2.5], "n_minus": 8, "n_plus": 8}'
+
     @pytest.mark.parametrize("march_minus", [0, 2, -2])
     def test_march_corner_is_plus_or_minus_one(self, march_minus):
         def edge(t):
