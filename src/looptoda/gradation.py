@@ -512,19 +512,6 @@ def _mirrored_nlists(gradation_type: str, n: int, p: int):
     return ((first,) + tail for first in range(1, n) for tail in _palindromes(n - first, p - 1))
 
 
-def _palindrome_count(total: int, parts: int) -> int:
-    """len(list(_palindromes(total, parts))): a palindrome is its first half
-    and middle, and the halves sum to at most (total - 1) // 2."""
-    return comb((total - 1) // 2, (parts - 1) // 2) if parts % 2 or total % 2 == 0 else 0
-
-
-def _mirrored_count(gradation_type: str, n: int, p: int) -> int:
-    """len(list(_mirrored_nlists(gradation_type, n, p))), without the walk."""
-    if gradation_type in PALINDROMIC_TYPES:
-        return _palindrome_count(n, p)
-    return sum(_palindrome_count(n - first, p - 1) for first in range(1, n))
-
-
 def enumerate_specs(family: str, n: int, M: int) -> list:
     """All valid specs for the family at size n and order M, deduplicated.
 
@@ -540,9 +527,10 @@ def enumerate_specs(family: str, n: int, M: int) -> list:
     k-list with an n_list of the type's shape: any composition of n for
     gl_inner, a mirrored one (built from its first half) for the others.
     Specs are built valid, without validate_spec: the shape rules hold by
-    construction, a (type, p) that validate_spec rejects whole is skipped
-    (its n_lists still count as candidates), and the parity rules are
-    tested once per n_list.
+    construction, a (type, p) that validate_spec rejects whole (sp at odd
+    n, the outer types at odd M, gl_outer_II at odd n, sosp_II at odd M or
+    odd p) is skipped before it counts a candidate, and the parity rules
+    are tested once per n_list.
     """
     if family not in ("gl", "sl", "so", "sp"):
         raise ValueError(f"unknown family {family!r}")
@@ -552,22 +540,13 @@ def enumerate_specs(family: str, n: int, M: int) -> list:
     found: list[GradationSpec] = []
     candidates = 0
     for t in types:
-        if t in OUTER_TYPES and M % 2:
-            continue
         modulus = data_modulus(t, M)
         for p in range(2, min(n, modulus) + 1):
+            if ((family == "sp" and n % 2) or (t in OUTER_TYPES and M % 2) or (t == TYPE_GL_OUTER_II and n % 2)
+                    or (t == TYPE_SOSP_II and (M % 2 or p % 2))):
+                continue  # validate_spec rejects every spec (sp_even_n, M_even, n_even, p_even)
             per_nlist = comb(modulus - 1, p - 1)
-            if t == TYPE_GL_INNER:
-                nlists = _compositions(n, p)
-            elif (family == "sp" and n % 2) or (t == TYPE_SOSP_II and (M % 2 or p % 2)):
-                # validate_spec rejects every spec here (sp_even_n, M_even, p_even), but
-                # the mirrored n_lists still count as candidates
-                candidates += per_nlist * _mirrored_count(t, n, p)
-                if candidates > 200 * ENUM_CAP:
-                    raise EnumerationCapError(f"enumeration candidate space exceeds cap of {ENUM_CAP} specs")
-                continue
-            else:
-                nlists = _mirrored_nlists(t, n, p)
+            nlists = _compositions(n, p) if t == TYPE_GL_INNER else _mirrored_nlists(t, n, p)
             klists = None
             for nl in nlists:
                 candidates += per_nlist

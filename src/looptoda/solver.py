@@ -27,10 +27,13 @@ anti-diagonal makes one call of each kernel per size, and the right-hand
 side takes the centres of a system of one block size as that stack and
 runs every node of it at once.  ``lie_core.empty_stack`` allocates them,
 so 1x1 and 2x2 blocks are stored batch-last and larger ones C-ordered.
-The march reads an anti-diagonal's NW and SE corners and V, and writes
-its new points and V, through basic-slice views of these arrays, so the
-kernels get the lattice's layout, not copies.  The history's ``gammas``
-are views of the lattice arrays in the same layout, one per block.
+The lattice is stored in the march's order, its z^- axis reversed when
+the march starts from the maximum z^- edge.  The march reads an
+anti-diagonal's NW and SE corners and V, and writes its new points and V,
+through basic-slice views of these arrays, so the kernels get the
+lattice's layout, not copies.  The history's ``gammas`` are views of the
+lattice arrays, one per block, in ascending coordinates: a reversed view
+of the store where the march reversed z^-.
 
 Scalar reductions: for the p = 2, r = 1 chain with C = I/sqrt(2) the
 unit-modulus real form G = exp(i F / 2) carries the field F with
@@ -171,7 +174,9 @@ def constant_data(gammas) -> CharacteristicData:
 class FieldHistory:
     """Solution lattice: ``gammas[b][j, i]`` is independent block b at
     (z^-_i, z^+_j), in ascending coordinates, for the rows j the march
-    completed; their count is ``completed_rows``.
+    completed; their count is ``completed_rows``.  Each is a view of the
+    march's store, with its z^- axis reversed (a negative stride) when the
+    march started from the maximum z^- edge.
 
     ``constraint_residuals[j]`` holds the max violation of the fixed-node
     group constraints over row j (all zero when the system carries none).
@@ -268,24 +273,18 @@ def _flat(store):
     return store.reshape(store.shape[:1] + (-1,) + store.shape[3:])
 
 
-def _diagonal(flat, cols, march_minus, j, i, count):
-    """The lattice points (j + k, i - k), k < count, in the march's order, as a
-    basic-slice view of the flattened store of ``cols`` columns: the march's
-    column i is the store's column i, or cols - 1 - i where it reverses z^-,
-    so the diagonal steps by cols - march_minus points."""
-    start = j * cols + (i if march_minus > 0 else cols - 1 - i)
-    step = cols - march_minus
-    return flat[:, start:start + (count - 1) * step + 1:step]
-
-
-def _cell_views(flats, v, cols, march_minus, d, j0, j1):
+def _cell_views(flats, v, cols, d, j0, j1):
     """Views of the cells (j, d - j), j0 <= j < j1, of anti-diagonal d, one
-    per stack: their NW corners, SE corners, new points and V half-points."""
+    per stack: their NW corners, SE corners, new points and V half-points.
+
+    In a flattened store of ``cols`` columns the points (j + k, i - k) are a
+    slice of step cols - 1, and the SE corner and new point of a cell lie
+    cols - 1 points before and one point after its NW corner."""
     count, i0 = j1 - j0, d - j0
-    return ([_diagonal(f, cols, march_minus, j0 + 1, i0, count) for f in flats],
-            [_diagonal(f, cols, march_minus, j0, i0 + 1, count) for f in flats],
-            [_diagonal(f, cols, march_minus, j0 + 1, i0 + 1, count) for f in flats],
-            [x[:, i0 - count + 1:i0 + 1][:, ::-1] for x in v])
+    step = cols - 1
+    start = (j0 + 1) * cols + i0
+    nw, se, new = ([f[:, s:s + (count - 1) * step + 1:step] for f in flats] for s in (start, start - step, start + 1))
+    return nw, se, new, [x[:, i0 - count + 1:i0 + 1][:, ::-1] for x in v]
 
 
 def _march_cells(law, groups, nw, se, v, last_column, hm, dv_scale):
@@ -382,8 +381,8 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
 
     The march starts from the data's corner (``data.march_minus``): +1
     takes data on the two minimum edges, -1 on the maximum z^- edge and
-    minimum z^+ edge.  The -1 orientation reverses the z^- axis internally
-    (the returned history is always in ascending coordinates); it is the
+    minimum z^+ edge.  The -1 orientation stores the z^- axis reversed
+    (the returned history is a view in ascending coordinates); it is the
     stable direction for fields, like the kink, whose far-field
     linearization grows towards the (+, +) quadrant.
     """
@@ -395,7 +394,7 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
     zm_march = zm if march_minus > 0 else zm[::-1]
     shapes = [(na, na) for na in sizes]
 
-    # ``stores`` in ascending coordinates
+    # ``stores`` in the march's order: z^- descends along a row where march_minus is -1
     groups = _size_groups(sizes)
     stores = [empty_stack((len(group), len(zp), len(zm)) + shapes[group[0]]) for group in groups]
 
@@ -416,9 +415,7 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
             # looked up at call time, so a profiler's wrapper of it counts every call
             return toda.rhs_dispatch(system, centers)
 
-    # ``lattice``: the stores' views in the march's order
-    lattice = [g if march_minus > 0 else g[:, :, ::-1] for g in stores]
-    for g, l, b in zip(_unpack(lattice, groups), left, bottom):
+    for g, l, b in zip(_unpack(stores, groups), left, bottom):
         g[:, 0] = l
         g[0] = b
 
@@ -427,14 +424,14 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
     top, halt_reason = len(zp), None
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            v = [_half_point_v(g[:, 0], hm) for g in lattice]
+            v = [_half_point_v(g[:, 0], hm) for g in stores]
         except _CELL_ERRORS as exc:
             top, halt_reason = 1, _halt_reason(exc, 0, zp[0])
 
         def step(j0, j1):
             # the cells of rows j0 .. j1 - 1 of anti-diagonal d: the views
             # they write, the new points and V, and the values to write there
-            nw, se, new, v_cells = _cell_views(flats, v, cols, march_minus, d, j0, j1)
+            nw, se, new, v_cells = _cell_views(flats, v, cols, d, j0, j1)
             v_new, g_new = _march_cells(law, groups, nw, se, v_cells, d - j0 == cols - 2, hm, march_minus * hp)
             return new + v_cells, g_new + v_new
 
@@ -451,7 +448,7 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
                 target[...] = x
             d += 1
 
-    gammas = _unpack([g[:, :top] for g in stores], groups)
+    gammas = _unpack([g[:, :top, ::march_minus] for g in stores], groups)
     return FieldHistory(system=system, grid=grid, gammas=gammas,
                         constraint_residuals=toda.fixed_node_defect(system, gammas).max(axis=1),
                         halt_reason=halt_reason)

@@ -119,17 +119,21 @@ def enumerate_specs_reference(family: str, n: int, M: int) -> list:
     return ([] if validate_spec(trivial) else [trivial]) + found
 
 
+#: the rules of ``validate_spec`` that read only the family, n, M, type and
+#: p: a candidate one of them rejects is of a (type, p) rejected whole
+WHOLE_PAIR_RULES = ("sp_even_n:", "M_even:", "n_even:", "p_even:")
+
+
 def enumeration_counts(family: str, n: int, M: int) -> tuple[int, int]:
     """The (candidates, specs) counts that ``gradation.enumerate_specs``
     holds against its caps, counted one candidate at a time.  A candidate
     pairs an n_list that reads the same backwards (past its first entry for
     the fixed-first types; any n_list for gl_inner) with a k_list of p - 1
-    positive entries and sum(k) < modulus; the outer types are skipped at
-    odd M.  A spec is a candidate that ``validate_spec`` accepts."""
+    positive entries and sum(k) < modulus, unless ``validate_spec`` rejects
+    it by one of ``WHOLE_PAIR_RULES``.  A spec is a candidate that
+    ``validate_spec`` accepts."""
     candidates = specs = 0
     for t in _family_types(family):
-        if t in (TYPE_GL_OUTER_II, TYPE_GL_OUTER_III) and M % 2:
-            continue
         modulus = data_modulus(t, M)
         for p in range(2, n + 1):
             for nl in _compositions(n, p):
@@ -138,8 +142,10 @@ def enumeration_counts(family: str, n: int, M: int) -> tuple[int, int]:
                     continue
                 for total in range(p - 1, modulus):
                     for kl in _compositions(total, p - 1):
-                        candidates += 1
-                        specs += not validate_spec(make_spec(family, t, M, nl, kl))
+                        violations = validate_spec(make_spec(family, t, M, nl, kl))
+                        if not any(v.startswith(WHOLE_PAIR_RULES) for v in violations):
+                            candidates += 1
+                            specs += not violations
     return candidates, specs
 
 

@@ -205,6 +205,13 @@ class TestEnumerateCommand:
         assert captured.out == ""
         assert captured.err == f"cap exceeded: enumeration exceeded cap of {gr.ENUM_CAP} specs\n"
 
+    def test_sp_at_odd_n_counts_no_candidate(self, capsys):
+        # validate_spec rejects every sp gradation at odd n, so none is
+        # counted against the candidate cap, however large M makes the k-lists
+        assert cli.main(["enumerate", "--family", "sp", "--n", "41", "--M", "40", "--json"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == [] and captured.err == ""
+
     def test_gl_40_at_m_2(self, capsys):
         # only p = 2 has a k-list at M = 2; the compositions of larger p are never walked
         assert cli.main(["enumerate", "--family", "gl", "--n", "40", "--M", "2"]) == 0

@@ -440,9 +440,10 @@ class TestEnumerate:
         with pytest.raises(ValueError, match="^unknown family 'xx'$"):
             gr.enumerate_specs("xx", 2, 2)
 
-    #: small enumerations; so_5 at M = 26 has 118 specs and 31 200 = 200 * 156
-    #: candidates, so its candidate cap binds first and is met exactly at cap 156
-    CAP_CASES = (("gl", 5, 5), ("sl", 4, 6), ("so", 6, 6), ("sp", 6, 8), ("gl", 6, 8), ("so", 5, 26))
+    #: small enumerations, gl_5 at M = 8 with gl_outer_II rejected whole at
+    #: odd n; so_5 at M = 31 has 135 specs and 28 275 candidates, so its
+    #: candidate cap binds first, at cap 141
+    CAP_CASES = (("gl", 5, 5), ("sl", 4, 6), ("so", 6, 6), ("sp", 6, 8), ("gl", 6, 8), ("gl", 5, 8), ("so", 5, 31))
 
     def test_caps_fire_where_the_counts_cross(self, monkeypatch):
         """EnumerationCapError is raised iff more than cap specs or more than
@@ -565,27 +566,39 @@ class TestEnumerate:
 
     def test_mirrored_n_lists_are_the_filtered_compositions(self):
         """_mirrored_nlists yields exactly the compositions _mirrored keeps, in
-        their order, and _mirrored_count counts them without the walk."""
+        their order."""
         for t in (gr.TYPE_SOSP_I, gr.TYPE_SOSP_II):
             for n in range(1, 13):
                 for p in range(2, n + 1):
                     want = [c for c in gr._compositions(n, p) if gr._mirrored(t, c)]
                     assert list(gr._mirrored_nlists(t, n, p)) == want, (t, n, p)
-                    assert gr._mirrored_count(t, n, p) == len(want), (t, n, p)
 
-    def test_skipped_pairs_still_count_their_candidates(self, monkeypatch):
-        """sosp_II at odd M and every type of sp at odd n are rejected whole
-        and not walked, but their n_lists still count against the candidate
-        cap: it fires exactly where the oracle's count crosses 200 * cap."""
-        for family, n, M in (("so", 5, 27), ("sp", 7, 8), ("sp", 5, 26)):
-            candidates, specs = oracles.enumeration_counts(family, n, M)
-            least = -(-candidates // 200)
-            assert specs < least - 1  # the candidate cap binds first
-            monkeypatch.setattr(gr, "ENUM_CAP", least - 1)
-            with pytest.raises(gr.EnumerationCapError, match="^enumeration candidate space exceeds"):
-                gr.enumerate_specs(family, n, M)
-            monkeypatch.setattr(gr, "ENUM_CAP", least)
-            assert sum(isinstance(s, gr.GradationSpec) for s in gr.enumerate_specs(family, n, M)) == specs
+    def test_pairs_rejected_whole_count_nothing(self, monkeypatch):
+        """sp at odd n, the outer types at odd M, gl_outer_II at odd n and
+        sosp_II at odd M or odd p are rejected whole: their n_lists are not
+        walked, so they count no candidate, and sp_41 at M = 40 returns []
+        under a cap of 0."""
+        walked = []
+        mirrored = gr._mirrored_nlists
+
+        def recorded(t, n, p):
+            walked.append((t, p))
+            return mirrored(t, n, p)
+
+        monkeypatch.setattr(gr, "_mirrored_nlists", recorded)
+        for (family, n, M), want in {
+            ("so", 5, 27): [(gr.TYPE_SOSP_I, p) for p in (2, 3, 4, 5)],
+            ("so", 6, 8): [(gr.TYPE_SOSP_I, p) for p in (2, 3, 4, 5, 6)] + [(gr.TYPE_SOSP_II, p) for p in (2, 4, 6)],
+            ("gl", 7, 9): [],
+            ("gl", 7, 8): [(gr.TYPE_GL_OUTER_III, p) for p in (2, 3, 4)],
+        }.items():
+            walked.clear()
+            gr.enumerate_specs(family, n, M)
+            assert walked == want, (family, n, M)
+        walked.clear()
+        monkeypatch.setattr(gr, "ENUM_CAP", 0)
+        assert gr.enumerate_specs("sp", 41, 40) == []
+        assert walked == []
 
     def test_enumerated_specs_are_valid(self):
         """enumerate_specs does not validate its candidates: each spec of the
