@@ -65,15 +65,12 @@ def cmd_validate(args) -> int:
 
 
 def _spec_summary(spec) -> dict:
-    entry = {"spec": spec.to_json()}
     eq_class, variant = toda.classify_spec(spec)
-    entry["equation_class"] = eq_class
+    entry = {"spec": spec.to_json(), "equation_class": eq_class}
     if variant:
         entry["variant"] = variant
-    if isinstance(spec, gradation.TrivialSpec):
-        return entry
-    table = gradation.block_index_table(spec)
-    entry["index_table"] = [list(row) for row in table.entries]
+    if not isinstance(spec, gradation.TrivialSpec):
+        entry["index_table"] = [list(row) for row in gradation.block_index_table(spec).entries]
     return entry
 
 
@@ -97,18 +94,17 @@ def cmd_enumerate(args) -> int:
             print(toda.table_to_latex(gradation.block_index_table(s)))
         return EXIT_OK
     for s in specs:
-        eq_class, variant = toda.classify_spec(s)
-        if isinstance(s, gradation.TrivialSpec):
-            print(f"trivial family={s.family} n={s.n} M={s.M} class={eq_class}")
+        entry = _spec_summary(s)
+        if "index_table" not in entry:
+            print(f"trivial family={s.family} n={s.n} M={s.M} class={entry['equation_class']}")
             continue
-        table = gradation.block_index_table(s)
-        tag = f"{eq_class}/{variant}" if variant else eq_class
+        tag = entry["equation_class"] + (f"/{entry['variant']}" if "variant" in entry else "")
         print(
             f"{s.gradation_type} family={s.family} n_list={list(s.n_list)} "
             f"k_list={list(s.k_list)} M={s.M} offset={s.phase_offset} class={tag}"
         )
-        for row in table.entries:
-            print("   ", list(row))
+        for row in entry["index_table"]:
+            print("   ", row)
     return EXIT_OK
 
 
@@ -226,7 +222,7 @@ def cmd_simulate(args) -> int:
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (toda.BuildError, toda.ConstraintViolationError, gradation.SpecError, ValueError) as exc:
+    except ValueError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except MemoryError as exc:
@@ -387,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.set_defaults(func=cmd_validate)
 
     p_enum = sub.add_parser("enumerate", help="list valid gradations for (family, n, M)")
-    p_enum.add_argument("--family", required=True, choices=("gl", "sl", "so", "sp"))
+    p_enum.add_argument("--family", required=True, choices=gradation.FAMILIES)
     p_enum.add_argument("--n", type=int, required=True)
     p_enum.add_argument("--M", type=int, required=True)
     enum_format = p_enum.add_mutually_exclusive_group()

@@ -59,6 +59,7 @@ TYPE_GL_OUTER_II = "gl_outer_II"
 TYPE_GL_OUTER_III = "gl_outer_III"
 
 GRADATION_TYPES = (TYPE_GL_INNER, TYPE_SOSP_I, TYPE_SOSP_II, TYPE_GL_OUTER_II, TYPE_GL_OUTER_III)
+FAMILIES = ("gl", "sl", "so", "sp")
 
 _GL_TYPES = (TYPE_GL_INNER, TYPE_GL_OUTER_II, TYPE_GL_OUTER_III)
 _SOSP_TYPES = (TYPE_SOSP_I, TYPE_SOSP_II)
@@ -194,7 +195,7 @@ def validate_spec(spec) -> list[str]:
     """Return the list of violated constraints (empty means valid)."""
     if isinstance(spec, TrivialSpec):
         out = []
-        if spec.family not in ("gl", "sl", "so", "sp"):
+        if spec.family not in FAMILIES:
             out.append(f"family: unknown family {spec.family!r}")
         if spec.n < 1:
             out.append("n_positive: n must be positive")
@@ -210,7 +211,7 @@ def validate_spec(spec) -> list[str]:
     nl, kl = spec.n_list, spec.k_list
     sk = sum(kl)
 
-    if spec.family not in ("gl", "sl", "so", "sp"):
+    if spec.family not in FAMILIES:
         v.append(f"family: unknown family {spec.family!r}")
         return v
     if t not in GRADATION_TYPES:
@@ -532,7 +533,7 @@ def enumerate_specs(family: str, n: int, M: int) -> list:
     odd p) is skipped before it counts a candidate, and the parity rules
     are tested once per n_list.
     """
-    if family not in ("gl", "sl", "so", "sp"):
+    if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if n < 1 or M < 1:
         raise ValueError(f"need n >= 1 and M >= 1, got n = {n}, M = {M}")

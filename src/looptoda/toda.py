@@ -34,7 +34,7 @@ points can run concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -415,18 +415,21 @@ def _check_c_shapes(sizes, cp, cm):
 
 
 def build_system(spec, L: int, c_plus, c_minus) -> TodaSystem:
-    """Assemble and validate the Toda system for a gradation spec.
+    """Assemble and validate the Toda system for a gradation spec, which
+    must pass ``check_valid``.
 
     ``c_plus``/``c_minus`` give one block per arc of the full cycle, index 0
-    being the wrap-around pair.  Blocks on arcs whose grading index differs
+    being the wrap-around pair; the trivial spec's one n x n pair builds the
+    simplest system, with L = 1.  Blocks on arcs whose grading index differs
     from +-L must be zero; a folded class also requires both directions'
     blocks to be fixed by its engine's twist.
     """
-    if isinstance(spec, TrivialSpec):
-        if len(c_plus) != 1 or len(c_minus) != 1:
-            raise ShapeMismatchError("the trivial gradation carries a single C pair")
-        return build_simplest(spec.family, c_plus[0], c_minus[0])
     check_valid(spec)
+    if isinstance(spec, TrivialSpec):
+        system = build_simplest(spec.family, *_single_blocks(c_plus, c_minus))
+        if system.block_sizes != (spec.n,):
+            raise ShapeMismatchError(f"C blocks must be {spec.n}x{spec.n}, got {system.c_plus[0].shape}")
+        return replace(system, spec=spec)
     if L < 1:
         raise BuildError("L must be a positive integer")
     if L > minimal_grade(spec):
@@ -682,16 +685,17 @@ def _json_entry(entry) -> complex:
 
 
 def _single_blocks(cp, cm) -> tuple:
-    """The one (c_plus, c_minus) pair of a p = 1 system's JSON."""
+    """The one (c_plus, c_minus) pair of a p = 1 system."""
     if len(cp) != 1 or len(cm) != 1:
         raise ShapeMismatchError(f"need 1 arc block, got {len(cp)}/{len(cm)}")
     return cp[0], cm[0]
 
 
 def system_from_json(data: dict) -> TodaSystem:
-    """The system a ``looptoda simulate --system`` file describes.  Its
-    ``class``, ``variant`` and ``block_sizes`` keys may be left out; each
-    one given must be what the spec and C blocks build."""
+    """The system a ``looptoda simulate --system`` file describes: the outer
+    simplest system, or what :func:`build_system` builds from its ``spec``,
+    ``L`` and C blocks.  Its ``class``, ``variant``, ``block_sizes``,
+    ``family`` and ``L`` keys, where given, must be what the system carries."""
     cp = [_array_from_json(c) for c in data["c_plus"]]
     cm = [_array_from_json(c) for c in data["c_minus"]]
     outer = data.get("simplest_outer", False)
@@ -701,13 +705,11 @@ def system_from_json(data: dict) -> TodaSystem:
         system = build_simplest(data.get("family", "gl"), *_single_blocks(cp, cm), outer=True)
     elif data.get("spec") is None:
         raise BuildError("system JSON without a spec is not reconstructible")
-    elif isinstance(spec := spec_from_json(data["spec"]), TrivialSpec):
-        system = build_simplest(spec.family, *_single_blocks(cp, cm))
     else:
-        system = build_system(spec, _json_int(data["L"], "L"), cp, cm)
+        system = build_system(spec_from_json(data["spec"]), _json_int(data["L"], "L"), cp, cm)
     built = {"class": system.equation_class,
              "variant": classify_spec(system.spec)[1] if system.spec is not None else "",
-             "block_sizes": list(system.block_sizes)}
+             "block_sizes": list(system.block_sizes), "family": system.family, "L": system.L}
     for key, value in built.items():
         if key in data and data[key] != value:
             raise BuildError(f"system JSON has {key} {data[key]!r}, but the system built is {value!r}")

@@ -37,6 +37,10 @@ S1_JSON = {
     "n_list": [2, 1], "k_list": [1], "phase_offset": 0.0,
 }
 
+SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+#: the system file of the gl_2 simplest system with C_+- = SWAP
+SIMPLEST_GL2_JSON = oracles.system_to_json(toda.build_simplest("gl", SWAP, SWAP))
+
 SO4_JSON = {
     "family": "so", "n": 4, "type": "sosp_I", "M": 4,
     "n_list": [1, 2, 1], "k_list": [1, 1], "phase_offset": 0.0,
@@ -300,10 +304,13 @@ class TestSimulateCommand:
         ({"class": "bogus"}, "class 'bogus', but the system built is 'general_linear'"),
         ({"variant": "node_first"}, "variant 'node_first', but the system built is ''"),
         ({"block_sizes": [9]}, "block_sizes [9], but the system built is [2, 2, 2]"),
+        ({"family": "so"}, "family 'so', but the system built is 'gl'"),
+        # every key of a p = 1 file, with L edited: a trivial spec builds L = 1
+        (dict(SIMPLEST_GL2_JSON, L=5), "L 5, but the system built is 1"),
     ])
     def test_system_file_keys_must_match_the_built_system(self, tmp_path, capsys, edit, message):
-        """A system file's class, variant and block_sizes, where given, are
-        those of the system its spec and C blocks build."""
+        """A system file's class, variant, block_sizes, family and L, where
+        given, are those of the system its spec and C blocks build."""
         payload = dict(oracles.system_to_json(toda.build_periodic_chain(3, 2)), **edit)
         sys_path = write_json(tmp_path / "sys.json", payload)
         rc = cli.main(["simulate", "--system", sys_path, "--output", str(tmp_path)])
@@ -342,6 +349,48 @@ class TestSimulateCommand:
         assert rc == 1
         assert "domain error: need 1 arc block" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("spec_edit, message", [
+        ({"family": "bogus"}, "domain error: family: unknown family 'bogus'"),
+        ({"M": 0}, "domain error: M_positive: M must be positive"),
+        ({"family": "bogus", "n": 7, "M": 0},
+         "domain error: family: unknown family 'bogus'; M_positive: M must be positive"),
+        ({"n": 3}, "domain error: C blocks must be 3x3, got (2, 2)"),
+    ])
+    def test_trivial_system_file_is_validated(self, tmp_path, capsys, spec_edit, message):
+        """A p = 1 file's spec passes the checks of ``validate``, and its one C
+        pair must be n x n: an invalid one is one domain error line and no
+        output file."""
+        payload = dict(SIMPLEST_GL2_JSON, spec=dict(SIMPLEST_GL2_JSON["spec"], **spec_edit))
+        sys_path = write_json(tmp_path / "sys.json", payload)
+        rc = cli.main(["simulate", "--system", sys_path, "--output", str(tmp_path)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == message + "\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "sys.json"]
+        # validate reads the same spec to the same violations
+        spec_path = write_json(tmp_path / "spec.json", payload["spec"])
+        violations = gr.validate_spec(gr.spec_from_json(payload["spec"]))
+        assert cli.main(["validate", "--spec", spec_path]) == (1 if violations else 0)
+        if violations:
+            assert message == "domain error: " + "; ".join(violations)
+
+    def test_trivial_system_file_keeps_its_order(self, tmp_path):
+        """The simplest system built from a trivial spec carries that spec,
+        its M included, into the manifest."""
+        spec = dict(SIMPLEST_GL2_JSON["spec"], M=4)
+        sys_path = write_json(tmp_path / "sys.json", dict(SIMPLEST_GL2_JSON, spec=spec))
+        assert cli.main(["simulate", "--system", sys_path, "--grid", "0,1,0,1,0.25,0.25",
+                         "--output", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["system"]["spec"] == {"family": "gl", "n": 2, "type": "trivial", "M": 4}
+
+    def test_trivial_system_file_needs_its_grade(self, tmp_path, capsys):
+        """Every spec file gives L, a p = 1 file too."""
+        payload = {k: v for k, v in SIMPLEST_GL2_JSON.items() if k != "L"}
+        sys_path = write_json(tmp_path / "sys.json", payload)
+        assert cli.main(["simulate", "--system", sys_path, "--output", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "parse error: 'L'\n"
 
     def test_manifest_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -139,7 +139,7 @@ class TestBuildValidation:
         for field in ("equation_class", "block_sizes", "s", "L", "spec", "family"):
             assert getattr(system, field) == getattr(simplest, field), field
         assert lc.max_abs(system.c_plus[0] - c) == lc.max_abs(system.c_minus[0] - c) == 0.0
-        with pytest.raises(lc.ShapeMismatchError, match="single C pair"):
+        with pytest.raises(lc.ShapeMismatchError, match="need 1 arc block"):
             toda.build_system(gr.TrivialSpec("gl", 2), 1, (c, c), (c, c))
 
     def test_constraint_violation_rejected(self):
