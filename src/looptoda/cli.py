@@ -39,13 +39,18 @@ def _dump_json(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
+def _print_parse_error(exc) -> None:
+    """Print the parse error line of exc; a KeyError is a missing key."""
+    print(f"parse error: {'missing key ' if isinstance(exc, KeyError) else ''}{exc}", file=sys.stderr)
+
+
 def _load_spec(path: str):
     """The gradation spec in the JSON file at path, or None after printing
     why it could not be read."""
     try:
         return gradation.spec_from_json(_load_json(path))
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+        _print_parse_error(exc)
         return None
 
 
@@ -124,11 +129,6 @@ def _parse_grid(text: str) -> solver.Grid:
     return solver.Grid(zmin, zmax, wmin, wmax, int(n_minus), int(n_plus))
 
 
-def _constant_initial_from_file(path):
-    payload = _load_json(path)
-    return solver.constant_data([toda._array_from_json(b) for b in payload["gammas"]])
-
-
 def _run_preset(name, grid):
     meta = {}
     if name == "sine-gordon-kink":
@@ -195,32 +195,34 @@ def _run_preset(name, grid):
 
 
 def cmd_simulate(args) -> int:
+    """Integrate a preset or a system file.  A system file, its --initial
+    state and the system it builds are checked before --output is made, so
+    an input that fails writes nothing; a preset makes --output first."""
     outdir = args.output or "."
     try:
         grid = _parse_grid(args.grid) if args.grid else None
-        os.makedirs(outdir, exist_ok=True)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
         if args.preset:
+            os.makedirs(outdir, exist_ok=True)
             hist, meta = _run_preset(args.preset, grid)
             source = {"preset": args.preset}
         else:
-            payload = _load_json(args.system)
-            system = toda.system_from_json(payload)
-            if grid is None:
-                grid = solver.Grid(0, 1, 0, 1, 64, 64)
+            system = toda.system_from_json(_load_json(args.system))
             if args.initial:
-                data = _constant_initial_from_file(args.initial)
+                state = [toda._array_from_json(b) for b in _load_json(args.initial)["gammas"]]
             else:
                 state = toda.random_state(system, np.random.default_rng(0), scale=0.2)
-                data = solver.constant_data(state)
-            hist = solver.integrate(system, data, grid)
+            toda.check_state(system, state)
+            os.makedirs(outdir, exist_ok=True)
+            hist = solver.integrate(system, solver.constant_data(state),
+                                    grid or solver.Grid(0, 1, 0, 1, 64, 64))
             meta = {}
             source = {"system": args.system}
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+        _print_parse_error(exc)
         return EXIT_PARSE
     except ValueError as exc:
         print(f"domain error: {exc}", file=sys.stderr)

@@ -137,6 +137,13 @@ def _json_number(value, name: str) -> float:
     return float(value)
 
 
+def _json_str(value, name: str) -> str:
+    """A JSON string; any other type raises TypeError."""
+    if not isinstance(value, str):
+        raise TypeError(f"{name} must be a JSON string, got {value!r}")
+    return value
+
+
 def spec_from_json(data: dict) -> GradationSpec | TrivialSpec:
     if not isinstance(data, dict):
         raise TypeError(f"a spec is a JSON object, got {type(data).__name__}")

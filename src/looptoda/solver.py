@@ -289,16 +289,18 @@ def _cell_views(flats, v, cols, d, j0, j1):
 
 def _march_cells(law, groups, nw, se, v, last_column, hm, dv_scale):
     """The new V and G of the cells of one anti-diagonal, one stack per block
-    size, from their NW corners, SE corners and V by the cell rule of the
-    module docstring with dv_scale in place of h_plus, then the blow-up test
-    of the NW corners and, where ``last_column`` puts the first cell's new
-    point in the last column, of that point.
+    size, from their NW corners, SE corners and V: the blow-up test of the
+    NW corners, before any kernel reads them, then the cell rule of the
+    module docstring with dv_scale in place of h_plus, then, where
+    ``last_column`` puts the first cell's new point in the last column, the
+    blow-up test of that point.
 
     NonFiniteError comes from two gates: the kernels, which reject a
     non-finite input (a non-finite V fails expm(hm V), an overflowing
     inv(nw) se the centre's square root), and the test of the new points,
     which catches a product nw expm(hm V) that overflows."""
     nw_inv = [inv(a) for a in nw]
+    _check_invertibility(nw, nw_inv)
     centres = [mul(a, sqrtm_near_identity(mul(b, c))) for a, b, c in zip(nw, nw_inv, se)]
     if len(groups) == 1:
         rhs = [np.asarray(law(centres[0]))]
@@ -309,7 +311,6 @@ def _march_cells(law, groups, nw, se, v, last_column, hm, dv_scale):
     g_new = [mul(a, expm(hm * x)) for a, x in zip(nw, v_new)]
     if not all(np.isfinite(x).all() for x in g_new):
         raise NonFiniteError("the diagonal has a non-finite value")
-    _check_invertibility(nw, nw_inv)
     if last_column:
         # a new point of the last column is no cell's NW corner: it takes an inverse of its own
         _check_invertibility([x[:, :1] for x in g_new], [inv(x[:, :1]) for x in g_new])
@@ -368,7 +369,9 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
     The edge data are sampled once, on the lattice points, before the
     march and after the lattice is allocated, so a lattice too large for
     memory raises MemoryError at once.  A sample with the wrong block count
-    or block shape raises ValueError.
+    or block shape raises ValueError, and the sampled corner must pass
+    :func:`toda.check_state`: a singular corner or one off the system's
+    constraints raises before any row is marched.
 
     Returns the :class:`FieldHistory` of G.  On numerical loss it is
     truncated to the rows below the lowest failing row, with
@@ -376,8 +379,9 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
     value, a cell-centre square root (or, on row 0, a logarithm of a
     bottom-edge step) that did not converge, a singular block, or a point
     with max(|G|, |inv G|, |G| |inv G|) > ``INVERTIBILITY_BOUND``; a cell
-    tests its NW corner with its centre's inverse and a new last-column
-    point with an inverse of its own.  Any other error propagates.
+    tests its NW corner with its centre's inverse, before its kernels read
+    it, and a new last-column point with an inverse of its own.  Any other
+    error propagates.
 
     The march starts from the data's corner (``data.march_minus``): +1
     takes data on the two minimum edges, -1 on the maximum z^- edge and
@@ -404,11 +408,7 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
     if corner_dev > 1e-7:
         raise ValueError(f"characteristic data disagrees at the corner (dev {corner_dev:.2e})")
 
-    dev0 = toda.state_residual(system, [b[0] for b in bottom])
-    if dev0 > toda.TOL_CONSTRAINT:
-        raise toda.ConstraintViolationError(
-            f"initial data violates the system constraints (residual {dev0:.2e})"
-        )
+    toda.check_state(system, [b[0] for b in bottom])
 
     if law is None:
         def law(centers):

@@ -26,9 +26,10 @@ reconstructed from the group and algebra conditions through a
 :class:`FoldEngine`.
 
 A state is the tuple of the s independent node blocks at one point, and
-:func:`_check_state` is its one gate.  Systems are immutable values and
-every operation here is a pure function; evaluation at independent grid
-points can run concurrently.
+:func:`check_state` is its one gate: ``rhs_blocks`` passes its state
+through it, and ``solver.integrate`` the corner it marches from.  Systems
+are immutable values and every operation here is a pure function;
+evaluation at independent grid points can run concurrently.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from .gradation import (
     TrivialSpec,
     _json_int,
     _json_number,
+    _json_str,
     b_kinds,
     block_index_table,
     build_h,
@@ -548,7 +550,8 @@ def state_residual(system: TodaSystem, gammas) -> float:
 
 
 #: the largest group-constraint residual (``state_residual``) a state may
-#: carry into ``rhs_blocks`` or, as the corner of a march, into ``solver.integrate``
+#: carry through ``check_state``, into ``rhs_blocks`` or, as the corner of a
+#: march, into ``solver.integrate``
 TOL_CONSTRAINT = 1e-8
 
 
@@ -557,10 +560,11 @@ def _check_count(system: TodaSystem, gammas) -> None:
         raise ShapeMismatchError(f"state needs {system.s} independent blocks, got {len(gammas)}")
 
 
-def _check_state(system: TodaSystem, gammas) -> tuple[np.ndarray, ...]:
+def check_state(system: TodaSystem, gammas) -> tuple[np.ndarray, ...]:
     """The gate of a state: its blocks as a tuple of complex arrays, once
-    there are s of them, of the system's shapes, none singular, and they
-    meet the system's constraints to ``TOL_CONSTRAINT``."""
+    there are s of them, of the system's shapes, none singular (condition
+    number above 1e14 raises SingularMatrixError), and they meet the
+    system's constraints to ``TOL_CONSTRAINT`` (ConstraintViolationError)."""
     gammas = tuple(as_complex(g) for g in gammas)
     _check_count(system, gammas)
     for i, g in enumerate(gammas):
@@ -587,8 +591,8 @@ def rhs_dispatch(system: TodaSystem, gammas):
 
 def rhs_blocks(system: TodaSystem, gammas):
     """Right-hand sides of the s independent equations of the system at the
-    state ``gammas``, which must pass :func:`_check_state`."""
-    return rhs_dispatch(system, list(_check_state(system, gammas)))
+    state ``gammas``, which must pass :func:`check_state`."""
+    return rhs_dispatch(system, list(check_state(system, gammas)))
 
 
 def full_state(system: TodaSystem, gammas) -> tuple[np.ndarray, ...]:
@@ -695,24 +699,29 @@ def system_from_json(data: dict) -> TodaSystem:
     """The system a ``looptoda simulate --system`` file describes: the outer
     simplest system, or what :func:`build_system` builds from its ``spec``,
     ``L`` and C blocks.  Its ``class``, ``variant``, ``block_sizes``,
-    ``family`` and ``L`` keys, where given, must be what the system carries."""
+    ``family`` and ``L`` keys, where given, are read by type (strings, and
+    JSON integers for ``L`` and the sizes; any other type raises TypeError)
+    and must be what the system carries."""
+    readers = {"class": _json_str, "variant": _json_str, "family": _json_str, "L": _json_int,
+               "block_sizes": lambda sizes, name: [_json_int(na, f"{name} entry") for na in sizes]}
+    given = {key: read(data[key], key) for key, read in readers.items() if key in data}
     cp = [_array_from_json(c) for c in data["c_plus"]]
     cm = [_array_from_json(c) for c in data["c_minus"]]
     outer = data.get("simplest_outer", False)
     if not isinstance(outer, bool):
         raise TypeError(f"simplest_outer must be a JSON bool, got {outer!r}")
     if outer:
-        system = build_simplest(data.get("family", "gl"), *_single_blocks(cp, cm), outer=True)
+        system = build_simplest(given.get("family", "gl"), *_single_blocks(cp, cm), outer=True)
     elif data.get("spec") is None:
         raise BuildError("system JSON without a spec is not reconstructible")
     else:
-        system = build_system(spec_from_json(data["spec"]), _json_int(data["L"], "L"), cp, cm)
+        system = build_system(spec_from_json(data["spec"]), given["L"], cp, cm)
     built = {"class": system.equation_class,
              "variant": classify_spec(system.spec)[1] if system.spec is not None else "",
              "block_sizes": list(system.block_sizes), "family": system.family, "L": system.L}
-    for key, value in built.items():
-        if key in data and data[key] != value:
-            raise BuildError(f"system JSON has {key} {data[key]!r}, but the system built is {value!r}")
+    for key, value in given.items():
+        if value != built[key]:
+            raise BuildError(f"system JSON has {key} {value!r}, but the system built is {built[key]!r}")
     return system
 
 

@@ -40,6 +40,8 @@ S1_JSON = {
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 #: the system file of the gl_2 simplest system with C_+- = SWAP
 SIMPLEST_GL2_JSON = oracles.system_to_json(toda.build_simplest("gl", SWAP, SWAP))
+#: the system file of the outer gl_2 simplest system (no spec) with C_+- = SWAP
+OUTER_GL2_JSON = oracles.system_to_json(toda.build_simplest("gl", SWAP, SWAP, outer=True))
 
 SO4_JSON = {
     "family": "so", "n": 4, "type": "sosp_I", "M": 4,
@@ -277,22 +279,70 @@ class TestSimulateCommand:
         assert manifest["det_factorization_defect"] <= 1e-12
         assert "unitarity_drift" not in manifest
 
-    def test_near_singular_initial_blowup_status(self, tmp_path):
+    def test_near_singular_initial_blowup_status(self, tmp_path, capsys):
+        """An initial state of condition number 1e16 fails the state gate, as
+        it does in rhs_blocks: one domain error line before any row is
+        marched, and no output directory."""
         cp = np.array([[0.0, 1.0], [0.0, 0.0]])
         cm = cp.T
         system = toda.build_simplest("gl", cp, cm)
         sys_path = write_json(tmp_path / "sys.json", oracles.system_to_json(system))
         init = {"gammas": [[[[1e-8, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e8, 0.0]]]]}
         init_path = write_json(tmp_path / "init.json", init)
+        out = tmp_path / "out"
         rc = cli.main([
             "simulate", "--system", sys_path, "--initial", init_path,
             "--grid", "0,1,0,1,0.125,0.125",
-            "--output", str(tmp_path),
+            "--output", str(out),
         ])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "domain error: state block 0 is singular\n"
+        assert not out.exists()
+        with pytest.raises(ValueError, match="^state block 0 is singular$"):
+            toda.rhs_blocks(system, (np.diag([1e-8, 1e8]),))
+
+    def test_system_file_march_that_halts_exits_4(self, tmp_path, capsys):
+        """The strongly coupled gl chain from its seed-3 state halts at row 1:
+        simulate writes the halted manifest and exits 4."""
+        c = tuple(6.0 * np.eye(2) for _ in range(3))
+        chain = toda.build_system(gr.make_spec("gl", gr.TYPE_GL_INNER, 3, (2, 2, 2), (1, 1)), 1, c, c)
+        state = toda.random_state(chain, np.random.default_rng(3), scale=0.6)
+        sys_path = write_json(tmp_path / "sys.json", oracles.system_to_json(chain))
+        init_path = write_json(tmp_path / "init.json", {"gammas": [oracles._array_to_json(g) for g in state]})
+        out = tmp_path / "out"
+        rc = cli.main(["simulate", "--system", sys_path, "--initial", init_path,
+                       "--grid=0,3,0,3,0.09375,0.09375", "--output", str(out)])
         assert rc == 4
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["halted"] is True
-        assert manifest["halt_reason"].startswith("non-finite value at row 1")
+        assert capsys.readouterr().err == ""
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["halted"] is True and manifest["exit_status"] == 4
+        assert manifest["halt_reason"] == "non-finite value at row 1 (z^+ = 0.09375)"
+        assert manifest["completed_rows"] == 1
+        assert (out / "field.csv").exists()
+
+    @pytest.mark.parametrize("payload, gammas, message", [
+        pytest.param(dict(SIMPLEST_GL2_JSON, spec={"family": "bogus", "n": 7, "type": "trivial", "M": 0}),
+                     None, "domain error: family: unknown family 'bogus'; M_positive: M must be positive",
+                     id="bogus-trivial"),
+        pytest.param(oracles.system_to_json(toda.build_simplest("sl", SWAP, SWAP)),
+                     [[[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]],
+                     "domain error: state violates constraints (residual 3.00e+00)", id="det-4-initial"),
+        pytest.param({k: v for k, v in SIMPLEST_GL2_JSON.items() if k != "L"}, None,
+                     "parse error: missing key 'L'", id="missing-L"),
+    ])
+    def test_failing_system_input_makes_no_output_directory(self, tmp_path, capsys, payload, gammas, message):
+        """A system file, its --initial state and the system they build are
+        checked before --output is made: an input that fails leaves none."""
+        argv = ["simulate", "--system", write_json(tmp_path / "sys.json", payload)]
+        if gammas is not None:
+            argv += ["--initial", write_json(tmp_path / "init.json", {"gammas": gammas})]
+        out = tmp_path / "out"
+        rc = cli.main(argv + ["--output", str(out)])
+        assert rc == (2 if message.startswith("parse error") else 1)
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == message + "\n"
+        assert not out.exists()
 
     def test_system_file_run(self, tmp_path):
         chain = toda.build_periodic_chain(2, 1)
@@ -390,7 +440,7 @@ class TestSimulateCommand:
         payload = {k: v for k, v in SIMPLEST_GL2_JSON.items() if k != "L"}
         sys_path = write_json(tmp_path / "sys.json", payload)
         assert cli.main(["simulate", "--system", sys_path, "--output", str(tmp_path)]) == 2
-        assert capsys.readouterr().err == "parse error: 'L'\n"
+        assert capsys.readouterr().err == "parse error: missing key 'L'\n"
 
     def test_manifest_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -491,15 +541,22 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("edit, gammas, message", [
         pytest.param({"L": 1.9}, None, "L must be a JSON integer", id="1.9"),
         pytest.param({"L": True}, None, "L must be a JSON integer", id="True"),
+        # an outer simplest file reads no spec, but its given keys are read by type too
+        pytest.param(dict(OUTER_GL2_JSON, L=True), None, "L must be a JSON integer", id="outer-True"),
+        pytest.param(dict(OUTER_GL2_JSON, L=1.0), None, "L must be a JSON integer", id="outer-1.0"),
+        pytest.param({"block_sizes": [1.0, 1]}, None, "block_sizes entry must be a JSON integer",
+                     id="block_sizes-1.0"),
+        pytest.param({"variant": 0}, None, "variant must be a JSON string", id="variant-0"),
         *(pytest.param({"c_plus": [block] * 2}, None, message, id=f"system-{name}")
           for name, block, message in MALFORMED_MATRICES),
         *(pytest.param({}, [block] * 2, message, id=f"initial-{name}")
           for name, block, message in MALFORMED_MATRICES),
     ])
     def test_non_integer_system_grade_is_a_parse_error(self, tmp_path, capsys, edit, gammas, message):
-        """A system file's L must be a JSON integer, and each matrix entry of a
-        system or --initial file a pair of JSON numbers, in rows of one
-        length: no truncation, no bools, no dropped or extra values."""
+        """A system file's L and block sizes must be JSON integers, its class,
+        variant and family JSON strings, and each matrix entry of a system
+        or --initial file a pair of JSON numbers, in rows of one length: no
+        truncation, no bools, no dropped or extra values."""
         payload = dict(oracles.system_to_json(toda.build_periodic_chain(2, 1)), **edit)
         argv = ["simulate", "--system", write_json(tmp_path / "sys.json", payload)]
         if gammas is not None:

@@ -284,10 +284,14 @@ class TestStateGate:
         assert not solver.integrate(system, solver.constant_data(state), self.GRID).halted
 
     def test_sl_fold_singular_corner_is_a_constraint_violation(self):
-        """A singular block has no mirror; its det reads 0, as on the chain."""
+        """A singular block has no mirror; its det reads 0, as on the chain,
+        so its constraint residual is 1.  The state gate rejects it as
+        singular before that residual is read."""
         system, _ = self.sl_state_with_det_two(gr.TYPE_GL_OUTER_II, 4, (1, 1), (1,))
-        with pytest.raises(toda.ConstraintViolationError, match="residual 1.00e"):
-            solver.integrate(system, solver.constant_data((np.zeros((1, 1)),)), self.GRID)
+        corner = (np.zeros((1, 1)),)
+        assert toda.state_residual(system, corner) == 1.0
+        with pytest.raises(lc.SingularMatrixError, match="^state block 0 is singular$"):
+            solver.integrate(system, solver.constant_data(corner), self.GRID)
 
     def test_sl_chain_rejects_a_det_two_node(self):
         system, state = self.sl_state_with_det_two(gr.TYPE_GL_INNER, 3, (1, 1, 1), (1, 1))

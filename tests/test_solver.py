@@ -468,6 +468,19 @@ class TestBlowUp:
                                     " Denman-Beavers square root did not converge in 32 iterations"
                                     " (last relative increment 1.69e+00)")
 
+    def test_corner_blow_up_test_precedes_the_square_root(self):
+        # the data above with the left edge's first entry scaled by 1e-13:
+        # the square root would stall as before, but the cell's NW corner
+        # has |inv G| = 3e13 and fails the blow-up test first
+        system = toda.build_simplest("gl", np.eye(2) / 2, np.eye(2) / 2)
+        data = solver.CharacteristicData(
+            lambda z: (np.eye(2, dtype=complex),),
+            lambda w: (np.diag([1e-13 / (-3.0 + 1e-9j) if w > 0 else 1.0, 1.0]),))
+        hist = solver.integrate(system, data, solver.Grid(0, 1, 0, 1, 8, 8))
+        assert hist.halted and hist.completed_rows == 1
+        assert hist.halt_reason == ("invertibility lost at row 1 (z^+ = 0.125):"
+                                    " max(|G|, |inv G|, |G| |inv G|) = 3e+13 > 1e+12")
+
     @staticmethod
     def _unit_edge(system, corner):
         """Edge data of unit blocks, with entry [-1, -1] of block 0 set to corner(t)."""
@@ -488,14 +501,16 @@ class TestBlowUp:
         assert hist.halt_reason == "singular block at row 1 (z^+ = 0.125)"
 
     @EDGE_CASE_SYSTEMS
-    def test_overflowing_cell_centre_halts_as_non_finite(self, system):
+    def test_overflowing_cell_centre_halts_as_invertibility_lost(self, system):
         # 1e-307 on the left edge at row 1 against 1e2 on the bottom edge at
-        # column 1: inv(nw) se overflows in the first cell centre
+        # column 1 would overflow inv(nw) se in the first cell centre; the
+        # blow-up test of that NW corner runs before the kernels read it
         data = solver.CharacteristicData(self._unit_edge(system, lambda z: 10.0 ** (16 * z)),
                                          self._unit_edge(system, lambda w: 1e-307 if w > 0 else 1.0))
         hist = solver.integrate(system, data, solver.Grid(0, 1, 0, 1, 8, 8))
         assert hist.halted and hist.completed_rows == 1
-        assert hist.halt_reason == "non-finite value at row 1 (z^+ = 0.125)"
+        assert hist.halt_reason == ("invertibility lost at row 1 (z^+ = 0.125):"
+                                    " max(|G|, |inv G|, |G| |inv G|) = 1e+307 > 1e+12")
 
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("system", [solver.sine_gordon_system(), GL2_SIMPLEST],
@@ -648,7 +663,8 @@ class TestBlowUp:
             solver.integrate(system, solver.constant_data(bad), grid)
 
     def test_constraint_bound_has_one_home(self, monkeypatch):
-        # integrate's corner test and rhs_blocks' state test read toda.TOL_CONSTRAINT
+        # integrate's corner and rhs_blocks' state pass one gate, toda.check_state,
+        # which reads toda.TOL_CONSTRAINT
         assert toda.TOL_CONSTRAINT == 1e-8 and not hasattr(solver, "TOL_CONSTRAINT")
         spec = gr.make_spec("so", gr.TYPE_SOSP_II, 2, (2, 2), (1,))
         cp, cm = toda.random_c_blocks(spec, 1, np.random.default_rng(5))
@@ -663,7 +679,7 @@ class TestBlowUp:
         monkeypatch.setattr(toda, "TOL_CONSTRAINT", dev / 2)
         with pytest.raises(toda.ConstraintViolationError, match="state violates"):
             toda.rhs_blocks(system, state)
-        with pytest.raises(toda.ConstraintViolationError, match="initial data violates"):
+        with pytest.raises(toda.ConstraintViolationError, match="state violates"):
             solver.integrate(system, solver.constant_data(state), grid)
 
 
