@@ -195,9 +195,9 @@ def _run_preset(name, grid):
 
 
 def cmd_simulate(args) -> int:
-    """Integrate a preset or a system file.  A system file, its --initial
-    state and the system it builds are checked before --output is made, so
-    an input that fails writes nothing; a preset makes --output first."""
+    """Integrate a preset or a system file.  --output is made once the
+    march returns, so an input that fails, or a lattice that cannot be
+    allocated, leaves nothing behind."""
     outdir = args.output or "."
     try:
         grid = _parse_grid(args.grid) if args.grid else None
@@ -206,7 +206,6 @@ def cmd_simulate(args) -> int:
         return EXIT_PARSE
     try:
         if args.preset:
-            os.makedirs(outdir, exist_ok=True)
             hist, meta = _run_preset(args.preset, grid)
             source = {"preset": args.preset}
         else:
@@ -216,7 +215,6 @@ def cmd_simulate(args) -> int:
             else:
                 state = toda.random_state(system, np.random.default_rng(0), scale=0.2)
             toda.check_state(system, state)
-            os.makedirs(outdir, exist_ok=True)
             hist = solver.integrate(system, solver.constant_data(state),
                                     grid or solver.Grid(0, 1, 0, 1, 64, 64))
             meta = {}
@@ -244,7 +242,7 @@ def cmd_simulate(args) -> int:
         "grid": hist.grid.to_json(),
         "config": {
             "tol_constraint": toda.TOL_CONSTRAINT,
-            "tol_invertibility": solver.INVERTIBILITY_BOUND,
+            "tol_invertibility": toda.INVERTIBILITY_BOUND,
         },
         "halted": hist.halted,
         "halt_reason": hist.halt_reason,
@@ -257,6 +255,7 @@ def cmd_simulate(args) -> int:
     if not hist.halted and hist.completed_rows >= 3 and hist.grid.n_minus >= 2:
         manifest["max_residual"] = float(solver.residual(hist))
     try:
+        os.makedirs(outdir, exist_ok=True)
         lines = solver.write_history_csv(hist, os.path.join(outdir, "field.csv"))
         manifest["outputs"] = {"csv": "field.csv", "csv_lines": lines}
         with open(os.path.join(outdir, "manifest.json"), "w") as fh:

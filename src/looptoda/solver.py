@@ -138,10 +138,6 @@ class Grid:
         }
 
 
-#: blow-up bound: a cell fails once a block of a point it tests has max(|G|, |inv G|, |G| |inv G|) above this
-INVERTIBILITY_BOUND = 1e12
-
-
 @dataclass(frozen=True)
 class CharacteristicData:
     """Goursat data: blocks on the two characteristics through the corner.
@@ -239,24 +235,23 @@ def _unpack(stacks, groups) -> list:
 
 
 class _InvertibilityLost(ArithmeticError):
-    """A point fails the blow-up test against ``INVERTIBILITY_BOUND``."""
+    """A point fails the blow-up test against ``toda.INVERTIBILITY_BOUND``."""
 
 
 def _check_invertibility(points, inverses) -> None:
     """Raise _InvertibilityLost at the first cell, in per-size stacks (blocks, cells, n, n) of
-    points and inverses, with a block of max(|G|, |inv G|, |G| |inv G|) > INVERTIBILITY_BOUND."""
-    bound = INVERTIBILITY_BOUND
+    points and inverses, with a block whose ``toda.blow_up_value`` exceeds the bound."""
+    bound = toda.INVERTIBILITY_BOUND
     # a stack's largest |G| and |inv G| bound each point's value: look closer only if they fail
     sizes = [(np.abs(g).max(), np.abs(g_inv).max()) for g, g_inv in zip(points, inverses)]
     if all(a <= bound and b <= bound and a * b <= bound for a, b in sizes):
         return
     worst = 0.0
     for g, g_inv in zip(points, inverses):
-        size, inv_size = np.abs(g).max(axis=(2, 3)), np.abs(g_inv).max(axis=(2, 3))
-        worst = np.maximum(worst, np.maximum(np.maximum(size, inv_size), size * inv_size).max(axis=0))
+        worst = np.maximum(worst, toda.blow_up_value(g, g_inv).max(axis=0))
     k = np.argmax(~(worst <= bound))
     if not worst[k] <= bound:
-        raise _InvertibilityLost(f"max(|G|, |inv G|, |G| |inv G|) = {worst[k]:.3g} > {bound:g}")
+        raise _InvertibilityLost(toda.blow_up_text(worst[k]))
 
 
 def _half_point_v(g_row, h_minus):
@@ -370,15 +365,16 @@ def integrate(system: TodaSystem, data: CharacteristicData, grid: Grid,
     march and after the lattice is allocated, so a lattice too large for
     memory raises MemoryError at once.  A sample with the wrong block count
     or block shape raises ValueError, and the sampled corner must pass
-    :func:`toda.check_state`: a singular corner or one off the system's
-    constraints raises before any row is marched.
+    :func:`toda.check_state`: a corner that fails the blow-up test the
+    march applies to every point, or one off the system's constraints,
+    raises before any row is marched.
 
     Returns the :class:`FieldHistory` of G.  On numerical loss it is
     truncated to the rows below the lowest failing row, with
     ``halt_reason`` naming the first failure along that row: a non-finite
     value, a cell-centre square root (or, on row 0, a logarithm of a
     bottom-edge step) that did not converge, a singular block, or a point
-    with max(|G|, |inv G|, |G| |inv G|) > ``INVERTIBILITY_BOUND``; a cell
+    with max(|G|, |inv G|, |G| |inv G|) > ``toda.INVERTIBILITY_BOUND``; a cell
     tests its NW corner with its centre's inverse, before its kernels read
     it, and a new last-column point with an inverse of its own.  Any other
     error propagates.

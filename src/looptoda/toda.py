@@ -27,9 +27,13 @@ reconstructed from the group and algebra conditions through a
 
 A state is the tuple of the s independent node blocks at one point, and
 :func:`check_state` is its one gate: ``rhs_blocks`` passes its state
-through it, and ``solver.integrate`` the corner it marches from.  Systems
-are immutable values and every operation here is a pure function;
-evaluation at independent grid points can run concurrently.
+through it, and ``solver.integrate`` the corner it marches from.  The
+gate and the march share one invertibility rule: a block G is usable
+while max(|G|, |inv G|, |G| |inv G|) (:func:`blow_up_value`) is at most
+``INVERTIBILITY_BOUND``; LAPACK's ``LinAlgError`` decides exact
+singularity.  Systems are immutable values and every operation here is a
+pure function; evaluation at independent grid points can run
+concurrently.
 """
 
 from __future__ import annotations
@@ -320,10 +324,9 @@ def rhs_chain(gammas, cp, cm, left=None, right=None):
 
 
 def rhs_full(gamma, c_minus, c_plus) -> np.ndarray:
-    """The full-matrix right-hand side [c_-, inv(gamma) c_+ gamma]."""
+    """The full-matrix right-hand side [c_-, inv(gamma) c_+ gamma]; a
+    singular gamma raises ``LinAlgError``."""
     gamma = as_complex(gamma)
-    if np.linalg.cond(gamma) > 1e14:
-        raise SingularMatrixError("gamma is singular")
     x = np.linalg.inv(gamma) @ as_complex(c_plus) @ gamma
     c_minus = as_complex(c_minus)
     return c_minus @ x - x @ c_minus
@@ -554,6 +557,23 @@ def state_residual(system: TodaSystem, gammas) -> float:
 #: march, into ``solver.integrate``
 TOL_CONSTRAINT = 1e-8
 
+#: the one invertibility rule: a block is usable while its blow-up value
+#: (``blow_up_value``) is at most this, in ``check_state`` and at every
+#: point ``solver.integrate`` marches
+INVERTIBILITY_BOUND = 1e12
+
+
+def blow_up_value(g, g_inv) -> np.ndarray:
+    """max(|G|, |inv G|, |G| |inv G|) of each matrix of a stack and its
+    inverses, |.| the largest absolute entry."""
+    size, inv_size = np.abs(g).max(axis=(-2, -1)), np.abs(g_inv).max(axis=(-2, -1))
+    return np.maximum(np.maximum(size, inv_size), size * inv_size)
+
+
+def blow_up_text(value) -> str:
+    """Why a blow-up value above ``INVERTIBILITY_BOUND`` fails the rule."""
+    return f"max(|G|, |inv G|, |G| |inv G|) = {value:.3g} > {INVERTIBILITY_BOUND:g}"
+
 
 def _check_count(system: TodaSystem, gammas) -> None:
     if len(gammas) != system.s:
@@ -562,17 +582,25 @@ def _check_count(system: TodaSystem, gammas) -> None:
 
 def check_state(system: TodaSystem, gammas) -> tuple[np.ndarray, ...]:
     """The gate of a state: its blocks as a tuple of complex arrays, once
-    there are s of them, of the system's shapes, none singular (condition
-    number above 1e14 raises SingularMatrixError), and they meet the
-    system's constraints to ``TOL_CONSTRAINT`` (ConstraintViolationError)."""
+    there are s of them, of the system's shapes, each invertible with a
+    blow-up value at most ``INVERTIBILITY_BOUND``, the march's rule
+    (SingularMatrixError), and they meet the system's constraints to
+    ``TOL_CONSTRAINT`` (ConstraintViolationError)."""
     gammas = tuple(as_complex(g) for g in gammas)
     _check_count(system, gammas)
     for i, g in enumerate(gammas):
         na = system.block_sizes[i]
         if g.shape[-2:] != (na, na):
             raise ShapeMismatchError(f"block {i} must be {na}x{na}, got {g.shape}")
-        if np.linalg.cond(g) > 1e14:
-            raise SingularMatrixError(f"state block {i} is singular")
+        # as in the march: the 2x2 det of a block such as 1e200 I overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                g_inv = inv(g)
+            except np.linalg.LinAlgError:
+                raise SingularMatrixError(f"state block {i} is singular") from None
+            value = np.max(blow_up_value(g, g_inv))
+        if not value <= INVERTIBILITY_BOUND:
+            raise SingularMatrixError(f"state block {i}: {blow_up_text(value)}")
     dev = state_residual(system, gammas)
     if dev > TOL_CONSTRAINT:
         raise ConstraintViolationError(f"state violates constraints (residual {dev:.2e})")

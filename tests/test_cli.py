@@ -279,15 +279,14 @@ class TestSimulateCommand:
         assert manifest["det_factorization_defect"] <= 1e-12
         assert "unitarity_drift" not in manifest
 
-    def test_near_singular_initial_blowup_status(self, tmp_path, capsys):
-        """An initial state of condition number 1e16 fails the state gate, as
-        it does in rhs_blocks: one domain error line before any row is
-        marched, and no output directory."""
-        cp = np.array([[0.0, 1.0], [0.0, 0.0]])
-        cm = cp.T
-        system = toda.build_simplest("gl", cp, cm)
-        sys_path = write_json(tmp_path / "sys.json", oracles.system_to_json(system))
-        init = {"gammas": [[[[1e-8, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e8, 0.0]]]]}
+    NILPOTENT_GL2 = toda.build_simplest("gl", np.array([[0.0, 1.0], [0.0, 0.0]]),
+                                        np.array([[0.0, 0.0], [1.0, 0.0]]))
+
+    def _simulate_diagonal_initial(self, tmp_path, diagonal):
+        """Exit status and stderr of ``simulate`` of the nilpotent gl2 chain
+        from the initial state diag(diagonal), and whether it made --output."""
+        sys_path = write_json(tmp_path / "sys.json", oracles.system_to_json(self.NILPOTENT_GL2))
+        init = {"gammas": [[[[diagonal[0], 0.0], [0.0, 0.0]], [[0.0, 0.0], [diagonal[1], 0.0]]]]}
         init_path = write_json(tmp_path / "init.json", init)
         out = tmp_path / "out"
         rc = cli.main([
@@ -295,12 +294,28 @@ class TestSimulateCommand:
             "--grid", "0,1,0,1,0.125,0.125",
             "--output", str(out),
         ])
-        assert rc == 1
+        return rc, out.exists()
+
+    def test_near_singular_initial_blowup_status(self, tmp_path, capsys):
+        """An initial state of blow-up value 1e16 fails the state gate, as it
+        does in rhs_blocks: one domain error line, naming the value, before
+        any row is marched, and no output directory."""
+        assert self._simulate_diagonal_initial(tmp_path, (1e-8, 1e8)) == (1, False)
+        text = "state block 0: max(|G|, |inv G|, |G| |inv G|) = 1e+16 > 1e+12"
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == "domain error: state block 0 is singular\n"
-        assert not out.exists()
-        with pytest.raises(ValueError, match="^state block 0 is singular$"):
-            toda.rhs_blocks(system, (np.diag([1e-8, 1e8]),))
+        assert captured.out == "" and captured.err == f"domain error: {text}\n"
+        with pytest.raises(ValueError) as excinfo:
+            toda.rhs_blocks(self.NILPOTENT_GL2, (np.diag([1e-8, 1e8]),))
+        assert str(excinfo.value) == text
+
+    def test_initial_state_the_march_would_halt_on_fails_the_gate(self, tmp_path, capsys):
+        """diag(10^6.5, 10^-6.5), condition number 1e13, fails the march's
+        blow-up test at row 1; the gate applies that test, so simulate stops
+        with a domain error before it marches or makes --output."""
+        assert self._simulate_diagonal_initial(tmp_path, (10 ** 6.5, 10 ** -6.5)) == (1, False)
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            "domain error: state block 0: max(|G|, |inv G|, |G| |inv G|) = 1e+13 > 1e+12\n")
 
     def test_system_file_march_that_halts_exits_4(self, tmp_path, capsys):
         """The strongly coupled gl chain from its seed-3 state halts at row 1:
@@ -473,33 +488,33 @@ class TestSimulateCommand:
         assert not (tmp_path / "manifest.json").exists()
 
     def test_unallocatable_lattice_exits_3_at_once(self, tmp_path, capsys, monkeypatch):
-        """A 2 000 001-point square lattice (58 TiB) is a cap error, raised
-        when the lattice is allocated, before the edges are sampled (which
-        took 38 s) and before any file is written."""
+        """A 2 000 001-point square lattice (58 TiB for the kink) is a cap
+        error, raised when the lattice is allocated, before the edges are
+        sampled (which took 38 s) and before --output is made, for a preset
+        and a system file alike."""
         def no_sample(*args):
             raise AssertionError("sampled the edges of a lattice that was never allocated")
 
         monkeypatch.setattr(cli.solver, "_sample", no_sample)
-        start = time.monotonic()
-        rc = cli.main(["simulate", "--preset", "sine-gordon-kink", "--grid=-5,5,-5,5,5e-6,5e-6",
-                       "--output", str(tmp_path)])
-        assert rc == 3
-        assert time.monotonic() - start < 10.0
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("cap exceeded: ")
-        assert len(captured.err.splitlines()) == 1
-        assert list(tmp_path.iterdir()) == []
+        sys_path = write_json(tmp_path / "sys.json", oracles.system_to_json(self.NILPOTENT_GL2))
+        out = tmp_path / "out"
+        for source in (["--preset", "sine-gordon-kink"], ["--system", sys_path]):
+            start = time.monotonic()
+            rc = cli.main(["simulate", *source, "--grid=-5,5,-5,5,5e-6,5e-6", "--output", str(out)])
+            assert rc == 3, source
+            assert time.monotonic() - start < 10.0, source
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("cap exceeded: "), source
+            assert len(captured.err.splitlines()) == 1, source
+            assert not out.exists(), source
 
-    def test_output_below_a_file_is_a_parse_error(self, tmp_path, capsys, monkeypatch):
-        """The output directory is made before the run, and a failure to make
-        it is a parse error, not a traceback after the integration."""
-        def no_run(*args, **kwargs):
-            raise AssertionError("integrated before the output directory was made")
-
-        monkeypatch.setattr(cli.solver, "integrate", no_run)
+    def test_output_below_a_file_is_a_parse_error(self, tmp_path, capsys):
+        """The output directory is made after the run, and a failure to make
+        it is a parse error, not a traceback."""
         blocker = tmp_path / "file"
         blocker.write_text("")
-        rc = cli.main(["simulate", "--preset", "free-field", "--output", str(blocker / "out")])
+        rc = cli.main(["simulate", "--preset", "free-field", "--grid", "0,1,0,1,0.125,0.125",
+                       "--output", str(blocker / "out")])
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("parse error:")

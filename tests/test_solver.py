@@ -549,14 +549,43 @@ class TestBlowUp:
     @pytest.mark.parametrize("scale, size", [(1e200, "1e+200"), (1e-170, "1e+170")])
     def test_constant_state_beyond_the_det_range_fails_the_blow_up_test(self, scale, size):
         # the 2x2 det of 1e200 I overflows and that of 1e-170 I underflows to
-        # 0: their inverses take LAPACK's kernel, so the march halts at the
-        # blow-up test of row 1, not at a false singular block on row 0
-        system = toda.build_simplest("gl", np.eye(2) / 2, np.eye(2) / 2)
-        data = solver.constant_data((scale * np.eye(2, dtype=complex),))
-        hist = solver.integrate(system, data, solver.Grid(0, 1, 0, 1, 8, 8))
+        # 0: their inverses take LAPACK's kernel, so the gate and, on the left
+        # edge from row 1, the march fail them on their blow-up value, never
+        # as a false singular block
+        block = scale * np.eye(2, dtype=complex)
+        text = f"max(|G|, |inv G|, |G| |inv G|) = {size} > 1e+12"
+        with pytest.raises(lc.SingularMatrixError) as excinfo:
+            toda.check_state(GL2_SIMPLEST, (block,))
+        assert str(excinfo.value) == f"state block 0: {text}"
+        data = solver.CharacteristicData(lambda z: (np.eye(2),), lambda w: (block if w > 0 else np.eye(2),))
+        hist = solver.integrate(GL2_SIMPLEST, data, solver.Grid(0, 1, 0, 1, 8, 8))
         assert hist.halted and hist.completed_rows == 1
-        assert hist.halt_reason == ("invertibility lost at row 1 (z^+ = 0.125):"
-                                    f" max(|G|, |inv G|, |G| |inv G|) = {size} > 1e+12")
+        assert hist.halt_reason == f"invertibility lost at row 1 (z^+ = 0.125): {text}"
+
+    @pytest.mark.parametrize("diagonal", [(1e11, 1e11), (1e-11, 1e-11), (10 ** 5.5, 10 ** -5.5)],
+                             ids=["large", "small", "split"])
+    def test_state_just_inside_the_bound_passes_the_gate_and_marches(self, diagonal):
+        # blow-up value 1e11 under the bound of 1e12; C = 0 keeps the state
+        # constant, so no row lifts it over the bound (a block at exactly
+        # 1e12 does not stay there: round-off on row 1 lifts it above)
+        system = toda.build_simplest("gl", np.zeros((2, 2)), np.zeros((2, 2)))
+        state = (np.diag(diagonal).astype(complex),)
+        toda.check_state(system, state)
+        hist = solver.integrate(system, solver.constant_data(state), solver.Grid(0, 1, 0, 1, 8, 8))
+        assert not hist.halted and hist.completed_rows == 9
+
+    def test_invertibility_bound_has_one_home(self, monkeypatch):
+        # the gate and the march read one bound, toda.INVERTIBILITY_BOUND
+        assert toda.INVERTIBILITY_BOUND == 1e12 and not hasattr(solver, "INVERTIBILITY_BOUND")
+        monkeypatch.setattr(toda, "INVERTIBILITY_BOUND", 1e10)
+        text = "max(|G|, |inv G|, |G| |inv G|) = 1e+11 > 1e+10"
+        with pytest.raises(lc.SingularMatrixError) as excinfo:
+            solver.integrate(GL2_SIMPLEST, solver.constant_data((1e11 * np.eye(2),)), solver.Grid(0, 1, 0, 1, 8, 8))
+        assert str(excinfo.value) == f"state block 0: {text}"
+        data = solver.CharacteristicData(self._unit_edge(GL2_SIMPLEST, lambda z: 1.0),
+                                         self._unit_edge(GL2_SIMPLEST, lambda w: 1e11 if w > 0 else 1.0))
+        hist = solver.integrate(GL2_SIMPLEST, data, solver.Grid(0, 1, 0, 1, 8, 8))
+        assert hist.halt_reason == f"invertibility lost at row 1 (z^+ = 0.125): {text}"
 
     def test_exponential_beyond_scaling_halts_as_non_finite(self):
         # at G = I the first cell's V is h_+ [C_-, C_+], entries 1e307, so

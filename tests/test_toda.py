@@ -179,6 +179,14 @@ class TestBuildValidation:
         with pytest.raises(lc.SingularMatrixError):
             toda.rhs_blocks(chain, state)
 
+    def test_state_beyond_the_invertibility_bound_rejected(self):
+        # a 1x1 chain block of 1e13 (condition number 1) fails the march's
+        # blow-up test, and so the gate
+        chain = toda.build_periodic_chain(2, 1)
+        with pytest.raises(lc.SingularMatrixError) as excinfo:
+            toda.check_state(chain, (np.eye(1), np.full((1, 1), 1e13)))
+        assert str(excinfo.value) == "state block 1: max(|G|, |inv G|, |G| |inv G|) = 1e+13 > 1e+12"
+
     def test_mis_shaped_state_block_rejected(self):
         chain = toda.build_periodic_chain(2, 1)
         with pytest.raises(lc.ShapeMismatchError, match=r"block 1 must be 1x1, got \(2, 2\)"):
@@ -449,7 +457,8 @@ class TestRhsFull:
         assert lc.max_abs(toda.rhs_full(g, rng.standard_normal((3, 3)), np.zeros((3, 3)))) == 0
 
     def test_singular_gamma_rejected(self):
-        with pytest.raises(lc.SingularMatrixError):
+        # LAPACK decides exact singularity, as in lie_core.inv
+        with pytest.raises(np.linalg.LinAlgError):
             toda.rhs_full(np.zeros((2, 2)), np.eye(2), np.eye(2))
 
 
