@@ -237,7 +237,7 @@ def cmd_simulate(args) -> int:
             "class": hist.system.equation_class,
             "block_sizes": list(hist.system.block_sizes),
             "L": hist.system.L,
-            "spec": hist.system.spec.to_json() if hist.system.spec is not None else None,
+            "spec": None if hist.system.outer else hist.system.spec.to_json(),
         },
         "grid": hist.grid.to_json(),
         "config": {

@@ -1,9 +1,10 @@
 """Loop-group Toda systems in block-matrix form: one chain with two end caps.
 
-A system stores the full cyclic block data: sizes (n_1..n_p), and for each
-arc ``a`` (= 0..p-1, with arc 0 the wrap-around) the pair of blocks
-``C_{+a}`` of shape n_{a-1} x n_a and ``C_{-a}`` of shape n_a x n_{a-1}.
-The right-hand side for node ``i`` of the chain is
+A system is its gradation spec, its grade L and, for each arc ``a``
+(= 0..p-1, with arc 0 the wrap-around) of the spec's block cycle of sizes
+(n_1..n_p), the pair of blocks ``C_{+a}`` of shape n_{a-1} x n_a and
+``C_{-a}`` of shape n_a x n_{a-1}; the spec fixes its equation class,
+caps and fold engine.  The right-hand side for node ``i`` of the chain is
 
     - inv(G_i) C_{+(i+1)} G_{i+1} C_{-(i+1)} + C_{-i} inv(G_{i-1}) C_{+i} G_i
 
@@ -39,7 +40,7 @@ concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -221,23 +222,49 @@ class FoldEngine:
 
 @dataclass(frozen=True)
 class TodaSystem:
-    """A fully assembled Toda system over the block cycle.
+    """A Toda system: a spec, its grade L and the C blocks of its full arc
+    cycle; ``outer`` marks the trivial gl/sl spec twisted by the outer
+    automorphism.
 
-    ``fixed_nodes`` holds the (node, B kind) pairs with ^B Gamma = inv(Gamma);
-    the C blocks of a folded system are fixed by its engine's twist.  Only
-    the outer simplest system has no ``spec``.
+    The spec fixes everything else, derived once on construction (and on
+    ``dataclasses.replace``): the equation class, the number s of
+    independent nodes, the ``fixed_nodes`` as (node, B kind) pairs with
+    ^B Gamma = inv(Gamma), and the fold engine whose twist fixes the C
+    blocks of a folded system (None on a cyclic or simplest chain).
     """
 
-    equation_class: str
-    block_sizes: tuple[int, ...]
-    s: int
+    spec: GradationSpec | TrivialSpec
     L: int
     c_plus: tuple[np.ndarray, ...]
     c_minus: tuple[np.ndarray, ...]
-    fixed_nodes: tuple[tuple[int, str], ...] = ()
-    spec: object = None
-    engine: FoldEngine | None = None
-    family: str = "gl"
+    outer: bool = False
+    equation_class: str = field(init=False)
+    s: int = field(init=False)
+    fixed_nodes: tuple[tuple[int, str], ...] = field(init=False)
+    engine: FoldEngine | None = field(init=False)
+
+    def __post_init__(self):
+        trivial = isinstance(self.spec, TrivialSpec)
+        if self.outer and not (trivial and self.family in ("gl", "sl")):
+            raise BuildError("the outer simplest case lives in gl/sl, on the trivial spec")
+        if trivial:
+            kind = {"so": "J", "sp": "K"}.get(self.family, "J" if self.outer else None)
+            derived = EQ_SIMPLEST, 1, () if kind is None else ((0, kind),), None
+        else:
+            eq_class, _, s, nodes = _classify(self.spec)
+            derived = eq_class, s, nodes, engine_for_spec(self.spec, self.L)
+        for name, value in zip(("equation_class", "s", "fixed_nodes", "engine"), derived):
+            object.__setattr__(self, name, value)
+
+    @property
+    def family(self) -> str:
+        return self.spec.family
+
+    @property
+    def block_sizes(self) -> tuple[int, ...]:
+        if isinstance(self.spec, TrivialSpec):
+            return (self.spec.n,)
+        return self.spec.n_list
 
     @property
     def independent_sizes(self) -> tuple[int, ...]:
@@ -245,17 +272,13 @@ class TodaSystem:
 
     @property
     def caps(self) -> tuple:
-        """(left, right): the caps of the chain at node 0 and at node s-1."""
-        return _chain_caps(self.s, self.fixed_nodes, self.engine is not None)
-
-
-def _chain_caps(s: int, fixed_nodes, folded: bool) -> tuple:
-    """None at both ends of the cyclic chain; on a folded chain the B kind
-    of a fixed end node, or "arc" where the axis fixes the end arc."""
-    if not folded:
-        return None, None
-    kinds = dict(fixed_nodes)
-    return kinds.get(0, "arc"), kinds.get(s - 1, "arc")
+        """(left, right): the caps of the chain at node 0 and at node s-1,
+        None at both ends of the cyclic chain; on a folded chain the B kind
+        of a fixed end node, or "arc" where the axis fixes the end arc."""
+        if self.engine is None:
+            return None, None
+        kinds = dict(self.fixed_nodes)
+        return kinds.get(0, "arc"), kinds.get(self.s - 1, "arc")
 
 
 def _independent_arcs(s: int, left, right) -> range:
@@ -449,27 +472,15 @@ def build_system(spec, L: int, c_plus, c_minus) -> TodaSystem:
             raise BuildError(
                 f"arc {a} has grading index incompatible with L = {L}; its blocks must vanish"
             )
-    eq_class, _, s, nodes = _classify(spec)
-    engine = engine_for_spec(spec, L)
-    if engine is not None:
+    system = TodaSystem(spec, L, cp, cm)
+    if system.engine is not None:
         for blocks, direction, name in ((cp, +1, "c_plus"), (cm, -1, "c_minus")):
-            dev = engine.c_residual(blocks, direction)
+            dev = system.engine.c_residual(blocks, direction)
             if dev > DEFAULT_TOL * max(1.0, max(max_abs(b) for b in blocks)):
                 raise ConstraintViolationError(
                     f"{name} violates the fold symmetry (residual {dev:.2e})"
                 )
-    return TodaSystem(
-        equation_class=eq_class,
-        block_sizes=spec.n_list,
-        s=s,
-        L=L,
-        c_plus=cp,
-        c_minus=cm,
-        fixed_nodes=nodes,
-        spec=spec,
-        engine=engine,
-        family=spec.family,
-    )
+    return system
 
 
 def build_simplest(family: str, c_plus, c_minus, outer: bool = False) -> TodaSystem:
@@ -480,32 +491,17 @@ def build_simplest(family: str, c_plus, c_minus, outer: bool = False) -> TodaSys
     cm = as_complex(c_minus)
     if cp.shape != cm.shape or cp.shape[0] != cp.shape[1]:
         raise ShapeMismatchError("C blocks must be square and of equal size")
-    n = cp.shape[0]
-    kind, eps = None, 0   # ^kind C = eps C on the one C pair
-    if outer:
-        if family not in ("gl", "sl"):
-            raise BuildError("the outer simplest case lives in gl/sl")
-        kind, eps = "J", 1
-    elif family in ("so", "sp"):
-        kind, eps = ("J" if family == "so" else "K"), -1
+    system = TodaSystem(TrivialSpec(family=family, n=cp.shape[0]), 1, (cp,), (cm,), outer)
+    eps = 1 if outer else -1   # ^kind C = eps C on the one C pair, at a fixed node of that kind
     for blk, name in ((cp, "C_plus"), (cm, "C_minus")):
         bound = DEFAULT_TOL * max(1.0, max_abs(blk))
-        dev = 0.0 if kind is None else max_abs(b_transpose(blk, kind) - eps * blk)
-        if dev > bound:
-            raise ConstraintViolationError(f"{name}[0] violates ^{kind} C = {eps:+d} C (dev {dev:.2e})")
+        for _, kind in system.fixed_nodes:
+            dev = max_abs(b_transpose(blk, kind) - eps * blk)
+            if dev > bound:
+                raise ConstraintViolationError(f"{name}[0] violates ^{kind} C = {eps:+d} C (dev {dev:.2e})")
         if family == "sl" and abs(np.trace(blk)) > bound:
             raise ConstraintViolationError(f"{name} must be traceless for sl")
-    return TodaSystem(
-        equation_class=EQ_SIMPLEST,
-        block_sizes=(n,),
-        s=1,
-        L=1,
-        c_plus=(cp,),
-        c_minus=(cm,),
-        fixed_nodes=() if kind is None else ((0, kind),),
-        spec=None if outer else TrivialSpec(family=family, n=n),
-        family=family,
-    )
+    return system
 
 
 def build_periodic_chain(p: int, r: int) -> TodaSystem:
@@ -565,9 +561,11 @@ INVERTIBILITY_BOUND = 1e12
 
 def blow_up_value(g, g_inv) -> np.ndarray:
     """max(|G|, |inv G|, |G| |inv G|) of each matrix of a stack and its
-    inverses, |.| the largest absolute entry."""
+    inverses, |.| the largest absolute entry; inf where the inverse is not
+    finite, as LAPACK's inverse of a 1x1 block of 1e-320 has a nan part."""
     size, inv_size = np.abs(g).max(axis=(-2, -1)), np.abs(g_inv).max(axis=(-2, -1))
-    return np.maximum(np.maximum(size, inv_size), size * inv_size)
+    value = np.maximum(np.maximum(size, inv_size), size * inv_size)
+    return np.where(np.isfinite(g_inv).all(axis=(-2, -1)), value, np.inf)
 
 
 def blow_up_text(value) -> str:
@@ -678,24 +676,23 @@ def random_state(system: TodaSystem, rng: np.random.Generator, scale: float = 0.
 def random_c_blocks(spec: GradationSpec, L: int, rng: np.random.Generator):
     """Random (c_plus, c_minus) full-cycle lists compatible with the spec."""
     check_valid(spec)
-    _, _, s, nodes = _classify(spec)
-    engine = engine_for_spec(spec, L)
+    bare = TodaSystem(spec, L, (), ())   # its s, caps and engine need no C
     allowed = arcs_allowed(spec, L)
     sizes = spec.n_list
     p = spec.p
     partial_p, partial_m = {}, {}
-    for a in _independent_arcs(s, *_chain_caps(s, nodes, engine is not None)):
+    for a in _independent_arcs(bare.s, *bare.caps):
         i = (a - 1) % p
         if not allowed[a]:
             continue
         shape = (sizes[i], sizes[a])
         partial_p[a] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         partial_m[a] = rng.standard_normal(shape[::-1]) + 1j * rng.standard_normal(shape[::-1])
-    if engine is None:
+    if bare.engine is None:
         cp = [partial_p.get(a, np.zeros((sizes[(a - 1) % p], sizes[a]), dtype=complex)) for a in range(p)]
         cm = [partial_m.get(a, np.zeros((sizes[a], sizes[(a - 1) % p]), dtype=complex)) for a in range(p)]
         return tuple(cp), tuple(cm)
-    return engine.complete_c(partial_p, +1), engine.complete_c(partial_m, -1)
+    return bare.engine.complete_c(partial_p, +1), bare.engine.complete_c(partial_m, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -744,8 +741,7 @@ def system_from_json(data: dict) -> TodaSystem:
         raise BuildError("system JSON without a spec is not reconstructible")
     else:
         system = build_system(spec_from_json(data["spec"]), given["L"], cp, cm)
-    built = {"class": system.equation_class,
-             "variant": classify_spec(system.spec)[1] if system.spec is not None else "",
+    built = {"class": system.equation_class, "variant": classify_spec(system.spec)[1],
              "block_sizes": list(system.block_sizes), "family": system.family, "L": system.L}
     for key, value in given.items():
         if value != built[key]:

@@ -300,12 +300,12 @@ def system_to_json(system) -> dict:
     ``looptoda simulate --system`` file."""
     return {
         "class": system.equation_class,
-        "variant": classify_spec(system.spec)[1] if system.spec is not None else "",
+        "variant": classify_spec(system.spec)[1],
         "family": system.family,
         "L": system.L,
         "block_sizes": list(system.block_sizes),
-        "spec": system.spec.to_json() if system.spec is not None else None,
-        "simplest_outer": system.spec is None,
+        "spec": None if system.outer else system.spec.to_json(),
+        "simplest_outer": system.outer,
         "c_plus": [_array_to_json(c) for c in system.c_plus],
         "c_minus": [_array_to_json(c) for c in system.c_minus],
     }

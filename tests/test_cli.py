@@ -40,7 +40,7 @@ S1_JSON = {
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 #: the system file of the gl_2 simplest system with C_+- = SWAP
 SIMPLEST_GL2_JSON = oracles.system_to_json(toda.build_simplest("gl", SWAP, SWAP))
-#: the system file of the outer gl_2 simplest system (no spec) with C_+- = SWAP
+#: the system file of the outer gl_2 simplest system (spec null) with C_+- = SWAP
 OUTER_GL2_JSON = oracles.system_to_json(toda.build_simplest("gl", SWAP, SWAP, outer=True))
 
 SO4_JSON = {
@@ -449,6 +449,15 @@ class TestSimulateCommand:
                          "--output", str(tmp_path)]) == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["system"]["spec"] == {"family": "gl", "n": 2, "type": "trivial", "M": 4}
+
+    def test_outer_system_file_writes_no_spec(self, tmp_path):
+        """The outer simplest system carries the trivial gl spec, marked
+        outer; the manifest gives its spec as null."""
+        sys_path = write_json(tmp_path / "sys.json", OUTER_GL2_JSON)
+        assert cli.main(["simulate", "--system", sys_path, "--grid", "0,1,0,1,0.25,0.25",
+                         "--output", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["system"] == {"L": 1, "block_sizes": [2], "class": "simplest", "spec": None}
 
     def test_trivial_system_file_needs_its_grade(self, tmp_path, capsys):
         """Every spec file gives L, a p = 1 file too."""

@@ -562,6 +562,21 @@ class TestBlowUp:
         assert hist.halted and hist.completed_rows == 1
         assert hist.halt_reason == f"invertibility lost at row 1 (z^+ = 0.125): {text}"
 
+    def test_block_with_a_non_finite_inverse_reads_inf(self):
+        # the inverse of the 1x1 block 1e-320 is not finite (nan parts):
+        # the gate and the march fail it as they did, and both texts give
+        # its blow-up value as inf, not nan
+        chain = toda.build_periodic_chain(2, 1)
+        tiny, one = np.full((1, 1), 1e-320 + 0j), np.eye(1)
+        text = "max(|G|, |inv G|, |G| |inv G|) = inf > 1e+12"
+        with pytest.raises(lc.SingularMatrixError) as excinfo:
+            toda.check_state(chain, (tiny, one))
+        assert str(excinfo.value) == f"state block 0: {text}"
+        data = solver.CharacteristicData(lambda z: (one, one), lambda w: (tiny if w > 0 else one, one))
+        hist = solver.integrate(chain, data, solver.Grid(0, 1, 0, 1, 8, 8))
+        assert hist.halted and hist.completed_rows == 1
+        assert hist.halt_reason == f"invertibility lost at row 1 (z^+ = 0.125): {text}"
+
     @pytest.mark.parametrize("diagonal", [(1e11, 1e11), (1e-11, 1e-11), (10 ** 5.5, 10 ** -5.5)],
                              ids=["large", "small", "split"])
     def test_state_just_inside_the_bound_passes_the_gate_and_marches(self, diagonal):
@@ -924,6 +939,16 @@ RICHARDSON_SYSTEMS = (
 )
 
 
+#: one spec per (gradation type, equation class) and one 4x4 fold: the
+#: Richardson systems and the outer types' remaining classes
+GAUGE_SYSTEMS = RICHARDSON_SYSTEMS + (
+    ("even_fold_outer", "gl", gr.TYPE_GL_OUTER_II, 4, (2, 2), (1,)),
+    ("odd_fold_arc_first_outer", "gl", gr.TYPE_GL_OUTER_II, 6, (2, 2, 2), (1, 1)),
+    ("double_fixed_fold_outer", "gl", gr.TYPE_GL_OUTER_III, 4, (2, 2), (1,)),
+    ("even_fold_4x4", "sp", gr.TYPE_SOSP_I, 2, (4, 4), (1,)),
+)
+
+
 class TestRichardson:
     """Self-convergence of the matrix marcher on every equation class.
 
@@ -995,6 +1020,34 @@ class TestRichardson:
         scale = max(lc.max_abs(g) for g in folded.gammas)
         gap = max(lc.max_abs(a - b) for a, b in zip(folded.gammas, unfolded.gammas))
         assert gap <= 1e-12 * scale, gap / scale
+
+    @pytest.mark.parametrize("case", GAUGE_SYSTEMS, ids=[c[0] for c in GAUGE_SYSTEMS])
+    def test_grade_zero_gauge_commutes_with_integration(self, case):
+        # constant grade-0 A and B, drawn as states are, take a solution G
+        # to A G B, a solution of the system with C blocks (A C_+ inv(A),
+        # inv(B) C_- B) on the full node cycle: the march of the gauged
+        # edges is the gauged march
+        system, data = self._case(*case)
+        rng = np.random.default_rng(list(case[0].encode()) + [0])
+        a, b = (toda.random_state(system, rng) for _ in range(2))
+        full_a, full_b = toda.full_state(system, a), toda.full_state(system, b)
+        cp = [full_a[k - 1] @ c @ np.linalg.inv(full_a[k]) for k, c in enumerate(system.c_plus)]
+        cm = [np.linalg.inv(full_b[k]) @ c @ full_b[k - 1] for k, c in enumerate(system.c_minus)]
+        gauged = toda.build_system(system.spec, system.L, cp, cm)
+        assert gauged.equation_class == system.equation_class
+
+        def gauge(blocks):
+            return [x @ g @ y for x, g, y in zip(a, blocks, b)]
+
+        grid = solver.Grid(0, 1, 0, 1, 16, 16)
+        plain = solver.integrate(system, data, grid)
+        moved = solver.integrate(gauged, solver.CharacteristicData(lambda t: gauge(data.gamma_minus(t)),
+                                                                   lambda t: gauge(data.gamma_plus(t))), grid)
+        assert not plain.halted and not moved.halted
+        expected = gauge(plain.gammas)
+        scale = max(lc.max_abs(g) for g in expected)
+        gap = max(lc.max_abs(g - e) for g, e in zip(moved.gammas, expected))
+        assert gap <= 1e-13 * scale, gap / scale
 
 
 def _soliton_factor(p, alpha, k, mu, a, zm, zp):

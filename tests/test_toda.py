@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import zlib
@@ -213,8 +214,21 @@ class TestSimplest:
     def test_outer_symmetric_c(self):
         j3 = lc.skew_identity(3)
         system = toda.build_simplest("gl", j3, j3, outer=True)
-        assert system.spec is None
+        assert system.outer
         assert system.fixed_nodes == ((0, "J"),)
+
+    def test_system_is_its_spec_grade_and_c_blocks(self):
+        """A system takes only its spec, L, C blocks and outer mark; the
+        rest is derived from the spec, on replace too."""
+        names = tuple(f.name for f in dataclasses.fields(toda.TodaSystem) if f.init)
+        assert names == ("spec", "L", "c_plus", "c_minus", "outer")
+        j3 = lc.skew_identity(3)
+        inner = dataclasses.replace(toda.build_simplest("gl", j3, j3, outer=True), outer=False)
+        assert inner.fixed_nodes == () and inner.spec == gr.TrivialSpec("gl", 3)
+        so = dataclasses.replace(inner, spec=gr.TrivialSpec("so", 3))
+        assert (so.equation_class, so.s, so.fixed_nodes, so.family) == (toda.EQ_SIMPLEST, 1, ((0, "J"),), "so")
+        with pytest.raises(toda.BuildError, match="outer simplest case lives in gl/sl, on the trivial spec"):
+            toda.TodaSystem(toda.build_periodic_chain(2, 1).spec, 1, (), (), outer=True)
 
     def test_outer_antisymmetric_rejected(self):
         rng = np.random.default_rng(5)
@@ -504,7 +518,7 @@ class TestSerialization:
     def test_simplest_outer_round_trip(self):
         system = toda.build_simplest("gl", lc.skew_identity(3), lc.skew_identity(3), outer=True)
         again = toda.system_from_json(oracles.system_to_json(system))
-        assert again.equation_class == toda.EQ_SIMPLEST and again.spec is None
+        assert again.equation_class == toda.EQ_SIMPLEST and again.outer
         assert again.fixed_nodes == ((0, "J"),)
 
     def test_json_without_spec_rejected(self):
