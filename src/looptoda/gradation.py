@@ -119,6 +119,11 @@ class TrivialSpec:
     n: int
     M: int = 1
 
+    @property
+    def n_list(self) -> tuple[int, ...]:
+        """The one block of the p = 1 chain."""
+        return (self.n,)
+
     def to_json(self) -> dict:
         return {"family": self.family, "n": self.n, "type": "trivial", "M": self.M}
 

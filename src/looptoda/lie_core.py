@@ -63,9 +63,9 @@ import math
 
 import numpy as np
 
-#: Tolerance of the C-block constraint checks of ``toda.build_system`` and
-#: ``toda.build_simplest``, relative to max(1, max|C|): double precision
-#: leaves ample headroom over 1e-16 machine epsilon through O(n^3) arithmetic.
+#: Tolerance of the C-block constraint checks of ``toda.build_system``,
+#: relative to max(1, max|C|): double precision leaves ample headroom over
+#: 1e-16 machine epsilon through O(n^3) arithmetic.
 DEFAULT_TOL = 1e-10
 
 

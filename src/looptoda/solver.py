@@ -67,6 +67,7 @@ import numpy as np
 from .lie_core import (
     ConvergenceError,
     NonFiniteError,
+    SingularMatrixError,
     as_complex,
     empty_stack,
     expm,
@@ -234,13 +235,10 @@ def _unpack(stacks, groups) -> list:
     return blocks
 
 
-class _InvertibilityLost(ArithmeticError):
-    """A point fails the blow-up test against ``toda.INVERTIBILITY_BOUND``."""
-
-
 def _check_invertibility(points, inverses) -> None:
-    """Raise _InvertibilityLost at the first cell, in per-size stacks (blocks, cells, n, n) of
-    points and inverses, with a block whose ``toda.blow_up_value`` exceeds the bound."""
+    """Raise SingularMatrixError, as ``toda.check_state`` does, at the first
+    cell, in per-size stacks (blocks, cells, n, n) of points and inverses,
+    with a block whose ``toda.blow_up_value`` exceeds the bound."""
     bound = toda.INVERTIBILITY_BOUND
     # a stack's largest |G| and |inv G| bound each point's value: look closer only if they fail
     sizes = [(np.abs(g).max(), np.abs(g_inv).max()) for g, g_inv in zip(points, inverses)]
@@ -251,7 +249,7 @@ def _check_invertibility(points, inverses) -> None:
         worst = np.maximum(worst, toda.blow_up_value(g, g_inv).max(axis=0))
     k = np.argmax(~(worst <= bound))
     if not worst[k] <= bound:
-        raise _InvertibilityLost(toda.blow_up_text(worst[k]))
+        raise SingularMatrixError(toda.blow_up_text(worst[k]))
 
 
 def _half_point_v(g_row, h_minus):
@@ -313,7 +311,7 @@ def _march_cells(law, groups, nw, se, v, last_column, hm, dv_scale):
 
 
 #: errors that fail a cell, and so its row
-_CELL_ERRORS = (NonFiniteError, ConvergenceError, np.linalg.LinAlgError, _InvertibilityLost)
+_CELL_ERRORS = (NonFiniteError, ConvergenceError, np.linalg.LinAlgError, SingularMatrixError)
 
 
 def _lowest_failure(step, j0, j1, exc):

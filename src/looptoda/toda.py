@@ -24,7 +24,8 @@ The classes name the caps: ``even_fold`` (p = 2s, two arcs),
 one of each; variant ``arc_first`` caps node 0's end with the arc,
 ``node_first`` with the node).  The blocks beyond node s-1 are
 reconstructed from the group and algebra conditions through a
-:class:`FoldEngine`.
+:class:`FoldEngine`.  Every system is built and validated by
+:func:`build_system`; ``build_simplest`` is that door on the trivial spec.
 
 A state is the tuple of the s independent node blocks at one point, and
 :func:`check_state` is its one gate: ``rhs_blocks`` passes its state
@@ -40,7 +41,7 @@ concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -262,8 +263,6 @@ class TodaSystem:
 
     @property
     def block_sizes(self) -> tuple[int, ...]:
-        if isinstance(self.spec, TrivialSpec):
-            return (self.spec.n,)
         return self.spec.n_list
 
     @property
@@ -423,12 +422,10 @@ def arcs_allowed(spec: GradationSpec, L: int) -> list[bool]:
 # ---------------------------------------------------------------------------
 # system construction
 
-def _check_c_shapes(sizes, cp, cm):
+def _check_c_shapes(sizes, cp, cm) -> None:
     p = len(sizes)
     if len(cp) != p or len(cm) != p:
         raise ShapeMismatchError(f"need {p} arc blocks, got {len(cp)}/{len(cm)}")
-    cp = tuple(as_complex(c) for c in cp)
-    cm = tuple(as_complex(c) for c in cm)
     for a in range(p):
         i = (a - 1) % p
         if cp[a].shape != (sizes[i], sizes[a]):
@@ -439,25 +436,24 @@ def _check_c_shapes(sizes, cp, cm):
             raise ShapeMismatchError(
                 f"C_minus[{a}] must be {sizes[a]}x{sizes[i]}, got {cm[a].shape}"
             )
-    return cp, cm
 
 
-def build_system(spec, L: int, c_plus, c_minus) -> TodaSystem:
-    """Assemble and validate the Toda system for a gradation spec, which
-    must pass ``check_valid``.
+def build_system(spec, L: int, c_plus, c_minus, outer: bool = False) -> TodaSystem:
+    """Assemble and validate the Toda system of a spec, which must pass
+    ``check_valid``: the one door every system passes.
 
     ``c_plus``/``c_minus`` give one block per arc of the full cycle, index 0
-    being the wrap-around pair; the trivial spec's one n x n pair builds the
-    simplest system, with L = 1.  Blocks on arcs whose grading index differs
-    from +-L must be zero; a folded class also requires both directions'
-    blocks to be fixed by its engine's twist.
+    being the wrap-around pair; the trivial spec has one n x n pair and
+    L = 1, and ``outer`` twists it by the outer automorphism (gl/sl only).
+    Blocks on arcs whose grading index differs from +-L must be zero, and a
+    folded class requires both directions' blocks to be fixed by its
+    engine's twist.  The p = 1 pair meets ^kind C = eps C at a fixed node of
+    that kind (eps = +1 when ``outer``, else -1) and, for sl, has zero trace.
     """
     check_valid(spec)
-    if isinstance(spec, TrivialSpec):
-        system = build_simplest(spec.family, *_single_blocks(c_plus, c_minus))
-        if system.block_sizes != (spec.n,):
-            raise ShapeMismatchError(f"C blocks must be {spec.n}x{spec.n}, got {system.c_plus[0].shape}")
-        return replace(system, spec=spec)
+    trivial = isinstance(spec, TrivialSpec)
+    if trivial and L != 1:
+        raise BuildError(f"the trivial spec has L = 1, got L = {L}")
     if L < 1:
         raise BuildError("L must be a positive integer")
     if L > minimal_grade(spec):
@@ -465,14 +461,26 @@ def build_system(spec, L: int, c_plus, c_minus) -> TodaSystem:
             f"grading subspaces between 0 and L = {L} are nontrivial "
             f"(minimal positive index {minimal_grade(spec)})"
         )
-    cp, cm = _check_c_shapes(spec.n_list, c_plus, c_minus)
+    system = TodaSystem(spec, L, tuple(map(as_complex, c_plus)), tuple(map(as_complex, c_minus)), outer)
+    cp, cm = system.c_plus, system.c_minus
+    _check_c_shapes(spec.n_list, cp, cm)
+    if trivial:
+        eps = 1 if outer else -1
+        for blk, name in ((cp[0], "C_plus"), (cm[0], "C_minus")):
+            bound = DEFAULT_TOL * max(1.0, max_abs(blk))
+            for _, kind in system.fixed_nodes:
+                dev = max_abs(b_transpose(blk, kind) - eps * blk)
+                if dev > bound:
+                    raise ConstraintViolationError(f"{name}[0] violates ^{kind} C = {eps:+d} C (dev {dev:.2e})")
+            if spec.family == "sl" and abs(np.trace(blk)) > bound:
+                raise ConstraintViolationError(f"{name} must be traceless for sl")
+        return system
     allowed = arcs_allowed(spec, L)
     for a in range(spec.p):
         if not allowed[a] and (max_abs(cp[a]) > 0 or max_abs(cm[a]) > 0):
             raise BuildError(
                 f"arc {a} has grading index incompatible with L = {L}; its blocks must vanish"
             )
-    system = TodaSystem(spec, L, cp, cm)
     if system.engine is not None:
         for blocks, direction, name in ((cp, +1, "c_plus"), (cm, -1, "c_minus")):
             dev = system.engine.c_residual(blocks, direction)
@@ -484,24 +492,8 @@ def build_system(spec, L: int, c_plus, c_minus) -> TodaSystem:
 
 
 def build_simplest(family: str, c_plus, c_minus, outer: bool = False) -> TodaSystem:
-    """The p = 1 system: the whole group for gl/sl, the B-orthogonal group
-    for inner so/sp, and SO_n with ^J-symmetric C for the outer twist by
-    the identity."""
-    cp = as_complex(c_plus)
-    cm = as_complex(c_minus)
-    if cp.shape != cm.shape or cp.shape[0] != cp.shape[1]:
-        raise ShapeMismatchError("C blocks must be square and of equal size")
-    system = TodaSystem(TrivialSpec(family=family, n=cp.shape[0]), 1, (cp,), (cm,), outer)
-    eps = 1 if outer else -1   # ^kind C = eps C on the one C pair, at a fixed node of that kind
-    for blk, name in ((cp, "C_plus"), (cm, "C_minus")):
-        bound = DEFAULT_TOL * max(1.0, max_abs(blk))
-        for _, kind in system.fixed_nodes:
-            dev = max_abs(b_transpose(blk, kind) - eps * blk)
-            if dev > bound:
-                raise ConstraintViolationError(f"{name}[0] violates ^{kind} C = {eps:+d} C (dev {dev:.2e})")
-        if family == "sl" and abs(np.trace(blk)) > bound:
-            raise ConstraintViolationError(f"{name} must be traceless for sl")
-    return system
+    """The p = 1 system of C pair n x n: :func:`build_system` on ``TrivialSpec(family, n)``."""
+    return build_system(TrivialSpec(family, np.shape(c_plus)[0]), 1, (c_plus,), (c_minus,), outer)
 
 
 def build_periodic_chain(p: int, r: int) -> TodaSystem:
@@ -713,20 +705,14 @@ def _json_entry(entry) -> complex:
     return complex(_json_number(entry[0], "re"), _json_number(entry[1], "im"))
 
 
-def _single_blocks(cp, cm) -> tuple:
-    """The one (c_plus, c_minus) pair of a p = 1 system."""
-    if len(cp) != 1 or len(cm) != 1:
-        raise ShapeMismatchError(f"need 1 arc block, got {len(cp)}/{len(cm)}")
-    return cp[0], cm[0]
-
-
 def system_from_json(data: dict) -> TodaSystem:
-    """The system a ``looptoda simulate --system`` file describes: the outer
-    simplest system, or what :func:`build_system` builds from its ``spec``,
-    ``L`` and C blocks.  Its ``class``, ``variant``, ``block_sizes``,
-    ``family`` and ``L`` keys, where given, are read by type (strings, and
-    JSON integers for ``L`` and the sizes; any other type raises TypeError)
-    and must be what the system carries."""
+    """The system a ``looptoda simulate --system`` file describes: what
+    :func:`build_system` builds from its ``spec``, ``L``, C blocks and
+    ``simplest_outer`` mark, an outer file's null spec read as
+    ``TrivialSpec(family, n)`` and its missing L as 1.  Its ``class``,
+    ``variant``, ``block_sizes``, ``family`` and ``L`` keys, where given,
+    are read by type (strings, and JSON integers for ``L`` and the sizes;
+    any other type raises TypeError) and must be what the system carries."""
     readers = {"class": _json_str, "variant": _json_str, "family": _json_str, "L": _json_int,
                "block_sizes": lambda sizes, name: [_json_int(na, f"{name} entry") for na in sizes]}
     given = {key: read(data[key], key) for key, read in readers.items() if key in data}
@@ -735,12 +721,14 @@ def system_from_json(data: dict) -> TodaSystem:
     outer = data.get("simplest_outer", False)
     if not isinstance(outer, bool):
         raise TypeError(f"simplest_outer must be a JSON bool, got {outer!r}")
-    if outer:
-        system = build_simplest(given.get("family", "gl"), *_single_blocks(cp, cm), outer=True)
-    elif data.get("spec") is None:
-        raise BuildError("system JSON without a spec is not reconstructible")
+    if data.get("spec") is not None:
+        spec = spec_from_json(data["spec"])
+    elif outer:
+        # no C block gives n = 1, so build_system names the missing block
+        spec = TrivialSpec(given.get("family", "gl"), len(cp[0]) if cp else 1)
     else:
-        system = build_system(spec_from_json(data["spec"]), given["L"], cp, cm)
+        raise BuildError("system JSON without a spec is not reconstructible")
+    system = build_system(spec, given.get("L", 1) if outer else given["L"], cp, cm, outer)
     built = {"class": system.equation_class, "variant": classify_spec(system.spec)[1],
              "block_sizes": list(system.block_sizes), "family": system.family, "L": system.L}
     for key, value in given.items():

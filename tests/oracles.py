@@ -291,6 +291,79 @@ def fixed_arc_signs(system) -> tuple:
     return signs
 
 
+def _rk4_path(start, generators, dt: float, substeps: int) -> np.ndarray:
+    """Solutions of dX/dt = X A(t) from X = start at every grid point: RK4
+    with ``substeps`` steps of dt per cell, A sampled at every half step,
+    so ``generators`` holds 2 substeps + 1 points per cell, ends shared."""
+    x = start
+    path = [x]
+    for k in range(0, len(generators) - 1, 2):
+        a0, a1, a2 = (dt * a for a in generators[k:k + 3])
+        k1 = x @ a0
+        k2 = (x + k1 / 2) @ a1
+        k3 = (x + k2 / 2) @ a1
+        x = x + (k1 + 2 * k2 + 2 * k3 + (x + k3) @ a2) / 6
+        if (k + 2) % (2 * substeps) == 0:
+            path.append(x)
+    return np.array(path)
+
+
+def leznov_saveliev(system, data, grid, substeps: int = 4) -> list:
+    """The exact solution of a finite-type cyclic chain from its Goursat
+    data, at every grid point: one (z^+, z^-, n_a, n_a) array per node, as
+    the march's ``gammas``.
+
+    The equation d_+(inv(G) d_- G) = [C_-, inv(G) C_+ G] is the flatness of
+    A_+ = inv(G) C_+ G, A_- = inv(G) d_- G + C_- (Leznov and Saveliev 1992).
+    With arc 0 free of C, C_+ is strictly block upper triangular, and
+    S on the z^+ edge (d_+ S = S A_+ from I) and R on the z^- edge
+    (d_- R = R G C_- inv(G) from inv(G(0, 0))) give
+
+        M = G(z^+, 0) inv(S) R G(0, z^-) = N_- G(z^+, z^-) N_+,
+
+    N_-+ block unitriangular, so G is the block diagonal factor of M's
+    block LDU decomposition: its successive Schur complements.  The edge
+    functions take an array of points and return stacks, so each is called
+    once over every RK4 point (``substeps`` RK4 steps per cell); S and R
+    then take only products.
+    """
+    assert system.engine is None and max_abs(system.c_plus[0]) == max_abs(system.c_minus[0]) == 0.0, \
+        "the construction needs a cyclic chain whose arc 0 carries no C"
+    assert data.march_minus == +1, "the z^+ edge lies at the minimum z^-"
+    sizes = system.block_sizes
+    offs = np.cumsum((0,) + tuple(sizes))
+    c_plus = np.zeros((offs[-1], offs[-1]), dtype=complex)
+    c_minus = np.zeros_like(c_plus)
+    for a in range(1, len(sizes)):
+        c_plus[offs[a - 1]:offs[a], offs[a]:offs[a + 1]] = system.c_plus[a]
+        c_minus[offs[a]:offs[a + 1], offs[a - 1]:offs[a]] = system.c_minus[a]
+
+    def edge(fn, lo, hi, cells):
+        """The full block-diagonal G at every RK4 point of one edge."""
+        points = np.linspace(lo, hi, 2 * substeps * cells + 1)
+        g = np.zeros((len(points), offs[-1], offs[-1]), dtype=complex)
+        for a, blk in enumerate(fn(points)):
+            g[:, offs[a]:offs[a + 1], offs[a]:offs[a + 1]] = blk
+        return g, np.linalg.inv(g)
+
+    g_plus, g_plus_inv = edge(data.gamma_plus, grid.z_plus_min, grid.z_plus_max, grid.n_plus)
+    g_minus, g_minus_inv = edge(data.gamma_minus, grid.z_minus_min, grid.z_minus_max, grid.n_minus)
+    s = _rk4_path(np.eye(offs[-1]), g_plus_inv @ c_plus @ g_plus, grid.h_plus / substeps, substeps)
+    r = _rk4_path(g_minus_inv[0], g_minus @ c_minus @ g_minus_inv, grid.h_minus / substeps, substeps)
+    step = 2 * substeps
+    left = g_plus[::step] @ np.linalg.inv(s)
+    bottom = r @ g_minus[::step]
+    m = left[:, None] @ bottom[None, :]
+    out = []
+    for a in range(len(sizes)):
+        lo, hi = offs[a], offs[a + 1]
+        block = m[..., lo:hi, lo:hi]
+        if lo:
+            block = block - m[..., lo:hi, :lo] @ np.linalg.solve(m[..., :lo, :lo], m[..., :lo, lo:hi])
+        out.append(block)
+    return out
+
+
 def _array_to_json(a: np.ndarray):
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.atleast_2d(a)]
 

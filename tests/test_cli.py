@@ -370,8 +370,8 @@ class TestSimulateCommand:
         ({"variant": "node_first"}, "variant 'node_first', but the system built is ''"),
         ({"block_sizes": [9]}, "block_sizes [9], but the system built is [2, 2, 2]"),
         ({"family": "so"}, "family 'so', but the system built is 'gl'"),
-        # every key of a p = 1 file, with L edited: a trivial spec builds L = 1
-        (dict(SIMPLEST_GL2_JSON, L=5), "L 5, but the system built is 1"),
+        # every key of a p = 1 file, with L edited: a trivial spec takes only L = 1
+        (dict(SIMPLEST_GL2_JSON, L=5), "the trivial spec has L = 1, got L = 5"),
     ])
     def test_system_file_keys_must_match_the_built_system(self, tmp_path, capsys, edit, message):
         """A system file's class, variant, block_sizes, family and L, where
@@ -420,7 +420,7 @@ class TestSimulateCommand:
         ({"M": 0}, "domain error: M_positive: M must be positive"),
         ({"family": "bogus", "n": 7, "M": 0},
          "domain error: family: unknown family 'bogus'; M_positive: M must be positive"),
-        ({"n": 3}, "domain error: C blocks must be 3x3, got (2, 2)"),
+        ({"n": 3}, "domain error: C_plus[0] must be 3x3, got (2, 2)"),
     ])
     def test_trivial_system_file_is_validated(self, tmp_path, capsys, spec_edit, message):
         """A p = 1 file's spec passes the checks of ``validate``, and its one C
@@ -458,6 +458,18 @@ class TestSimulateCommand:
                          "--output", str(tmp_path)]) == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["system"] == {"L": 1, "block_sizes": [2], "class": "simplest", "spec": None}
+
+    def test_outer_system_file_builds_its_spec(self, tmp_path, capsys):
+        """An outer file's spec is built, not passed over: the outer twist
+        lives on the trivial gl/sl spec, so an so_4 gradation is a domain
+        error and no output."""
+        sys_path = write_json(tmp_path / "sys.json", dict(OUTER_GL2_JSON, spec=SO4_JSON))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--system", sys_path, "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "domain error: the outer simplest case lives in gl/sl, on the trivial spec\n"
+        assert not out.exists()
 
     def test_trivial_system_file_needs_its_grade(self, tmp_path, capsys):
         """Every spec file gives L, a p = 1 file too."""

@@ -1100,6 +1100,75 @@ class TestExactSoliton:
             assert 3.9 <= coarse / fine <= 4.1, errors
 
 
+def _finite_type_case(flip_c_minus_1=False):
+    """The p = 3, r = 2 chain with arc 0 free of C and its Goursat data.
+
+    Arcs 1 and 2 carry random complex C blocks, each of spectral norm 0.7
+    (seed 5); the edges are expm(B_a + sin(1.1 z^-) D_a) and
+    expm(B_a + sin(0.9 z^+) E_a), B, D and E random complex 2x2 of scale
+    0.3, evaluated on arrays of points too.  ``flip_c_minus_1`` negates
+    C_- on arc 1 of the system, not of the data."""
+    rng = np.random.default_rng(5)
+
+    def draw(count, scale):
+        return [scale * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) for _ in range(count)]
+
+    cp, cm = ([np.zeros((2, 2))] + [0.7 * c / np.linalg.norm(c, 2) for c in draw(2, 1.0)] for _ in range(2))
+    b, d, e = (draw(3, 0.3) for _ in range(3))
+    if flip_c_minus_1:
+        cm[1] = -cm[1]
+    system = toda.build_system(toda.build_periodic_chain(3, 2).spec, 1, cp, cm)
+
+    def edge(freq, gens):
+        return lambda z: tuple(lc.expm(b0 + np.sin(freq * np.asarray(z))[..., None, None] * x)
+                               for b0, x in zip(b, gens))
+
+    return system, solver.CharacteristicData(edge(1.1, d), edge(0.9, e))
+
+
+class TestLeznovSaveliev:
+    """The finite-type periodic chain against its exact solution from
+    arbitrary Goursat data (``oracles.leznov_saveliev``), to second order.
+
+    The reference is taken once on the 32^2 points, RK4 with 4 steps per
+    cell, and read at every other point for 16^2.
+    """
+
+    GRID = solver.Grid(0, 1, 0, 1, 32, 32)
+
+    @staticmethod
+    def _errors(system, data, reference, cells_list):
+        errors = []
+        for cells in cells_list:
+            hist = solver.integrate(system, data, solver.Grid(0, 1, 0, 1, cells, cells))
+            assert not hist.halted
+            stride = 32 // cells
+            errors.append(max(lc.max_abs(g - r[::stride, ::stride]) for g, r in zip(hist.gammas, reference)))
+        return errors
+
+    def test_second_order_error(self):
+        system, data = _finite_type_case()
+        reference = oracles.leznov_saveliev(system, data, self.GRID)
+        errors = self._errors(system, data, reference, (16, 32))
+        assert [float(f"{e:.3g}") for e in errors] == [7.61e-3, 1.91e-3]
+        assert 3.9 <= errors[0] / errors[1] <= 4.1, errors
+
+    def test_reference_is_converged(self):
+        system, data = _finite_type_case()
+        coarse = oracles.leznov_saveliev(system, data, self.GRID)
+        fine = oracles.leznov_saveliev(system, data, self.GRID, substeps=32)
+        assert max(lc.max_abs(a - b) for a, b in zip(coarse, fine)) < 1e-10
+
+    def test_flipped_c_minus_fails(self):
+        """A march of the chain with C_- negated on arc 1 is far from the
+        original chain's solution (2.47 at 16^2)."""
+        system, data = _finite_type_case()
+        reference = oracles.leznov_saveliev(system, data, self.GRID)
+        flipped, _ = _finite_type_case(flip_c_minus_1=True)
+        [error] = self._errors(flipped, data, reference, (16,))
+        assert error > 1.0, error
+
+
 def _mixed_case():
     """The gl (1, 2) system, a 1x1 and a 2x2 block, with edges expm(sin t a), expm(cos t b)."""
     spec = gr.make_spec("gl", gr.TYPE_GL_INNER, 2, (1, 2), (1,))

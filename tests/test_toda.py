@@ -134,14 +134,45 @@ class TestBuildValidation:
             toda.build_system(spec, 1, cp, cp)
 
     def test_trivial_spec_builds_the_simplest_system(self):
+        """build_simplest is build_system on the trivial spec, for every
+        family, inner and outer: C on the p = 1 rule, ^kind C = eps C at a
+        fixed node and traceless for sl."""
+        rng = np.random.default_rng(1)
+        for family, n, outer in (("gl", 2, False), ("sl", 3, False), ("so", 3, False),
+                                 ("sp", 4, False), ("gl", 3, True), ("sl", 2, True)):
+            x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            kind = {"so": "J", "sp": "K"}.get(family, "J" if outer else None)
+            c = x if kind is None else (x + (1 if outer else -1) * lc.b_transpose(x, kind)) / 2
+            if family == "sl":
+                c = c - np.trace(c) / n * np.eye(n)
+            system = toda.build_system(gr.TrivialSpec(family, n), 1, (c,), (c.T,), outer)
+            simplest = toda.build_simplest(family, c, c.T, outer)
+            for field in ("spec", "L", "outer", "equation_class", "s", "fixed_nodes", "engine", "block_sizes"):
+                assert getattr(system, field) == getattr(simplest, field), (family, outer, field)
+            assert system.fixed_nodes == (() if kind is None else ((0, kind),))
+            for built, made, want in ((system.c_plus, simplest.c_plus, c), (system.c_minus, simplest.c_minus, c.T)):
+                assert len(built) == len(made) == 1
+                assert lc.max_abs(built[0] - want) == lc.max_abs(made[0] - want) == 0.0
+            with pytest.raises(lc.ShapeMismatchError, match="need 1 arc blocks, got 2/2"):
+                toda.build_system(gr.TrivialSpec(family, n), 1, (c, c), (c, c), outer)
+
+    def test_trivial_spec_passes_the_spec_rules(self):
+        """The p = 1 system is checked as its spec: an unknown family and an
+        odd sp size are spec errors, and a C pair of the wrong size gets the
+        shape text of every chain."""
+        with pytest.raises(gr.SpecError, match="family: unknown family 'xx'"):
+            toda.build_simplest("xx", np.eye(2), np.eye(2))
+        with pytest.raises(gr.SpecError, match="sp_even_n"):
+            toda.build_simplest("sp", np.zeros((3, 3)), np.zeros((3, 3)))
+        with pytest.raises(lc.ShapeMismatchError, match=r"C_plus\[0\] must be 3x3, got \(2, 2\)"):
+            toda.build_system(gr.TrivialSpec("gl", 3), 1, (np.eye(2),), (np.eye(2),))
+
+    @pytest.mark.parametrize("spec, L", [(gr.TrivialSpec("gl", 2), 0), (gr.TrivialSpec("gl", 2), 5),
+                                         (gr.TrivialSpec("gl", 2, M=3), 5), (gr.TrivialSpec("sl", 2, M=4), 2)])
+    def test_trivial_spec_takes_only_grade_one(self, spec, L):
         c = np.array([[0.0, 1.0], [1.0, 0.0]])
-        system = toda.build_system(gr.TrivialSpec("gl", 2), 1, (c,), (c,))
-        simplest = toda.build_simplest("gl", c, c)
-        for field in ("equation_class", "block_sizes", "s", "L", "spec", "family"):
-            assert getattr(system, field) == getattr(simplest, field), field
-        assert lc.max_abs(system.c_plus[0] - c) == lc.max_abs(system.c_minus[0] - c) == 0.0
-        with pytest.raises(lc.ShapeMismatchError, match="need 1 arc block"):
-            toda.build_system(gr.TrivialSpec("gl", 2), 1, (c, c), (c, c))
+        with pytest.raises(toda.BuildError, match=f"the trivial spec has L = 1, got L = {L}"):
+            toda.build_system(spec, L, (c,), (c,))
 
     def test_constraint_violation_rejected(self):
         # so even fold requires ^J C_0 = -C_0; the identity violates it
