@@ -4,7 +4,10 @@ Exit codes form a stable contract: 0 success, 1 domain failure (invalid
 spec, failed invariant), 2 parse error, 3 size cap exceeded (the
 enumeration cap, a ``check`` spec with M n^2 above ``CHECK_MAX_ORBIT``, or
 a ``simulate`` lattice that cannot be allocated), 4 blow-up during
-integration.
+integration.  The ``cmd_*`` functions compute and raise; :func:`main` is
+the one place where an error becomes its exit code and its one stderr
+line, so an undecodable or over-nested file is a parse error (exit 2)
+for every command.
 """
 
 from __future__ import annotations
@@ -30,34 +33,30 @@ EXIT_BLOWUP = 4
 PRESETS = ("sine-gordon-kink", "sinh-gordon", "periodic-chain", "free-field")
 
 
+class ParseError(ValueError):
+    """An input that could not be read: exit 2, not a domain failure."""
+
+
+class CapError(Exception):
+    """An input above a size cap: exit 3."""
+
+
 def _load_json(path: str):
+    """The JSON value in the file at path; bytes that do not decode, or
+    decode to no JSON value or one nested too deep, raise ParseError."""
     with open(path, "r") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (RecursionError, ValueError) as exc:
+            raise ParseError(exc) from None
 
 
 def _dump_json(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
-def _print_parse_error(exc) -> None:
-    """Print the parse error line of exc; a KeyError is a missing key."""
-    print(f"parse error: {'missing key ' if isinstance(exc, KeyError) else ''}{exc}", file=sys.stderr)
-
-
-def _load_spec(path: str):
-    """The gradation spec in the JSON file at path, or None after printing
-    why it could not be read."""
-    try:
-        return gradation.spec_from_json(_load_json(path))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        _print_parse_error(exc)
-        return None
-
-
 def cmd_validate(args) -> int:
-    spec = _load_spec(args.spec)
-    if spec is None:
-        return EXIT_PARSE
+    spec = gradation.spec_from_json(_load_json(args.spec))
     violations = gradation.validate_spec(spec)
     if args.json:
         sys.stdout.write(_dump_json({"valid": not violations, "violations": violations}))
@@ -82,12 +81,8 @@ def _spec_summary(spec) -> dict:
 def cmd_enumerate(args) -> int:
     try:
         specs = gradation.enumerate_specs(args.family, args.n, args.M)
-    except gradation.EnumerationCapError as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except ValueError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except ValueError as exc:  # n or M below 1
+        raise ParseError(exc) from None
     if args.json:
         sys.stdout.write(_dump_json([_spec_summary(s) for s in specs]))
         return EXIT_OK
@@ -201,33 +196,22 @@ def cmd_simulate(args) -> int:
     outdir = args.output or "."
     try:
         grid = _parse_grid(args.grid) if args.grid else None
-    except ValueError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        if args.preset:
-            hist, meta = _run_preset(args.preset, grid)
-            source = {"preset": args.preset}
+    except ValueError as exc:  # Grid's own checks included
+        raise ParseError(exc) from None
+    if args.preset:
+        hist, meta = _run_preset(args.preset, grid)
+        source = {"preset": args.preset}
+    else:
+        system = toda.system_from_json(_load_json(args.system))
+        if args.initial:
+            state = [toda._array_from_json(b) for b in _load_json(args.initial)["gammas"]]
         else:
-            system = toda.system_from_json(_load_json(args.system))
-            if args.initial:
-                state = [toda._array_from_json(b) for b in _load_json(args.initial)["gammas"]]
-            else:
-                state = toda.random_state(system, np.random.default_rng(0), scale=0.2)
-            toda.check_state(system, state)
-            hist = solver.integrate(system, solver.constant_data(state),
-                                    grid or solver.Grid(0, 1, 0, 1, 64, 64))
-            meta = {}
-            source = {"system": args.system}
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        _print_parse_error(exc)
-        return EXIT_PARSE
-    except ValueError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except MemoryError as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
-        return EXIT_CAP
+            state = toda.random_state(system, np.random.default_rng(0), scale=0.2)
+        toda.check_state(system, state)
+        hist = solver.integrate(system, solver.constant_data(state),
+                                grid or solver.Grid(0, 1, 0, 1, 64, 64))
+        meta = {}
+        source = {"system": args.system}
 
     status = EXIT_BLOWUP if hist.halted else EXIT_OK
     manifest = {
@@ -254,15 +238,11 @@ def cmd_simulate(args) -> int:
     manifest.update(meta)
     if not hist.halted and hist.completed_rows >= 3 and hist.grid.n_minus >= 2:
         manifest["max_residual"] = float(solver.residual(hist))
-    try:
-        os.makedirs(outdir, exist_ok=True)
-        lines = solver.write_history_csv(hist, os.path.join(outdir, "field.csv"))
-        manifest["outputs"] = {"csv": "field.csv", "csv_lines": lines}
-        with open(os.path.join(outdir, "manifest.json"), "w") as fh:
-            fh.write(_dump_json(manifest))
-    except OSError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    os.makedirs(outdir, exist_ok=True)
+    lines = solver.write_history_csv(hist, os.path.join(outdir, "field.csv"))
+    manifest["outputs"] = {"csv": "field.csv", "csv_lines": lines}
+    with open(os.path.join(outdir, "manifest.json"), "w") as fh:
+        fh.write(_dump_json(manifest))
     print(_dump_json(manifest), end="")
     return status
 
@@ -346,18 +326,14 @@ def _check_lines(spec):
 
 
 def cmd_check(args) -> int:
-    spec = _load_spec(args.spec)
-    if spec is None:
-        return EXIT_PARSE
+    spec = gradation.spec_from_json(_load_json(args.spec))
     violations = gradation.validate_spec(spec)
     if violations:
         for v in violations:
             print(f"FAIL validation: {v}")
         return EXIT_DOMAIN
     if spec.M * spec.n**2 > CHECK_MAX_ORBIT:
-        print(f"cap exceeded: check takes M n^2 up to {CHECK_MAX_ORBIT}, "
-              f"got {spec.M * spec.n**2}", file=sys.stderr)
-        return EXIT_CAP
+        raise CapError(f"check takes M n^2 up to {CHECK_MAX_ORBIT}, got {spec.M * spec.n**2}")
     print("PASS validation")
     status = EXIT_OK
     for name, passed, value in _check_lines(spec):
@@ -430,7 +406,17 @@ def main(argv=None) -> int:
         if error:
             print(error, file=sys.stderr)
             return EXIT_PARSE
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (CapError, gradation.EnumerationCapError, MemoryError) as exc:
+        print(f"cap exceeded: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except (OSError, KeyError, TypeError, ParseError) as exc:
+        print(f"parse error: {'missing key ' if isinstance(exc, KeyError) else ''}{exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except ValueError as exc:
+        print(f"domain error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 def entrypoint() -> None:

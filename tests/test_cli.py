@@ -79,6 +79,7 @@ def test_cli_surface_is_pinned():
     assert surface == CLI_OPTIONS
 
 
+
 class TestValidateCommand:
     def test_valid_spec(self, tmp_path, capsys):
         path = write_json(tmp_path / "s.json", S1_JSON)
@@ -944,3 +945,66 @@ class TestBlasThreads:
         system = toda.build_system(spec, 1, cp, cm)
         path = write_json(tmp_path / "system.json", oracles.system_to_json(system))
         self._assert_same_bytes(tmp_path, "--system", path, "--grid=0,1,0,1,0.125,0.125")
+
+
+#: the unreadable files of the exit-code table: no file at all, bytes that
+#: do not decode, and JSON nested deeper than the decoder can recurse
+UNREADABLE_FILES = {"missing": None, "undecodable": b"\xff\xfe\x00bad",
+                    "deep": b"[" * 200_000 + b"]" * 200_000}
+
+#: each command of the exit-code table that reads a file BAD (GOOD is a
+#: readable system file), and a JSON value of BAD that lacks a key
+FILE_COMMANDS = {
+    "validate": (["validate", "--spec", "BAD"], {k: v for k, v in S1_JSON.items() if k != "k_list"}),
+    "check": (["check", "--spec", "BAD"], {k: v for k, v in S1_JSON.items() if k != "k_list"}),
+    "simulate-system": (["simulate", "--system", "BAD"],
+                        {k: v for k, v in SIMPLEST_GL2_JSON.items() if k != "c_minus"}),
+    "simulate-initial": (["simulate", "--system", "GOOD", "--initial", "BAD"], {"gamma": []}),
+}
+
+#: a --grid whose lattice cannot be allocated
+UNALLOCATABLE_GRID = "--grid=-5,5,-5,5,5e-6,5e-6"
+
+
+def _contract_rows():
+    """(argv, content of the file BAD, exit code, stderr prefix) of each row."""
+    for command, (argv, lacking) in FILE_COMMANDS.items():
+        for kind, content in (*UNREADABLE_FILES.items(), ("missing-key", lacking)):
+            yield pytest.param(argv, content, 2, "parse error:", id=f"{command}-{kind}")
+    yield pytest.param(["enumerate", "--family", "gl", "--n", "0", "--M", "2"], None, 2, "parse error:",
+                       id="enumerate-size")
+    yield pytest.param(["simulate", "--system", "BAD"],
+                       dict(SIMPLEST_GL2_JSON, spec=dict(SIMPLEST_GL2_JSON["spec"], family="bogus")),
+                       1, "domain error:", id="simulate-system-domain")
+    yield pytest.param(["simulate", "--system", "GOOD", "--initial", "BAD"], {"gammas": [[[[0, 0]] * 2] * 2]},
+                       1, "domain error:", id="simulate-initial-domain")
+    yield pytest.param(["enumerate", "--family", "gl", "--n", "10", "--M", "10"], None, 3, "cap exceeded:",
+                       id="enumerate-cap")
+    yield pytest.param(["check", "--spec", "BAD"], _gl_chain_json(65), 3, "cap exceeded:", id="check-cap")
+    yield pytest.param(["simulate", "--system", "BAD", UNALLOCATABLE_GRID], SIMPLEST_GL2_JSON,
+                       3, "cap exceeded:", id="simulate-system-cap")
+    yield pytest.param(["simulate", "--system", "GOOD", "--initial", "BAD", UNALLOCATABLE_GRID],
+                       {"gammas": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}, 3, "cap exceeded:",
+                       id="simulate-initial-cap")
+
+
+@pytest.mark.parametrize("argv, content, code, prefix", _contract_rows())
+def test_exit_code_contract(tmp_path, capsys, argv, content, code, prefix):
+    """Every command maps one bad input to one exit code, no stdout, no
+    output directory and exactly one stderr line: 2 and ``parse error:``
+    for a file that is missing, does not decode, nests too deep or lacks a
+    key, whichever command reads it; 1 and ``domain error:`` for input that
+    reads but builds no run; 3 and ``cap exceeded:`` above a size cap."""
+    bad = tmp_path / "bad.json"
+    if isinstance(content, bytes):
+        bad.write_bytes(content)
+    elif content is not None:
+        write_json(bad, content)
+    files = {"BAD": str(bad), "GOOD": write_json(tmp_path / "good.json", SIMPLEST_GL2_JSON)}
+    out = tmp_path / "out"
+    argv = [files.get(arg, arg) for arg in argv] + (["--output", str(out)] if argv[0] == "simulate" else [])
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(prefix)
+    assert len(captured.err.splitlines()) == 1, captured.err
+    assert not out.exists()

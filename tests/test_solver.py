@@ -1169,6 +1169,79 @@ class TestLeznovSaveliev:
         assert error > 1.0, error
 
 
+def _loop_case(periods, flip_c_minus_1=False, drop_arc_0=False):
+    """The p = 3, r = 2 chain with C on every arc, its Goursat data, and the
+    open chain of ``periods`` periods that carries them.
+
+    Drawn as in ``_finite_type_case``, arc 0 too: seed 5, three C_+ and
+    three C_- blocks of spectral norm 0.7, then B, D and E.  The open chain
+    has 3 ``periods`` nodes; its arc 0 carries no C, its arc a the cyclic
+    arc a mod 3's C, and its node a the cyclic node a mod 3's edges.
+    ``flip_c_minus_1`` negates C_- on arc 1 and ``drop_arc_0`` zeroes arc
+    0's C, both of the cyclic system only.  Returns (cyclic system, its
+    data, open chain, its data)."""
+    rng = np.random.default_rng(5)
+
+    def draw(count, scale):
+        return [scale * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) for _ in range(count)]
+
+    cp, cm = ([0.7 * c / np.linalg.norm(c, 2) for c in draw(3, 1.0)] for _ in range(2))
+    b, d, e = (draw(3, 0.3) for _ in range(3))
+    nodes = 3 * periods
+    zero = np.zeros((2, 2))
+    open_chain = toda.build_system(toda.build_periodic_chain(nodes, 2).spec, 1,
+                                   *([zero] + [c[a % 3] for a in range(1, nodes)] for c in (cp, cm)))
+    if flip_c_minus_1:
+        cm[1] = -cm[1]
+    if drop_arc_0:
+        cp[0] = cm[0] = zero
+    cyclic = toda.build_system(toda.build_periodic_chain(3, 2).spec, 1, cp, cm)
+
+    def data(count):
+        def edge(freq, gens):
+            return lambda z: tuple(lc.expm(b[a % 3] + np.sin(freq * np.asarray(z))[..., None, None] * gens[a % 3])
+                                   for a in range(count))
+        return solver.CharacteristicData(edge(1.1, d), edge(0.9, e))
+
+    return cyclic, data(3), open_chain, data(nodes)
+
+
+class TestLeznovSavelievLoop:
+    """The p = 3, r = 2 chain with C on every arc, a loop (affine) system,
+    against an exact solution: the middle period, nodes 6-8, of the open
+    chain of five periods (``_loop_case``), whose arc 0 carries no C, so
+    ``oracles.leznov_saveliev`` solves it.  The ends' effect on the middle
+    falls factorially with the number of periods."""
+
+    GRID = TestLeznovSaveliev.GRID
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        _, _, open_chain, data = _loop_case(5)
+        return oracles.leznov_saveliev(open_chain, data, self.GRID)[6:9]
+
+    def test_second_order_error(self, reference):
+        system, data, _, _ = _loop_case(5)
+        errors = TestLeznovSaveliev._errors(system, data, reference, (16, 32))
+        assert [float(f"{e:.3g}") for e in errors] == [5.46e-4, 1.36e-4]
+        assert 3.9 <= errors[0] / errors[1] <= 4.1, errors
+
+    def test_middle_period_does_not_see_the_ends(self):
+        """The middle periods of 5 and 7 periods agree to 2.2e-12 (at 16^2,
+        where 7 periods cost a fifth of what they cost at 32^2)."""
+        grid = solver.Grid(0, 1, 0, 1, 16, 16)
+        middles = [oracles.leznov_saveliev(*_loop_case(k)[2:], grid)[3 * (k // 2):3 * (k // 2) + 3] for k in (5, 7)]
+        assert max(lc.max_abs(a - b) for a, b in zip(*middles)) < 1e-10
+
+    @pytest.mark.parametrize("edit, floor", [("flip_c_minus_1", 1.0), ("drop_arc_0", 0.1)])
+    def test_wrong_system_fails(self, reference, edit, floor):
+        """A march with C_- negated on arc 1 (3.26 at 16^2), or without arc
+        0's C (0.156), is far from the reference: it sees the wrap-around arc."""
+        system, data, _, _ = _loop_case(5, **{edit: True})
+        [error] = TestLeznovSaveliev._errors(system, data, reference, (16,))
+        assert error > floor, error
+
+
 def _mixed_case():
     """The gl (1, 2) system, a 1x1 and a 2x2 block, with edges expm(sin t a), expm(cos t b)."""
     spec = gr.make_spec("gl", gr.TYPE_GL_INNER, 2, (1, 2), (1,))
