@@ -13,9 +13,9 @@ folded equation class:
 * through a node and an arc (odd p = 2s - 1) -> ``odd_fold`` (two
   equivalent placements, arc first or node first).
 
-:func:`looptoda.toda.fold_ends` gives the geometry of every fold and the
-spec's twist the decorations at its ends (a fixed node's B kind, a fixed
-arc's epsilon); :func:`looptoda.toda.build_system` caps the chain there.
+:func:`looptoda.toda.chain_shape` reads every fold's geometry and end caps
+(a fixed node's B kind, or a fixed arc) off the spec, whose twist gives a
+fixed arc's epsilon; :func:`looptoda.toda.build_system` caps the chain there.
 This module checks a folded system against the chain it folds: the
 unrestricted chain on the same data (:func:`unfolded_chain`) must keep the
 fold constraints along its flow (:func:`verify_fold_invariance`).

@@ -152,13 +152,14 @@ def _json_str(value, name: str) -> str:
 def spec_from_json(data: dict) -> GradationSpec | TrivialSpec:
     if not isinstance(data, dict):
         raise TypeError(f"a spec is a JSON object, got {type(data).__name__}")
-    if data.get("type") == "trivial":
-        return TrivialSpec(family=data["family"], n=_json_int(data["n"], "n"),
-                           M=_json_int(data.get("M", 1), "M"))
+    family = _json_str(data["family"], "family")
+    gradation_type = _json_str(data["type"], "type")
+    if gradation_type == "trivial":
+        return TrivialSpec(family=family, n=_json_int(data["n"], "n"), M=_json_int(data.get("M", 1), "M"))
     return GradationSpec(
-        family=data["family"],
+        family=family,
         n=_json_int(data["n"], "n"),
-        gradation_type=data["type"],
+        gradation_type=gradation_type,
         M=_json_int(data["M"], "M"),
         n_list=tuple(_json_int(v, "n_list entry") for v in data["n_list"]),
         k_list=tuple(_json_int(v, "k_list entry") for v in data["k_list"]),

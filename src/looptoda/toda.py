@@ -11,8 +11,8 @@ caps and fold engine.  The right-hand side for node ``i`` of the chain is
 and every equation class is this one chain on its s independent nodes
 0..s-1.  The cyclic chain closes on itself through arc 0 (indices mod p):
 ``general_linear``, and ``simplest`` at p = 1.  The other classes fold the
-circle across an axis (see :func:`fold_ends`); the axis passes through an
-arc or a node at each end of the kept half, and caps the chain there:
+circle across an axis (:func:`chain_shape` reads a spec's chain); the axis
+passes through an arc or a node at each end of the kept half, and caps it:
 
 * an ``"arc"`` cap: the term across the fixed arc uses the anti-transpose
   ^J of the end node (of its inverse at the node s-1 end);
@@ -228,10 +228,12 @@ class TodaSystem:
     automorphism.
 
     The spec fixes everything else, derived once on construction (and on
-    ``dataclasses.replace``): the equation class, the number s of
-    independent nodes, the ``fixed_nodes`` as (node, B kind) pairs with
-    ^B Gamma = inv(Gamma), and the fold engine whose twist fixes the C
-    blocks of a folded system (None on a cyclic or simplest chain).
+    ``dataclasses.replace``) from :func:`chain_shape`: the equation class,
+    the number s of independent nodes, the ``caps`` (left, right) of the
+    chain at node 0 and node s-1, the ``fixed_nodes`` as (node, B kind)
+    pairs with ^B Gamma = inv(Gamma), read off a fold's node caps, and the
+    fold engine whose twist fixes the C blocks of a folded system (None on
+    a cyclic or simplest chain).
     """
 
     spec: GradationSpec | TrivialSpec
@@ -241,6 +243,7 @@ class TodaSystem:
     outer: bool = False
     equation_class: str = field(init=False)
     s: int = field(init=False)
+    caps: tuple = field(init=False)
     fixed_nodes: tuple[tuple[int, str], ...] = field(init=False)
     engine: FoldEngine | None = field(init=False)
 
@@ -248,13 +251,14 @@ class TodaSystem:
         trivial = isinstance(self.spec, TrivialSpec)
         if self.outer and not (trivial and self.family in ("gl", "sl")):
             raise BuildError("the outer simplest case lives in gl/sl, on the trivial spec")
+        eq_class, _, s, caps, _ = chain_shape(self.spec)
         if trivial:
             kind = {"so": "J", "sp": "K"}.get(self.family, "J" if self.outer else None)
-            derived = EQ_SIMPLEST, 1, () if kind is None else ((0, kind),), None
+            nodes = () if kind is None else ((0, kind),)
         else:
-            eq_class, _, s, nodes = _classify(self.spec)
-            derived = eq_class, s, nodes, engine_for_spec(self.spec, self.L)
-        for name, value in zip(("equation_class", "s", "fixed_nodes", "engine"), derived):
+            nodes = tuple((i, cap) for i, cap in zip((0, s - 1), caps) if cap in ("J", "K"))
+        derived = eq_class, s, caps, nodes, engine_for_spec(self.spec, self.L)
+        for name, value in zip(("equation_class", "s", "caps", "fixed_nodes", "engine"), derived):
             object.__setattr__(self, name, value)
 
     @property
@@ -268,16 +272,6 @@ class TodaSystem:
     @property
     def independent_sizes(self) -> tuple[int, ...]:
         return self.block_sizes[: self.s]
-
-    @property
-    def caps(self) -> tuple:
-        """(left, right): the caps of the chain at node 0 and at node s-1,
-        None at both ends of the cyclic chain; on a folded chain the B kind
-        of a fixed end node, or "arc" where the axis fixes the end arc."""
-        if self.engine is None:
-            return None, None
-        kinds = dict(self.fixed_nodes)
-        return kinds.get(0, "arc"), kinds.get(self.s - 1, "arc")
 
 
 def _independent_arcs(s: int, left, right) -> range:
@@ -357,29 +351,30 @@ def rhs_full(gamma, c_minus, c_plus) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # classification of specs into equation classes
 
+def chain_shape(spec):
+    """(equation_class, variant, s, caps, sigma) of the spec's chain.
+
+    The cyclic chain (gl_inner, and the trivial spec at s = 1) has caps
+    (None, None) and sigma None.  A fold takes s, the involution sigma on
+    nodes and its axis nodes from :func:`fold_ends`, the axis through node
+    0 for the fixed-first types.  Its caps at node 0 and node s-1 are a
+    fixed end node's B kind (``gradation.b_kinds``: the first block's for
+    node 0, the rest's otherwise), or "arc" where the axis fixes the arc.
+    """
+    if isinstance(spec, TrivialSpec):
+        return EQ_SIMPLEST, "", 1, (None, None), None
+    if spec.gradation_type == TYPE_GL_INNER:
+        return EQ_GENERAL_LINEAR, "", spec.p, (None, None), None
+    first, rest = b_kinds(spec)
+    s, sigma, fixed = fold_ends(spec.p, spec.gradation_type in FIXED_FIRST_TYPES)
+    caps = tuple((first if i == 0 else rest) if i in fixed else "arc" for i in (0, s - 1))
+    variant = "" if len(fixed) != 1 else VARIANT_ARC_FIRST if caps[0] == "arc" else VARIANT_NODE_FIRST
+    return FOLD_CLASSES[len(fixed)], variant, s, caps, sigma
+
+
 def classify_spec(spec) -> tuple[str, str]:
     """(equation_class, variant) the spec's Toda system will carry."""
-    if isinstance(spec, TrivialSpec):
-        return EQ_SIMPLEST, ""
-    eq_class, variant, _, _ = _classify(spec)
-    return eq_class, variant
-
-
-def _classify(spec: GradationSpec):
-    """(equation_class, variant, s, fixed nodes), the fixed nodes as
-    (node, B kind) pairs: a fixed node takes the kind of the block of B it
-    lies in, the first block's for node 0 (fixed only by the fixed-first
-    types), the rest's otherwise."""
-    if spec.gradation_type == TYPE_GL_INNER:
-        return EQ_GENERAL_LINEAR, "", spec.p, ()
-    first, rest = b_kinds(spec)
-    s, _, fixed = _spec_fold_ends(spec)
-    nodes = tuple((i, first if i == 0 else rest) for i in fixed)
-    eq_class = FOLD_CLASSES[len(nodes)]
-    variant = ""
-    if eq_class == EQ_ODD_FOLD:
-        variant = VARIANT_NODE_FIRST if fixed[0] == 0 else VARIANT_ARC_FIRST
-    return eq_class, variant, s, nodes
+    return chain_shape(spec)[:2]
 
 
 def fold_ends(p: int, node0: bool):
@@ -396,20 +391,17 @@ def fold_ends(p: int, node0: bool):
     return s, sigma, tuple(i for i, on_axis in ((0, node0), (s - 1, far_node)) if on_axis)
 
 
-def _spec_fold_ends(spec: GradationSpec):
-    """fold_ends of a folded spec; the fixed-first types fix node 0."""
-    return fold_ends(spec.p, spec.gradation_type in FIXED_FIRST_TYPES)
-
-
 def engine_for_spec(spec: GradationSpec, L: int) -> FoldEngine | None:
-    if spec.gradation_type == TYPE_GL_INNER:
+    """The fold engine of the spec's system at grade L; None on a cyclic chain."""
+    sigma = chain_shape(spec)[4]
+    if sigma is None:
         return None
     n = spec.n
     ratio, turn = np.ones((n, n)), 0.0
     if spec.gradation_type in OUTER_TYPES:
         d = np.diagonal(build_h(spec))
         ratio, turn = d[:, None] / d[None, :], L / spec.M
-    return FoldEngine(sizes=spec.n_list, sigma=_spec_fold_ends(spec)[1],
+    return FoldEngine(sizes=spec.n_list, sigma=sigma,
                       b_matrix=structure_for_spec(spec), ratio=ratio, turn=turn)
 
 
@@ -668,23 +660,24 @@ def random_state(system: TodaSystem, rng: np.random.Generator, scale: float = 0.
 def random_c_blocks(spec: GradationSpec, L: int, rng: np.random.Generator):
     """Random (c_plus, c_minus) full-cycle lists compatible with the spec."""
     check_valid(spec)
-    bare = TodaSystem(spec, L, (), ())   # its s, caps and engine need no C
+    _, _, s, caps, sigma = chain_shape(spec)
     allowed = arcs_allowed(spec, L)
     sizes = spec.n_list
     p = spec.p
     partial_p, partial_m = {}, {}
-    for a in _independent_arcs(bare.s, *bare.caps):
+    for a in _independent_arcs(s, *caps):
         i = (a - 1) % p
         if not allowed[a]:
             continue
         shape = (sizes[i], sizes[a])
         partial_p[a] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         partial_m[a] = rng.standard_normal(shape[::-1]) + 1j * rng.standard_normal(shape[::-1])
-    if bare.engine is None:
+    if sigma is None:
         cp = [partial_p.get(a, np.zeros((sizes[(a - 1) % p], sizes[a]), dtype=complex)) for a in range(p)]
         cm = [partial_m.get(a, np.zeros((sizes[a], sizes[(a - 1) % p]), dtype=complex)) for a in range(p)]
         return tuple(cp), tuple(cm)
-    return bare.engine.complete_c(partial_p, +1), bare.engine.complete_c(partial_m, -1)
+    engine = engine_for_spec(spec, L)
+    return engine.complete_c(partial_p, +1), engine.complete_c(partial_m, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -978,6 +978,13 @@ def _contract_rows():
                        1, "domain error:", id="simulate-system-domain")
     yield pytest.param(["simulate", "--system", "GOOD", "--initial", "BAD"], {"gammas": [[[[0, 0]] * 2] * 2]},
                        1, "domain error:", id="simulate-initial-domain")
+    # a spec's family and type are read by type, as a system file's family is
+    gl2 = {"family": "gl", "n": 2, "type": "gl_inner", "M": 2, "n_list": [1, 1], "k_list": [1]}
+    for command in ("validate", "check"):
+        for key, value in (("family", ["gl"]), ("type", {"a": 1})):
+            yield pytest.param([command, "--spec", "BAD"], dict(gl2, **{key: value}), 2,
+                               f"parse error: {key} must be a JSON string, got {value!r}",
+                               id=f"{command}-{key}-not-a-string")
     yield pytest.param(["enumerate", "--family", "gl", "--n", "10", "--M", "10"], None, 3, "cap exceeded:",
                        id="enumerate-cap")
     yield pytest.param(["check", "--spec", "BAD"], _gl_chain_json(65), 3, "cap exceeded:", id="check-cap")

@@ -1242,6 +1242,78 @@ class TestLeznovSavelievLoop:
         assert error > floor, error
 
 
+def _fold_case(periods, flip_c_minus_1=False):
+    """The even fold sp sosp_I M=2 (2, 2), its Goursat data, and the open
+    chain of ``periods`` periods of its unfolded chain with their data.
+
+    From seed 5: ``random_c_blocks``, each direction rescaled to a largest
+    spectral norm of 0.7, then B, D and E random complex 2x2 of scale 0.3;
+    the fold's edges are expm(B + sin(1.1 z^-) D) and expm(B + sin(0.9 z^+) E).
+    The open chain has 2 ``periods`` nodes; its arc 0 carries no C, its arc
+    a the unfolded arc a mod 2's C, and its node a the edges of the
+    unfolded node a mod 2, from ``engine.complete_gammas``.
+    ``flip_c_minus_1`` negates C_- on arc 1 of the fold only.  Returns
+    (fold, its data, open chain, its data)."""
+    spec = gr.make_spec("sp", gr.TYPE_SOSP_I, 2, (2, 2), (1,))
+    rng = np.random.default_rng(5)
+    cp, cm = ([0.7 * c / max(np.linalg.norm(x, 2) for x in cs) for c in cs]
+              for cs in toda.random_c_blocks(spec, 1, rng))
+    b, d, e = (0.3 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) for _ in range(3))
+    chain = folding.unfolded_chain(toda.build_system(spec, 1, cp, cm))
+    nodes = 2 * periods
+    zero = np.zeros((2, 2))
+    open_chain = toda.build_system(toda.build_periodic_chain(nodes, 2).spec, 1,
+                                   *([zero] + [c[a % 2] for a in range(1, nodes)]
+                                     for c in (chain.c_plus, chain.c_minus)))
+    if flip_c_minus_1:
+        cm[1] = -cm[1]
+    fold = toda.build_system(spec, 1, cp, cm)
+
+    def edge(freq, gen):
+        return lambda z: (lc.expm(b + np.sin(freq * np.asarray(z))[..., None, None] * gen),)
+
+    def unfolded(fn):
+        return lambda z: tuple(fold.engine.complete_gammas(fn(z))[a % 2] for a in range(nodes))
+
+    data = solver.CharacteristicData(edge(1.1, d), edge(0.9, e))
+    return fold, data, open_chain, solver.CharacteristicData(unfolded(data.gamma_minus),
+                                                             unfolded(data.gamma_plus))
+
+
+class TestLeznovSavelievFold:
+    """The even fold sp sosp_I M=2 (2, 2) against an exact solution: node
+    6 of the open chain of seven periods of its unfolded chain
+    (``_fold_case``), whose arc 0 carries no C.  The oracle marches the
+    unfolded chain on full edge blocks, so it shares no code with the
+    caps of ``toda.rhs_chain`` that the fold's march runs on."""
+
+    GRID = TestLeznovSaveliev.GRID
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        _, _, open_chain, data = _fold_case(7)
+        return oracles.leznov_saveliev(open_chain, data, self.GRID)[6:7]
+
+    def test_second_order_error(self, reference):
+        fold, data, _, _ = _fold_case(7)
+        errors = TestLeznovSaveliev._errors(fold, data, reference, (16, 32))
+        assert [float(f"{e:.3g}") for e in errors] == [2.08e-4, 5.20e-5]
+        assert 3.9 <= errors[0] / errors[1] <= 4.1, errors
+
+    def test_middle_node_does_not_see_the_ends(self):
+        """Node 2 (K // 2) of 7 and 9 periods agree to 1.9e-12 at 16^2."""
+        grid = solver.Grid(0, 1, 0, 1, 16, 16)
+        middles = [oracles.leznov_saveliev(*_fold_case(k)[2:], grid)[2 * (k // 2)] for k in (7, 9)]
+        assert lc.max_abs(middles[0] - middles[1]) < 1e-10
+
+    def test_flipped_c_minus_fails(self, reference):
+        """The fold marched with C_- negated on arc 1 is far from the
+        reference (0.426 at 16^2)."""
+        fold, data, _, _ = _fold_case(7, flip_c_minus_1=True)
+        [error] = TestLeznovSaveliev._errors(fold, data, reference, (16,))
+        assert error > 0.1, error
+
+
 def _mixed_case():
     """The gl (1, 2) system, a 1x1 and a 2x2 block, with edges expm(sin t a), expm(cos t b)."""
     spec = gr.make_spec("gl", gr.TYPE_GL_INNER, 2, (1, 2), (1,))

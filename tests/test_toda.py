@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import json
@@ -649,12 +650,37 @@ class TestFoldEndsMatchStructure:
         for spec in folded_census():
             b = gr.structure_for_spec(spec)
             offs = np.cumsum((0,) + spec.n_list)
-            for node, b_kind in toda._classify(spec)[3]:
+            _, _, s, caps, _ = toda.chain_shape(spec)
+            for node, b_kind in zip((0, s - 1), caps):
+                if b_kind == "arc":
+                    continue
                 block = b[offs[node]:offs[node + 1], offs[node]:offs[node + 1]]
                 expected = lc.structure_matrix(b_kind, spec.n_list[node])
                 assert np.array_equal(block, expected), (spec, node, b_kind)
                 checked += 1
         assert checked == 1076
+
+    def test_census_of_chain_shapes(self):
+        # every folded spec of the census by (class, variant, caps)
+        census = collections.Counter()
+        for spec in folded_census():
+            eq_class, variant, _, caps, _ = toda.chain_shape(spec)
+            census[eq_class, variant, caps] += 1
+        assert census == {
+            (toda.EQ_DOUBLE_FIXED_FOLD, "", ("J", "J")): 277,
+            (toda.EQ_DOUBLE_FIXED_FOLD, "", ("J", "K")): 32,
+            (toda.EQ_DOUBLE_FIXED_FOLD, "", ("K", "K")): 52,
+            (toda.EQ_EVEN_FOLD, "", ("arc", "arc")): 584,
+            (toda.EQ_ODD_FOLD, toda.VARIANT_ARC_FIRST, ("arc", "J")): 212,
+            (toda.EQ_ODD_FOLD, toda.VARIANT_ARC_FIRST, ("arc", "K")): 118,
+            (toda.EQ_ODD_FOLD, toda.VARIANT_NODE_FIRST, ("J", "arc")): 24,
+        }
+
+    def test_chain_shape_of_the_cyclic_chain(self):
+        # gl_inner and the trivial spec run on the uncapped chain
+        assert toda.chain_shape(toda.build_periodic_chain(3, 2).spec) == (
+            toda.EQ_GENERAL_LINEAR, "", 3, (None, None), None)
+        assert toda.chain_shape(gr.TrivialSpec("so", 3)) == (toda.EQ_SIMPLEST, "", 1, (None, None), None)
 
     def test_twist_is_plus_minus_j_on_allowed_fixed_arcs(self):
         # at every admissible L the fold twist is +-^J on each fixed arc
